@@ -61,14 +61,21 @@ def _read_json(path) -> dict:
     return payload
 
 
+def _open_out(path, newline=None):
+    try:
+        return open(path, "w", newline=newline, encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from None
+
+
 def _write_json(path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open_out(path) as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
 
 
 def _write_rows_csv(path, fieldnames, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _open_out(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(fieldnames)
         for row in rows:

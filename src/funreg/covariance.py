@@ -3,17 +3,21 @@
 The operator acts on a curve h as (Ah)(t_i) = sum_j w_j K(t_i, t_j) h(t_j),
 i.e. K W in raw coordinates. Its eigenproblem is solved through the
 symmetric similarity transform S = W^{1/2} K W^{1/2}.
+
+Samples enter as a ``CurveMatrix``; a list of curves is stacked once by
+``CurveMatrix.of``, which also checks that they share one grid. The
+eigenvectors of a decomposition are one ``CurveMatrix`` with a row per
+eigenvalue.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import GridMismatchError, ValidationError
-from .hilbert import Curve, Grid, ensure_same_grid
+from .hilbert import Curve, CurveMatrix, Grid, ensure_same_grid
 
 # Relative cutoff below which empirical eigenvalues are treated as exact zeros.
 EIGENVALUE_CLAMP = 1e-12
@@ -51,34 +55,29 @@ class CrossCovariance:
     curve: Curve
 
 
-def _stack(sample: list[Curve]) -> np.ndarray:
-    if not sample:
-        raise ValidationError("empty sample")
-    grid = sample[0].grid
-    for c in sample[1:]:
-        ensure_same_grid(sample[0], c)
-    return np.stack([c.values for c in sample]), grid
-
-
-def empirical_covariance(sample: list[Curve], center: bool = True) -> CovarianceOperator:
+def empirical_covariance(
+    sample: CurveMatrix | list[Curve], center: bool = True
+) -> CovarianceOperator:
     """Kernel K[i, j] = (1/n) sum_k X_k(t_i) X_k(t_j).
 
     With center=True the sample mean curve is subtracted first; disable
     for synthetic data that is centered by construction.
     """
-    values, grid = _stack(sample)
+    sample = CurveMatrix.of(sample)
+    values = sample.values
     if center:
         values = values - values.mean(axis=0)
     kernel = values.T @ values / len(sample)
     kernel = (kernel + kernel.T) / 2
-    return CovarianceOperator(grid, kernel, n=len(sample))
+    return CovarianceOperator(sample.grid, kernel, n=len(sample))
 
 
 def cross_covariance(
-    sample: list[Curve], responses, center: bool = True
+    sample: CurveMatrix | list[Curve], responses, center: bool = True
 ) -> CrossCovariance:
     """The curve (1/n) sum_i Y_i X_i, centered consistently with the kernel."""
-    values, grid = _stack(sample)
+    sample = CurveMatrix.of(sample)
+    values = sample.values
     y = np.asarray(responses, dtype=float)
     if y.ndim != 1 or y.size != values.shape[0]:
         raise ValidationError(
@@ -89,7 +88,7 @@ def cross_covariance(
     if center:
         values = values - values.mean(axis=0)
         y = y - y.mean()
-    return CrossCovariance(Curve(grid, values.T @ y / y.size))
+    return CrossCovariance(Curve(sample.grid, values.T @ y / y.size))
 
 
 @dataclass(frozen=True)
@@ -97,14 +96,15 @@ class SpectralDecomposition:
     """Sorted eigenpairs of the weighted covariance operator.
 
     Eigenvalues are descending with the finite-rank tail clamped to exact
-    zeros; eigenvectors are orthonormal under the quadrature product with
-    a deterministic sign convention. ``gaps`` holds the min-of-neighbors
-    differences (the trailing entry uses the implicit next eigenvalue 0).
+    zeros; eigenvectors are the rows of one matrix, orthonormal under the
+    quadrature product with a deterministic sign convention. ``gaps``
+    holds the min-of-neighbors differences (the trailing entry uses the
+    implicit next eigenvalue 0).
     """
 
     grid: Grid
     eigenvalues: np.ndarray
-    eigenvectors: tuple[Curve, ...]
+    eigenvectors: CurveMatrix
     gaps: np.ndarray
     n: int
 
@@ -115,15 +115,16 @@ class SpectralDecomposition:
             object.__setattr__(self, name, arr)
         if self.eigenvalues.size != len(self.eigenvectors):
             raise ValidationError("one eigenvector per eigenvalue required")
+        ensure_same_grid(self.eigenvectors, self)
 
-    @cached_property
+    @property
     def vectors_matrix(self) -> np.ndarray:
         """Eigenvector values stacked as rows, shape (m, p)."""
-        return np.stack([c.values for c in self.eigenvectors])
+        return self.eigenvectors.values
 
     def coefficients(self, h: Curve) -> np.ndarray:
         """Coordinates <h, e_j> of a curve in the eigenbasis."""
-        ensure_same_grid(self.eigenvectors[0], h)
+        ensure_same_grid(self, h)
         return self.vectors_matrix @ (self.grid.weights * h.values)
 
     def apply(self, h: Curve) -> Curve:
@@ -159,20 +160,19 @@ def eigendecompose(op: CovarianceOperator) -> SpectralDecomposition:
 
     lam = np.where(lam < EIGENVALUE_CLAMP * max(lam[0], 0.0), 0.0, lam)
 
-    vectors = []
-    for j in range(lam.size):
-        u = vec[:, j] / sqrt_w
-        # renormalize under the quadrature product and fix the sign
-        u = u / np.sqrt(np.sum(u * u * w))
-        k = int(np.argmax(np.abs(u)))
-        if u[k] < 0:
-            u = -u
-        vectors.append(Curve(op.grid, u))
+    # rows are eigenvectors in raw coordinates; C order keeps each row's
+    # sum the same pairwise reduction as the sum over a single curve
+    u = np.ascontiguousarray(vec.T) / sqrt_w
+    # renormalize under the quadrature product and fix the sign so that
+    # each row's largest-magnitude entry is positive
+    u = u / np.sqrt(np.sum(u * u * w, axis=1))[:, None]
+    peak = u[np.arange(lam.size), np.argmax(np.abs(u), axis=1)]
+    u[peak < 0] *= -1
 
     return SpectralDecomposition(
         grid=op.grid,
         eigenvalues=lam,
-        eigenvectors=tuple(vectors),
+        eigenvectors=CurveMatrix(op.grid, u),
         gaps=_spectral_gaps(lam),
         n=op.n,
     )

@@ -22,8 +22,12 @@ from .covariance import (
 )
 from .errors import DegenerateFitError, GridMismatchError, ValidationError
 from .filters import FilterSpec, effective_rank, filter_from_config, filter_to_config, filter_values, xf_values
-from .hilbert import Curve, Grid, ensure_same_grid, inner_product
+from .hilbert import Curve, CurveMatrix, Grid, ensure_same_grid, inner_product
 from .hilbert import norm as norm_of
+
+# Relative tolerance for the stored filtered values and s_hat of a fit
+# payload against the values recomputed from its eigenvalues and filter.
+PAYLOAD_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -99,42 +103,47 @@ class EstimatorFit:
         return self.rho_hat.grid
 
 
-def _point_prediction(
-    rho_hat: Curve, centered: bool, x_mean: Curve, y_mean: float, x: Curve
-) -> float:
-    ensure_same_grid(rho_hat, x)
-    if centered:
-        return y_mean + inner_product(rho_hat, x - x_mean)
-    return inner_product(rho_hat, x)
-
-
 def predict(fit: EstimatorFit, x: Curve) -> float:
     """Point prediction <rho_hat, x>, plus the intercept for centered fits."""
-    return _point_prediction(fit.rho_hat, fit.centered, fit.x_mean, fit.y_mean, x)
+    ensure_same_grid(fit.rho_hat, x)
+    if fit.centered:
+        return fit.y_mean + inner_product(fit.rho_hat, x - fit.x_mean)
+    return inner_product(fit.rho_hat, x)
 
 
 def _residual_sigma(
-    sample, responses, rho_hat, centered, x_mean, y_mean, d_n
+    sample: CurveMatrix, responses, rho_hat, centered, x_mean, y_mean, d_n
 ) -> float:
     n = len(sample)
     if n <= d_n:
         raise DegenerateFitError(f"degrees of freedom exhausted: n={n} <= d_n={d_n}")
+    ensure_same_grid(rho_hat, sample)
     y = np.asarray(responses, dtype=float)
-    preds = np.array(
-        [_point_prediction(rho_hat, centered, x_mean, y_mean, xi) for xi in sample]
-    )
+    values = sample.values - x_mean.values if centered else sample.values
+    # row-wise inner_product: same products and weights, same reduction
+    preds = np.sum((rho_hat.values * values) * sample.grid.weights, axis=1)
+    if centered:
+        preds = y_mean + preds
     return float(np.sqrt(np.sum((y - preds) ** 2) / (n - d_n)))
 
 
-def sigma_hat(sample: list[Curve], responses, fit: EstimatorFit) -> float:
+def sigma_hat(
+    sample: CurveMatrix | list[Curve], responses, fit: EstimatorFit
+) -> float:
     """Residual noise scale with an (n - d_n) degrees-of-freedom correction."""
     return _residual_sigma(
-        sample, responses, fit.rho_hat, fit.centered, fit.x_mean, fit.y_mean, fit.d_n
+        CurveMatrix.of(sample),
+        responses,
+        fit.rho_hat,
+        fit.centered,
+        fit.x_mean,
+        fit.y_mean,
+        fit.d_n,
     )
 
 
 def fit(
-    sample: list[Curve], responses, filt: FilterSpec, center: bool = True
+    sample: CurveMatrix | list[Curve], responses, filt: FilterSpec, center: bool = True
 ) -> EstimatorFit:
     """Fit the regularized functional regression on (sample, responses).
 
@@ -142,6 +151,7 @@ def fit(
     curves and the responses before forming the moment equation; disable
     it for data that is centered by construction.
     """
+    sample = CurveMatrix.of(sample)
     n = len(sample)
     if n < 2:
         raise ValidationError("need at least 2 observations to fit")
@@ -155,12 +165,11 @@ def fit(
     rinv = regularized_inverse(decomposition, filt)
     rho = rinv.apply(delta.curve)
 
-    grid = sample[0].grid
     if center:
-        x_mean = Curve(grid, np.mean([c.values for c in sample], axis=0))
+        x_mean = Curve(sample.grid, sample.values.mean(axis=0))
         y_mean = float(y.mean())
     else:
-        x_mean = Curve.zeros(grid)
+        x_mean = Curve.zeros(sample.grid)
         y_mean = 0.0
 
     if n > rinv.d_n:
@@ -185,12 +194,17 @@ def fit(
 
 @dataclass(frozen=True)
 class PredictionInterval:
-    """Symmetric CLT interval around the point prediction."""
+    """Symmetric CLT interval around the point prediction.
+
+    ``normalizer`` is the value of the ``normalizer_kind`` pivot (s_hat or
+    t_hat(x)) that scaled the half width.
+    """
 
     center: float
     half_width: float
     level: float
     normalizer_kind: str
+    normalizer: float
 
     @property
     def lo(self) -> float:
@@ -242,7 +256,11 @@ def prediction_interval(
     q = normal_quantile((1 + level) / 2)
     half = q * fit.sigma_hat * scale / np.sqrt(fit.n)
     return PredictionInterval(
-        center=center, half_width=float(half), level=level, normalizer_kind=normalizer
+        center=center,
+        half_width=float(half),
+        level=level,
+        normalizer_kind=normalizer,
+        normalizer=scale,
     )
 
 
@@ -271,52 +289,90 @@ def fit_to_dict(fit: EstimatorFit) -> dict:
     }
 
 
+def _payload_typed(payload: dict, key: str, kind: type):
+    value = payload[key]
+    # exact type: a JSON true is not an integer, nor a string a flag
+    if type(value) is not kind:
+        raise ValidationError(f"malformed fit payload: {key} must be {kind.__name__}")
+    return value
+
+
 def fit_from_dict(payload: dict) -> EstimatorFit:
-    """Rebuild a fit from fit_to_dict output (retained eigenpairs only)."""
+    """Rebuild a fit from fit_to_dict output (retained eigenpairs only).
+
+    The eigenvectors must form a (d_n, p) matrix, and the stored filtered
+    values and s_hat must agree with the retained eigenvalues and filter.
+    """
     try:
         grid = Grid(payload["grid"]["points"], payload["grid"]["weights"])
         filt = filter_from_config(payload["filter"])
-        d = int(payload["d_n"])
+        d = _payload_typed(payload, "d_n", int)
+        n = _payload_typed(payload, "n", int)
         lam_all = np.asarray(payload["eigenvalues"], dtype=float)
-        vectors = tuple(
-            Curve(grid, row) for row in np.asarray(payload["eigenvectors"], dtype=float)
-        )
-        if len(vectors) != d:
-            raise ValidationError("stored eigenvectors do not match d_n")
-        decomposition = SpectralDecomposition(
-            grid=grid,
-            eigenvalues=lam_all[:d],
-            eigenvectors=vectors,
-            gaps=_spectral_gaps(lam_all)[:d],
-            n=int(payload["n"]),
-        )
+        vectors = np.asarray(payload["eigenvectors"], dtype=float)
+        stored_filtered = np.asarray(payload["filtered_values"], dtype=float)
+        stored_s_hat = float(payload["s_hat"])
         stored_sigma = payload["sigma_hat"]
-        return EstimatorFit(
-            rho_hat=Curve(grid, payload["rho_hat"]),
-            d_n=d,
-            s_hat=float(payload["s_hat"]),
-            sigma_hat=float("nan") if stored_sigma is None else float(stored_sigma),
-            n=int(payload["n"]),
-            decomposition=decomposition,
-            filter=filt,
-            centered=bool(payload["centered"]),
-            x_mean=Curve(grid, payload["x_mean"]),
-            y_mean=float(payload["y_mean"]),
-        )
-    except (KeyError, TypeError) as exc:
+        sigma = float("nan") if stored_sigma is None else float(stored_sigma)
+        rho_hat = Curve(grid, payload["rho_hat"])
+        x_mean = Curve(grid, payload["x_mean"])
+        centered = _payload_typed(payload, "centered", bool)
+        y_mean = float(payload["y_mean"])
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed fit payload: {exc}") from None
+    if vectors.shape != (d, len(grid)):
+        raise ValidationError(
+            f"stored eigenvectors have shape {vectors.shape}, expected "
+            f"(d_n, p) = ({d}, {len(grid)})"
+        )
+    if lam_all.ndim != 1 or lam_all.size < d:
+        raise ValidationError("stored eigenvalues do not cover the d_n retained pairs")
+    decomposition = SpectralDecomposition(
+        grid=grid,
+        eigenvalues=lam_all[:d],
+        eigenvectors=CurveMatrix(grid, vectors),
+        gaps=_spectral_gaps(lam_all)[:d],
+        n=n,
+    )
+    # written as "<=" so that a NaN anywhere fails the comparison
+    expected = filter_values(filt, decomposition.eigenvalues)
+    if stored_filtered.shape != expected.shape or not np.all(
+        np.abs(stored_filtered - expected) <= PAYLOAD_RTOL * np.abs(expected)
+    ):
+        raise ValidationError("stored filtered values disagree with eigenvalues and filter")
+    expected_s_hat = s_hat(decomposition, filt)
+    if not abs(stored_s_hat - expected_s_hat) <= PAYLOAD_RTOL * expected_s_hat:
+        raise ValidationError("stored s_hat disagrees with eigenvalues and filter")
+    return EstimatorFit(
+        rho_hat=rho_hat,
+        d_n=d,
+        s_hat=stored_s_hat,
+        sigma_hat=sigma,
+        n=n,
+        decomposition=decomposition,
+        filter=filt,
+        centered=centered,
+        x_mean=x_mean,
+        y_mean=y_mean,
+    )
 
 
 def save_fit(path, fit: EstimatorFit) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from None
+    with fh:
         json.dump(fit_to_dict(fit), fh, indent=2)
         fh.write("\n")
 
 
 def load_fit(path) -> EstimatorFit:
-    with open(path, encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: invalid JSON ({exc})") from None
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from None
+    except ValueError as exc:
+        raise ValidationError(f"{path}: invalid JSON ({exc})") from None
     return fit_from_dict(payload)

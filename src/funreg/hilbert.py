@@ -1,8 +1,10 @@
 """Discretized Hilbert space: grids, quadrature weights, curves.
 
 A curve is a vector of values on a shared grid; the inner product is the
-quadrature sum ``<f, g> = sum_i w_i f_i g_i``. All cross-grid operations
-are rejected rather than silently resampled.
+quadrature sum ``<f, g> = sum_i w_i f_i g_i``. A sample of curves on one
+grid is a ``CurveMatrix``: an ``(m, p)`` array of rows, validated once as
+a whole, that indexes and iterates as ``Curve``s. All cross-grid
+operations are rejected rather than silently resampled.
 """
 
 from __future__ import annotations
@@ -99,8 +101,61 @@ class Curve:
         return Curve(grid, np.zeros(len(grid)))
 
 
-def ensure_same_grid(f: Curve, g: Curve) -> None:
-    """Raise GridMismatchError unless both curves share one grid."""
+@dataclass(frozen=True)
+class CurveMatrix:
+    """Rows of curves on one grid: ``values[i]`` is curve i, shape (m, p).
+
+    Shape and finiteness are checked once for the whole matrix. Indexing
+    and iteration give single ``Curve``s, so code written for a sequence
+    of curves reads a matrix unchanged.
+    """
+
+    grid: Grid
+    values: np.ndarray
+
+    def __post_init__(self):
+        values = _frozen_array(self.values)
+        if values.ndim != 2:
+            raise ValidationError("curve matrix values must be 2-d")
+        if values.shape[0] < 1:
+            raise ValidationError("a curve matrix needs at least one row")
+        if values.shape[1] != len(self.grid):
+            raise ValidationError(
+                f"curve matrix rows have {values.shape[1]} values but grid has "
+                f"{len(self.grid)} points"
+            )
+        if not np.all(np.isfinite(values)):
+            raise ValidationError("curve values must be finite")
+        object.__setattr__(self, "values", values)
+
+    def __len__(self) -> int:
+        return self.values.shape[0]
+
+    def __getitem__(self, index: int) -> Curve:
+        return Curve(self.grid, self.values[index])
+
+    def __iter__(self):
+        for row in self.values:
+            yield Curve(self.grid, row)
+
+    @staticmethod
+    def of(curves) -> "CurveMatrix":
+        """The matrix itself, or a sequence of same-grid curves stacked."""
+        if isinstance(curves, CurveMatrix):
+            return curves
+        curves = list(curves)
+        if not curves:
+            raise ValidationError("empty sample")
+        for c in curves[1:]:
+            ensure_same_grid(curves[0], c)
+        return CurveMatrix(curves[0].grid, np.stack([c.values for c in curves]))
+
+
+def ensure_same_grid(f, g) -> None:
+    """Raise GridMismatchError unless f.grid and g.grid are one grid.
+
+    Operands are curves, curve matrices, or anything else with a grid.
+    """
     if f.grid is g.grid:
         return
     if f.grid != g.grid:
@@ -158,7 +213,7 @@ def trapezoid_weights(points: np.ndarray) -> np.ndarray:
     return w
 
 
-def load_curves_csv(path) -> list[Curve]:
+def load_curves_csv(path) -> CurveMatrix:
     """Read a curve matrix CSV: first row grid points, one curve per row.
 
     Weights are not stored in the file; trapezoid weights are rebuilt
@@ -179,18 +234,14 @@ def load_curves_csv(path) -> list[Curve]:
     if not np.all(np.diff(points) > 0):
         raise ValidationError(f"{path}: grid row must be strictly increasing")
     grid = Grid(points, trapezoid_weights(points))
-    return [Curve(grid, row) for row in parsed[1:]]
+    return CurveMatrix(grid, parsed[1:])
 
 
-def save_curves_csv(path, curves: list[Curve]) -> None:
+def save_curves_csv(path, curves: CurveMatrix | list[Curve]) -> None:
     """Write curves in the curve matrix CSV format (see load_curves_csv)."""
-    if not curves:
-        raise ValidationError("nothing to write")
-    grid = curves[0].grid
-    for c in curves[1:]:
-        ensure_same_grid(curves[0], c)
+    matrix = CurveMatrix.of(curves)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow([repr(float(x)) for x in grid.points])
-        for c in curves:
-            writer.writerow([repr(float(v)) for v in c.values])
+        writer.writerow([repr(float(x)) for x in matrix.grid.points])
+        for row in matrix.values:
+            writer.writerow([repr(float(v)) for v in row])

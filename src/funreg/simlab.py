@@ -17,9 +17,9 @@ import numpy as np
 from scipy.stats import kstest
 
 from .errors import DegenerateFitError, GridMismatchError, ValidationError
-from .estimator import fit, prediction_interval, t_hat
+from .estimator import fit, prediction_interval
 from .filters import FilterSpec, select_kn, xf_values, filter_values
-from .hilbert import Curve, Grid, inner_product, make_trapezoid_grid, norm
+from .hilbert import Curve, CurveMatrix, Grid, inner_product, make_trapezoid_grid, norm
 
 XI_LAWS = ("gaussian", "uniform", "rademacher")
 
@@ -264,7 +264,7 @@ def kl_sample(model: SpectralModel, rng: np.random.Generator) -> Curve:
 
 def generate_dataset(
     model: SpectralModel, n: int, rng: np.random.Generator
-) -> tuple[list[Curve], np.ndarray]:
+) -> tuple[CurveMatrix, np.ndarray]:
     """n i.i.d. pairs (X_i, Y_i) with Y = <rho, X> + Normal(0, noise_sd^2)."""
     if n < 1:
         raise ValidationError("need n >= 1")
@@ -274,7 +274,7 @@ def generate_dataset(
     y = values @ weighted_rho
     if model.noise_sd > 0:
         y = y + model.noise_sd * rng.standard_normal(n)
-    return [Curve(model.grid, row) for row in values], y
+    return CurveMatrix(model.grid, values), y
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +461,7 @@ def coverage_experiment(
                "error": ""}
         try:
             ft = fit(sample, y, filt, center=False)
+            row["d_n"] = ft.d_n
             iv = prediction_interval(ft, x_new, level, "s_hat")
         except (DegenerateFitError, ValidationError) as exc:
             row["failed"] = True
@@ -471,7 +472,6 @@ def coverage_experiment(
         row["hit"] = _interval_hit(iv.lo, iv.hi, target, iv.center)
         row["std_error"] = _standardized(n, iv.center - target, ft.sigma_hat * ft.s_hat)
         row["bias"] = -float(np.sum(rho_tail * oracle.x_coefficients(x_new)[k_n:]))
-        row["d_n"] = ft.d_n
         return row
 
     rows = _run_indexed(worker, replicates, threads)
@@ -515,24 +515,23 @@ def fixed_x_experiment(
                "t_hat": None, "error": ""}
         try:
             ft = fit(sample, y, filt, center=False)
+            row["d_n"] = ft.d_n
             iv = prediction_interval(ft, x, level, "t_hat")
         except (DegenerateFitError, ValidationError) as exc:
             row["failed"] = True
             row["error"] = str(exc)
             return row
-        that = t_hat(ft.decomposition, filt, x)
         row["center"] = iv.center
         row["half_width"] = iv.half_width
-        row["t_hat"] = that
+        row["t_hat"] = iv.normalizer
         row["hit"] = _interval_hit(iv.lo, iv.hi, target, iv.center)
-        row["std_error"] = _standardized(n, iv.center - target, ft.sigma_hat * that)
+        row["std_error"] = _standardized(n, iv.center - target, ft.sigma_hat * iv.normalizer)
         # empirical-vs-true projection of rho at the nonrandom rank
         kk = min(k_n, int(np.count_nonzero(ft.decomposition.eigenvalues > 0)))
         ehat = ft.decomposition.vectors_matrix[:kk]
         rho_on_ehat = ehat @ (w * model.rho_curve.values)
         x_on_ehat = ehat @ (w * x.values)
         row["bias"] = float(np.sum(rho_on_ehat * x_on_ehat) - true_proj)
-        row["d_n"] = ft.d_n
         return row
 
     rows = _run_indexed(worker, replicates, threads)

@@ -158,6 +158,84 @@ class TestPredictCommand:
         assert code == 3
 
 
+class TestFitFileErrors:
+    """Unreadable, unwritable and inconsistent fit files exit 2 with one line."""
+
+    @pytest.fixture
+    def toy_fit(self, toy_inputs, tmp_path):
+        curves, responses = toy_inputs
+        out = tmp_path / "fit.json"
+        assert run(["fit", "--curves", curves, "--responses", responses,
+                    "--filter", "truncation", "--cn", "0.1", "--no-center",
+                    "--out", out]) == 0
+        x_path = tmp_path / "x.csv"
+        x_path.write_text("0.0,2.0\n2.0,0.0\n")
+        return json.loads(out.read_text()), x_path
+
+    @staticmethod
+    def assert_validation_exit(code, capsys):
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 2
+        assert len(err) == 1
+        assert err[0].startswith("error: validation: ")
+
+    def predict_with(self, payload, x_path, tmp_path):
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(payload))
+        return run(["predict", "--fit", path, "--x", x_path])
+
+    def test_missing_fit_file(self, tmp_path, capsys):
+        x_path = tmp_path / "x.csv"
+        x_path.write_text("0.0,1.0\n1.0,1.0\n")
+        code = run(["predict", "--fit", tmp_path / "none.json", "--x", x_path])
+        self.assert_validation_exit(code, capsys)
+
+    def test_unwritable_fit_out(self, toy_inputs, tmp_path, capsys):
+        curves, responses = toy_inputs
+        code = run(["fit", "--curves", curves, "--responses", responses,
+                    "--filter", "truncation", "--cn", "0.1",
+                    "--out", tmp_path / "no-such-dir" / "fit.json"])
+        self.assert_validation_exit(code, capsys)
+
+    def test_unwritable_report_out(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_coverage_config(replicates=1)))
+        code = run(["simulate", "coverage", "--config", cfg_path,
+                    "--out", tmp_path / "no-such-dir" / "r.json"])
+        self.assert_validation_exit(code, capsys)
+
+    def test_ragged_eigenvector_row(self, toy_fit, tmp_path, capsys):
+        payload, x_path = toy_fit
+        payload["eigenvectors"][1] = payload["eigenvectors"][1][:1]
+        capsys.readouterr()
+        self.assert_validation_exit(self.predict_with(payload, x_path, tmp_path), capsys)
+
+    def test_non_integer_d_n(self, toy_fit, tmp_path, capsys):
+        payload, x_path = toy_fit
+        payload["d_n"] = "abc"
+        capsys.readouterr()
+        self.assert_validation_exit(self.predict_with(payload, x_path, tmp_path), capsys)
+
+    def test_eigenvectors_not_d_n_by_p(self, toy_fit, tmp_path, capsys):
+        payload, x_path = toy_fit
+        assert payload["d_n"] == 2
+        payload["eigenvectors"] = payload["eigenvectors"][:1]
+        capsys.readouterr()
+        self.assert_validation_exit(self.predict_with(payload, x_path, tmp_path), capsys)
+
+    def test_s_hat_disagrees_with_spectrum(self, toy_fit, tmp_path, capsys):
+        payload, x_path = toy_fit
+        payload["s_hat"] = 123.0
+        capsys.readouterr()
+        self.assert_validation_exit(self.predict_with(payload, x_path, tmp_path), capsys)
+
+    def test_unedited_payload_still_predicts(self, toy_fit, tmp_path, capsys):
+        payload, x_path = toy_fit
+        capsys.readouterr()
+        assert self.predict_with(payload, x_path, tmp_path) == 0
+        assert capsys.readouterr().out.strip() == "2.0"
+
+
 class TestSimulateCommand:
     def test_noiseless_coverage_report(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

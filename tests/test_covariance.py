@@ -3,13 +3,14 @@ import pytest
 import scipy.linalg
 
 from funreg.covariance import (
+    EIGENVALUE_CLAMP,
     CovarianceOperator,
     cross_covariance,
     eigendecompose,
     empirical_covariance,
 )
 from funreg.errors import ValidationError
-from funreg.hilbert import Curve, Grid, inner_product, make_trapezoid_grid, norm
+from funreg.hilbert import Curve, CurveMatrix, Grid, inner_product, make_trapezoid_grid, norm
 
 
 def unit_weight_grid(p=2):
@@ -174,6 +175,46 @@ class TestEigendecompose:
         for e in d1.eigenvectors:
             k = np.argmax(np.abs(e.values))
             assert e.values[k] > 0
+
+    def test_eigenvectors_match_per_column_loop_bit_for_bit(self):
+        # reference: renormalize and sign-fix one eigenvector at a time
+        for n, p, seed in ((10, 6, 13), (40, 101, 2), (5, 150, 8)):
+            g, sample = random_sample(n, p, seed=seed)
+            op = empirical_covariance(sample)
+            dec = eigendecompose(op)
+            w = g.weights
+            sqrt_w = np.sqrt(w)
+            sym = sqrt_w[:, None] * op.kernel * sqrt_w[None, :]
+            lam, vec = np.linalg.eigh((sym + sym.T) / 2)
+            order = np.argsort(lam)[::-1]
+            lam, vec = lam[order], vec[:, order]
+            lam = np.where(lam < EIGENVALUE_CLAMP * max(lam[0], 0.0), 0.0, lam)
+            expected = []
+            for j in range(lam.size):
+                u = vec[:, j] / sqrt_w
+                u = u / np.sqrt(np.sum(u * u * w))
+                k = int(np.argmax(np.abs(u)))
+                if u[k] < 0:
+                    u = -u
+                expected.append(u)
+            assert isinstance(dec.eigenvectors, CurveMatrix)
+            assert len(dec.eigenvectors) == p
+            assert np.array_equal(dec.eigenvalues, lam)
+            assert np.array_equal(dec.vectors_matrix, np.stack(expected))
+
+    def test_list_and_matrix_samples_give_identical_operators(self):
+        g, sample = random_sample(30, 11, seed=17)
+        y = np.random.default_rng(3).standard_normal(30)
+        matrix = CurveMatrix.of(sample)
+        for center in (False, True):
+            assert np.array_equal(
+                empirical_covariance(sample, center=center).kernel,
+                empirical_covariance(matrix, center=center).kernel,
+            )
+            assert np.array_equal(
+                cross_covariance(sample, y, center=center).curve.values,
+                cross_covariance(matrix, y, center=center).curve.values,
+            )
 
     def test_gaps_follow_min_of_neighbors(self):
         g = Grid(np.arange(4.0), np.ones(4))

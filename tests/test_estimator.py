@@ -20,7 +20,7 @@ from funreg.estimator import (
     t_hat,
 )
 from funreg.filters import FilterSpec
-from funreg.hilbert import Curve, Grid, inner_product, make_trapezoid_grid, norm
+from funreg.hilbert import Curve, CurveMatrix, Grid, inner_product, make_trapezoid_grid, norm
 
 
 def unit_weight_grid(p=2):
@@ -232,6 +232,59 @@ class TestSigmaHat:
         assert sigma_hat(sample, y, ft) == pytest.approx(expected)
 
 
+def per_curve_sigma_hat(sample, y, ft):
+    """The residual scale as a loop of per-curve inner products."""
+    preds = []
+    for x in sample:
+        if ft.centered:
+            preds.append(ft.y_mean + inner_product(ft.rho_hat, x - ft.x_mean))
+        else:
+            preds.append(inner_product(ft.rho_hat, x))
+    res = np.asarray(y, dtype=float) - np.array(preds)
+    return float(np.sqrt(np.sum(res**2) / (len(sample) - ft.d_n)))
+
+
+class TestMatrixSampleParity:
+    SPECS = (FilterSpec("truncation", 1e-2), FilterSpec("ridge", 1e-3, alpha=0.05))
+
+    @pytest.mark.parametrize("center", [False, True])
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_list_and_matrix_fits_are_identical(self, spec, center):
+        g, sample, rng = gaussian_sample(40, 9, seed=71)
+        y = rng.standard_normal(40)
+        a = fit(sample, y, spec, center=center)
+        b = fit(CurveMatrix.of(sample), y, spec, center=center)
+        assert np.array_equal(a.rho_hat.values, b.rho_hat.values)
+        assert np.array_equal(a.decomposition.eigenvalues, b.decomposition.eigenvalues)
+        assert np.array_equal(a.decomposition.vectors_matrix, b.decomposition.vectors_matrix)
+        assert np.array_equal(a.x_mean.values, b.x_mean.values)
+        assert a.d_n == b.d_n
+        assert a.s_hat == b.s_hat
+        assert a.sigma_hat == b.sigma_hat
+
+    @pytest.mark.parametrize("center", [False, True])
+    @pytest.mark.parametrize("n, p", [(40, 9), (300, 101), (160, 150)])
+    def test_sigma_hat_equals_per_curve_loop_bit_for_bit(self, n, p, center):
+        # small noise keeps residuals far below the predictions, so any
+        # change in how a prediction is rounded shows in sigma_hat
+        g, sample, rng = gaussian_sample(n, p, seed=n + p)
+        rho = Curve(g, np.cos(3 * g.points))
+        y = np.array([inner_product(rho, x) for x in sample]) + 1e-3 * rng.standard_normal(n)
+        ft = fit(sample, y, FilterSpec("ridge", 1e-3, alpha=0.05), center=center)
+        expected = per_curve_sigma_hat(sample, y, ft)
+        assert ft.sigma_hat == expected
+        assert sigma_hat(sample, y, ft) == expected
+        assert sigma_hat(CurveMatrix.of(sample), y, ft) == expected
+
+    def test_sigma_hat_rejects_a_sample_on_another_grid(self):
+        g, sample, rng = gaussian_sample(20, 6, seed=5)
+        ft = fit(sample, rng.standard_normal(20), FilterSpec("truncation", 1e-2))
+        other = make_trapezoid_grid(0.0, 2.0, 6)
+        moved = [Curve(other, c.values) for c in sample]
+        with pytest.raises(GridMismatchError):
+            sigma_hat(moved, rng.standard_normal(20), ft)
+
+
 class TestPredictionInterval:
     def make_noisy_fit(self, n=60, seed=21):
         g, sample, rng = gaussian_sample(n, 8, seed=seed)
@@ -252,6 +305,13 @@ class TestPredictionInterval:
         assert iv.half_width == pytest.approx(expected, rel=1e-12)
         assert iv.center == pytest.approx(predict(ft, x))
         assert iv.lo <= iv.center <= iv.hi
+
+    def test_interval_reports_its_normalizer(self):
+        g, sample, ft = self.make_noisy_fit()
+        x = sample[2]
+        assert prediction_interval(ft, x, 0.9, "s_hat").normalizer == ft.s_hat
+        iv = prediction_interval(ft, x, 0.9, "t_hat")
+        assert iv.normalizer == t_hat(ft.decomposition, ft.filter, x)
 
     def test_width_vanishes_as_level_drops(self):
         g, sample, ft = self.make_noisy_fit()
@@ -416,3 +476,22 @@ class TestSerialization:
     def test_malformed_payload(self):
         with pytest.raises(ValidationError):
             fit_from_dict({"n": 3})
+
+    def test_payload_must_agree_with_its_spectrum(self):
+        g, sample, rng = gaussian_sample(12, 5, seed=53)
+        ft = fit(sample, rng.standard_normal(12), FilterSpec("ridge", 1e-3, alpha=0.05))
+        payload = json.loads(json.dumps(fit_to_dict(ft)))
+        assert fit_from_dict(payload).s_hat == ft.s_hat
+        for key, value in (
+            ("s_hat", ft.s_hat * 1.01),
+            ("filtered_values", [v * 2 for v in payload["filtered_values"]]),
+            ("filtered_values", payload["filtered_values"][:-1]),
+            ("eigenvectors", [row[:-1] for row in payload["eigenvectors"]]),
+            ("eigenvalues", payload["eigenvalues"][: ft.d_n - 1]),
+            ("n", 12.5),
+            ("d_n", True),
+            ("centered", "false"),
+        ):
+            edited = dict(payload, **{key: value})
+            with pytest.raises(ValidationError):
+                fit_from_dict(edited)

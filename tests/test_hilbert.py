@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from funreg.errors import GridMismatchError, ValidationError
 from funreg.hilbert import (
     Curve,
+    CurveMatrix,
     Grid,
     inner_product,
     load_curves_csv,
@@ -71,6 +72,66 @@ class TestGridAndCurveValidation:
         g = unit_grid(5)
         with pytest.raises(ValueError):
             g.points[0] = 3.0
+
+
+class TestCurveMatrix:
+    def test_rejects_non_2d_values(self):
+        g = unit_grid(3)
+        with pytest.raises(ValidationError):
+            CurveMatrix(g, [0.0, 1.0, 2.0])
+        with pytest.raises(ValidationError):
+            CurveMatrix(g, np.zeros((2, 2, 3)))
+
+    def test_rejects_wrong_width(self):
+        with pytest.raises(ValidationError):
+            CurveMatrix(unit_grid(3), np.zeros((4, 2)))
+
+    def test_rejects_non_finite_values(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            values = np.zeros((3, 3))
+            values[1, 2] = bad
+            with pytest.raises(ValidationError):
+                CurveMatrix(unit_grid(3), values)
+
+    def test_rejects_zero_rows(self):
+        with pytest.raises(ValidationError):
+            CurveMatrix(unit_grid(3), np.zeros((0, 3)))
+
+    def test_of_rejects_mixed_grids_and_empty_input(self):
+        a = Curve(unit_grid(4), np.ones(4))
+        b = Curve(make_trapezoid_grid(0.0, 2.0, 4), np.ones(4))
+        with pytest.raises(GridMismatchError):
+            CurveMatrix.of([a, a, b])
+        with pytest.raises(ValidationError):
+            CurveMatrix.of([])
+
+    def test_of_stacks_curves_and_passes_a_matrix_through(self):
+        g = unit_grid(5)
+        rng = np.random.default_rng(1)
+        curves = [Curve(g, rng.standard_normal(5)) for _ in range(3)]
+        m = CurveMatrix.of(curves)
+        assert m.grid is g
+        assert np.array_equal(m.values, np.stack([c.values for c in curves]))
+        assert CurveMatrix.of(m) is m
+
+    def test_rows_index_and_iterate_as_curves(self):
+        g = unit_grid(4)
+        values = np.arange(12.0).reshape(3, 4)
+        m = CurveMatrix(g, values)
+        assert len(m) == 3
+        assert isinstance(m[1], Curve)
+        assert np.array_equal(m[-1].values, values[2])
+        rows = list(m)
+        assert all(c.grid is g for c in rows)
+        assert np.array_equal(np.stack([c.values for c in rows]), values)
+
+    def test_values_are_a_frozen_copy(self):
+        values = np.ones((2, 3))
+        m = CurveMatrix(unit_grid(3), values)
+        values[0, 0] = 5.0
+        assert m.values[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            m.values[0, 0] = 2.0
 
 
 class TestInnerProduct:
@@ -181,6 +242,22 @@ class TestCurveCsv:
         assert np.array_equal(loaded[0].grid.weights, g.weights)
         for orig, back in zip(curves, loaded):
             assert np.array_equal(orig.values, back.values)
+
+    def test_loads_one_matrix(self, tmp_path):
+        g = make_trapezoid_grid(0.0, 1.0, 4)
+        matrix = CurveMatrix(g, np.arange(8.0).reshape(2, 4))
+        path = tmp_path / "curves.csv"
+        save_curves_csv(path, matrix)
+        loaded = load_curves_csv(path)
+        assert isinstance(loaded, CurveMatrix)
+        assert loaded.grid == g
+        assert np.array_equal(loaded.values, matrix.values)
+
+    def test_rejects_non_finite_cell(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("0.0,1.0\n1.0,nan\n")
+        with pytest.raises(ValidationError):
+            load_curves_csv(path)
 
     def test_rejects_non_numeric(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -3,9 +3,10 @@ import pytest
 
 from funreg.covariance import eigendecompose, empirical_covariance
 from funreg.errors import ValidationError
+from funreg import estimator, simlab
 from funreg.estimator import fit
 from funreg.filters import FilterSpec
-from funreg.hilbert import Curve, inner_product, make_trapezoid_grid, norm
+from funreg.hilbert import Curve, CurveMatrix, inner_product, make_trapezoid_grid, norm
 from funreg.simlab import (
     CoeffRule,
     EigenDecay,
@@ -174,6 +175,14 @@ class TestGenerateDataset:
         )
         _, y = generate_dataset(m, 10000, replicate_rng(11))
         assert y.var() == pytest.approx(0.49, rel=0.1)
+
+    def test_returns_one_curve_matrix(self):
+        m = smooth_model(L=10, p=31)
+        sample, y = generate_dataset(m, 25, replicate_rng(4))
+        assert isinstance(sample, CurveMatrix)
+        assert sample.values.shape == (25, 31)
+        assert sample.grid is m.grid
+        assert y.shape == (25,)
 
     def test_fixed_seed_bit_identical(self):
         m = smooth_model()
@@ -478,6 +487,133 @@ class TestFixedXExperiment:
             means.append(np.mean([r["t_hat"] for r in rep.rows if not r["failed"]]))
         means = np.array(means)
         assert abs(means[-1] - means.mean()) / means.mean() < 0.05
+
+
+def saturated_model():
+    # with n = 2 and cn below both empirical eigenvalues, fit succeeds with
+    # d_n = 2 and the interval fails for lack of residual degrees of freedom
+    return SpectralModel(
+        make_trapezoid_grid(0, 1, 21), EigenDecay.geometric(0.5),
+        CoeffRule.finite([1.0, 0.4]), noise_sd=0.3, L=2,
+    )
+
+
+class TestFailedRowsKeepRank:
+    def test_coverage_rows_record_d_n(self):
+        rep = coverage_experiment(saturated_model(), n=2, cn=1e-8,
+                                  filt=FilterSpec("truncation", 1e-8), level=0.95,
+                                  replicates=3, seed=7)
+        assert rep.n_failed == 3
+        for row in rep.rows:
+            assert row["failed"]
+            assert "no residual degrees of freedom" in row["error"]
+            assert row["d_n"] == 2
+
+    def test_fixed_x_rows_record_d_n(self):
+        m = saturated_model()
+        rep = fixed_x_experiment(m, m.basis_curves[0], n=2, cn=1e-8,
+                                 filt=FilterSpec("truncation", 1e-8), level=0.95,
+                                 replicates=3, seed=7)
+        assert rep.n_failed == 3
+        assert [row["d_n"] for row in rep.rows] == [2, 2, 2]
+
+    def test_rows_failing_in_fit_leave_d_n_empty(self):
+        rep = coverage_experiment(saturated_model(), n=1, cn=1e-8,
+                                  filt=FilterSpec("truncation", 1e-8), level=0.95,
+                                  replicates=2, seed=7)
+        assert rep.n_failed == 2
+        for row in rep.rows:
+            assert "at least 2 observations" in row["error"]
+            assert row["d_n"] is None
+
+
+class TestFixedXNormalizer:
+    def test_t_hat_computed_once_per_replicate(self, monkeypatch):
+        calls = []
+        original = estimator.t_hat
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(estimator, "t_hat", counted)
+        monkeypatch.setattr(simlab, "t_hat", counted, raising=False)
+        m = smooth_model(L=10, p=31)
+        rep = fixed_x_experiment(m, m.basis_curves[1], n=60, cn=rank_threshold(m.lambdas, 3),
+                                 filt=TRUNC, level=0.9, replicates=4, seed=5)
+        assert rep.n_failed == 0
+        assert len(calls) == 4
+
+
+# Seeded reports recorded before the sample became one curve matrix: the
+# discrete fields must match exactly, and every float to 1e-12 relative.
+GOLDEN_ROW_KEYS = ("failed", "hit", "d_n", "center", "half_width", "std_error", "bias", "t_hat")
+GOLDEN = {
+    "coverage": {
+        "report": {
+            "nominal_level": 0.9, "n": 40, "replicates": 3, "empirical_coverage": 1.0,
+            "mean_half_width": 0.1534318264773056, "ks_statistic": 0.43359414323769685,
+            "bias_summary": 0.0017903201502043893, "seed": 2024, "n_failed": 0,
+        },
+        "rows": [
+            (False, True, 4, -0.28627250783315356, 0.17936786800682644,
+             0.029070431366549306, -0.0013343434372719714),
+            (False, True, 4, -0.3807790954432839, 0.15575448443006362,
+             -0.16723100879006358, 0.0011298343296719533),
+            (False, True, 4, 0.16587703343478424, 0.12517312699502678,
+             1.3241866481282105, 0.005575469558213185),
+        ],
+    },
+    "fixed_x": {
+        "report": {
+            "nominal_level": 0.9, "n": 40, "replicates": 3, "empirical_coverage": 1.0,
+            "mean_half_width": 0.1302365274225166, "ks_statistic": 0.6629263633764128,
+            "bias_summary": -0.00028598509704461095, "seed": 2024, "n_failed": 0,
+            "x_rkhs_sup": 4.000000000000002,
+        },
+        "rows": [
+            (False, True, 6, 0.20958715149302135, 0.1580953014825488,
+             -0.42046297276887756, -2.3188355804365512e-05, 1.7362264038221982),
+            (False, True, 7, 0.21223662678714572, 0.1197920571088704,
+             -0.5185253755066043, -0.0003594943913903248, 1.46927426826188),
+            (False, True, 5, 0.21594148914261713, 0.11282222367613055,
+             -0.4965445927847346, -0.00047527254393914253, 1.756938270974554),
+        ],
+    },
+}
+
+
+class TestSeededGoldenReports:
+    @staticmethod
+    def model():
+        return SpectralModel(make_trapezoid_grid(0.0, 1.0, 21), EigenDecay.power(1.0),
+                             CoeffRule.power(2.0), noise_sd=0.3, L=8)
+
+    @staticmethod
+    def assert_matches(report, golden):
+        for key, value in golden["report"].items():
+            if isinstance(value, float):
+                assert report.to_dict()[key] == pytest.approx(value, rel=1e-12, abs=0)
+            else:
+                assert report.to_dict()[key] == value
+        assert len(report.rows) == len(golden["rows"])
+        for row, expected in zip(report.rows, golden["rows"]):
+            for key, value in zip(GOLDEN_ROW_KEYS, expected):
+                if isinstance(value, float):
+                    assert row[key] == pytest.approx(value, rel=1e-12, abs=0)
+                else:
+                    assert row[key] == value
+
+    def test_coverage_report(self):
+        rep = coverage_experiment(self.model(), 40, 0.05, FilterSpec("truncation", 0.05),
+                                  0.9, 3, 2024)
+        self.assert_matches(rep, GOLDEN["coverage"])
+
+    def test_fixed_x_report(self):
+        m = self.model()
+        rep = fixed_x_experiment(m, m.basis_curves[1], 40, 0.02,
+                                 FilterSpec("tikhonov", 0.02, alpha=0.01), 0.9, 3, 2024)
+        self.assert_matches(rep, GOLDEN["fixed_x"])
 
 
 class TestNormDivergence:
