@@ -56,7 +56,6 @@ from .simlab import (
     CoverageReport,
     EigenDecay,
     SpectralModel,
-    TruthOracle,
     condition_u_diagnostic,
     coverage_experiment,
     eigen_inequality_check,

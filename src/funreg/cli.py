@@ -4,29 +4,30 @@ Exit codes: 0 success, 2 validation problem, 3 degenerate mathematics
 (empty retained spectrum, zero normalizer, exhausted degrees of
 freedom), 4 every replicate of an experiment failed. Errors print one
 machine-parsable line `error: <kind>: <message>` on stderr.
+
+Experiment configs are JSON objects read through ``funreg.config``: each
+command names its required and optional top-level keys, and every field
+must have its exact JSON type (an integer field such as ``n`` or
+``replicates`` takes a JSON integer, never 2.7, 2.0 or "2"; a number
+field takes an integer or a float but not a boolean; a flag such as
+``normalize`` takes a JSON boolean). Any other value exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import simlab
+from . import config, simlab
 from .errors import DegenerateFitError, FunregError, ValidationError
 from .estimator import fit, load_fit, prediction_interval, predict, save_fit
-from .filters import FilterSpec, filter_from_config, validate_filter_fragment
+from .filters import FilterSpec, filter_from_config
 from .hilbert import load_curves_csv
-from .simlab import (
-    SpectralModel,
-    model_from_config,
-    power_squared_coeffs,
-    rank_power_cn_rule,
-)
+from .simlab import cn_rule_from_config, model_from_config, x_from_config
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -48,34 +49,12 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _read_json(path) -> dict:
+def _write_rows_csv(path, fieldnames, rows) -> None:
     try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: invalid JSON ({exc})") from None
-    if not isinstance(payload, dict):
-        raise ValidationError(f"{path}: top-level JSON object expected")
-    return payload
-
-
-def _open_out(path, newline=None):
-    try:
-        return open(path, "w", newline=newline, encoding="utf-8")
+        fh = open(path, "w", newline="", encoding="utf-8")
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc}") from None
-
-
-def _write_json(path, payload: dict) -> None:
-    with _open_out(path) as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-
-
-def _write_rows_csv(path, fieldnames, rows) -> None:
-    with _open_out(path, newline="") as fh:
+    with fh:
         writer = csv.writer(fh)
         writer.writerow(fieldnames)
         for row in rows:
@@ -102,13 +81,6 @@ def _load_responses(path) -> np.ndarray:
     return np.asarray(values)
 
 
-def _load_curves(path):
-    try:
-        return load_curves_csv(path)
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from None
-
-
 def _filter_from_args(args) -> FilterSpec:
     return FilterSpec(
         kind=args.filter,
@@ -119,28 +91,12 @@ def _filter_from_args(args) -> FilterSpec:
     )
 
 
-def _require_keys(cfg: dict, required: set, optional: set, where: str) -> None:
-    missing = required - set(cfg)
-    if missing:
-        raise ValidationError(f"{where}: missing config keys {sorted(missing)}")
-    unknown = set(cfg) - required - optional
-    if unknown:
-        raise ValidationError(f"{where}: unknown config keys {sorted(unknown)}")
-
-
-def _seed_from(cfg: dict) -> int:
-    seed = cfg["seed"]
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ValidationError("seed must be a nonnegative integer")
-    return seed
-
-
 # ---------------------------------------------------------------------------
 # commands
 
 
 def cmd_fit(args) -> int:
-    curves = _load_curves(args.curves)
+    curves = load_curves_csv(args.curves)
     responses = _load_responses(args.responses)
     if responses.size != len(curves):
         raise ValidationError(
@@ -156,7 +112,7 @@ def cmd_fit(args) -> int:
 
 def cmd_predict(args) -> int:
     ft = load_fit(args.fit)
-    curves = _load_curves(args.x)
+    curves = load_curves_csv(args.x)
     if len(curves) != 1:
         raise ValidationError(f"{args.x}: expected exactly one curve row")
     x = curves[0]
@@ -171,62 +127,24 @@ def cmd_predict(args) -> int:
 _COMMON_SIM_KEYS = {"decay", "rho", "noise_sd", "xi", "L", "grid_points"}
 
 
-def _x_curve_from_config(model: SpectralModel, cfg) -> object:
-    if not isinstance(cfg, dict) or "kind" not in cfg:
-        raise ValidationError("x config must be an object with a 'kind'")
-    kind = cfg["kind"]
-    if kind == "basis":
-        simlab._reject_unknown(cfg, {"kind", "index"}, "x")
-        index = int(cfg.get("index", 1))
-        if not 1 <= index <= model.L:
-            raise ValidationError(f"x basis index must be in [1, {model.L}]")
-        return model.basis_curves[index - 1]
-    if kind == "coeffs":
-        simlab._reject_unknown(cfg, {"kind", "values"}, "x")
-        return model.curve_from_coeffs(cfg.get("values", []))
-    if kind == "power":
-        simlab._reject_unknown(cfg, {"kind", "beta"}, "x")
-        if "beta" not in cfg:
-            raise ValidationError("power x config needs 'beta'")
-        coeffs = np.sqrt(power_squared_coeffs(float(cfg["beta"]), model.L))
-        return model.curve_from_coeffs(coeffs)
-    raise ValidationError(f"unknown x kind {kind!r}")
-
-
-def _cn_rule_from_config(model: SpectralModel, cfg):
-    if not isinstance(cfg, dict) or "kind" not in cfg:
-        raise ValidationError("cn_rule config must be an object with a 'kind'")
-    if cfg["kind"] == "fixed":
-        simlab._reject_unknown(cfg, {"kind", "value"}, "cn_rule")
-        value = float(cfg["value"])
-        return lambda n: value
-    if cfg["kind"] == "rank-power":
-        simlab._reject_unknown(cfg, {"kind", "exponent"}, "cn_rule")
-        return rank_power_cn_rule(model, float(cfg.get("exponent", 1 / 3)))
-    raise ValidationError(f"unknown cn_rule kind {cfg['kind']!r}")
-
-
 def _coverage_like(args, fixed_x: bool) -> int:
-    cfg = _read_json(args.config)
     required = {"decay", "rho", "filter", "n", "level", "replicates", "seed"}
     if fixed_x:
         required = required | {"x"}
-    _require_keys(cfg, required, _COMMON_SIM_KEYS, "config")
-    validate_filter_fragment(cfg["filter"])
+    cfg = config.section(config.read_json(args.config), "config", required, _COMMON_SIM_KEYS)
     model = model_from_config(cfg)
     filt = filter_from_config(cfg["filter"])
-    seed = _seed_from(cfg)
     kwargs = dict(
-        n=int(cfg["n"]),
+        n=config.value(cfg, "n", "config", int),
         cn=filt.cn,
         filt=filt,
-        level=float(cfg["level"]),
-        replicates=int(cfg["replicates"]),
-        seed=seed,
+        level=config.value(cfg, "level", "config", float),
+        replicates=config.value(cfg, "replicates", "config", int),
+        seed=config.value(cfg, "seed", "config", int),
         threads=args.threads,
     )
     if fixed_x:
-        x = _x_curve_from_config(model, cfg["x"])
+        x = x_from_config(model, cfg["x"])
         report = simlab.fixed_x_experiment(model, x, **kwargs)
         fields = ["replicate", "failed", "hit", "center", "half_width",
                   "std_error", "bias", "d_n", "t_hat", "error"]
@@ -234,7 +152,7 @@ def _coverage_like(args, fixed_x: bool) -> int:
         report = simlab.coverage_experiment(model, **kwargs)
         fields = ["replicate", "failed", "hit", "center", "half_width",
                   "std_error", "bias", "d_n", "error"]
-    _write_json(args.out, report.to_dict())
+    config.write_json(args.out, report.to_dict())
     _write_rows_csv(_csv_path(args.out), fields, report.rows)
     if report.n_failed == report.replicates:
         raise _AllReplicatesFailed(
@@ -252,30 +170,29 @@ def cmd_simulate_fixed_x(args) -> int:
 
 
 def cmd_simulate_norm_divergence(args) -> int:
-    cfg = _read_json(args.config)
-    _require_keys(
-        cfg,
+    cfg = config.section(
+        config.read_json(args.config),
+        "config",
         {"decay", "rho", "filter", "n_grid", "cn_rule", "replicates", "seed"},
         _COMMON_SIM_KEYS,
-        "config",
     )
-    validate_filter_fragment(cfg["filter"], need_cn=False)
-    if not isinstance(cfg["n_grid"], list) or not cfg["n_grid"]:
+    n_grid = config.numbers(cfg, "n_grid", "config", int)
+    if not n_grid:
         raise ValidationError("n_grid must be a nonempty list")
     model = model_from_config(cfg)
-    rule = _cn_rule_from_config(model, cfg["cn_rule"])
+    rule = cn_rule_from_config(model, cfg["cn_rule"])
     # placeholder threshold; the rule supplies the real value per n
-    filt = filter_from_config(cfg["filter"], cn=float(rule(int(cfg["n_grid"][0]))))
+    filt = filter_from_config(cfg["filter"], cn=rule(n_grid[0]))
     report = simlab.norm_divergence_demo(
         model,
-        cfg["n_grid"],
+        n_grid,
         rule,
         filt,
-        replicates=int(cfg["replicates"]),
-        seed=_seed_from(cfg),
+        replicates=config.value(cfg, "replicates", "config", int),
+        seed=config.value(cfg, "seed", "config", int),
         threads=args.threads,
     )
-    _write_json(args.out, report.to_dict())
+    config.write_json(args.out, report.to_dict())
     _write_rows_csv(
         _csv_path(args.out),
         ["n", "cn", "mean_norm_error", "mean_normalized", "mean_d_n", "n_failed"],
@@ -287,21 +204,21 @@ def cmd_simulate_norm_divergence(args) -> int:
 
 
 def cmd_simulate_variance_bound(args) -> int:
-    cfg = _read_json(args.config)
-    _require_keys(cfg, {"decay", "rho", "x_squared", "k_grid"}, _COMMON_SIM_KEYS, "config")
+    cfg = config.section(
+        config.read_json(args.config), "config", {"decay", "rho", "x_squared", "k_grid"},
+        _COMMON_SIM_KEYS,
+    )
     model = model_from_config(cfg)
+    k_grid = config.numbers(cfg, "k_grid", "config", int)
     xcfg = cfg["x_squared"]
-    if not isinstance(xcfg, dict):
-        raise ValidationError("x_squared config must be an object")
-    if xcfg.get("kind") == "power":
-        simlab._reject_unknown(xcfg, {"kind", "beta"}, "x_squared")
-        report = simlab.variance_lower_bound(model, cfg["k_grid"], beta=float(xcfg["beta"]))
-    elif xcfg.get("kind") == "values":
-        simlab._reject_unknown(xcfg, {"kind", "values"}, "x_squared")
-        report = simlab.variance_lower_bound(model, cfg["k_grid"], x_squared=xcfg["values"])
+    kinds = {"power": (("beta",), ()), "values": (("values",), ())}
+    if config.kind(xcfg, "x_squared", kinds) == "power":
+        beta = config.value(xcfg, "beta", "x_squared", float)
+        report = simlab.variance_lower_bound(model, k_grid, beta=beta)
     else:
-        raise ValidationError("x_squared kind must be 'power' or 'values'")
-    _write_json(args.out, report.to_dict())
+        x_squared = config.numbers(xcfg, "values", "x_squared", float)
+        report = simlab.variance_lower_bound(model, k_grid, x_squared=x_squared)
+    config.write_json(args.out, report.to_dict())
     _write_rows_csv(
         _csv_path(args.out),
         ["k", "value", "reference"],
@@ -314,11 +231,12 @@ def cmd_simulate_variance_bound(args) -> int:
 
 
 def cmd_simulate_condition_u(args) -> int:
-    cfg = _read_json(args.config)
-    _require_keys(cfg, {"decay", "rho", "J"}, _COMMON_SIM_KEYS, "config")
+    cfg = config.section(
+        config.read_json(args.config), "config", {"decay", "rho", "J"}, _COMMON_SIM_KEYS
+    )
     model = model_from_config(cfg)
-    report = simlab.condition_u_diagnostic(model, int(cfg["J"]))
-    _write_json(args.out, report.to_dict())
+    report = simlab.condition_u_diagnostic(model, config.value(cfg, "J", "config", int))
+    config.write_json(args.out, report.to_dict())
     _write_rows_csv(
         _csv_path(args.out),
         ["j", "partial_sum"],

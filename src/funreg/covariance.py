@@ -133,10 +133,10 @@ class SpectralDecomposition:
         return Curve(self.grid, (self.eigenvalues * coeff) @ self.vectors_matrix)
 
 
-def _spectral_gaps(lam: np.ndarray) -> np.ndarray:
-    m = lam.size
-    if m == 1:
-        return np.array([lam[0]])
+def spectral_gaps(lam: np.ndarray) -> np.ndarray:
+    """Min-of-neighbors differences of a descending spectrum: delta_1 =
+    lam_1 - lam_2 and delta_j = min(lam_{j-1} - lam_j, lam_j - lam_{j+1}),
+    with an implicit next eigenvalue 0 after the last."""
     ext = np.append(lam, 0.0)
     right = ext[:-1] - ext[1:]
     gaps = right.copy()
@@ -173,6 +173,6 @@ def eigendecompose(op: CovarianceOperator) -> SpectralDecomposition:
         grid=op.grid,
         eigenvalues=lam,
         eigenvectors=CurveMatrix(op.grid, u),
-        gaps=_spectral_gaps(lam),
+        gaps=spectral_gaps(lam),
         n=op.n,
     )

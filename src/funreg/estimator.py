@@ -7,18 +7,18 @@ where d_n counts the empirical eigenvalues at or above the threshold.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import norm as _stdnorm
 
+from . import config
 from .covariance import (
     SpectralDecomposition,
-    _spectral_gaps,
     cross_covariance,
     eigendecompose,
     empirical_covariance,
+    spectral_gaps,
 )
 from .errors import DegenerateFitError, GridMismatchError, ValidationError
 from .filters import FilterSpec, effective_rank, filter_from_config, filter_to_config, filter_values, xf_values
@@ -289,35 +289,29 @@ def fit_to_dict(fit: EstimatorFit) -> dict:
     }
 
 
-def _payload_typed(payload: dict, key: str, kind: type):
-    value = payload[key]
-    # exact type: a JSON true is not an integer, nor a string a flag
-    if type(value) is not kind:
-        raise ValidationError(f"malformed fit payload: {key} must be {kind.__name__}")
-    return value
-
-
 def fit_from_dict(payload: dict) -> EstimatorFit:
     """Rebuild a fit from fit_to_dict output (retained eigenpairs only).
 
     The eigenvectors must form a (d_n, p) matrix, and the stored filtered
     values and s_hat must agree with the retained eigenvalues and filter.
+    Scalar fields are read with the config module's exact JSON types.
     """
+    where = "fit payload"
     try:
         grid = Grid(payload["grid"]["points"], payload["grid"]["weights"])
         filt = filter_from_config(payload["filter"])
-        d = _payload_typed(payload, "d_n", int)
-        n = _payload_typed(payload, "n", int)
+        d = config.value(payload, "d_n", where, int)
+        n = config.value(payload, "n", where, int)
         lam_all = np.asarray(payload["eigenvalues"], dtype=float)
         vectors = np.asarray(payload["eigenvectors"], dtype=float)
         stored_filtered = np.asarray(payload["filtered_values"], dtype=float)
-        stored_s_hat = float(payload["s_hat"])
-        stored_sigma = payload["sigma_hat"]
-        sigma = float("nan") if stored_sigma is None else float(stored_sigma)
+        stored_s_hat = config.value(payload, "s_hat", where, float)
+        sigma = payload["sigma_hat"]
+        sigma = float("nan") if sigma is None else config.value(payload, "sigma_hat", where, float)
         rho_hat = Curve(grid, payload["rho_hat"])
         x_mean = Curve(grid, payload["x_mean"])
-        centered = _payload_typed(payload, "centered", bool)
-        y_mean = float(payload["y_mean"])
+        centered = config.value(payload, "centered", where, bool)
+        y_mean = config.value(payload, "y_mean", where, float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed fit payload: {exc}") from None
     if vectors.shape != (d, len(grid)):
@@ -331,7 +325,7 @@ def fit_from_dict(payload: dict) -> EstimatorFit:
         grid=grid,
         eigenvalues=lam_all[:d],
         eigenvectors=CurveMatrix(grid, vectors),
-        gaps=_spectral_gaps(lam_all)[:d],
+        gaps=spectral_gaps(lam_all)[:d],
         n=n,
     )
     # written as "<=" so that a NaN anywhere fails the comparison
@@ -358,21 +352,8 @@ def fit_from_dict(payload: dict) -> EstimatorFit:
 
 
 def save_fit(path, fit: EstimatorFit) -> None:
-    try:
-        fh = open(path, "w", encoding="utf-8")
-    except OSError as exc:
-        raise ValidationError(f"cannot write {path}: {exc}") from None
-    with fh:
-        json.dump(fit_to_dict(fit), fh, indent=2)
-        fh.write("\n")
+    config.write_json(path, fit_to_dict(fit))
 
 
 def load_fit(path) -> EstimatorFit:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from None
-    except ValueError as exc:
-        raise ValidationError(f"{path}: invalid JSON ({exc})") from None
-    return fit_from_dict(payload)
+    return fit_from_dict(config.read_json(path))

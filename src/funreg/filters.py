@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import config
+from .covariance import spectral_gaps
 from .errors import ValidationError
 
 TRUNCATION = "truncation"
@@ -127,9 +129,7 @@ def select_kn(true_eigenvalues, cn: float) -> int:
     m = lam.size
     if m == 1:
         return 1
-    diffs = lam[:-1] - lam[1:]
-    deltas = diffs.copy()
-    deltas[1:] = np.minimum(diffs[1:], diffs[:-1])
+    deltas = spectral_gaps(lam)[:-1]
     eligible = np.flatnonzero(lam[: m - 1] + deltas / 2 >= cn)
     # p = 1 always qualifies because lambda_1 > cn
     return int(eligible[-1]) + 1
@@ -179,32 +179,21 @@ def check_h3(spec: FilterSpec, n: int, upper: float) -> H3Report:
     )
 
 
-def validate_filter_fragment(cfg: dict, need_cn: bool = True) -> None:
-    """Shape-check a filter JSON fragment without building the spec."""
-    if not isinstance(cfg, dict):
-        raise ValidationError("filter config must be an object")
-    unknown = set(cfg) - {"kind", "alpha", "p", "variant", "cn"}
-    if unknown:
-        raise ValidationError(f"unknown filter config keys: {sorted(unknown)}")
-    if "kind" not in cfg:
-        raise ValidationError("filter config needs a 'kind'")
-    if need_cn and "cn" not in cfg:
-        raise ValidationError("filter config needs a 'cn'")
-
-
 def filter_from_config(cfg: dict, cn: float | None = None) -> FilterSpec:
     """Build a FilterSpec from its JSON fragment, rejecting unknown keys.
 
     An explicit ``cn`` argument overrides the fragment's value (used when
     a threshold rule supplies the cutoff per sample size).
     """
-    validate_filter_fragment(cfg, need_cn=cn is None)
+    where = "filter"
+    required = ("kind", "cn") if cn is None else ("kind",)
+    config.section(cfg, where, required, ("cn", "alpha", "p", "variant"))
     return FilterSpec(
-        kind=cfg["kind"],
-        cn=float(cfg["cn"]) if cn is None else float(cn),
-        alpha=None if cfg.get("alpha") is None else float(cfg["alpha"]),
-        p=cfg.get("p"),
-        variant=cfg.get("variant"),
+        kind=config.value(cfg, "kind", where, str),
+        cn=config.value(cfg, "cn", where, float) if cn is None else float(cn),
+        alpha=config.value(cfg, "alpha", where, float, None),
+        p=config.value(cfg, "p", where, int, None),
+        variant=config.value(cfg, "variant", where, str, None),
     )
 
 

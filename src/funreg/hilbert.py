@@ -10,6 +10,7 @@ operations are rejected rather than silently resampled.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -216,25 +217,25 @@ def trapezoid_weights(points: np.ndarray) -> np.ndarray:
 def load_curves_csv(path) -> CurveMatrix:
     """Read a curve matrix CSV: first row grid points, one curve per row.
 
-    Weights are not stored in the file; trapezoid weights are rebuilt
-    from the abscissae.
+    Blank lines are skipped and cells may be quoted. Weights are not
+    stored in the file; trapezoid weights are rebuilt from the abscissae.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    if len(rows) < 2:
-        raise ValidationError(f"{path}: need a grid row and at least one curve row")
     try:
-        parsed = [[float(cell) for cell in row] for row in rows]
+        with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+            # an empty file warns before it is rejected below
+            warnings.simplefilter("ignore", UserWarning)
+            rows = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None, quotechar='"')
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from None
     except ValueError as exc:
-        raise ValidationError(f"{path}: non-numeric cell ({exc})") from None
-    width = len(parsed[0])
-    if any(len(row) != width for row in parsed):
-        raise ValidationError(f"{path}: ragged rows")
-    points = np.array(parsed[0])
+        raise ValidationError(f"{path}: not a numeric curve matrix ({exc})") from None
+    if rows.shape[0] < 2:
+        raise ValidationError(f"{path}: need a grid row and at least one curve row")
+    points = rows[0]
     if not np.all(np.diff(points) > 0):
         raise ValidationError(f"{path}: grid row must be strictly increasing")
     grid = Grid(points, trapezoid_weights(points))
-    return CurveMatrix(grid, parsed[1:])
+    return CurveMatrix(grid, rows[1:])
 
 
 def save_curves_csv(path, curves: CurveMatrix | list[Curve]) -> None:

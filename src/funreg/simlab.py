@@ -1,25 +1,36 @@
-"""Ground-truth spectral models, data generation, truth oracles, and the
-Monte Carlo experiments that probe the asymptotic claims at desk scale.
+"""Ground-truth spectral models, data generation, and the Monte Carlo
+experiments that probe the asymptotic claims at desk scale.
 
 Simulated predictors follow a truncated expansion X = sum_l sqrt(lam_l)
 xi_l e_l with unit-variance scores, responses Y = <rho, X> + eps. All
 randomness flows from per-replicate generators derived from (seed,
 replicate index), so serial and threaded runs agree byte for byte.
+The ``*_from_config`` functions at the end read their fields through ``config``.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 from scipy.stats import kstest
 
-from .errors import DegenerateFitError, GridMismatchError, ValidationError
+from . import config
+from .errors import DegenerateFitError, ValidationError
 from .estimator import fit, prediction_interval
 from .filters import FilterSpec, select_kn, xf_values, filter_values
-from .hilbert import Curve, CurveMatrix, Grid, inner_product, make_trapezoid_grid, norm
+from .hilbert import (
+    Curve,
+    CurveMatrix,
+    Grid,
+    ensure_same_grid,
+    inner_product,
+    make_trapezoid_grid,
+    norm,
+)
 
 XI_LAWS = ("gaussian", "uniform", "rademacher")
 
@@ -118,7 +129,7 @@ def power_squared_coeffs(beta: float, count: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the spectral model and truth oracle
+# the spectral model
 
 
 @dataclass(frozen=True)
@@ -203,38 +214,10 @@ class SpectralModel:
             raise ValidationError(f"at most L={self.L} coefficients supported")
         return Curve(self.grid, c @ self.basis[: c.size])
 
-
-@dataclass(frozen=True)
-class TruthOracle:
-    """Read-only access to the generating truth of a spectral model."""
-
-    model: SpectralModel
-
-    @property
-    def lambdas(self) -> np.ndarray:
-        return self.model.lambdas
-
-    @property
-    def rho_coeffs(self) -> np.ndarray:
-        return self.model.rho_coeffs
-
-    @property
-    def rho_curve(self) -> Curve:
-        return self.model.rho_curve
-
-    @property
-    def noise_sd(self) -> float:
-        return self.model.noise_sd
-
     def x_coefficients(self, x: Curve) -> np.ndarray:
         """True-basis coordinates <x, e_l> for l = 1..L."""
-        if x.grid is not self.model.grid and x.grid != self.model.grid:
-            raise GridMismatchError("curve does not live on the model grid")
-        return self.model.basis @ (self.model.grid.weights * x.values)
-
-    def expected_xy_coefficients(self) -> np.ndarray:
-        """Coordinates of E(XY): lambda_l rho_l (the moment identity)."""
-        return self.model.lambdas * self.model.rho_coeffs
+        ensure_same_grid(self, x)
+        return self.basis @ (self.grid.weights * x.values)
 
 
 # ---------------------------------------------------------------------------
@@ -292,13 +275,13 @@ def true_normalizers(
     model: SpectralModel, cn: float, filt: FilterSpec, x: Curve | None = None
 ) -> TrueNormalizers:
     """Nonrandom rank k_n and the population normalizers at that rank."""
-    filt = _with_threshold(filt, cn)
+    filt = replace(filt, cn=cn)
     k_n = select_kn(model.lambdas, cn)
     lam = model.lambdas[:k_n]
     s_n = float(np.sqrt(np.sum(xf_values(filt, lam) ** 2)))
     t_n_x = None
     if x is not None:
-        coeff = TruthOracle(model).x_coefficients(x)[:k_n]
+        coeff = model.x_coefficients(x)[:k_n]
         f = filter_values(filt, lam)
         t_n_x = float(np.sqrt(np.sum(lam * f**2 * coeff**2)))
     return TrueNormalizers(k_n=k_n, s_n=s_n, t_n_x=t_n_x)
@@ -317,7 +300,7 @@ def truncation_bias(model: SpectralModel, k: int, x: Curve | None = None) -> flo
     if x is None:
         tail = model.lambdas[k:] * model.rho_coeffs[k:] ** 2
         return float(np.sqrt(np.sum(tail)))
-    coeff = TruthOracle(model).x_coefficients(x)
+    coeff = model.x_coefficients(x)
     return float(abs(np.sum(model.rho_coeffs[k:] * coeff[k:])))
 
 
@@ -382,10 +365,21 @@ class CoverageReport:
         return out
 
 
+def _check_run(replicates: int, seed: int, threads: int) -> None:
+    if replicates < 1:
+        raise ValidationError("need at least one replicate")
+    if seed < 0:
+        raise ValidationError("seed must be a nonnegative integer")
+    if threads < 1:
+        raise ValidationError(f"threads must be >= 1, got {threads}")
+
+
 def _run_indexed(worker, count: int, threads: int) -> list:
-    if threads <= 1:
+    # more workers than tasks or cores only adds threads that wait
+    workers = min(threads, count, os.cpu_count() or 1)
+    if workers <= 1:
         return [worker(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, range(count)))
 
 
@@ -444,10 +438,8 @@ def coverage_experiment(
     and the deterministic truncation-bias component at the nonrandom
     rank k_n.
     """
-    if replicates < 1:
-        raise ValidationError("need at least one replicate")
-    filt = _with_threshold(filt, cn)
-    oracle = TruthOracle(model)
+    _check_run(replicates, seed, threads)
+    filt = replace(filt, cn=cn)
     k_n = select_kn(model.lambdas, cn)
     rho_tail = model.rho_coeffs[k_n:]
 
@@ -471,7 +463,7 @@ def coverage_experiment(
         row["half_width"] = iv.half_width
         row["hit"] = _interval_hit(iv.lo, iv.hi, target, iv.center)
         row["std_error"] = _standardized(n, iv.center - target, ft.sigma_hat * ft.s_hat)
-        row["bias"] = -float(np.sum(rho_tail * oracle.x_coefficients(x_new)[k_n:]))
+        row["bias"] = -float(np.sum(rho_tail * model.x_coefficients(x_new)[k_n:]))
         return row
 
     rows = _run_indexed(worker, replicates, threads)
@@ -494,13 +486,11 @@ def fixed_x_experiment(
     Replicates with a zero normalizer (x orthogonal to the retained
     eigenspace) count as failures. The random projection bias
     <(Pi_hat - Pi) rho, x> at rank k_n is estimated per replicate
-    through the truth oracle's eigenbasis.
+    through the model's true eigenbasis.
     """
-    if replicates < 1:
-        raise ValidationError("need at least one replicate")
-    filt = _with_threshold(filt, cn)
-    oracle = TruthOracle(model)
-    x_coeff = oracle.x_coefficients(x)
+    _check_run(replicates, seed, threads)
+    filt = replace(filt, cn=cn)
+    x_coeff = model.x_coefficients(x)
     rkhs_sup = float(np.max(x_coeff**2 / model.lambdas))
     target = inner_product(model.rho_curve, x)
     k_n = select_kn(model.lambdas, cn)
@@ -538,12 +528,6 @@ def fixed_x_experiment(
     return _aggregate(rows, level, n, replicates, seed, x_rkhs_sup=rkhs_sup)
 
 
-def _with_threshold(filt: FilterSpec, cn: float) -> FilterSpec:
-    if filt.cn == cn:
-        return filt
-    return FilterSpec(kind=filt.kind, cn=cn, alpha=filt.alpha, p=filt.p, variant=filt.variant)
-
-
 # ---------------------------------------------------------------------------
 # norm-topology divergence demo
 
@@ -578,8 +562,13 @@ def rank_power_cn_rule(model: SpectralModel, exponent: float):
     """Threshold rule targeting an effective rank of about n**exponent."""
 
     def rule(n: int) -> float:
-        k = max(1, int(round(n**exponent)))
-        k = min(k, model.L - 1)
+        if n < 1:
+            raise ValidationError(f"sample size must be >= 1, got {n}")
+        if exponent * np.log(n) >= np.log(model.L):
+            # the rank is capped at L - 1; n**exponent may overflow
+            k = model.L - 1
+        else:
+            k = min(max(1, int(round(n**exponent))), model.L - 1)
         return rank_threshold(model.lambdas, k)
 
     return rule
@@ -603,14 +592,13 @@ def norm_divergence_demo(
     ns = [int(v) for v in n_grid]
     if len(ns) < 2 or any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValidationError("n_grid must be strictly increasing with >= 2 entries")
-    if replicates < 1:
-        raise ValidationError("need at least one replicate")
+    _check_run(replicates, seed, threads)
 
     rho = model.rho_curve
     rows = []
     for n in ns:
         cn = float(cn_rule(n)) if callable(cn_rule) else float(cn_rule)
-        filt_n = _with_threshold(filt, cn)
+        filt_n = replace(filt, cn=cn)
 
         def worker(rep: int, n=n, filt_n=filt_n) -> tuple:
             rng = replicate_rng(seed, n, rep)
@@ -838,58 +826,64 @@ def eigen_inequality_check(lambdas, start_index: int = 1) -> EigenInequalityRepo
 
 
 def decay_from_config(cfg: dict) -> EigenDecay:
-    if not isinstance(cfg, dict) or "kind" not in cfg:
-        raise ValidationError("decay config must be an object with a 'kind'")
-    kind = cfg["kind"]
-    if kind == "power":
-        _reject_unknown(cfg, {"kind", "a"}, "decay")
-        if "a" not in cfg:
-            raise ValidationError("power decay config needs 'a'")
-        return EigenDecay.power(float(cfg["a"]))
-    if kind == "geometric":
-        _reject_unknown(cfg, {"kind", "r"}, "decay")
-        if "r" not in cfg:
-            raise ValidationError("geometric decay config needs 'r'")
-        return EigenDecay.geometric(float(cfg["r"]))
-    raise ValidationError(f"unknown decay kind {kind!r}")
+    kind = config.kind(cfg, "decay", {"power": (("a",), ()), "geometric": (("r",), ())})
+    return EigenDecay(kind, config.value(cfg, "a" if kind == "power" else "r", "decay", float))
 
 
 def rho_from_config(cfg: dict) -> CoeffRule:
-    if not isinstance(cfg, dict) or "kind" not in cfg:
-        raise ValidationError("rho config must be an object with a 'kind'")
-    kind = cfg["kind"]
+    kind = config.kind(cfg, "rho", {
+        "power": (("exponent",), ("normalize", "scale")),
+        "finite": (("coeffs",), ("normalize",)),
+    })
+    normalize = config.value(cfg, "normalize", "rho", bool, False)
     if kind == "power":
-        _reject_unknown(cfg, {"kind", "exponent", "normalize", "scale"}, "rho")
-        if "exponent" not in cfg:
-            raise ValidationError("power rho config needs 'exponent'")
         return CoeffRule.power(
-            float(cfg["exponent"]),
-            normalize=bool(cfg.get("normalize", False)),
-            scale=float(cfg.get("scale", 1.0)),
+            config.value(cfg, "exponent", "rho", float),
+            normalize=normalize,
+            scale=config.value(cfg, "scale", "rho", float, 1.0),
         )
-    if kind == "finite":
-        _reject_unknown(cfg, {"kind", "coeffs", "normalize"}, "rho")
-        if "coeffs" not in cfg:
-            raise ValidationError("finite rho config needs 'coeffs'")
-        return CoeffRule.finite(cfg["coeffs"], normalize=bool(cfg.get("normalize", False)))
-    raise ValidationError(f"unknown rho kind {kind!r}")
-
-
-def _reject_unknown(cfg: dict, allowed: set, where: str) -> None:
-    unknown = set(cfg) - allowed
-    if unknown:
-        raise ValidationError(f"unknown {where} config keys: {sorted(unknown)}")
+    return CoeffRule.finite(config.numbers(cfg, "coeffs", "rho", float), normalize=normalize)
 
 
 def model_from_config(cfg: dict) -> SpectralModel:
     """Build a SpectralModel from the shared config fields."""
-    grid_points = int(cfg.get("grid_points", 101))
-    grid = make_trapezoid_grid(0.0, 1.0, grid_points)
+    grid_points = config.value(cfg, "grid_points", "config", int, 101)
     return SpectralModel(
-        grid=grid,
-        decay=decay_from_config(cfg["decay"]),
-        rho=rho_from_config(cfg["rho"]),
-        noise_sd=float(cfg.get("noise_sd", 0.0)),
-        xi_law=cfg.get("xi", "gaussian"),
-        L=None if cfg.get("L") is None else int(cfg["L"]),
+        grid=make_trapezoid_grid(0.0, 1.0, grid_points),
+        decay=decay_from_config(cfg.get("decay")),
+        rho=rho_from_config(cfg.get("rho")),
+        noise_sd=config.value(cfg, "noise_sd", "config", float, 0.0),
+        xi_law=config.value(cfg, "xi", "config", str, "gaussian"),
+        L=config.value(cfg, "L", "config", int, None),
     )
+
+
+def x_from_config(model: SpectralModel, cfg: dict) -> Curve:
+    """The fixed predictor: a basis curve, leading basis coefficients, or
+    the power profile with squared coordinates j^-(1+beta)."""
+    kind = config.kind(cfg, "x", {
+        "basis": ((), ("index",)),
+        "coeffs": ((), ("values",)),
+        "power": (("beta",), ()),
+    })
+    if kind == "basis":
+        index = config.value(cfg, "index", "x", int, 1)
+        if not 1 <= index <= model.L:
+            raise ValidationError(f"x basis index must be in [1, {model.L}]")
+        return model.basis_curves[index - 1]
+    if kind == "coeffs":
+        return model.curve_from_coeffs(config.numbers(cfg, "values", "x", float, []))
+    beta = config.value(cfg, "beta", "x", float)
+    return model.curve_from_coeffs(np.sqrt(power_squared_coeffs(beta, model.L)))
+
+
+def cn_rule_from_config(model: SpectralModel, cfg: dict):
+    """Threshold rule n -> cn: a fixed value, or rank_power_cn_rule."""
+    kind = config.kind(cfg, "cn_rule", {
+        "fixed": (("value",), ()),
+        "rank-power": ((), ("exponent",)),
+    })
+    if kind == "fixed":
+        cn = config.value(cfg, "value", "cn_rule", float)
+        return lambda n: cn
+    return rank_power_cn_rule(model, config.value(cfg, "exponent", "cn_rule", float, 1 / 3))

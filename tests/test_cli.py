@@ -1,9 +1,12 @@
 import csv
 import json
+import os
+import warnings
 
 import numpy as np
 import pytest
 
+from funreg import simlab
 from funreg.cli import main
 
 # grid points (0, 2) give trapezoid weights (1, 1), matching the
@@ -23,6 +26,13 @@ def toy_inputs(tmp_path):
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def assert_validation_exit(code, capsys):
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(err) == 1
+    assert err[0].startswith("error: validation: ")
 
 
 def base_coverage_config(**overrides):
@@ -172,13 +182,6 @@ class TestFitFileErrors:
         x_path.write_text("0.0,2.0\n2.0,0.0\n")
         return json.loads(out.read_text()), x_path
 
-    @staticmethod
-    def assert_validation_exit(code, capsys):
-        err = capsys.readouterr().err.strip().splitlines()
-        assert code == 2
-        assert len(err) == 1
-        assert err[0].startswith("error: validation: ")
-
     def predict_with(self, payload, x_path, tmp_path):
         path = tmp_path / "edited.json"
         path.write_text(json.dumps(payload))
@@ -188,46 +191,46 @@ class TestFitFileErrors:
         x_path = tmp_path / "x.csv"
         x_path.write_text("0.0,1.0\n1.0,1.0\n")
         code = run(["predict", "--fit", tmp_path / "none.json", "--x", x_path])
-        self.assert_validation_exit(code, capsys)
+        assert_validation_exit(code, capsys)
 
     def test_unwritable_fit_out(self, toy_inputs, tmp_path, capsys):
         curves, responses = toy_inputs
         code = run(["fit", "--curves", curves, "--responses", responses,
                     "--filter", "truncation", "--cn", "0.1",
                     "--out", tmp_path / "no-such-dir" / "fit.json"])
-        self.assert_validation_exit(code, capsys)
+        assert_validation_exit(code, capsys)
 
     def test_unwritable_report_out(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(base_coverage_config(replicates=1)))
         code = run(["simulate", "coverage", "--config", cfg_path,
                     "--out", tmp_path / "no-such-dir" / "r.json"])
-        self.assert_validation_exit(code, capsys)
+        assert_validation_exit(code, capsys)
 
     def test_ragged_eigenvector_row(self, toy_fit, tmp_path, capsys):
         payload, x_path = toy_fit
         payload["eigenvectors"][1] = payload["eigenvectors"][1][:1]
         capsys.readouterr()
-        self.assert_validation_exit(self.predict_with(payload, x_path, tmp_path), capsys)
+        assert_validation_exit(self.predict_with(payload, x_path, tmp_path), capsys)
 
     def test_non_integer_d_n(self, toy_fit, tmp_path, capsys):
         payload, x_path = toy_fit
         payload["d_n"] = "abc"
         capsys.readouterr()
-        self.assert_validation_exit(self.predict_with(payload, x_path, tmp_path), capsys)
+        assert_validation_exit(self.predict_with(payload, x_path, tmp_path), capsys)
 
     def test_eigenvectors_not_d_n_by_p(self, toy_fit, tmp_path, capsys):
         payload, x_path = toy_fit
         assert payload["d_n"] == 2
         payload["eigenvectors"] = payload["eigenvectors"][:1]
         capsys.readouterr()
-        self.assert_validation_exit(self.predict_with(payload, x_path, tmp_path), capsys)
+        assert_validation_exit(self.predict_with(payload, x_path, tmp_path), capsys)
 
     def test_s_hat_disagrees_with_spectrum(self, toy_fit, tmp_path, capsys):
         payload, x_path = toy_fit
         payload["s_hat"] = 123.0
         capsys.readouterr()
-        self.assert_validation_exit(self.predict_with(payload, x_path, tmp_path), capsys)
+        assert_validation_exit(self.predict_with(payload, x_path, tmp_path), capsys)
 
     def test_unedited_payload_still_predicts(self, toy_fit, tmp_path, capsys):
         payload, x_path = toy_fit
@@ -262,7 +265,17 @@ class TestSimulateCommand:
             outs.append((out.read_bytes(), (tmp_path / f"{name}.csv").read_bytes()))
         assert outs[0] == outs[1]
 
-    def test_threaded_run_matches_serial(self, tmp_path):
+    def test_threaded_run_matches_serial(self, tmp_path, monkeypatch):
+        # pretend to have 4 cores so that a 1-core runner still uses the pool
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        pools = []
+        real_pool = simlab.ThreadPoolExecutor
+
+        def recording_pool(max_workers):
+            pools.append(max_workers)
+            return real_pool(max_workers=max_workers)
+
+        monkeypatch.setattr(simlab, "ThreadPoolExecutor", recording_pool)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(base_coverage_config(noise_sd=0.4,
                                                             replicates=8)))
@@ -271,8 +284,18 @@ class TestSimulateCommand:
         assert run(["simulate", "coverage", "--config", cfg_path, "--out", serial]) == 0
         assert run(["simulate", "coverage", "--config", cfg_path, "--out", threaded,
                     "--threads", "4"]) == 0
+        assert pools == [4]
         assert serial.read_bytes() == threaded.read_bytes()
         assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "threaded.csv").read_bytes()
+
+    @pytest.mark.parametrize("threads", ["0", "-5"])
+    def test_threads_below_one_exit_2(self, tmp_path, capsys, threads):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_coverage_config(replicates=2)))
+        code = run(["simulate", "coverage", "--config", cfg_path,
+                    "--out", tmp_path / "r.json", "--threads", threads])
+        assert_validation_exit(code, capsys)
+        assert not (tmp_path / "r.json").exists()
 
     def test_unknown_config_key_exits_2(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -374,6 +397,97 @@ class TestSimulateCommand:
         report = json.loads(out.read_text())
         assert report["convergent"]
         assert report["partial_sums"][-1] == pytest.approx(1.3125)
+
+
+NORM_DIVERGENCE_CONFIG = {
+    "decay": {"kind": "power", "a": 1.0},
+    "rho": {"kind": "power", "exponent": 3.0, "normalize": True},
+    "L": 10,
+    "grid_points": 21,
+    "filter": {"kind": "truncation"},
+    "n_grid": [20, 40],
+    "cn_rule": {"kind": "rank-power", "exponent": 0.3},
+    "replicates": 2,
+    "seed": 3,
+}
+VARIANCE_BOUND_CONFIG = {
+    "decay": {"kind": "power", "a": 0.5},
+    "rho": {"kind": "power", "exponent": 1.0},
+    "x_squared": {"kind": "power", "beta": 2.0},
+    "k_grid": [5, 10],
+}
+CONDITION_U_CONFIG = {
+    "decay": {"kind": "power", "a": 1.0},
+    "rho": {"kind": "finite", "coeffs": [1.0, 0.5]},
+    "L": 10,
+    "grid_points": 21,
+    "J": 10,
+}
+COVERAGE_CONFIG = base_coverage_config()
+FIXED_X_CONFIG = base_coverage_config(x={"kind": "basis", "index": 1})
+
+# (command, base config, key, malformed value); each base config runs
+# cleanly as it is
+MALFORMED_CONFIGS = [
+    ("coverage", COVERAGE_CONFIG, "n", "abc"),
+    ("coverage", COVERAGE_CONFIG, "replicates", 2.7),
+    ("coverage", COVERAGE_CONFIG, "level", "high"),
+    ("coverage", COVERAGE_CONFIG, "L", 2.5),
+    ("coverage", COVERAGE_CONFIG, "grid_points", "many"),
+    ("coverage", COVERAGE_CONFIG, "noise_sd", [0.1]),
+    ("coverage", COVERAGE_CONFIG, "rho", {"kind": "finite", "coeffs": 5}),
+    ("coverage", COVERAGE_CONFIG, "rho", {"kind": "finite", "coeffs": [1.0], "normalize": "no"}),
+    ("coverage", COVERAGE_CONFIG, "rho", {"kind": "power", "exponent": "steep"}),
+    ("coverage", COVERAGE_CONFIG, "decay", {"kind": "geometric", "r": "half"}),
+    ("coverage", COVERAGE_CONFIG, "decay", {"kind": ["power"], "a": 1.0}),
+    ("coverage", COVERAGE_CONFIG, "filter", {"kind": "ridge", "cn": 0.05, "alpha": "big"}),
+    ("fixed-x", FIXED_X_CONFIG, "x", {"kind": "power", "beta": "two"}),
+    ("fixed-x", FIXED_X_CONFIG, "x", {"kind": "basis", "index": "one"}),
+    ("norm-divergence", NORM_DIVERGENCE_CONFIG, "cn_rule",
+     {"kind": "rank-power", "exponent": "third"}),
+    ("norm-divergence", NORM_DIVERGENCE_CONFIG, "cn_rule", {"kind": "fixed"}),
+    ("norm-divergence", NORM_DIVERGENCE_CONFIG, "n_grid", ["a", "b"]),
+    ("variance-bound", VARIANCE_BOUND_CONFIG, "x_squared", {"kind": "power", "beta": "two"}),
+    ("variance-bound", VARIANCE_BOUND_CONFIG, "x_squared", {"kind": "power"}),
+    ("condition-u", CONDITION_U_CONFIG, "J", "ten"),
+]
+
+
+class TestMalformedConfigs:
+    @pytest.mark.parametrize(
+        "command,base,key,bad", MALFORMED_CONFIGS,
+        ids=[f"{c}-{k}-{i}" for i, (c, _, k, _) in enumerate(MALFORMED_CONFIGS)],
+    )
+    def test_exits_2_with_one_line(self, tmp_path, capsys, command, base, key, bad):
+        cfg = dict(base)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "r.json"
+        assert run(["simulate", command, "--config", cfg_path, "--out", out]) == 0
+        capsys.readouterr()
+        cfg[key] = bad
+        cfg_path.write_text(json.dumps(cfg))
+        assert_validation_exit(run(["simulate", command, "--config", cfg_path,
+                                    "--out", out]), capsys)
+
+
+class TestEmptyCurveFile:
+    def test_empty_predictor_file_prints_one_line(self, tmp_path, capsys):
+        curves, responses = tmp_path / "c.csv", tmp_path / "y.csv"
+        curves.write_text(TOY_CURVES)
+        responses.write_text(TOY_RESPONSES)
+        fit_path = tmp_path / "fit.json"
+        assert run(["fit", "--curves", curves, "--responses", responses,
+                    "--filter", "truncation", "--cn", "0.1", "--no-center",
+                    "--out", fit_path]) == 0
+        capsys.readouterr()
+        empty = tmp_path / "x.csv"
+        empty.write_text("")
+        # a warning would reach stderr beside the error line; make it fail here
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["predict", "--fit", fit_path, "--x", empty])
+        assert_validation_exit(code, capsys)
 
 
 class TestFitPredictRoundTrip:

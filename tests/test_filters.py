@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from funreg.covariance import eigendecompose, empirical_covariance
+from funreg.covariance import eigendecompose, empirical_covariance, spectral_gaps
 from funreg.errors import ValidationError
 from funreg.filters import (
     FilterSpec,
@@ -161,6 +161,24 @@ class TestSelectKn:
     def test_single_eigenvalue(self):
         assert select_kn([1.0], 0.4) == 1
 
+    def test_matches_inline_neighbor_gaps(self):
+        # the min-of-neighbours differences select_kn derived inline before
+        # it used spectral_gaps, kept as the reference
+        rng = np.random.default_rng(4)
+        for _ in range(300):
+            lam = np.sort(rng.random(rng.integers(2, 30)))[::-1]
+            lam = lam[np.r_[True, np.diff(lam) < 0]]
+            if lam.size < 2:
+                continue
+            diffs = lam[:-1] - lam[1:]
+            deltas = diffs.copy()
+            deltas[1:] = np.minimum(diffs[1:], diffs[:-1])
+            assert np.array_equal(spectral_gaps(lam)[:-1], deltas)
+            cn = rng.uniform(0.0, lam[0])
+            if cn > 0:
+                eligible = np.flatnonzero(lam[:-1] + deltas / 2 >= cn)
+                assert select_kn(lam, cn) == int(eligible[-1]) + 1
+
 
 class TestEffectiveRank:
     def test_zero_when_all_below(self):
@@ -230,6 +248,22 @@ class TestFilterConfig:
     def test_cn_override(self):
         spec = filter_from_config({"kind": "ridge", "alpha": 0.2}, cn=0.05)
         assert spec.cn == 0.05
+
+    @pytest.mark.parametrize("cfg", [
+        {"kind": "generalized", "cn": 0.1, "alpha": 0.2, "p": 2.0, "variant": "A"},
+        {"kind": "ridge", "cn": 0.1, "alpha": "0.2"},
+        {"kind": "ridge", "cn": True, "alpha": 0.2},
+        {"kind": 3, "cn": 0.1},
+        ["kind", "ridge"],
+    ])
+    def test_mistyped_fields_rejected(self, cfg):
+        with pytest.raises(ValidationError):
+            filter_from_config(cfg)
+
+    def test_integer_fields_accepted_as_numbers(self):
+        spec = filter_from_config({"kind": "ridge", "cn": 0, "alpha": 1})
+        assert (spec.cn, spec.alpha) == (0.0, 1.0)
+        assert isinstance(spec.alpha, float)
 
 
 class TestRankAgreementOnRealDecomposition:

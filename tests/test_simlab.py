@@ -1,8 +1,10 @@
+import os
+
 import numpy as np
 import pytest
 
 from funreg.covariance import eigendecompose, empirical_covariance
-from funreg.errors import ValidationError
+from funreg.errors import GridMismatchError, ValidationError
 from funreg import estimator, simlab
 from funreg.estimator import fit
 from funreg.filters import FilterSpec
@@ -11,7 +13,7 @@ from funreg.simlab import (
     CoeffRule,
     EigenDecay,
     SpectralModel,
-    TruthOracle,
+    cn_rule_from_config,
     condition_u_diagnostic,
     coverage_experiment,
     eigen_inequality_check,
@@ -29,6 +31,7 @@ from funreg.simlab import (
     true_normalizers,
     truncation_bias,
     variance_lower_bound,
+    x_from_config,
 )
 
 
@@ -109,23 +112,25 @@ class TestModelConstruction:
             assert np.mean((draws / np.sqrt(m.lambdas[0])) ** 4) < 10
 
 
-class TestTruthOracle:
-    def test_moment_identity_by_construction(self):
-        m = smooth_model()
-        oracle = TruthOracle(m)
-        assert np.allclose(
-            oracle.expected_xy_coefficients(), m.lambdas * m.rho_coeffs
-        )
+class TestModelCoordinates:
+    def test_basis_coordinates_are_unit_vectors(self):
+        m = smooth_model(L=12, p=41)
+        for j, e_j in enumerate(m.basis_curves):
+            assert np.allclose(m.x_coefficients(e_j), np.eye(12)[j], atol=1e-12)
+
+    def test_rejects_curve_on_other_grid(self):
+        m = smooth_model(L=3, p=21)
+        with pytest.raises(GridMismatchError):
+            m.x_coefficients(Curve(make_trapezoid_grid(0.0, 1.0, 11), np.ones(11)))
 
     def test_moment_identity_monte_carlo(self):
         m = smooth_model(noise=0.3, L=6, p=41)
-        oracle = TruthOracle(m)
         rng = replicate_rng(29)
         sample, y = generate_dataset(m, 20000, rng)
         values = np.stack([c.values for c in sample])
         coeffs = values @ (m.grid.weights[:, None] * m.basis.T)
         emp = (coeffs * y[:, None]).mean(axis=0)
-        expected = oracle.expected_xy_coefficients()
+        expected = m.lambdas * m.rho_coeffs
         mc_err = 4 * np.sqrt(m.lambdas) / np.sqrt(20000)
         assert np.all(np.abs(emp - expected) < mc_err + 1e-3)
 
@@ -616,6 +621,65 @@ class TestSeededGoldenReports:
         self.assert_matches(rep, GOLDEN["fixed_x"])
 
 
+class RecordingPool:
+    """Stands in for ThreadPoolExecutor: records max_workers, runs serially."""
+
+    created: list = []
+
+    def __init__(self, max_workers):
+        RecordingPool.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+class TestRunThreads:
+    @pytest.fixture
+    def pool(self, monkeypatch):
+        RecordingPool.created = []
+        monkeypatch.setattr(simlab, "ThreadPoolExecutor", RecordingPool)
+        return RecordingPool.created
+
+    @pytest.mark.parametrize("threads,replicates,cores,workers", [
+        (10**6, 3, 64, 3),      # clamped to the number of replicates
+        (10**6, 6, 2, 2),       # clamped to the number of cores
+        (4, 6, None, None),     # unknown core count: serial
+        (1, 6, 64, None),       # serial, no pool
+        (8, 1, 64, None),       # one replicate: serial
+    ])
+    def test_workers_clamped(self, pool, monkeypatch, threads, replicates, cores, workers):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        m = smooth_model(L=5, p=21)
+        kwargs = dict(n=20, cn=rank_threshold(m.lambdas, 2), filt=TRUNC, level=0.9,
+                      replicates=replicates, seed=5)
+        serial = coverage_experiment(m, **kwargs)
+        assert pool == []
+        assert coverage_experiment(m, **kwargs, threads=threads).rows == serial.rows
+        assert pool == ([] if workers is None else [workers])
+
+    @pytest.mark.parametrize("bad", [dict(threads=0), dict(threads=-5),
+                                     dict(seed=-1), dict(replicates=0)])
+    def test_run_arguments_validated(self, pool, bad):
+        m = smooth_model(L=5, p=21)
+        kwargs = dict(n=20, cn=rank_threshold(m.lambdas, 2), filt=TRUNC, level=0.9,
+                      replicates=2, seed=1, threads=1)
+        kwargs.update(bad)
+        with pytest.raises(ValidationError):
+            coverage_experiment(m, **kwargs)
+        with pytest.raises(ValidationError):
+            fixed_x_experiment(m, m.basis_curves[0], **kwargs)
+        nd = {k: kwargs[k] for k in ("filt", "replicates", "seed", "threads")}
+        with pytest.raises(ValidationError):
+            norm_divergence_demo(m, [20, 40], lambda n: kwargs["cn"], **nd)
+        assert pool == []
+
+
 class TestNormDivergence:
     def test_exact_inversion_gives_zero_norms(self):
         # noiseless, every simulated mode retained: rho_hat recovers rho
@@ -667,6 +731,52 @@ class TestConfigPlumbing:
                 {"decay": {"kind": "power", "a": 1.0, "b": 2},
                  "rho": {"kind": "power", "exponent": 2.0}}
             )
+
+    @pytest.mark.parametrize("key,bad", [
+        ("noise_sd", True),
+        ("noise_sd", "0.5"),
+        ("L", 20.0),
+        ("xi", 1),
+        ("grid_points", "101"),
+        ("rho", {"kind": "power", "exponent": 3.0, "normalize": 1}),
+        ("rho", {"kind": "finite", "coeffs": [1.0, "0.5"]}),
+        ("decay", {"kind": "power", "a": float("nan")}),
+        ("decay", {"kind": "power"}),
+        ("decay", "power"),
+    ])
+    def test_mistyped_fields_rejected(self, key, bad):
+        cfg = {
+            "decay": {"kind": "power", "a": 2.0},
+            "rho": {"kind": "power", "exponent": 3.0},
+            key: bad,
+        }
+        with pytest.raises(ValidationError):
+            model_from_config(cfg)
+
+    def test_x_and_cn_rule_configs(self):
+        m = model_from_config({
+            "decay": {"kind": "power", "a": 1.0},
+            "rho": {"kind": "power", "exponent": 2.0},
+            "L": 10, "grid_points": 21,
+        })
+        x = x_from_config(m, {"kind": "coeffs", "values": [1.0, 0.5]})
+        assert np.array_equal(x.values, m.curve_from_coeffs([1.0, 0.5]).values)
+        assert x_from_config(m, {"kind": "basis"}) is m.basis_curves[0]
+        with pytest.raises(ValidationError):
+            x_from_config(m, {"kind": "basis", "index": 11})
+        assert cn_rule_from_config(m, {"kind": "fixed", "value": 0.02})(50) == 0.02
+        default = cn_rule_from_config(m, {"kind": "rank-power"})
+        assert default(64) == rank_power_cn_rule(m, 1 / 3)(64)
+        with pytest.raises(ValidationError):
+            default(0)
+
+    def test_rank_power_rule_caps_huge_exponents(self):
+        m = smooth_model(L=10, p=21)
+        cap = rank_threshold(m.lambdas, 9)
+        for exponent in (1.0, 2.5, 1e300):
+            assert rank_power_cn_rule(m, exponent)(50) == cap
+        assert rank_power_cn_rule(m, 0.5)(16) == rank_threshold(m.lambdas, 4)
+        assert rank_power_cn_rule(m, -1e300)(50) == rank_threshold(m.lambdas, 1)
 
     def test_geometric_decay_config(self):
         cfg = {
