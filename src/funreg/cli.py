@@ -291,17 +291,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo experiment")
     sim_sub = p_sim.add_subparsers(dest="experiment", required=True)
-    for name, handler in (
-        ("coverage", cmd_simulate_coverage),
-        ("fixed-x", cmd_simulate_fixed_x),
-        ("norm-divergence", cmd_simulate_norm_divergence),
-        ("variance-bound", cmd_simulate_variance_bound),
-        ("condition-u", cmd_simulate_condition_u),
+    # only the Monte Carlo experiments have replicates to spread over threads
+    for name, handler, monte_carlo in (
+        ("coverage", cmd_simulate_coverage, True),
+        ("fixed-x", cmd_simulate_fixed_x, True),
+        ("norm-divergence", cmd_simulate_norm_divergence, True),
+        ("variance-bound", cmd_simulate_variance_bound, False),
+        ("condition-u", cmd_simulate_condition_u, False),
     ):
         p = sim_sub.add_parser(name)
         p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--out", required=True, help="report JSON path")
-        p.add_argument("--threads", type=int, default=1)
+        if monte_carlo:
+            p.add_argument("--threads", type=int, default=1)
         p.set_defaults(func=handler)
 
     return parser

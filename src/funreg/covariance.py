@@ -1,8 +1,15 @@
 """Empirical covariance / cross-covariance operators and their eigensystem.
 
 The operator acts on a curve h as (Ah)(t_i) = sum_j w_j K(t_i, t_j) h(t_j),
-i.e. K W in raw coordinates. Its eigenproblem is solved through the
-symmetric similarity transform S = W^{1/2} K W^{1/2}.
+i.e. K W in raw coordinates, with K = X'X / n for the n sample rows X.
+Its eigenproblem is solved in the symmetric coordinates Z = X W^{1/2},
+on the matrix chosen by shape alone:
+
+* n >= p: the p x p matrix S = W^{1/2} K W^{1/2} = Z'Z / n, every pair;
+* n < p: the n x n Gram matrix Z Z' / n, whose eigenvectors v map back
+  as Z' v / sqrt(n lam). Only the pairs with a positive eigenvalue after
+  the clamp are kept (at most n, the sample rank): the null space of K
+  is never computed, and the p x p kernel is never built.
 
 Samples enter as a ``CurveMatrix``; a list of curves is stacked once by
 ``CurveMatrix.of``, which also checks that they share one grid. The
@@ -13,10 +20,11 @@ eigenvalue.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import GridMismatchError, ValidationError
+from .errors import DegenerateFitError, GridMismatchError, ValidationError
 from .hilbert import Curve, CurveMatrix, Grid, ensure_same_grid
 
 # Relative cutoff below which empirical eigenvalues are treated as exact zeros.
@@ -25,22 +33,34 @@ EIGENVALUE_CLAMP = 1e-12
 
 @dataclass(frozen=True)
 class CovarianceOperator:
-    """Kernel matrix of the empirical second-moment operator."""
+    """Empirical second-moment operator with kernel K = X'X / n.
 
-    grid: Grid
-    kernel: np.ndarray
-    n: int
+    ``samples`` holds the n rows X (already centered when the operator
+    was built with centering); the p x p kernel is formed only when read.
+    """
+
+    samples: CurveMatrix
 
     def __post_init__(self):
-        kernel = np.array(self.kernel, dtype=float)
-        p = len(self.grid)
-        if kernel.shape != (p, p):
-            raise ValidationError(f"kernel must be {p}x{p}, got {kernel.shape}")
-        scale = max(1.0, float(np.abs(kernel).max()))
-        if np.abs(kernel - kernel.T).max() > 1e-12 * scale:
-            raise ValidationError("kernel is not symmetric within tolerance")
+        if not isinstance(self.samples, CurveMatrix):
+            raise ValidationError("covariance samples must be a CurveMatrix")
+
+    @property
+    def grid(self) -> Grid:
+        return self.samples.grid
+
+    @property
+    def n(self) -> int:
+        return len(self.samples)
+
+    @cached_property
+    def kernel(self) -> np.ndarray:
+        """K[i, j] = (1/n) sum_k X_k(t_i) X_k(t_j), symmetrized."""
+        values = self.samples.values
+        kernel = values.T @ values / self.n
+        kernel = (kernel + kernel.T) / 2
         kernel.flags.writeable = False
-        object.__setattr__(self, "kernel", kernel)
+        return kernel
 
     def apply(self, h: Curve) -> Curve:
         if h.grid is not self.grid and h.grid != self.grid:
@@ -58,18 +78,15 @@ class CrossCovariance:
 def empirical_covariance(
     sample: CurveMatrix | list[Curve], center: bool = True
 ) -> CovarianceOperator:
-    """Kernel K[i, j] = (1/n) sum_k X_k(t_i) X_k(t_j).
+    """Operator with kernel K[i, j] = (1/n) sum_k X_k(t_i) X_k(t_j).
 
     With center=True the sample mean curve is subtracted first; disable
     for synthetic data that is centered by construction.
     """
     sample = CurveMatrix.of(sample)
-    values = sample.values
     if center:
-        values = values - values.mean(axis=0)
-    kernel = values.T @ values / len(sample)
-    kernel = (kernel + kernel.T) / 2
-    return CovarianceOperator(sample.grid, kernel, n=len(sample))
+        sample = CurveMatrix(sample.grid, sample.values - sample.values.mean(axis=0))
+    return CovarianceOperator(sample)
 
 
 def cross_covariance(
@@ -95,11 +112,14 @@ def cross_covariance(
 class SpectralDecomposition:
     """Sorted eigenpairs of the weighted covariance operator.
 
-    Eigenvalues are descending with the finite-rank tail clamped to exact
-    zeros; eigenvectors are the rows of one matrix, orthonormal under the
-    quadrature product with a deterministic sign convention. ``gaps``
-    holds the min-of-neighbors differences (the trailing entry uses the
-    implicit next eigenvalue 0).
+    Eigenvalues are descending. When n >= p there are p pairs, with the
+    finite-rank tail clamped to exact zeros; when n < p only the pairs
+    with a positive eigenvalue are held (the sample rank, at most n) and
+    the null space is omitted. Every caller reads only positive pairs, so
+    the two forms agree. Eigenvectors are the rows of one matrix,
+    orthonormal under the quadrature product with a deterministic sign
+    convention. ``gaps`` holds the min-of-neighbors differences (the
+    trailing entry uses the implicit next eigenvalue 0).
     """
 
     grid: Grid
@@ -145,10 +165,20 @@ def spectral_gaps(lam: np.ndarray) -> np.ndarray:
 
 
 def eigendecompose(op: CovarianceOperator) -> SpectralDecomposition:
-    """Eigensystem of h -> sum_j w_j K(., t_j) h(t_j) under the weighted product."""
+    """Eigensystem of h -> sum_j w_j K(., t_j) h(t_j) under the weighted product.
+
+    Solved on the p x p matrix when n >= p and on the n x n Gram matrix
+    when n < p (see the module docstring); the latter keeps only the
+    positive eigenvalues and raises DegenerateFitError when there is none.
+    """
     w = op.grid.weights
     sqrt_w = np.sqrt(w)
-    sym = sqrt_w[:, None] * op.kernel * sqrt_w[None, :]
+    gram_route = op.n < len(w)
+    if gram_route:
+        z = op.samples.values * sqrt_w
+        sym = z @ z.T / op.n
+    else:
+        sym = sqrt_w[:, None] * op.kernel * sqrt_w[None, :]
     sym = (sym + sym.T) / 2
     try:
         lam, vec = np.linalg.eigh(sym)
@@ -159,6 +189,14 @@ def eigendecompose(op: CovarianceOperator) -> SpectralDecomposition:
     vec = vec[:, order]
 
     lam = np.where(lam < EIGENVALUE_CLAMP * max(lam[0], 0.0), 0.0, lam)
+
+    if gram_route:
+        # descending and clamped, so the positive values are a prefix
+        rank = int(np.count_nonzero(lam > 0))
+        if rank == 0:
+            raise DegenerateFitError("threshold exceeds spectrum: the sample spectrum is zero")
+        lam = lam[:rank]
+        vec = z.T @ vec[:, :rank] / np.sqrt(op.n * lam)
 
     # rows are eigenvectors in raw coordinates; C order keeps each row's
     # sum the same pairwise reduction as the sum over a single curve

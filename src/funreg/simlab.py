@@ -365,7 +365,9 @@ class CoverageReport:
         return out
 
 
-def _check_run(replicates: int, seed: int, threads: int) -> None:
+def _check_run(replicates: int, seed: int, threads: int, level: float | None = None) -> None:
+    if level is not None and not 0 < level < 1:
+        raise ValidationError(f"confidence level must be in (0, 1), got {level}")
     if replicates < 1:
         raise ValidationError("need at least one replicate")
     if seed < 0:
@@ -438,7 +440,7 @@ def coverage_experiment(
     and the deterministic truncation-bias component at the nonrandom
     rank k_n.
     """
-    _check_run(replicates, seed, threads)
+    _check_run(replicates, seed, threads, level)
     filt = replace(filt, cn=cn)
     k_n = select_kn(model.lambdas, cn)
     rho_tail = model.rho_coeffs[k_n:]
@@ -488,7 +490,7 @@ def fixed_x_experiment(
     <(Pi_hat - Pi) rho, x> at rank k_n is estimated per replicate
     through the model's true eigenbasis.
     """
-    _check_run(replicates, seed, threads)
+    _check_run(replicates, seed, threads, level)
     filt = replace(filt, cn=cn)
     x_coeff = model.x_coefficients(x)
     rkhs_sup = float(np.max(x_coeff**2 / model.lambdas))

@@ -84,6 +84,24 @@ class TestFitCommand:
                     "--out", tmp_path / "f.json"])
         assert code == 3
 
+    def test_identical_wide_curves_exit_3(self, tmp_path, capsys):
+        # three identical curves on 11 points (n < p): centering leaves
+        # no positive eigenvalue to keep
+        grid = ",".join(repr(float(t)) for t in np.linspace(0.0, 1.0, 11))
+        curve = ",".join(repr(float(v)) for v in 0.1 + np.sin(np.linspace(0.0, 3.0, 11)))
+        curves = tmp_path / "curves.csv"
+        curves.write_text("\n".join([grid, curve, curve, curve]) + "\n")
+        responses = tmp_path / "y.csv"
+        responses.write_text("1.0\n2.0\n0.5\n")
+        out = tmp_path / "f.json"
+        code = run(["fit", "--curves", curves, "--responses", responses,
+                    "--filter", "ridge", "--cn", "1e-6", "--alpha", "0.1", "--out", out])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 3
+        assert len(err) == 1
+        assert err[0].startswith("error: degenerate: threshold exceeds spectrum")
+        assert not out.exists()
+
     def test_missing_curves_file_exits_2(self, tmp_path):
         code = run(["fit", "--curves", tmp_path / "none.csv",
                     "--responses", tmp_path / "none2.csv",
@@ -297,6 +315,14 @@ class TestSimulateCommand:
         assert_validation_exit(code, capsys)
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("command", ["variance-bound", "condition-u"])
+    def test_deterministic_commands_take_no_threads(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            run(["simulate", command, "--config", tmp_path / "cfg.json",
+                 "--out", tmp_path / "r.json", "--threads", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
     def test_unknown_config_key_exits_2(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(base_coverage_config(bogus=1)))
@@ -450,6 +476,9 @@ MALFORMED_CONFIGS = [
     ("variance-bound", VARIANCE_BOUND_CONFIG, "x_squared", {"kind": "power", "beta": "two"}),
     ("variance-bound", VARIANCE_BOUND_CONFIG, "x_squared", {"kind": "power"}),
     ("condition-u", CONDITION_U_CONFIG, "J", "ten"),
+    ("coverage", COVERAGE_CONFIG, "level", 1.5),
+    ("fixed-x", FIXED_X_CONFIG, "level", 1.5),
+    ("fixed-x", FIXED_X_CONFIG, "level", 0),
 ]
 
 

@@ -1,16 +1,29 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from funreg.covariance import (
     EIGENVALUE_CLAMP,
     CovarianceOperator,
+    SpectralDecomposition,
     cross_covariance,
     eigendecompose,
     empirical_covariance,
+    spectral_gaps,
 )
-from funreg.errors import ValidationError
-from funreg.hilbert import Curve, CurveMatrix, Grid, inner_product, make_trapezoid_grid, norm
+from funreg.errors import DegenerateFitError, ValidationError
+from funreg.estimator import regularized_inverse, s_hat, t_hat
+from funreg.filters import FilterSpec, effective_rank
+from funreg.hilbert import (
+    Curve,
+    CurveMatrix,
+    Grid,
+    inner_product,
+    make_trapezoid_grid,
+    norm,
+    trapezoid_weights,
+)
 
 
 def unit_weight_grid(p=2):
@@ -26,6 +39,44 @@ def random_sample(n, p, seed=0, grid=None):
     g = grid or make_trapezoid_grid(0.0, 1.0, p)
     rng = np.random.default_rng(seed)
     return g, [Curve(g, rng.standard_normal(p)) for _ in range(n)]
+
+
+def sorted_clamped_eigh(sym):
+    """eigh of the symmetrized matrix, descending, tail clamped to zeros."""
+    lam, vec = np.linalg.eigh((sym + sym.T) / 2)
+    order = np.argsort(lam)[::-1]
+    lam, vec = lam[order], vec[:, order]
+    return np.where(lam < EIGENVALUE_CLAMP * max(lam[0], 0.0), 0.0, lam), vec
+
+
+def dense_solve(op):
+    """The p x p route from op.kernel: every pair, with the eigenvectors as
+    columns in symmetric coordinates."""
+    sqrt_w = np.sqrt(op.grid.weights)
+    return sorted_clamped_eigh(sqrt_w[:, None] * op.kernel * sqrt_w[None, :])
+
+
+def gram_solve(op):
+    """The n x n route: the positive pairs, eigenvectors mapped back through Z'."""
+    z = op.samples.values * np.sqrt(op.grid.weights)
+    lam, vec = sorted_clamped_eigh(z @ z.T / op.n)
+    rank = int(np.count_nonzero(lam > 0))
+    lam = lam[:rank]
+    return lam, z.T @ vec[:, :rank] / np.sqrt(op.n * lam)
+
+
+def per_column_vectors(lam, vec, w):
+    """Renormalize and sign-fix one eigenvector at a time."""
+    sqrt_w = np.sqrt(w)
+    rows = []
+    for j in range(lam.size):
+        u = vec[:, j] / sqrt_w
+        u = u / np.sqrt(np.sum(u * u * w))
+        k = int(np.argmax(np.abs(u)))
+        if u[k] < 0:
+            u = -u
+        rows.append(u)
+    return np.stack(rows)
 
 
 class TestEmpiricalCovariance:
@@ -66,6 +117,9 @@ class TestEmpiricalCovariance:
         vals = np.stack([c.values for c in sample])
         vals = vals - vals.mean(axis=0)
         assert np.allclose(centered.kernel, vals.T @ vals / 2)
+        # the kernel is (X'X/n + its transpose)/2, bit for bit
+        kernel = vals.T @ vals / 2
+        assert np.array_equal(centered.kernel, (kernel + kernel.T) / 2)
 
 
 class TestCrossCovariance:
@@ -104,7 +158,9 @@ class TestCrossCovariance:
 class TestEigendecompose:
     def test_diagonal_kernel_unit_weights(self):
         g = unit_weight_grid()
-        op = CovarianceOperator(g, np.diag([2.0, 0.5]), n=2)
+        # rows (2, 0) and (0, 1) give the kernel diag(2, 0.5)
+        op = CovarianceOperator(CurveMatrix(g, [[2.0, 0.0], [0.0, 1.0]]))
+        assert np.array_equal(op.kernel, np.diag([2.0, 0.5]))
         dec = eigendecompose(op)
         assert np.allclose(dec.eigenvalues, [2.0, 0.5])
         assert np.allclose(np.abs(dec.vectors_matrix), np.eye(2), atol=1e-12)
@@ -177,30 +233,19 @@ class TestEigendecompose:
             assert e.values[k] > 0
 
     def test_eigenvectors_match_per_column_loop_bit_for_bit(self):
-        # reference: renormalize and sign-fix one eigenvector at a time
+        # reference: renormalize and sign-fix one eigenvector at a time,
+        # starting from the p x p solve when n >= p and from the Gram
+        # route's mapped matrix when n < p
         for n, p, seed in ((10, 6, 13), (40, 101, 2), (5, 150, 8)):
             g, sample = random_sample(n, p, seed=seed)
             op = empirical_covariance(sample)
             dec = eigendecompose(op)
-            w = g.weights
-            sqrt_w = np.sqrt(w)
-            sym = sqrt_w[:, None] * op.kernel * sqrt_w[None, :]
-            lam, vec = np.linalg.eigh((sym + sym.T) / 2)
-            order = np.argsort(lam)[::-1]
-            lam, vec = lam[order], vec[:, order]
-            lam = np.where(lam < EIGENVALUE_CLAMP * max(lam[0], 0.0), 0.0, lam)
-            expected = []
-            for j in range(lam.size):
-                u = vec[:, j] / sqrt_w
-                u = u / np.sqrt(np.sum(u * u * w))
-                k = int(np.argmax(np.abs(u)))
-                if u[k] < 0:
-                    u = -u
-                expected.append(u)
+            lam, vec = gram_solve(op) if n < p else dense_solve(op)
             assert isinstance(dec.eigenvectors, CurveMatrix)
-            assert len(dec.eigenvectors) == p
+            # n < p keeps the centered sample's rank, n - 1
+            assert len(dec.eigenvectors) == (n - 1 if n < p else p)
             assert np.array_equal(dec.eigenvalues, lam)
-            assert np.array_equal(dec.vectors_matrix, np.stack(expected))
+            assert np.array_equal(dec.vectors_matrix, per_column_vectors(lam, vec, g.weights))
 
     def test_list_and_matrix_samples_give_identical_operators(self):
         g, sample = random_sample(30, 11, seed=17)
@@ -218,17 +263,143 @@ class TestEigendecompose:
 
     def test_gaps_follow_min_of_neighbors(self):
         g = Grid(np.arange(4.0), np.ones(4))
-        op = CovarianceOperator(g, np.diag([4.0, 2.0, 1.0, 0.5]), n=4)
+        # four rows 2 * sqrt(lambda_j) e_j give the kernel diag(4, 2, 1, 0.5)
+        rows = 2 * np.diag(np.sqrt([4.0, 2.0, 1.0, 0.5]))
+        op = CovarianceOperator(CurveMatrix(g, rows))
+        assert np.allclose(op.kernel, np.diag([4.0, 2.0, 1.0, 0.5]), rtol=1e-15, atol=0)
         dec = eigendecompose(op)
         assert np.allclose(dec.gaps, [2.0, 1.0, 0.5, 0.5])
 
-    def test_non_symmetric_kernel_rejected(self):
+    def test_malformed_rows_rejected(self):
         g = unit_weight_grid()
-        with pytest.raises(ValidationError):
-            CovarianceOperator(g, np.array([[1.0, 0.2], [0.1, 1.0]]), n=1)
+        for rows in (
+            np.ones((2, 3)),  # wrong width for a 2-point grid
+            np.array([[1.0, np.nan], [0.0, 1.0]]),
+            np.array([[1.0, np.inf]]),
+        ):
+            with pytest.raises(ValidationError):
+                CovarianceOperator(CurveMatrix(g, rows))
+            # a bare array is not a validated sample
+            with pytest.raises(ValidationError):
+                CovarianceOperator(rows)
 
     def test_negative_noise_eigenvalues_clamped_to_zero(self):
+        # n < p: only the positive pairs are kept, never a noise pair
         g, sample = random_sample(2, 6, seed=31)
         dec = eigendecompose(empirical_covariance(sample, center=False))
-        assert np.all(dec.eigenvalues >= 0)
+        assert 1 <= dec.eigenvalues.size <= 2
+        assert np.all(dec.eigenvalues > 0)
+        # n >= p: six curves in a two-dimensional span leave four noise
+        # eigenvalues, clamped to exact zeros
+        rng = np.random.default_rng(31)
+        values = rng.standard_normal((6, 2)) @ np.stack([c.values for c in sample])
+        dec = eigendecompose(empirical_covariance(CurveMatrix(g, values), center=False))
+        assert dec.eigenvalues.size == 6
+        assert np.all(dec.eigenvalues[:2] > 0)
         assert np.all(dec.eigenvalues[2:] == 0.0)
+
+
+# eigenvalue pool for the cross-route property test: repeated draws give
+# tied spectra, and neighbouring values differ by at least a factor 2
+SPECTRUM_LEVELS = (1.0, 0.5, 0.2, 0.1, 0.05, 0.02)
+FILTERS = (
+    lambda cn: FilterSpec("truncation", cn),
+    lambda cn: FilterSpec("ridge", cn, alpha=0.05),
+    lambda cn: FilterSpec("tikhonov", cn, alpha=0.01),
+    lambda cn: FilterSpec("generalized", cn, alpha=0.02, p=2, variant="A"),
+    lambda cn: FilterSpec("generalized", cn, alpha=0.02, p=1, variant="B"),
+)
+
+
+@st.composite
+def wide_problems(draw):
+    """An n < p sample with a chosen weighted spectrum (ties allowed), a
+    threshold strictly between two distinct eigenvalues, and a filter."""
+    p = draw(st.integers(3, 40))
+    n = draw(st.one_of(st.just(1), st.just(p - 1), st.integers(1, max(1, p // 8)),
+                       st.integers(1, p - 1)))
+    rank = draw(st.integers(1, n))
+    levels = np.sort(draw(st.lists(st.sampled_from(SPECTRUM_LEVELS),
+                                   min_size=rank, max_size=rank)))[::-1]
+    distinct = np.unique(levels)[::-1]
+    cut = draw(st.integers(1, distinct.size))
+    if cut < distinct.size:
+        cn = float(np.sqrt(distinct[cut - 1] * distinct[cut]))
+    else:
+        cn = float(distinct[-1] / 2)
+    filt = draw(st.sampled_from(FILTERS))(cn)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        grid = make_trapezoid_grid(0.0, 1.0, p)
+    else:
+        points = np.cumsum(rng.uniform(0.5, 1.5, p))
+        grid = Grid(points, trapezoid_weights(points))
+    # Z = sqrt(n) A diag(sqrt(levels)) B' has Z Z' / n = A diag(levels) A'
+    a, _ = np.linalg.qr(rng.standard_normal((n, rank)))
+    b, _ = np.linalg.qr(rng.standard_normal((p, rank)))
+    z = np.sqrt(n) * (a * np.sqrt(levels)) @ b.T
+    sample = CurveMatrix(grid, z / np.sqrt(grid.weights))
+    y = rng.standard_normal(n)
+    x = Curve(grid, rng.standard_normal(p))
+    return sample, y, x, filt, levels
+
+
+def assert_rel(actual, expected, scale=None, rtol=1e-10):
+    """Largest difference within rtol of the largest expected magnitude
+    (or of ``scale``)."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape
+    if scale is None:
+        scale = np.max(np.abs(expected))
+    assert np.max(np.abs(actual - expected)) <= rtol * scale
+
+
+class TestGramRoute:
+    @settings(max_examples=120, deadline=None)
+    @given(wide_problems())
+    def test_matches_the_p_by_p_solve(self, problem):
+        sample, y, x, filt, levels = problem
+        op = empirical_covariance(sample, center=False)
+        gram = eigendecompose(op)
+        assert "kernel" not in vars(op), "the n < p route built the p x p kernel"
+        # one eigenpair per positive eigenvalue: the sample rank
+        assert gram.eigenvalues.size == levels.size
+        assert np.all(gram.eigenvalues > 0)
+        np.testing.assert_allclose(gram.eigenvalues, levels, rtol=1e-10, atol=0)
+
+        lam, vec = dense_solve(op)
+        dense = SpectralDecomposition(op.grid, lam, CurveMatrix(op.grid, per_column_vectors(
+            lam, vec, op.grid.weights)), spectral_gaps(lam), op.n)
+        assert np.count_nonzero(dense.eigenvalues > 0) == levels.size
+        for dec in (gram, dense):
+            d = effective_rank(dec, filt.cn)
+            assert d == np.count_nonzero(levels >= filt.cn)
+        np.testing.assert_allclose(gram.eigenvalues, dense.eigenvalues[:levels.size],
+                                   rtol=1e-10, atol=0)
+        # gaps inside a tie are roundoff: compare on the scale of lambda_1
+        assert_rel(gram.gaps, dense.gaps[:levels.size], scale=levels[0])
+
+        e_gram = gram.vectors_matrix[:d]
+        e_dense = dense.vectors_matrix[:d]
+        assert_rel(e_gram.T @ e_gram, e_dense.T @ e_dense)
+
+        delta = cross_covariance(sample, y, center=False).curve
+        assert_rel(regularized_inverse(gram, filt).apply(delta).values,
+                   regularized_inverse(dense, filt).apply(delta).values)
+        assert_rel(s_hat(gram, filt), s_hat(dense, filt))
+        assert_rel(t_hat(gram, filt, x), t_hat(dense, filt, x))
+
+    def test_zero_sample_keeps_the_degenerate_error(self):
+        g = make_trapezoid_grid(0.0, 1.0, 11)
+        op = empirical_covariance(CurveMatrix(g, np.zeros((3, 11))), center=False)
+        with pytest.raises(DegenerateFitError, match="threshold exceeds spectrum"):
+            eigendecompose(op)
+
+    def test_route_is_chosen_by_shape(self):
+        # n = p solves the p x p matrix and keeps every pair
+        g, sample = random_sample(6, 6, seed=4)
+        op = empirical_covariance(sample)
+        dec = eigendecompose(op)
+        assert "kernel" in vars(op)
+        assert dec.eigenvalues.size == 6
+        assert dec.eigenvalues[-1] == 0.0

@@ -96,6 +96,14 @@ class TestFit:
         assert np.allclose(ft.rho_hat.values, 0.0, atol=1e-12)
         assert ft.sigma_hat == pytest.approx(0.0, abs=1e-12)
 
+    def test_zero_wide_sample_is_degenerate(self):
+        # n < p with an all-zero spectrum: no eigenpair to keep, and the
+        # same error (exit 3) as a threshold above a nonzero spectrum
+        g = make_trapezoid_grid(0.0, 1.0, 11)
+        with pytest.raises(DegenerateFitError, match="threshold exceeds spectrum"):
+            fit(CurveMatrix(g, np.zeros((3, 11))), [1.0, 0.0, -1.0],
+                FilterSpec("truncation", 1e-6), center=False)
+
     def test_needs_two_observations(self):
         g = unit_weight_grid()
         with pytest.raises(ValidationError):
