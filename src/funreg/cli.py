@@ -3,7 +3,9 @@
 Exit codes: 0 success, 2 validation problem, 3 degenerate mathematics
 (empty retained spectrum, zero normalizer, exhausted degrees of
 freedom), 4 every replicate of an experiment failed. Errors print one
-machine-parsable line `error: <kind>: <message>` on stderr.
+machine-parsable line `error: <kind>: <message>` on stderr; a bad
+command line (unknown option, missing option, a value of the wrong type
+or outside its choices) is `error: validation: <argparse's message>`.
 
 Experiment configs are JSON objects read through ``funreg.config``: each
 command names its required and optional top-level keys, and every field
@@ -252,8 +254,18 @@ def cmd_simulate_condition_u(args) -> int:
 # argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as the one ``error: validation:`` line, exit 2.
+
+    ``add_subparsers`` builds its subparsers with this class too.
+    """
+
+    def error(self, message):
+        self.exit(EXIT_VALIDATION, f"error: validation: {' '.join(message.split())}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="funreg",
         description="Functional linear regression with spectral regularization.",
     )

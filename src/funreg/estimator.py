@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm as _stdnorm
+from scipy.special import ndtri
 
 from . import config
 from .covariance import (
@@ -216,8 +216,12 @@ class PredictionInterval:
 
 
 def normal_quantile(prob: float) -> float:
-    """Standard normal quantile (scipy's exact special-function routine)."""
-    return float(_stdnorm.ppf(prob))
+    """Standard normal quantile, ``scipy.special.ndtri``.
+
+    This is the routine ``scipy.stats.norm.ppf`` calls, so the quantile is
+    bit-equal to it.
+    """
+    return float(ndtri(prob))
 
 
 def prediction_interval(

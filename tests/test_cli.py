@@ -482,6 +482,34 @@ MALFORMED_CONFIGS = [
 ]
 
 
+class TestArgumentErrors:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fit", "--curves", "c", "--responses", "r", "--filter", "ridge",
+              "--cn", "abc", "--out", "o"], "argument --cn: invalid float value: 'abc'"),
+            (["simulate", "coverage", "--config", "c", "--out", "o", "--threads", "two"],
+             "argument --threads: invalid int value: 'two'"),
+            (["predict", "--fit", "f", "--x", "x", "--normalizer", "z_hat"],
+             "argument --normalizer: invalid choice: 'z_hat'"),
+            (["predict", "--fit", "f"], "the following arguments are required: --x"),
+        ],
+    )
+    def test_argument_errors_are_one_validation_line(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: validation: {message}")
+
+    def test_help_still_prints_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["fit", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: funreg fit")
+
+
 class TestMalformedConfigs:
     @pytest.mark.parametrize(
         "command,base,key,bad", MALFORMED_CONFIGS,

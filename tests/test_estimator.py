@@ -305,6 +305,13 @@ class TestPredictionInterval:
         q = normal_quantile(0.975)
         assert q * 1.0 * 2.0 / 10.0 == pytest.approx(0.39199, abs=1e-5)
 
+    def test_quantile_is_bit_equal_to_scipy_stats(self):
+        from scipy.stats import norm as stdnorm
+
+        probs = np.concatenate([np.linspace(0.5, 0.999999, 20001), [0.95, 0.975, 0.995]])
+        ours = np.array([normal_quantile(float(q)) for q in probs])
+        assert np.array_equal(ours, stdnorm.ppf(probs))
+
     def test_interval_uses_the_formula(self):
         g, sample, ft = self.make_noisy_fit()
         x = sample[0]

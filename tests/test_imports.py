@@ -1,6 +1,8 @@
 """Modules of the package use only each other's public names."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import funreg
@@ -49,3 +51,16 @@ def test_no_module_uses_a_private_name_of_another():
         if (uses := private_uses(path.read_text(encoding="utf-8")))
     }
     assert offenders == {}
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats alone is most of a cold start; the package needs only scipy.special
+    code = "import sys, funreg, funreg.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=PACKAGE.parent,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"

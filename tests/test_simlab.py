@@ -2,6 +2,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from funreg.covariance import eigendecompose, empirical_covariance
 from funreg.errors import GridMismatchError, ValidationError
@@ -22,6 +23,7 @@ from funreg.simlab import (
     kl_sample,
     loglog_slope,
     model_from_config,
+    normal_ks_statistic,
     norm_divergence_demo,
     power_squared_coeffs,
     rank_power_cn_rule,
@@ -450,6 +452,27 @@ class TestCoverageExperiment:
         for j in range(3):
             overlap = abs(inner_product(dec.eigenvectors[j], m.basis_curves[j]))
             assert overlap >= 0.99
+
+
+class TestNormalKsStatistic:
+    # a few values drawn often give ties; +-40 reaches where ndtr is 0 or 1
+    SAMPLES = st.lists(
+        st.one_of(st.sampled_from([-1.0, 0.0, 0.25, 3.0]), st.floats(-40.0, 40.0)),
+        min_size=1,
+        max_size=500,
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(SAMPLES)
+    def test_bit_equal_to_scipy_kstest(self, values):
+        from scipy.stats import kstest
+
+        sample = np.array(values)
+        assert normal_ks_statistic(sample) == float(kstest(sample, "norm").statistic)
+
+    def test_known_values(self):
+        assert normal_ks_statistic(np.array([0.0])) == 0.5
+        assert normal_ks_statistic(np.array([40.0, 40.0])) == 1.0
 
 
 class TestFixedXExperiment:
