@@ -22,9 +22,7 @@ from .hilbert import (
 )
 from .covariance import (
     CovarianceOperator,
-    CrossCovariance,
     SpectralDecomposition,
-    cross_covariance,
     eigendecompose,
     empirical_covariance,
 )
@@ -33,19 +31,17 @@ from .filters import (
     H3Report,
     check_h3,
     effective_rank,
-    filter_value,
     filter_values,
     select_kn,
 )
 from .estimator import (
     EstimatorFit,
     PredictionInterval,
-    RegularizedInverse,
     fit,
     load_fit,
+    normalizers,
     predict,
     prediction_interval,
-    regularized_inverse,
     s_hat,
     save_fit,
     sigma_hat,

@@ -20,7 +20,7 @@ from .errors import ValidationError
 
 _REQUIRED = object()
 
-_NOUNS = {int: "an integer", float: "a number", bool: "a boolean", str: "a string", list: "a list"}
+_NOUNS = {int: "an integer", float: "a finite number", bool: "a boolean", str: "a string", list: "a list"}
 
 
 def section(cfg, where: str, required=(), optional=()) -> dict:
@@ -64,8 +64,7 @@ def _typed(raw, what: str, typ: type):
             ok = False
         ok = ok and math.isfinite(raw)
     if not ok:
-        finite = " finite" if typ is float else ""
-        raise ValidationError(f"{what} must be{finite} {_NOUNS[typ]}, got {raw!r}")
+        raise ValidationError(f"{what} must be {_NOUNS[typ]}, got {raw!r}")
     return raw
 
 

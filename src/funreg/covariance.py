@@ -1,8 +1,11 @@
-"""Empirical covariance / cross-covariance operators and their eigensystem.
+"""Empirical covariance operator and its eigensystem.
 
 The operator acts on a curve h as (Ah)(t_i) = sum_j w_j K(t_i, t_j) h(t_j),
 i.e. K W in raw coordinates, with K = X'X / n for the n sample rows X.
-Its eigenproblem is solved in the symmetric coordinates Z = X W^{1/2},
+``empirical_covariance`` centers the rows when asked, once, and keeps
+them: ``estimator.fit`` reads the same rows for the cross-covariance and
+the residuals, and an uncentered sample is used as it is, uncopied.
+The eigenproblem is solved in the symmetric coordinates Z = X W^{1/2},
 on the matrix chosen by shape alone:
 
 * n >= p: the p x p matrix S = W^{1/2} K W^{1/2} = Z'Z / n, every pair;
@@ -24,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateFitError, GridMismatchError, ValidationError
+from .errors import DegenerateFitError, ValidationError
 from .hilbert import Curve, CurveMatrix, Grid, ensure_same_grid
 
 # Relative cutoff below which empirical eigenvalues are treated as exact zeros.
@@ -62,18 +65,6 @@ class CovarianceOperator:
         kernel.flags.writeable = False
         return kernel
 
-    def apply(self, h: Curve) -> Curve:
-        if h.grid is not self.grid and h.grid != self.grid:
-            raise GridMismatchError("curve does not live on the operator grid")
-        return Curve(self.grid, self.kernel @ (self.grid.weights * h.values))
-
-
-@dataclass(frozen=True)
-class CrossCovariance:
-    """The curve (1/n) sum_i Y_i X_i (optionally mean-centered)."""
-
-    curve: Curve
-
 
 def empirical_covariance(
     sample: CurveMatrix | list[Curve], center: bool = True
@@ -87,25 +78,6 @@ def empirical_covariance(
     if center:
         sample = CurveMatrix(sample.grid, sample.values - sample.values.mean(axis=0))
     return CovarianceOperator(sample)
-
-
-def cross_covariance(
-    sample: CurveMatrix | list[Curve], responses, center: bool = True
-) -> CrossCovariance:
-    """The curve (1/n) sum_i Y_i X_i, centered consistently with the kernel."""
-    sample = CurveMatrix.of(sample)
-    values = sample.values
-    y = np.asarray(responses, dtype=float)
-    if y.ndim != 1 or y.size != values.shape[0]:
-        raise ValidationError(
-            f"got {y.size} responses for {values.shape[0]} curves"
-        )
-    if not np.all(np.isfinite(y)):
-        raise ValidationError("responses must be finite")
-    if center:
-        values = values - values.mean(axis=0)
-        y = y - y.mean()
-    return CrossCovariance(Curve(sample.grid, values.T @ y / y.size))
 
 
 @dataclass(frozen=True)
@@ -126,7 +98,6 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: CurveMatrix
     gaps: np.ndarray
-    n: int
 
     def __post_init__(self):
         for name in ("eigenvalues", "gaps"):
@@ -146,11 +117,6 @@ class SpectralDecomposition:
         """Coordinates <h, e_j> of a curve in the eigenbasis."""
         ensure_same_grid(self, h)
         return self.vectors_matrix @ (self.grid.weights * h.values)
-
-    def apply(self, h: Curve) -> Curve:
-        """Operator action sum_j lambda_j <h, e_j> e_j."""
-        coeff = self.coefficients(h)
-        return Curve(self.grid, (self.eigenvalues * coeff) @ self.vectors_matrix)
 
 
 def spectral_gaps(lam: np.ndarray) -> np.ndarray:
@@ -212,5 +178,4 @@ def eigendecompose(op: CovarianceOperator) -> SpectralDecomposition:
         eigenvalues=lam,
         eigenvectors=CurveMatrix(op.grid, u),
         gaps=spectral_gaps(lam),
-        n=op.n,
     )

@@ -1,27 +1,31 @@
-"""Regularized inverse, coefficient estimate, normalizers, and intervals.
+"""Spectral estimator, its CLT normalizers, and prediction intervals.
 
-The estimate solves the empirical moment equation through the filtered
-spectral inverse: rho_hat = sum_{j<=d_n} f(lam_j) <Delta_n, e_j> e_j,
-where d_n counts the empirical eigenvalues at or above the threshold.
+A fit centers the sample once (unless told not to) and reads those rows
+X_c three times: for the covariance K = X_c'X_c / n, for the
+cross-covariance Delta_n = X_c'(Y - Y_mean) / n and for the residuals.
+The estimate is rho_hat = sum_{j<=d_n} f(lam_j) <Delta_n, e_j> e_j, where
+d_n counts the empirical eigenvalues at or above the threshold; d_n and
+the filtered values f(lam_j) are worked out once and kept on the fit.
+Both CLT pivots are sums over that retained spectrum, computed by the
+one kernel ``normalizers``:
+
+    s_hat    = sqrt(sum_j [lam_j f(lam_j)]^2)             (random x)
+    t_hat(x) = sqrt(sum_j lam_j f(lam_j)^2 <x, e_j>^2)    (fixed x)
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import ndtri
 
 from . import config
-from .covariance import (
-    SpectralDecomposition,
-    cross_covariance,
-    eigendecompose,
-    empirical_covariance,
-    spectral_gaps,
-)
-from .errors import DegenerateFitError, GridMismatchError, ValidationError
-from .filters import FilterSpec, effective_rank, filter_from_config, filter_to_config, filter_values, xf_values
+from .covariance import SpectralDecomposition, eigendecompose, empirical_covariance, spectral_gaps
+from .errors import DegenerateFitError, ValidationError
+from .filters import TRUNCATION, FilterSpec, effective_rank, filter_from_config, filter_to_config
+from .filters import filter_values
 from .hilbert import Curve, CurveMatrix, Grid, ensure_same_grid, inner_product
 from .hilbert import norm as norm_of
 
@@ -30,34 +34,37 @@ from .hilbert import norm as norm_of
 PAYLOAD_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
-class RegularizedInverse:
-    """Finite-rank operator h -> sum_{j<=d_n} f(lam_j) <h, e_j> e_j."""
+class Normalizers(NamedTuple):
+    """The pivot sums over one spectrum; see ``normalizers``."""
 
-    decomposition: SpectralDecomposition
-    filter: FilterSpec
-    filtered_values: np.ndarray
-
-    @property
-    def d_n(self) -> int:
-        return self.filtered_values.size
-
-    def apply(self, h: Curve) -> Curve:
-        d = self.d_n
-        coeff = self.decomposition.coefficients(h)[:d]
-        values = (self.filtered_values * coeff) @ self.decomposition.vectors_matrix[:d]
-        return Curve(self.decomposition.grid, values)
+    filtered: np.ndarray
+    s: float
+    t: float | None
+    peak: float
 
 
-def regularized_inverse(
-    decomposition: SpectralDecomposition, filt: FilterSpec
-) -> RegularizedInverse:
+def normalizers(lam, filt: FilterSpec, coeffs=None, filtered=None) -> Normalizers:
+    """The CLT pivot sums over the eigenvalues ``lam`` under ``filt``.
+
+    Returns f(lam) (evaluated once, unless the caller passes the values
+    it holds as ``filtered``); s = sqrt(sum [lam f(lam)]^2), exactly
+    sqrt(d) for truncation; t = sqrt(sum lam f(lam)^2 c_j^2) for the
+    coordinates c_j = <x, e_j> in ``coeffs``, else None; and peak =
+    max sqrt(lam) f(lam), the largest per-mode weight of t.
+    """
+    lam = np.asarray(lam, dtype=float)
+    f = filter_values(filt, lam) if filtered is None else filtered
+    # lam f(lam) is exactly 1 on the support of truncation, not lam * (1/lam)
+    xf = np.where(lam >= filt.cn, 1.0, 0.0) if filt.kind == TRUNCATION else lam * f
+    t = None if coeffs is None else float(np.sqrt(np.sum(lam * f**2 * coeffs**2)))
+    return Normalizers(f, float(np.sqrt(np.sum(xf**2))), t, float(np.max(np.sqrt(lam) * f)))
+
+
+def _retained(decomposition: SpectralDecomposition, filt: FilterSpec) -> int:
     d = effective_rank(decomposition, filt.cn)
     if d == 0:
         raise DegenerateFitError("threshold exceeds spectrum: no eigenvalue retained")
-    filtered = filter_values(filt, decomposition.eigenvalues[:d])
-    filtered.flags.writeable = False
-    return RegularizedInverse(decomposition, filt, filtered)
+    return d
 
 
 def s_hat(decomposition: SpectralDecomposition, filt: FilterSpec) -> float:
@@ -65,30 +72,22 @@ def s_hat(decomposition: SpectralDecomposition, filt: FilterSpec) -> float:
 
     Exactly sqrt(d_n) for the truncation filter.
     """
-    d = effective_rank(decomposition, filt.cn)
-    if d == 0:
-        raise DegenerateFitError("threshold exceeds spectrum: no eigenvalue retained")
-    xf = xf_values(filt, decomposition.eigenvalues[:d])
-    return float(np.sqrt(np.sum(xf**2)))
+    return normalizers(decomposition.eigenvalues[: _retained(decomposition, filt)], filt).s
 
 
 def t_hat(decomposition: SpectralDecomposition, filt: FilterSpec, x: Curve) -> float:
     """Fixed-point normalizer sqrt(sum_j lam_j f(lam_j)^2 <x, e_j>^2)."""
-    d = effective_rank(decomposition, filt.cn)
-    if d == 0:
-        raise DegenerateFitError("threshold exceeds spectrum: no eigenvalue retained")
-    lam = decomposition.eigenvalues[:d]
-    f = filter_values(filt, lam)
-    coeff = decomposition.coefficients(x)[:d]
-    return float(np.sqrt(np.sum(lam * f**2 * coeff**2)))
+    d = _retained(decomposition, filt)
+    return normalizers(decomposition.eigenvalues[:d], filt, decomposition.coefficients(x)[:d]).t
 
 
 @dataclass(frozen=True)
 class EstimatorFit:
-    """Fitted coefficient curve with its normalizers and provenance."""
+    """Fitted coefficient curve, f(lam_j) of its d_n retained eigenvalues,
+    normalizers and provenance."""
 
     rho_hat: Curve
-    d_n: int
+    filtered_values: np.ndarray
     s_hat: float
     sigma_hat: float
     n: int
@@ -97,6 +96,10 @@ class EstimatorFit:
     centered: bool
     x_mean: Curve
     y_mean: float
+
+    @property
+    def d_n(self) -> int:
+        return self.filtered_values.size
 
     @property
     def grid(self) -> Grid:
@@ -111,19 +114,13 @@ def predict(fit: EstimatorFit, x: Curve) -> float:
     return inner_product(fit.rho_hat, x)
 
 
-def _residual_sigma(
-    sample: CurveMatrix, responses, rho_hat, centered, x_mean, y_mean, d_n
-) -> float:
-    n = len(sample)
+def _residual_sigma(rows: np.ndarray, y: np.ndarray, rho_hat: Curve, y_mean, d_n) -> float:
+    """sqrt(sum_i (Y_i - Yhat_i)^2 / (n - d_n)) over rows centered as the fit's."""
+    n = rows.shape[0]
     if n <= d_n:
         raise DegenerateFitError(f"degrees of freedom exhausted: n={n} <= d_n={d_n}")
-    ensure_same_grid(rho_hat, sample)
-    y = np.asarray(responses, dtype=float)
-    values = sample.values - x_mean.values if centered else sample.values
     # row-wise inner_product: same products and weights, same reduction
-    preds = np.sum((rho_hat.values * values) * sample.grid.weights, axis=1)
-    if centered:
-        preds = y_mean + preds
+    preds = y_mean + np.sum((rho_hat.values * rows) * rho_hat.grid.weights, axis=1)
     return float(np.sqrt(np.sum((y - preds) ** 2) / (n - d_n)))
 
 
@@ -131,15 +128,10 @@ def sigma_hat(
     sample: CurveMatrix | list[Curve], responses, fit: EstimatorFit
 ) -> float:
     """Residual noise scale with an (n - d_n) degrees-of-freedom correction."""
-    return _residual_sigma(
-        CurveMatrix.of(sample),
-        responses,
-        fit.rho_hat,
-        fit.centered,
-        fit.x_mean,
-        fit.y_mean,
-        fit.d_n,
-    )
+    sample = CurveMatrix.of(sample)
+    ensure_same_grid(fit.rho_hat, sample)
+    rows = sample.values - fit.x_mean.values
+    return _residual_sigma(rows, np.asarray(responses, dtype=float), fit.rho_hat, fit.y_mean, fit.d_n)
 
 
 def fit(
@@ -158,30 +150,35 @@ def fit(
     y = np.asarray(responses, dtype=float)
     if y.ndim != 1 or y.size != n:
         raise ValidationError(f"got {y.size} responses for {n} curves")
+    if not np.all(np.isfinite(y)):
+        raise ValidationError("responses must be finite")
 
     cov = empirical_covariance(sample, center=center)
-    delta = cross_covariance(sample, y, center=center)
+    # the covariance's rows: the sample centered once, or the sample itself
+    rows = cov.samples.values
+    x_mean = Curve(sample.grid, sample.values.mean(axis=0)) if center else Curve.zeros(sample.grid)
+    y_mean = float(y.mean()) if center else 0.0
+    delta = Curve(sample.grid, rows.T @ (y - y_mean) / n)
+
     decomposition = eigendecompose(cov)
-    rinv = regularized_inverse(decomposition, filt)
-    rho = rinv.apply(delta.curve)
+    d = _retained(decomposition, filt)
+    norms = normalizers(decomposition.eigenvalues[:d], filt)
+    norms.filtered.flags.writeable = False
+    # coordinates over every pair, then the retained ones: slicing the
+    # basis first rounds differently
+    coeff = decomposition.coefficients(delta)[:d]
+    rho = Curve(sample.grid, (norms.filtered * coeff) @ decomposition.vectors_matrix[:d])
 
-    if center:
-        x_mean = Curve(sample.grid, sample.values.mean(axis=0))
-        y_mean = float(y.mean())
-    else:
-        x_mean = Curve.zeros(sample.grid)
-        y_mean = 0.0
-
-    if n > rinv.d_n:
-        sigma = _residual_sigma(sample, y, rho, center, x_mean, y_mean, rinv.d_n)
+    if n > d:
+        sigma = _residual_sigma(rows, y, rho, y_mean, d)
     else:
         # retained rank saturates the sample: rho_hat is still defined but
         # the residual scale has no degrees of freedom left
         sigma = float("nan")
     return EstimatorFit(
         rho_hat=rho,
-        d_n=rinv.d_n,
-        s_hat=s_hat(decomposition, filt),
+        filtered_values=norms.filtered,
+        s_hat=norms.s,
         sigma_hat=sigma,
         n=n,
         decomposition=decomposition,
@@ -246,14 +243,13 @@ def prediction_interval(
     if normalizer == "s_hat":
         scale = fit.s_hat
     else:
-        scale = t_hat(fit.decomposition, fit.filter, x)
+        d = fit.d_n
+        norms = normalizers(fit.decomposition.eigenvalues[:d], fit.filter,
+                            fit.decomposition.coefficients(x)[:d], fit.filtered_values)
+        scale = norms.t
         # relative floor: roundoff-sized projections of x onto the retained
         # eigenspace must not masquerade as information
-        d = fit.d_n
-        lam = fit.decomposition.eigenvalues[:d]
-        per_mode = np.sqrt(lam) * filter_values(fit.filter, lam)
-        floor = 1e-12 * norm_of(x) * float(np.max(per_mode))
-        if scale <= floor:
+        if scale <= 1e-12 * norm_of(x) * norms.peak:
             raise DegenerateFitError(
                 "t_hat normalizer is zero: x is orthogonal to the retained eigenspace"
             )
@@ -283,9 +279,7 @@ def fit_to_dict(fit: EstimatorFit) -> dict:
         },
         "rho_hat": fit.rho_hat.values.tolist(),
         "eigenvalues": fit.decomposition.eigenvalues.tolist(),
-        "filtered_values": filter_values(
-            fit.filter, fit.decomposition.eigenvalues[:d]
-        ).tolist(),
+        "filtered_values": fit.filtered_values.tolist(),
         "eigenvectors": fit.decomposition.vectors_matrix[:d].tolist(),
         "centered": fit.centered,
         "x_mean": fit.x_mean.values.tolist(),
@@ -311,13 +305,21 @@ def fit_from_dict(payload: dict) -> EstimatorFit:
         stored_filtered = np.asarray(payload["filtered_values"], dtype=float)
         stored_s_hat = config.value(payload, "s_hat", where, float)
         sigma = payload["sigma_hat"]
-        sigma = float("nan") if sigma is None else config.value(payload, "sigma_hat", where, float)
+        sigma = None if sigma is None else config.value(payload, "sigma_hat", where, float)
         rho_hat = Curve(grid, payload["rho_hat"])
         x_mean = Curve(grid, payload["x_mean"])
         centered = config.value(payload, "centered", where, bool)
         y_mean = config.value(payload, "y_mean", where, float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed fit payload: {exc}") from None
+    if n < 2:
+        raise ValidationError(f"{where}.n must be at least 2, got {n}")
+    if sigma is not None and sigma < 0:
+        raise ValidationError(f"{where}.sigma_hat must be null or nonnegative, got {sigma!r}")
+    if (sigma is None) != (n <= d):
+        raise ValidationError(
+            f"{where}.sigma_hat must be null exactly when n <= d_n (n={n}, d_n={d})"
+        )
     if vectors.shape != (d, len(grid)):
         raise ValidationError(
             f"stored eigenvectors have shape {vectors.shape}, expected "
@@ -330,22 +332,21 @@ def fit_from_dict(payload: dict) -> EstimatorFit:
         eigenvalues=lam_all[:d],
         eigenvectors=CurveMatrix(grid, vectors),
         gaps=spectral_gaps(lam_all)[:d],
-        n=n,
     )
     # written as "<=" so that a NaN anywhere fails the comparison
-    expected = filter_values(filt, decomposition.eigenvalues)
-    if stored_filtered.shape != expected.shape or not np.all(
-        np.abs(stored_filtered - expected) <= PAYLOAD_RTOL * np.abs(expected)
+    expected = normalizers(decomposition.eigenvalues, filt)
+    if stored_filtered.shape != expected.filtered.shape or not np.all(
+        np.abs(stored_filtered - expected.filtered) <= PAYLOAD_RTOL * np.abs(expected.filtered)
     ):
         raise ValidationError("stored filtered values disagree with eigenvalues and filter")
-    expected_s_hat = s_hat(decomposition, filt)
-    if not abs(stored_s_hat - expected_s_hat) <= PAYLOAD_RTOL * expected_s_hat:
+    if not abs(stored_s_hat - expected.s) <= PAYLOAD_RTOL * expected.s:
         raise ValidationError("stored s_hat disagrees with eigenvalues and filter")
+    stored_filtered.flags.writeable = False
     return EstimatorFit(
         rho_hat=rho_hat,
-        d_n=d,
+        filtered_values=stored_filtered,
         s_hat=stored_s_hat,
-        sigma_hat=sigma,
+        sigma_hat=float("nan") if sigma is None else sigma,
         n=n,
         decomposition=decomposition,
         filter=filt,

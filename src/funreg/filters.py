@@ -93,22 +93,6 @@ def filter_values(spec: FilterSpec, x) -> np.ndarray:
     return out
 
 
-def filter_value(spec: FilterSpec, x: float) -> float:
-    """Scalar f_n(x)."""
-    return float(filter_values(spec, np.array([x]))[0])
-
-
-def xf_values(spec: FilterSpec, x) -> np.ndarray:
-    """x * f_n(x), the attenuation profile; identically 1 on the support
-    of the truncation filter (computed exactly, not as x * (1/x))."""
-    x = np.asarray(x, dtype=float)
-    if spec.kind == TRUNCATION:
-        if np.any(x < 0) or not np.all(np.isfinite(x)):
-            raise ValidationError("filter arguments must be finite and nonnegative")
-        return np.where(x >= spec.cn, 1.0, 0.0)
-    return x * filter_values(spec, x)
-
-
 def select_kn(true_eigenvalues, cn: float) -> int:
     """Nonrandom rank: the largest p with lambda_p + delta_p/2 >= cn.
 
@@ -173,7 +157,7 @@ def check_h3(spec: FilterSpec, n: int, upper: float) -> H3Report:
         sup = spec.alpha / (spec.cn**2 + spec.alpha)
     else:
         s = np.linspace(spec.cn, upper, _H3_GRID)
-        sup = float(np.max(np.abs(xf_values(spec, s) - 1.0)))
+        sup = float(np.max(np.abs(s * filter_values(spec, s) - 1.0)))
     return H3Report(
         sup_deviation=float(sup), bound_satisfied_hint=bool(sup * np.sqrt(n) <= 1.0)
     )

@@ -23,8 +23,8 @@ from scipy.special import ndtr
 
 from . import config
 from .errors import DegenerateFitError, ValidationError
-from .estimator import fit, prediction_interval
-from .filters import FilterSpec, select_kn, xf_values, filter_values
+from .estimator import fit, normalizers, prediction_interval
+from .filters import FilterSpec, select_kn
 from .hilbert import (
     Curve,
     CurveMatrix,
@@ -278,16 +278,10 @@ def true_normalizers(
     model: SpectralModel, cn: float, filt: FilterSpec, x: Curve | None = None
 ) -> TrueNormalizers:
     """Nonrandom rank k_n and the population normalizers at that rank."""
-    filt = replace(filt, cn=cn)
     k_n = select_kn(model.lambdas, cn)
-    lam = model.lambdas[:k_n]
-    s_n = float(np.sqrt(np.sum(xf_values(filt, lam) ** 2)))
-    t_n_x = None
-    if x is not None:
-        coeff = model.x_coefficients(x)[:k_n]
-        f = filter_values(filt, lam)
-        t_n_x = float(np.sqrt(np.sum(lam * f**2 * coeff**2)))
-    return TrueNormalizers(k_n=k_n, s_n=s_n, t_n_x=t_n_x)
+    coeffs = None if x is None else model.x_coefficients(x)[:k_n]
+    norms = normalizers(model.lambdas[:k_n], replace(filt, cn=cn), coeffs)
+    return TrueNormalizers(k_n=k_n, s_n=norms.s, t_n_x=norms.t)
 
 
 def truncation_bias(model: SpectralModel, k: int, x: Curve | None = None) -> float:

@@ -102,6 +102,17 @@ class TestFitCommand:
         assert err[0].startswith("error: degenerate: threshold exceeds spectrum")
         assert not out.exists()
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_nonfinite_response_exits_2(self, toy_inputs, tmp_path, capsys, bad):
+        curves, _ = toy_inputs
+        responses = tmp_path / "y.csv"
+        responses.write_text(f"2.0\n{bad}\n")
+        out = tmp_path / "f.json"
+        code = run(["fit", "--curves", curves, "--responses", responses,
+                    "--filter", "truncation", "--cn", "0.1", "--out", out])
+        assert_validation_exit(code, capsys)
+        assert not out.exists()
+
     def test_missing_curves_file_exits_2(self, tmp_path):
         code = run(["fit", "--curves", tmp_path / "none.csv",
                     "--responses", tmp_path / "none2.csv",
@@ -249,6 +260,32 @@ class TestFitFileErrors:
         payload["s_hat"] = 123.0
         capsys.readouterr()
         assert_validation_exit(self.predict_with(payload, x_path, tmp_path), capsys)
+
+    @pytest.mark.parametrize("edit", [
+        {"n": 0},
+        {"n": -3},
+        {"sigma_hat": -1.0},
+        # n = 3 > d_n = 2 needs a noise scale, n = 2 = d_n must not have one
+        {"sigma_hat": None},
+        {"n": 2},
+    ], ids=["n=0", "n=-3", "negative-sigma", "null-sigma", "sigma-without-dof"])
+    def test_out_of_range_fields(self, toy_inputs, tmp_path, capsys, edit):
+        curves, responses = toy_inputs
+        curves.write_text(TOY_CURVES + "1.0,1.0\n")
+        responses.write_text(TOY_RESPONSES + "3.0\n")
+        out = tmp_path / "fit.json"
+        assert run(["fit", "--curves", curves, "--responses", responses,
+                    "--filter", "truncation", "--cn", "0.1", "--no-center",
+                    "--out", out]) == 0
+        payload = json.loads(out.read_text())
+        assert (payload["n"], payload["d_n"]) == (3, 2) and payload["sigma_hat"] > 0
+        x_path = tmp_path / "x.csv"
+        x_path.write_text("0.0,2.0\n2.0,0.0\n")
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(dict(payload, **edit)))
+        capsys.readouterr()
+        code = run(["predict", "--fit", path, "--x", x_path, "--level", "0.9"])
+        assert_validation_exit(code, capsys)
 
     def test_unedited_payload_still_predicts(self, toy_fit, tmp_path, capsys):
         payload, x_path = toy_fit

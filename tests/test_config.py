@@ -18,6 +18,12 @@ class TestValue:
         with pytest.raises(ValidationError, match=r"cfg\.k must be"):
             config.value({"k": raw}, "k", "cfg", typ)
 
+    @pytest.mark.parametrize("raw", ["1.5", float("nan"), float("inf"), True])
+    def test_number_message_wording(self, raw):
+        with pytest.raises(ValidationError) as info:
+            config.value({"k": raw}, "k", "cfg", float)
+        assert str(info.value) == f"cfg.k must be a finite number, got {raw!r}"
+
     @pytest.mark.parametrize("typ,raw,expected", [
         (int, 3, 3), (float, 3, 3.0), (float, -0.5, -0.5),
         (bool, False, False), (str, "power", "power"),

@@ -7,13 +7,12 @@ from funreg.covariance import (
     EIGENVALUE_CLAMP,
     CovarianceOperator,
     SpectralDecomposition,
-    cross_covariance,
     eigendecompose,
     empirical_covariance,
     spectral_gaps,
 )
 from funreg.errors import DegenerateFitError, ValidationError
-from funreg.estimator import regularized_inverse, s_hat, t_hat
+from funreg.estimator import fit, normalizers, s_hat, t_hat
 from funreg.filters import FilterSpec, effective_rank
 from funreg.hilbert import (
     Curve,
@@ -39,6 +38,11 @@ def random_sample(n, p, seed=0, grid=None):
     g = grid or make_trapezoid_grid(0.0, 1.0, p)
     rng = np.random.default_rng(seed)
     return g, [Curve(g, rng.standard_normal(p)) for _ in range(n)]
+
+
+def operator_action(op, h):
+    """(Ah)(t_i) = sum_j w_j K(t_i, t_j) h(t_j) from the kernel."""
+    return Curve(op.grid, op.kernel @ (op.grid.weights * h.values))
 
 
 def sorted_clamped_eigh(sym):
@@ -97,7 +101,7 @@ class TestEmpiricalCovariance:
         rng = np.random.default_rng(7)
         for _ in range(5):
             h = Curve(g, rng.standard_normal(9))
-            assert inner_product(op.apply(h), h) >= -1e-12
+            assert inner_product(operator_action(op, h), h) >= -1e-12
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ValidationError):
@@ -123,36 +127,42 @@ class TestEmpiricalCovariance:
 
 
 class TestCrossCovariance:
+    """Delta_n = (1/n) sum_i Y_i X_i, seen through the fit it feeds: with
+    every eigenvalue retained by truncation, K rho_hat = Delta_n."""
+
+    FULL_RANK = FilterSpec("truncation", 1e-9)
+
     def test_zero_responses(self):
         _, sample = toy_sample()
-        delta = cross_covariance(sample, [0.0, 0.0], center=False)
-        assert np.all(delta.curve.values == 0)
+        ft = fit(sample, [0.0, 0.0], self.FULL_RANK, center=False)
+        assert np.all(ft.rho_hat.values == 0)
 
     def test_hand_example(self):
         _, sample = toy_sample()
-        delta = cross_covariance(sample, [2.0, 1.0], center=False)
-        assert np.allclose(delta.curve.values, [2.0, 0.5])
+        ft = fit(sample, [2.0, 1.0], self.FULL_RANK, center=False)
+        op = empirical_covariance(sample, center=False)
+        assert np.allclose(operator_action(op, ft.rho_hat).values, [2.0, 0.5])
 
     def test_noiseless_identity_with_kernel(self):
         g, sample = random_sample(8, 6, seed=11)
         rho = Curve(g, np.linspace(-1, 2, 6))
         y = [inner_product(rho, x) for x in sample]
-        op = empirical_covariance(sample, center=False)
-        delta = cross_covariance(sample, y, center=False)
-        assert np.allclose(delta.curve.values, op.apply(rho).values, atol=1e-10)
+        ft = fit(sample, y, self.FULL_RANK, center=False)
+        assert ft.d_n == 6
+        assert np.allclose(ft.rho_hat.values, rho.values, atol=1e-8)
 
     def test_length_mismatch(self):
         _, sample = toy_sample()
         with pytest.raises(ValidationError):
-            cross_covariance(sample, [1.0])
+            fit(sample, [1.0], self.FULL_RANK)
 
     def test_lies_in_sample_span(self):
         g, sample = random_sample(3, 8, seed=5)
         y = [1.0, -2.0, 0.5]
-        delta = cross_covariance(sample, y, center=False)
+        rho_hat = fit(sample, y, self.FULL_RANK, center=False).rho_hat.values
         basis = np.stack([c.values for c in sample])
-        _, residual, *_ = np.linalg.lstsq(basis.T, delta.curve.values, rcond=None)
-        assert residual.size == 0 or residual[0] < 1e-18
+        _, residual, *_ = np.linalg.lstsq(basis.T, rho_hat, rcond=None)
+        assert residual.size == 0 or residual[0] < 1e-18 * np.sum(rho_hat**2)
 
 
 class TestEigendecompose:
@@ -180,7 +190,8 @@ class TestEigendecompose:
         rng = np.random.default_rng(4)
         for _ in range(4):
             h = Curve(g, rng.standard_normal(6))
-            assert norm(dec.apply(h) - op.apply(h)) < 1e-8
+            action = (dec.eigenvalues * dec.coefficients(h)) @ dec.vectors_matrix
+            assert norm(Curve(g, action) - operator_action(op, h)) < 1e-8
 
     def test_orthonormal_under_weighted_product(self):
         g, sample = random_sample(10, 7, seed=9)
@@ -198,7 +209,7 @@ class TestEigendecompose:
         op = empirical_covariance(sample)
         dec = eigendecompose(op)
         for lam, e in zip(dec.eigenvalues, dec.eigenvectors):
-            assert norm(op.apply(e) - lam * e) < 1e-8
+            assert norm(operator_action(op, e) - lam * e) < 1e-8
 
     def test_matches_dense_generalized_solve(self):
         # oracle: eigenvalues of the non-symmetric matrix K W solved densely
@@ -257,8 +268,8 @@ class TestEigendecompose:
                 empirical_covariance(matrix, center=center).kernel,
             )
             assert np.array_equal(
-                cross_covariance(sample, y, center=center).curve.values,
-                cross_covariance(matrix, y, center=center).curve.values,
+                fit(sample, y, FilterSpec("truncation", 1e-9), center=center).rho_hat.values,
+                fit(matrix, y, FilterSpec("truncation", 1e-9), center=center).rho_hat.values,
             )
 
     def test_gaps_follow_min_of_neighbors(self):
@@ -369,7 +380,7 @@ class TestGramRoute:
 
         lam, vec = dense_solve(op)
         dense = SpectralDecomposition(op.grid, lam, CurveMatrix(op.grid, per_column_vectors(
-            lam, vec, op.grid.weights)), spectral_gaps(lam), op.n)
+            lam, vec, op.grid.weights)), spectral_gaps(lam))
         assert np.count_nonzero(dense.eigenvalues > 0) == levels.size
         for dec in (gram, dense):
             d = effective_rank(dec, filt.cn)
@@ -383,9 +394,16 @@ class TestGramRoute:
         e_dense = dense.vectors_matrix[:d]
         assert_rel(e_gram.T @ e_gram, e_dense.T @ e_dense)
 
-        delta = cross_covariance(sample, y, center=False).curve
-        assert_rel(regularized_inverse(gram, filt).apply(delta).values,
-                   regularized_inverse(dense, filt).apply(delta).values)
+        # the filtered inverse of each solve applied to Delta_n
+        delta = Curve(op.grid, sample.values.T @ y / op.n)
+        rho = []
+        for dec in (gram, dense):
+            f = normalizers(dec.eigenvalues[:d], filt).filtered
+            rho.append((f * dec.coefficients(delta)[:d]) @ dec.vectors_matrix[:d])
+        assert_rel(rho[0], rho[1])
+        if op.n >= 2:
+            # fit takes the Gram route to the same estimate
+            assert np.array_equal(fit(sample, y, filt, center=False).rho_hat.values, rho[0])
         assert_rel(s_hat(gram, filt), s_hat(dense, filt))
         assert_rel(t_hat(gram, filt, x), t_hat(dense, filt, x))
 

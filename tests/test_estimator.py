@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from funreg.covariance import eigendecompose, empirical_covariance, cross_covariance
+from funreg import estimator
+from funreg.covariance import eigendecompose, empirical_covariance
 from funreg.errors import DegenerateFitError, GridMismatchError, ValidationError
 from funreg.estimator import (
     fit,
@@ -11,15 +12,15 @@ from funreg.estimator import (
     fit_to_dict,
     load_fit,
     normal_quantile,
+    normalizers,
     predict,
     prediction_interval,
-    regularized_inverse,
     s_hat,
     save_fit,
     sigma_hat,
     t_hat,
 )
-from funreg.filters import FilterSpec
+from funreg.filters import FilterSpec, filter_values
 from funreg.hilbert import Curve, CurveMatrix, Grid, inner_product, make_trapezoid_grid, norm
 
 
@@ -41,36 +42,39 @@ def gaussian_sample(n, p, seed=0):
 
 
 class TestRegularizedInverse:
+    """The filtered inverse rho_hat = sum_j f(lam_j) <Delta_n, e_j> e_j, seen
+    through fit."""
+
     def test_truncation_reciprocals_on_diagonal_spectrum(self):
-        _, sample = toy_fit()[0], None
-        g = unit_weight_grid()
-        sample = [Curve(g, [2.0, 0.0]), Curve(g, [0.0, 1.0])]
-        dec = eigendecompose(empirical_covariance(sample, center=False))
-        rinv = regularized_inverse(dec, FilterSpec("truncation", 0.1))
-        assert np.allclose(rinv.filtered_values, [0.5, 2.0])
-        for lam, f, e in zip(dec.eigenvalues, rinv.filtered_values, dec.eigenvectors):
-            assert norm(rinv.apply(e) - f * e) < 1e-8
+        sample, ft = toy_fit()
+        dec = ft.decomposition
+        assert np.allclose(ft.filtered_values, [0.5, 2.0])
+        # Delta_n = (1/n) sum_i Y_i X_i = (2, 0.5)
+        delta = Curve(ft.grid, [2.0, 0.5])
+        for f, e in zip(ft.filtered_values, dec.eigenvectors):
+            assert inner_product(ft.rho_hat, e) == pytest.approx(f * inner_product(delta, e))
 
     def test_ridge_coefficient(self):
         g = make_trapezoid_grid(0.0, 1.0, 8)
         rng = np.random.default_rng(1)
         u = Curve(g, rng.standard_normal(8))
         u = u * (1.0 / norm(u))
-        dec = eigendecompose(empirical_covariance([u], center=False))
-        rinv = regularized_inverse(dec, FilterSpec("ridge", 0.1, alpha=0.5))
-        assert rinv.filtered_values[0] == pytest.approx(1 / 1.5, rel=1e-10)
+        ft = fit([u, u], [1.0, 1.0], FilterSpec("ridge", 0.1, alpha=0.5), center=False)
+        assert ft.d_n == 1
+        assert ft.filtered_values[0] == pytest.approx(1 / 1.5, rel=1e-10)
 
     def test_rank_zero_is_an_error(self):
         g, sample, _ = gaussian_sample(5, 6, seed=4)
         dec = eigendecompose(empirical_covariance(sample))
         with pytest.raises(DegenerateFitError):
-            regularized_inverse(dec, FilterSpec("truncation", dec.eigenvalues[0] * 2))
+            fit(sample, np.ones(5), FilterSpec("truncation", dec.eigenvalues[0] * 2))
 
     def test_rank_matches_effective_rank(self):
         g, sample, _ = gaussian_sample(12, 6, seed=5)
         dec = eigendecompose(empirical_covariance(sample))
-        rinv = regularized_inverse(dec, FilterSpec("truncation", dec.eigenvalues[2]))
-        assert rinv.d_n == 3
+        ft = fit(sample, np.ones(12), FilterSpec("truncation", dec.eigenvalues[2]))
+        assert ft.d_n == 3
+        assert ft.filtered_values.size == 3
 
 
 class TestFit:
@@ -113,6 +117,24 @@ class TestFit:
         g, sample, _ = gaussian_sample(6, 5, seed=2)
         with pytest.raises(ValidationError):
             fit(sample, [1.0] * 5, FilterSpec("truncation", 1e-6))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_responses_rejected(self, bad):
+        g, sample, _ = gaussian_sample(6, 5, seed=2)
+        y = np.ones(6)
+        y[3] = bad
+        for center in (True, False):
+            with pytest.raises(ValidationError, match="responses must be finite"):
+                fit(sample, y, FilterSpec("truncation", 1e-6), center=center)
+
+    def test_filtered_values_are_kept_on_the_fit(self):
+        g, sample, rng = gaussian_sample(30, 8, seed=6)
+        spec = FilterSpec("tikhonov", 1e-3, alpha=0.01)
+        ft = fit(sample, rng.standard_normal(30), spec)
+        lam = ft.decomposition.eigenvalues[: ft.d_n]
+        assert np.array_equal(ft.filtered_values, filter_values(spec, lam))
+        assert not ft.filtered_values.flags.writeable
+        assert fit_to_dict(ft)["filtered_values"] == ft.filtered_values.tolist()
 
     def test_saturated_fit_has_undefined_sigma(self):
         _, ft = toy_fit()
@@ -209,6 +231,59 @@ class TestNormalizers:
         x = dec.eigenvectors[0] + dec.eigenvectors[1]
         spec = FilterSpec("truncation", 0.01)
         assert t_hat(dec, spec, x) == pytest.approx(2.2360, abs=1e-4)
+
+
+class TestNormalizerKernel:
+    SPECS = (
+        FilterSpec("truncation", 0.05),
+        FilterSpec("ridge", 0.05, alpha=0.1),
+        FilterSpec("tikhonov", 0.05, alpha=0.01),
+        FilterSpec("generalized", 0.05, alpha=0.02, p=2, variant="A"),
+    )
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
+    def test_sums_match_their_formulas(self, spec):
+        lam = np.array([1.0, 0.4, 0.3, 0.05])
+        c = np.array([0.5, -1.0, 2.0, 0.25])
+        out = normalizers(lam, spec, c)
+        f = filter_values(spec, lam)
+        assert np.array_equal(out.filtered, f)
+        assert out.s == pytest.approx(np.sqrt(np.sum((lam * f) ** 2)), rel=1e-14)
+        assert out.t == pytest.approx(np.sqrt(np.sum(lam * f**2 * c**2)), rel=1e-14)
+        assert out.peak == np.max(np.sqrt(lam) * f)
+        assert normalizers(lam, spec).t is None
+
+    def test_truncation_s_is_exactly_sqrt_rank(self):
+        lam = np.array([0.9, 0.7, 0.3, 0.3, 0.11])
+        assert normalizers(lam, FilterSpec("truncation", 0.1)).s == np.sqrt(5)
+        # an eigenvalue below cn contributes nothing
+        assert normalizers(lam, FilterSpec("truncation", 0.2)).s == 2.0
+
+    def test_held_values_skip_the_filter(self, monkeypatch):
+        lam = np.array([1.0, 0.5, 0.2])
+        c = np.array([1.0, 2.0, 3.0])
+        spec = FilterSpec("ridge", 0.1, alpha=0.05)
+        fresh = normalizers(lam, spec, c)
+
+        def unexpected(*args):
+            raise AssertionError("filter_values called with the values in hand")
+
+        monkeypatch.setattr(estimator, "filter_values", unexpected)
+        held = normalizers(lam, spec, c, fresh.filtered)
+        assert held.filtered is fresh.filtered
+        assert (held.s, held.t, held.peak) == (fresh.s, fresh.t, fresh.peak)
+
+    def test_interval_reuses_the_fit_values(self, monkeypatch):
+        g, sample, rng = gaussian_sample(40, 8, seed=9)
+        ft = fit(sample, rng.standard_normal(40), FilterSpec("tikhonov", 1e-3, alpha=0.01))
+        expected = prediction_interval(ft, sample[0], 0.9, "t_hat")
+
+        def unexpected(*args):
+            raise AssertionError("filter_values called after the fit")
+
+        monkeypatch.setattr(estimator, "filter_values", unexpected)
+        assert prediction_interval(ft, sample[0], 0.9, "t_hat") == expected
+        assert prediction_interval(ft, sample[0], 0.9, "s_hat").normalizer == ft.s_hat
 
 
 class TestSigmaHat:
@@ -440,7 +515,7 @@ class TestDenseOracles:
         sample = [Curve(g, rng.standard_normal(p)) for _ in range(n)]
         y = rng.standard_normal(n)
         K = empirical_covariance(sample, center=False).kernel
-        delta = cross_covariance(sample, y, center=False).curve.values
+        delta = np.stack([c.values for c in sample]).T @ y / n
         return g, sample, y, K, delta
 
     def test_ridge_matches_dense_weighted_solve(self):
@@ -504,6 +579,9 @@ class TestSerialization:
             ("eigenvectors", [row[:-1] for row in payload["eigenvectors"]]),
             ("eigenvalues", payload["eigenvalues"][: ft.d_n - 1]),
             ("n", 12.5),
+            ("n", 1),
+            ("sigma_hat", -ft.sigma_hat),
+            ("sigma_hat", None),
             ("d_n", True),
             ("centered", "false"),
         ):

@@ -10,12 +10,16 @@ from funreg.filters import (
     effective_rank,
     filter_from_config,
     filter_to_config,
-    filter_value,
     filter_values,
     select_kn,
-    xf_values,
 )
+from funreg.estimator import normalizers
 from funreg.hilbert import Curve, make_trapezoid_grid
+
+
+def filter_at(spec, x):
+    """f_n at one argument."""
+    return float(filter_values(spec, [x])[0])
 
 
 class FakeDecomposition:
@@ -57,32 +61,32 @@ class TestFilterSpecValidation:
 
 class TestFilterValue:
     def test_truncation_above_threshold(self):
-        assert filter_value(FilterSpec("truncation", 0.3), 0.5) == pytest.approx(2.0)
+        assert filter_at(FilterSpec("truncation", 0.3), 0.5) == pytest.approx(2.0)
 
     def test_truncation_below_threshold(self):
-        assert filter_value(FilterSpec("truncation", 0.3), 0.2) == 0.0
+        assert filter_at(FilterSpec("truncation", 0.3), 0.2) == 0.0
 
     def test_tikhonov(self):
-        assert filter_value(
+        assert filter_at(
             FilterSpec("tikhonov", 0.05, alpha=0.01), 0.1
         ) == pytest.approx(5.0)
 
     def test_ridge(self):
-        assert filter_value(FilterSpec("ridge", 0.2, alpha=0.1), 0.4) == pytest.approx(2.0)
+        assert filter_at(FilterSpec("ridge", 0.2, alpha=0.1), 0.4) == pytest.approx(2.0)
 
     def test_generalized_variants(self):
         a = FilterSpec("generalized", 0.1, alpha=0.5, p=2, variant="A")
         b = FilterSpec("generalized", 0.1, alpha=0.5, p=2, variant="B")
         x = 0.7
-        assert filter_value(a, x) == pytest.approx(x**2 / (x + 0.5) ** 3)
-        assert filter_value(b, x) == pytest.approx(x**2 / (x**3 + 0.5))
+        assert filter_at(a, x) == pytest.approx(x**2 / (x + 0.5) ** 3)
+        assert filter_at(b, x) == pytest.approx(x**2 / (x**3 + 0.5))
 
     def test_boundary_value_included(self):
-        assert filter_value(FilterSpec("truncation", 0.3), 0.3) == pytest.approx(1 / 0.3)
+        assert filter_at(FilterSpec("truncation", 0.3), 0.3) == pytest.approx(1 / 0.3)
 
     def test_negative_argument_rejected(self):
         with pytest.raises(ValidationError):
-            filter_value(FilterSpec("truncation", 0.3), -0.1)
+            filter_at(FilterSpec("truncation", 0.3), -0.1)
 
 
 class TestFilterProperties:
@@ -112,14 +116,16 @@ class TestFilterProperties:
     def test_continuous_on_open_support(self, spec):
         xs = np.linspace(spec.cn + 1e-9, 2.0, 1000)
         vals = filter_values(spec, xs)
-        assert np.abs(np.diff(vals)).max() < filter_value(spec, spec.cn) * 0.05
+        assert np.abs(np.diff(vals)).max() < filter_at(spec, spec.cn) * 0.05
 
     def test_attenuation_in_unit_interval(self):
         xs = np.linspace(0.31, 3.0, 100)
         for spec in self.SPECS[1:3]:
-            xf = xf_values(spec, xs)
+            xf = xs * filter_values(spec, xs)
             assert np.all(xf > 0) and np.all(xf <= 1.0)
-        assert np.all(xf_values(self.SPECS[0], xs) == 1.0)
+        # truncation's x f(x) is exactly 1 on its support, so the
+        # normalizer kernel's s is exactly sqrt(count)
+        assert normalizers(xs, self.SPECS[0]).s == np.sqrt(xs.size)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -128,7 +134,7 @@ class TestFilterProperties:
     )
     def test_ridge_converges_to_truncation(self, alpha, x):
         ridge = FilterSpec("ridge", 0.3, alpha=alpha)
-        assert abs(filter_value(ridge, x) - 1.0 / x) <= alpha / x**2 + 1e-15
+        assert abs(filter_at(ridge, x) - 1.0 / x) <= alpha / x**2 + 1e-15
 
 
 class TestSelectKn:

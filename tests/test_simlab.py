@@ -501,6 +501,23 @@ class TestFixedXExperiment:
         assert rep.n_failed == 5
         assert rep.empirical_coverage == 0.0
 
+    def test_t_hat_coverage_is_near_nominal(self):
+        # the paper's fixed-x CLT: lam_j = j^-2, a finite rho inside the
+        # retained rank 3, so the truncation bias is zero by construction
+        m = SpectralModel(
+            make_trapezoid_grid(0, 1, 21), EigenDecay.power(1.0),
+            CoeffRule.finite([1.0, 0.5, 0.25]), noise_sd=0.5, L=10,
+        )
+        x = m.basis_curves[1]
+        cn = rank_threshold(m.lambdas, 3)
+        assert truncation_bias(m, 3, x) == 0.0
+        level, replicates = 0.95, 1000
+        rep = fixed_x_experiment(m, x, n=200, cn=cn, filt=FilterSpec("truncation", cn),
+                                 level=level, replicates=replicates, seed=1)
+        assert rep.n_failed == 0
+        se = np.sqrt(level * (1 - level) / replicates)
+        assert abs(rep.empirical_coverage - level) <= 3 * se
+
     def test_t_hat_stabilizes_for_smooth_x(self):
         m = SpectralModel(
             make_trapezoid_grid(0, 1, 101), EigenDecay.power(1.0),
@@ -557,15 +574,17 @@ class TestFailedRowsKeepRank:
 
 class TestFixedXNormalizer:
     def test_t_hat_computed_once_per_replicate(self, monkeypatch):
+        # t_hat is the normalizer kernel's sum over the coordinates of x
         calls = []
-        original = estimator.t_hat
+        original = estimator.normalizers
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+        def counted(lam, filt, coeffs=None, filtered=None):
+            if coeffs is not None:
+                calls.append(1)
+            return original(lam, filt, coeffs, filtered)
 
-        monkeypatch.setattr(estimator, "t_hat", counted)
-        monkeypatch.setattr(simlab, "t_hat", counted, raising=False)
+        monkeypatch.setattr(estimator, "normalizers", counted)
+        monkeypatch.setattr(simlab, "normalizers", counted)
         m = smooth_model(L=10, p=31)
         rep = fixed_x_experiment(m, m.basis_curves[1], n=60, cn=rank_threshold(m.lambdas, 3),
                                  filt=TRUNC, level=0.9, replicates=4, seed=5)
