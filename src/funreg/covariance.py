@@ -3,21 +3,26 @@
 The operator acts on a curve h as (Ah)(t_i) = sum_j w_j K(t_i, t_j) h(t_j),
 i.e. K W in raw coordinates, with K = X'X / n for the n sample rows X.
 ``empirical_covariance`` centers the rows when asked, once, and keeps
-them: ``estimator.fit`` reads the same rows for the cross-covariance and
-the residuals, and an uncentered sample is used as it is, uncopied.
-The eigenproblem is solved in the symmetric coordinates Z = X W^{1/2},
-on the matrix chosen by shape alone:
+them and the mean it subtracted: ``estimator.fit`` reads the same rows
+for the cross-covariance and the residuals, and an uncentered sample is
+used as it is, uncopied. The eigenproblem is solved in the symmetric
+coordinates Z = X W^{1/2}, on the matrix chosen by shape alone:
 
-* n >= p: the p x p matrix S = W^{1/2} K W^{1/2} = Z'Z / n, every pair;
+* n >= p: the p x p matrix S = W^{1/2} K W^{1/2} = Z'Z / n, every eigenvalue;
 * n < p: the n x n Gram matrix Z Z' / n, whose eigenvectors v map back
   as Z' v / sqrt(n lam). Only the pairs with a positive eigenvalue after
   the clamp are kept (at most n, the sample rank): the null space of K
   is never computed, and the p x p kernel is never built.
 
+Every eigenvalue of the solve is kept, but given a threshold cn the
+eigenvectors are mapped back, renormalized and sign-fixed only for the
+leading pairs a fit reads: those at or above cn, or a caller's minimum
+count of leading pairs when that is more.
+
 Samples enter as a ``CurveMatrix``; a list of curves is stacked once by
 ``CurveMatrix.of``, which also checks that they share one grid. The
-eigenvectors of a decomposition are one ``CurveMatrix`` with a row per
-eigenvalue.
+eigenvectors of a decomposition are one ``CurveMatrix`` holding a
+leading prefix of the pairs, one row per pair.
 """
 
 from __future__ import annotations
@@ -39,10 +44,12 @@ class CovarianceOperator:
     """Empirical second-moment operator with kernel K = X'X / n.
 
     ``samples`` holds the n rows X (already centered when the operator
-    was built with centering); the p x p kernel is formed only when read.
+    was built with centering, and ``mean`` is then the curve subtracted);
+    the p x p kernel is formed only when read.
     """
 
     samples: CurveMatrix
+    mean: Curve | None = None
 
     def __post_init__(self):
         if not isinstance(self.samples, CurveMatrix):
@@ -71,27 +78,34 @@ def empirical_covariance(
 ) -> CovarianceOperator:
     """Operator with kernel K[i, j] = (1/n) sum_k X_k(t_i) X_k(t_j).
 
-    With center=True the sample mean curve is subtracted first; disable
-    for synthetic data that is centered by construction.
+    With center=True the sample mean curve is subtracted first and kept
+    as the operator's ``mean``; disable for synthetic data that is
+    centered by construction.
     """
     sample = CurveMatrix.of(sample)
-    if center:
-        sample = CurveMatrix(sample.grid, sample.values - sample.values.mean(axis=0))
-    return CovarianceOperator(sample)
+    if not center:
+        return CovarianceOperator(sample)
+    mean = sample.values.mean(axis=0)
+    # a fresh read-only array is held by the matrix as it is, not copied
+    rows = sample.values - mean
+    rows.flags.writeable = False
+    return CovarianceOperator(CurveMatrix(sample.grid, rows), Curve(sample.grid, mean))
 
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Sorted eigenpairs of the weighted covariance operator.
+    """The full spectrum of the weighted covariance operator and a leading
+    prefix of its eigenvectors.
 
-    Eigenvalues are descending. When n >= p there are p pairs, with the
-    finite-rank tail clamped to exact zeros; when n < p only the pairs
-    with a positive eigenvalue are held (the sample rank, at most n) and
-    the null space is omitted. Every caller reads only positive pairs, so
-    the two forms agree. Eigenvectors are the rows of one matrix,
-    orthonormal under the quadrature product with a deterministic sign
-    convention. ``gaps`` holds the min-of-neighbors differences (the
-    trailing entry uses the implicit next eigenvalue 0).
+    Eigenvalues are descending. When n >= p there are p of them, with the
+    finite-rank tail clamped to exact zeros; when n < p only the positive
+    ones are held (the sample rank, at most n) and the null space is
+    omitted. Every caller reads only positive pairs, so the two forms
+    agree. ``eigenvectors`` holds the vectors of the first m pairs as the
+    rows of one matrix (1 <= m <= the number of eigenvalues), orthonormal
+    under the quadrature product with a deterministic sign convention.
+    ``gaps`` holds the min-of-neighbors differences of every eigenvalue
+    (the trailing entry uses the implicit next eigenvalue 0).
     """
 
     grid: Grid
@@ -104,8 +118,8 @@ class SpectralDecomposition:
             arr = np.array(getattr(self, name), dtype=float)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        if self.eigenvalues.size != len(self.eigenvectors):
-            raise ValidationError("one eigenvector per eigenvalue required")
+        if len(self.eigenvectors) > self.eigenvalues.size:
+            raise ValidationError("more eigenvectors than eigenvalues")
         ensure_same_grid(self.eigenvectors, self)
 
     @property
@@ -114,7 +128,7 @@ class SpectralDecomposition:
         return self.eigenvectors.values
 
     def coefficients(self, h: Curve) -> np.ndarray:
-        """Coordinates <h, e_j> of a curve in the eigenbasis."""
+        """Coordinates <h, e_j> of a curve on the m held eigenvectors."""
         ensure_same_grid(self, h)
         return self.vectors_matrix @ (self.grid.weights * h.values)
 
@@ -130,12 +144,19 @@ def spectral_gaps(lam: np.ndarray) -> np.ndarray:
     return gaps
 
 
-def eigendecompose(op: CovarianceOperator) -> SpectralDecomposition:
+def eigendecompose(
+    op: CovarianceOperator, cn: float | None = None, *, min_pairs: int = 0
+) -> SpectralDecomposition:
     """Eigensystem of h -> sum_j w_j K(., t_j) h(t_j) under the weighted product.
 
     Solved on the p x p matrix when n >= p and on the n x n Gram matrix
     when n < p (see the module docstring); the latter keeps only the
     positive eigenvalues and raises DegenerateFitError when there is none.
+    Without ``cn`` every held eigenvalue gets its vector. With ``cn``,
+    only the leading pairs whose eigenvalue is positive and at least cn
+    (boundary inclusive) get one, or the first ``min_pairs`` positive
+    pairs when that is more; DegenerateFitError is raised when that
+    leaves none.
     """
     w = op.grid.weights
     sqrt_w = np.sqrt(w)
@@ -152,17 +173,23 @@ def eigendecompose(op: CovarianceOperator) -> SpectralDecomposition:
         raise ValidationError(f"eigensolver failed: {exc}") from None
     order = np.argsort(lam)[::-1]
     lam = lam[order]
-    vec = vec[:, order]
-
     lam = np.where(lam < EIGENVALUE_CLAMP * max(lam[0], 0.0), 0.0, lam)
 
+    # descending and clamped, so the positive values are a prefix
+    rank = int(np.count_nonzero(lam > 0))
     if gram_route:
-        # descending and clamped, so the positive values are a prefix
-        rank = int(np.count_nonzero(lam > 0))
         if rank == 0:
             raise DegenerateFitError("threshold exceeds spectrum: the sample spectrum is zero")
         lam = lam[:rank]
-        vec = z.T @ vec[:, :rank] / np.sqrt(op.n * lam)
+    if cn is None:
+        held = lam.size
+    else:
+        held = max(int(np.count_nonzero(lam[:rank] >= cn)), min(min_pairs, rank))
+        if held == 0:
+            raise DegenerateFitError("threshold exceeds spectrum: no eigenvalue retained")
+    vec = vec[:, order[:held]]
+    if gram_route:
+        vec = z.T @ vec / np.sqrt(op.n * lam[:held])
 
     # rows are eigenvectors in raw coordinates; C order keeps each row's
     # sum the same pairwise reduction as the sum over a single curve
@@ -170,8 +197,9 @@ def eigendecompose(op: CovarianceOperator) -> SpectralDecomposition:
     # renormalize under the quadrature product and fix the sign so that
     # each row's largest-magnitude entry is positive
     u = u / np.sqrt(np.sum(u * u * w, axis=1))[:, None]
-    peak = u[np.arange(lam.size), np.argmax(np.abs(u), axis=1)]
+    peak = u[np.arange(held), np.argmax(np.abs(u), axis=1)]
     u[peak < 0] *= -1
+    u.flags.writeable = False
 
     return SpectralDecomposition(
         grid=op.grid,

@@ -78,6 +78,11 @@ def s_hat(decomposition: SpectralDecomposition, filt: FilterSpec) -> float:
 def t_hat(decomposition: SpectralDecomposition, filt: FilterSpec, x: Curve) -> float:
     """Fixed-point normalizer sqrt(sum_j lam_j f(lam_j)^2 <x, e_j>^2)."""
     d = _retained(decomposition, filt)
+    if len(decomposition.eigenvectors) < d:
+        raise ValidationError(
+            f"the threshold retains {d} pairs but the decomposition holds "
+            f"{len(decomposition.eigenvectors)} eigenvectors"
+        )
     return normalizers(decomposition.eigenvalues[:d], filt, decomposition.coefficients(x)[:d]).t
 
 
@@ -119,8 +124,11 @@ def _residual_sigma(rows: np.ndarray, y: np.ndarray, rho_hat: Curve, y_mean, d_n
     n = rows.shape[0]
     if n <= d_n:
         raise DegenerateFitError(f"degrees of freedom exhausted: n={n} <= d_n={d_n}")
-    # row-wise inner_product: same products and weights, same reduction
-    preds = y_mean + np.sum((rho_hat.values * rows) * rho_hat.grid.weights, axis=1)
+    # row-wise inner_product: same products and weights, same reduction;
+    # the weights multiply in place, so one (n, p) temporary is live
+    prod = rho_hat.values * rows
+    prod *= rho_hat.grid.weights
+    preds = y_mean + np.sum(prod, axis=1)
     return float(np.sqrt(np.sum((y - preds) ** 2) / (n - d_n)))
 
 
@@ -135,13 +143,20 @@ def sigma_hat(
 
 
 def fit(
-    sample: CurveMatrix | list[Curve], responses, filt: FilterSpec, center: bool = True
+    sample: CurveMatrix | list[Curve],
+    responses,
+    filt: FilterSpec,
+    center: bool = True,
+    *,
+    min_pairs: int = 0,
 ) -> EstimatorFit:
     """Fit the regularized functional regression on (sample, responses).
 
     Centering (the default) subtracts the empirical means from both the
     curves and the responses before forming the moment equation; disable
-    it for data that is centered by construction.
+    it for data that is centered by construction. The fit's decomposition
+    holds every eigenvalue and the eigenvectors of the d_n retained pairs,
+    or of the first ``min_pairs`` positive pairs when that is more.
     """
     sample = CurveMatrix.of(sample)
     n = len(sample)
@@ -156,16 +171,15 @@ def fit(
     cov = empirical_covariance(sample, center=center)
     # the covariance's rows: the sample centered once, or the sample itself
     rows = cov.samples.values
-    x_mean = Curve(sample.grid, sample.values.mean(axis=0)) if center else Curve.zeros(sample.grid)
+    x_mean = cov.mean if center else Curve.zeros(sample.grid)
     y_mean = float(y.mean()) if center else 0.0
     delta = Curve(sample.grid, rows.T @ (y - y_mean) / n)
 
-    decomposition = eigendecompose(cov)
+    decomposition = eigendecompose(cov, filt.cn, min_pairs=min_pairs)
     d = _retained(decomposition, filt)
     norms = normalizers(decomposition.eigenvalues[:d], filt)
     norms.filtered.flags.writeable = False
-    # coordinates over every pair, then the retained ones: slicing the
-    # basis first rounds differently
+    # coordinates over every held pair, then the retained ones
     coeff = decomposition.coefficients(delta)[:d]
     rho = Curve(sample.grid, (norms.filtered * coeff) @ decomposition.vectors_matrix[:d])
 
@@ -288,11 +302,14 @@ def fit_to_dict(fit: EstimatorFit) -> dict:
 
 
 def fit_from_dict(payload: dict) -> EstimatorFit:
-    """Rebuild a fit from fit_to_dict output (retained eigenpairs only).
+    """Rebuild a fit from fit_to_dict output.
 
-    The eigenvectors must form a (d_n, p) matrix, and the stored filtered
-    values and s_hat must agree with the retained eigenvalues and filter.
-    Scalar fields are read with the config module's exact JSON types.
+    The decomposition holds every stored eigenvalue and the d_n stored
+    eigenvectors, the same form as a fresh fit's. The eigenvectors must
+    form a (d_n, p) matrix, the eigenvalues must retain exactly d_n pairs
+    at the filter's threshold, and the stored filtered values and s_hat
+    must agree with the retained eigenvalues and filter. Scalar fields
+    are read with the config module's exact JSON types.
     """
     where = "fit payload"
     try:
@@ -329,12 +346,17 @@ def fit_from_dict(payload: dict) -> EstimatorFit:
         raise ValidationError("stored eigenvalues do not cover the d_n retained pairs")
     decomposition = SpectralDecomposition(
         grid=grid,
-        eigenvalues=lam_all[:d],
+        eigenvalues=lam_all,
         eigenvectors=CurveMatrix(grid, vectors),
-        gaps=spectral_gaps(lam_all)[:d],
+        gaps=spectral_gaps(lam_all),
     )
+    retained = effective_rank(decomposition, filt.cn)
+    if retained != d:
+        raise ValidationError(
+            f"stored eigenvalues retain {retained} pairs at the threshold, but d_n = {d}"
+        )
     # written as "<=" so that a NaN anywhere fails the comparison
-    expected = normalizers(decomposition.eigenvalues, filt)
+    expected = normalizers(lam_all[:d], filt)
     if stored_filtered.shape != expected.filtered.shape or not np.all(
         np.abs(stored_filtered - expected.filtered) <= PAYLOAD_RTOL * np.abs(expected.filtered)
     ):

@@ -19,6 +19,12 @@ from .errors import GridMismatchError, ValidationError
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
+    """A read-only array of ``values``. An array that owns its data and is
+    already read-only is held as it is; anything else is copied, so the
+    caller's arrays and flags are never touched."""
+    if (isinstance(values, np.ndarray) and values.dtype == dtype
+            and values.flags.owndata and not values.flags.writeable):
+        return values
     arr = np.array(values, dtype=dtype)
     arr.flags.writeable = False
     return arr

@@ -520,7 +520,8 @@ def fixed_x_experiment(
                "half_width": None, "std_error": None, "bias": None, "d_n": None,
                "t_hat": None, "error": ""}
         try:
-            ft = fit(sample, y, filt, center=False)
+            # the bias below reads up to k_n eigenvectors
+            ft = fit(sample, y, filt, center=False, min_pairs=k_n)
             row["d_n"] = ft.d_n
             iv = prediction_interval(ft, x, level, "t_hat")
         except (DegenerateFitError, ValidationError) as exc:

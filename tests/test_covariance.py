@@ -401,9 +401,22 @@ class TestGramRoute:
             f = normalizers(dec.eigenvalues[:d], filt).filtered
             rho.append((f * dec.coefficients(delta)[:d]) @ dec.vectors_matrix[:d])
         assert_rel(rho[0], rho[1])
+
+        # a fit holds the vectors of the d retained pairs only, mapped back
+        # from the same Gram solve as the full decomposition's
+        held = eigendecompose(op, filt.cn)
+        assert len(held.eigenvectors) == d
+        assert np.array_equal(held.eigenvalues, gram.eigenvalues)
+        assert_rel(held.vectors_matrix, gram.vectors_matrix[:d])
+        rho_held = (normalizers(held.eigenvalues[:d], filt).filtered
+                    * held.coefficients(delta)) @ held.vectors_matrix
+        assert_rel(rho_held, rho[1])
         if op.n >= 2:
             # fit takes the Gram route to the same estimate
-            assert np.array_equal(fit(sample, y, filt, center=False).rho_hat.values, rho[0])
+            ft = fit(sample, y, filt, center=False)
+            assert len(ft.decomposition.eigenvectors) == ft.d_n == d
+            assert np.array_equal(ft.decomposition.eigenvalues, gram.eigenvalues)
+            assert np.array_equal(ft.rho_hat.values, rho_held)
         assert_rel(s_hat(gram, filt), s_hat(dense, filt))
         assert_rel(t_hat(gram, filt, x), t_hat(dense, filt, x))
 
@@ -421,3 +434,81 @@ class TestGramRoute:
         assert "kernel" in vars(op)
         assert dec.eigenvalues.size == 6
         assert dec.eigenvalues[-1] == 0.0
+
+
+# (n, p) on each side of the route choice: p x p when n >= p, Gram when n < p
+ROUTES = [(40, 9), (6, 21)]
+
+
+class TestHeldPrefix:
+    @staticmethod
+    def problem(n, p, seed=8):
+        g = make_trapezoid_grid(0.0, 1.0, p)
+        rng = np.random.default_rng(seed)
+        sample = CurveMatrix(g, rng.standard_normal((n, p)))
+        return sample, rng.standard_normal(n), empirical_covariance(sample, center=False)
+
+    @pytest.mark.parametrize("n, p", ROUTES)
+    def test_fit_holds_the_retained_vectors_and_the_full_spectrum(self, n, p):
+        sample, y, op = self.problem(n, p)
+        full = eigendecompose(op)
+        cn = float(np.sqrt(full.eigenvalues[3] * full.eigenvalues[4]))
+        filt = FilterSpec("ridge", cn, alpha=0.05)
+        ft = fit(sample, y, filt, center=False)
+        assert ft.d_n == 4
+        assert len(ft.decomposition.eigenvectors) == ft.d_n
+        assert np.array_equal(ft.decomposition.eigenvalues, full.eigenvalues)
+        assert np.array_equal(ft.decomposition.gaps, full.gaps)
+        assert_rel(ft.decomposition.vectors_matrix, full.vectors_matrix[:4])
+
+    @pytest.mark.parametrize("n, p", ROUTES)
+    def test_min_pairs_extends_the_prefix_up_to_the_rank(self, n, p):
+        _, _, op = self.problem(n, p)
+        full = eigendecompose(op)
+        rank = int(np.count_nonzero(full.eigenvalues > 0))
+        cn = float(full.eigenvalues[1])
+        assert len(eigendecompose(op, cn).eigenvectors) == 2
+        assert len(eigendecompose(op, cn, min_pairs=1).eigenvectors) == 2
+        held = eigendecompose(op, cn, min_pairs=5)
+        assert len(held.eigenvectors) == 5
+        assert_rel(held.vectors_matrix, full.vectors_matrix[:5])
+        assert len(eigendecompose(op, cn, min_pairs=p + 1).eigenvectors) == rank
+
+    @pytest.mark.parametrize("n, p", ROUTES)
+    def test_threshold_above_the_spectrum_is_degenerate(self, n, p):
+        sample, y, op = self.problem(n, p)
+        cn = 2 * float(eigendecompose(op).eigenvalues[0])
+        with pytest.raises(DegenerateFitError, match="no eigenvalue retained"):
+            eigendecompose(op, cn)
+        for min_pairs in (0, 3):
+            with pytest.raises(DegenerateFitError, match="no eigenvalue retained"):
+                fit(sample, y, FilterSpec("truncation", cn), center=False, min_pairs=min_pairs)
+
+    @pytest.mark.parametrize("n, p", ROUTES)
+    def test_a_threshold_tied_with_an_eigenvalue_holds_its_vector(self, n, p):
+        sample, y, op = self.problem(n, p)
+        full = eigendecompose(op)
+        cn = float(full.eigenvalues[2])
+        assert full.eigenvalues[3] < cn
+        assert len(eigendecompose(op, cn).eigenvectors) == 3
+        ft = fit(sample, y, FilterSpec("truncation", cn), center=False)
+        assert ft.d_n == 3
+        assert_rel(ft.decomposition.vectors_matrix, full.vectors_matrix[:3])
+
+    def test_t_hat_needs_a_vector_for_every_retained_pair(self):
+        sample, y, op = self.problem(40, 9)
+        ft = fit(sample, y, FilterSpec("truncation", float(eigendecompose(op).eigenvalues[1])),
+                 center=False)
+        lower = FilterSpec("truncation", float(ft.decomposition.eigenvalues[4]))
+        with pytest.raises(ValidationError, match="holds 2 eigenvectors"):
+            t_hat(ft.decomposition, lower, sample[0])
+
+    def test_centering_keeps_one_centered_array_and_the_mean(self):
+        g, sample = random_sample(7, 5, seed=3)
+        matrix = CurveMatrix.of(sample)
+        op = empirical_covariance(matrix)
+        assert np.array_equal(op.mean.values, matrix.values.mean(axis=0))
+        assert np.array_equal(op.samples.values, matrix.values - matrix.values.mean(axis=0))
+        # the centered rows are held as computed, read-only, not copied again
+        assert op.samples.values.flags.owndata and not op.samples.values.flags.writeable
+        assert empirical_covariance(matrix, center=False).mean is None

@@ -562,6 +562,10 @@ class TestSerialization:
         assert back.s_hat == ft.s_hat
         assert back.sigma_hat == ft.sigma_hat
         assert back.filter == ft.filter
+        # a loaded fit and a fresh one hold one form: every eigenvalue, d_n vectors
+        for name in ("eigenvalues", "vectors_matrix", "gaps"):
+            assert np.array_equal(getattr(back.decomposition, name),
+                                  getattr(ft.decomposition, name))
 
     def test_malformed_payload(self):
         with pytest.raises(ValidationError):
@@ -578,6 +582,7 @@ class TestSerialization:
             ("filtered_values", payload["filtered_values"][:-1]),
             ("eigenvectors", [row[:-1] for row in payload["eigenvectors"]]),
             ("eigenvalues", payload["eigenvalues"][: ft.d_n - 1]),
+            ("eigenvalues", payload["eigenvalues"] + [1.0]),
             ("n", 12.5),
             ("n", 1),
             ("sigma_hat", -ft.sigma_hat),

@@ -54,8 +54,10 @@ def test_no_module_uses_a_private_name_of_another():
 
 
 def test_import_does_not_load_scipy_stats():
-    # scipy.stats alone is most of a cold start; the package needs only scipy.special
-    code = "import sys, funreg, funreg.cli; print('scipy.stats' in sys.modules)"
+    # scipy.stats alone is most of a cold start, and scipy.linalg adds
+    # 0.05-0.10 s more; the package needs only scipy.special
+    code = ("import sys, funreg, funreg.cli; "
+            "print([m for m in ('scipy.stats', 'scipy.linalg') if m in sys.modules])")
     out = subprocess.run(
         [sys.executable, "-c", code],
         cwd=PACKAGE.parent,
@@ -63,4 +65,4 @@ def test_import_does_not_load_scipy_stats():
         text=True,
         check=True,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"

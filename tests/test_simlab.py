@@ -8,7 +8,7 @@ from funreg.covariance import eigendecompose, empirical_covariance
 from funreg.errors import GridMismatchError, ValidationError
 from funreg import estimator, simlab
 from funreg.estimator import fit
-from funreg.filters import FilterSpec
+from funreg.filters import FilterSpec, select_kn
 from funreg.hilbert import Curve, CurveMatrix, inner_product, make_trapezoid_grid, norm
 from funreg.simlab import (
     CoeffRule,
@@ -517,6 +517,26 @@ class TestFixedXExperiment:
         assert rep.n_failed == 0
         se = np.sqrt(level * (1 - level) / replicates)
         assert abs(rep.empirical_coverage - level) <= 3 * se
+
+    @pytest.mark.parametrize("n", [40, 12])  # the p x p route and the Gram route
+    def test_bias_matches_the_full_decomposition(self, n):
+        # the fit holds max(d_n, k_n) vectors, so the bias at rank k_n reads
+        # the same rows as from every eigenvector, also where d_n < k_n
+        m = TestSeededGoldenReports.model()
+        x = m.basis_curves[1]
+        cn, seed = 0.02, 2024
+        k_n = select_kn(m.lambdas, cn)
+        rep = fixed_x_experiment(m, x, n, cn, FilterSpec("tikhonov", cn, alpha=0.01), 0.9, 5, seed)
+        assert rep.n_failed == 0
+        assert any(row["d_n"] < k_n for row in rep.rows)
+        w = m.grid.weights
+        true_proj = np.sum(m.rho_coeffs[:k_n] * m.x_coefficients(x)[:k_n])
+        for row in rep.rows:
+            sample, _ = generate_dataset(m, n, replicate_rng(seed, row["replicate"]))
+            full = eigendecompose(empirical_covariance(sample, center=False))
+            e = full.vectors_matrix[: min(k_n, np.count_nonzero(full.eigenvalues > 0))]
+            bias = np.sum((e @ (w * m.rho_curve.values)) * (e @ (w * x.values))) - true_proj
+            assert row["bias"] == pytest.approx(bias, rel=1e-12, abs=0)
 
     def test_t_hat_stabilizes_for_smooth_x(self):
         m = SpectralModel(
