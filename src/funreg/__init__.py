@@ -42,10 +42,7 @@ from .estimator import (
     normalizers,
     predict,
     prediction_interval,
-    s_hat,
     save_fit,
-    sigma_hat,
-    t_hat,
 )
 from .simlab import (
     CoeffRule,

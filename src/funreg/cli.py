@@ -51,7 +51,9 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_rows_csv(path, fieldnames, rows) -> None:
+def _write_rows_csv(path, rows) -> None:
+    """One CSV line per row dict; the header is the first row's keys."""
+    fieldnames = list(rows[0])
     try:
         fh = open(path, "w", newline="", encoding="utf-8")
     except OSError as exc:
@@ -60,7 +62,7 @@ def _write_rows_csv(path, fieldnames, rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(fieldnames)
         for row in rows:
-            writer.writerow([_fmt(row.get(name)) for name in fieldnames])
+            writer.writerow([_fmt(row[name]) for name in fieldnames])
 
 
 def _csv_path(out_path) -> Path:
@@ -74,13 +76,15 @@ def _load_responses(path) -> np.ndarray:
             cells = [c for line in fh for c in line.replace(",", " ").split()]
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None
-    try:
-        values = [float(c) for c in cells]
-    except ValueError as exc:
-        raise ValidationError(f"{path}: non-numeric response ({exc})") from None
-    if not values:
+    if not cells:
         raise ValidationError(f"{path}: no responses found")
-    return np.asarray(values)
+    # the curve file's number grammar, so a literal such as 1_0 is rejected
+    try:
+        return np.loadtxt(cells, comments=None, ndmin=1)
+    except ValueError as exc:
+        # loadtxt's "at row r" counts cells, not lines of the file
+        reason = str(exc).split(" at row ")[0]
+        raise ValidationError(f"{path}: non-numeric response ({reason})") from None
 
 
 def _filter_from_args(args) -> FilterSpec:
@@ -148,14 +152,10 @@ def _coverage_like(args, fixed_x: bool) -> int:
     if fixed_x:
         x = x_from_config(model, cfg["x"])
         report = simlab.fixed_x_experiment(model, x, **kwargs)
-        fields = ["replicate", "failed", "hit", "center", "half_width",
-                  "std_error", "bias", "d_n", "t_hat", "error"]
     else:
         report = simlab.coverage_experiment(model, **kwargs)
-        fields = ["replicate", "failed", "hit", "center", "half_width",
-                  "std_error", "bias", "d_n", "error"]
     config.write_json(args.out, report.to_dict())
-    _write_rows_csv(_csv_path(args.out), fields, report.rows)
+    _write_rows_csv(_csv_path(args.out), report.rows)
     if report.n_failed == report.replicates:
         raise _AllReplicatesFailed(
             f"all {report.replicates} replicates failed; see {args.out}"
@@ -195,11 +195,7 @@ def cmd_simulate_norm_divergence(args) -> int:
         threads=args.threads,
     )
     config.write_json(args.out, report.to_dict())
-    _write_rows_csv(
-        _csv_path(args.out),
-        ["n", "cn", "mean_norm_error", "mean_normalized", "mean_d_n", "n_failed"],
-        report.rows,
-    )
+    _write_rows_csv(_csv_path(args.out), report.rows)
     if all(row["n_failed"] == report.replicates for row in report.rows):
         raise _AllReplicatesFailed("all replicates failed at every sample size")
     return EXIT_OK
@@ -223,7 +219,6 @@ def cmd_simulate_variance_bound(args) -> int:
     config.write_json(args.out, report.to_dict())
     _write_rows_csv(
         _csv_path(args.out),
-        ["k", "value", "reference"],
         [
             {"k": k, "value": v, "reference": r}
             for k, v, r in zip(report.k_grid, report.values, report.reference)
@@ -241,7 +236,6 @@ def cmd_simulate_condition_u(args) -> int:
     config.write_json(args.out, report.to_dict())
     _write_rows_csv(
         _csv_path(args.out),
-        ["j", "partial_sum"],
         [
             {"j": j + 1, "partial_sum": float(s)}
             for j, s in enumerate(report.partial_sums)

@@ -11,6 +11,10 @@ one kernel ``normalizers``:
 
     s_hat    = sqrt(sum_j [lam_j f(lam_j)]^2)             (random x)
     t_hat(x) = sqrt(sum_j lam_j f(lam_j)^2 <x, e_j>^2)    (fixed x)
+
+Only two functions read them off a fit: ``fit`` keeps s_hat and the
+residual scale sigma_hat, and ``prediction_interval`` computes t_hat(x),
+with its zero floor, and reports the pivot it used as ``normalizer``.
 """
 
 from __future__ import annotations
@@ -60,32 +64,6 @@ def normalizers(lam, filt: FilterSpec, coeffs=None, filtered=None) -> Normalizer
     return Normalizers(f, float(np.sqrt(np.sum(xf**2))), t, float(np.max(np.sqrt(lam) * f)))
 
 
-def _retained(decomposition: SpectralDecomposition, filt: FilterSpec) -> int:
-    d = effective_rank(decomposition, filt.cn)
-    if d == 0:
-        raise DegenerateFitError("threshold exceeds spectrum: no eigenvalue retained")
-    return d
-
-
-def s_hat(decomposition: SpectralDecomposition, filt: FilterSpec) -> float:
-    """Adaptive normalizer sqrt(sum_j [lam_j f(lam_j)]^2) over retained j.
-
-    Exactly sqrt(d_n) for the truncation filter.
-    """
-    return normalizers(decomposition.eigenvalues[: _retained(decomposition, filt)], filt).s
-
-
-def t_hat(decomposition: SpectralDecomposition, filt: FilterSpec, x: Curve) -> float:
-    """Fixed-point normalizer sqrt(sum_j lam_j f(lam_j)^2 <x, e_j>^2)."""
-    d = _retained(decomposition, filt)
-    if len(decomposition.eigenvectors) < d:
-        raise ValidationError(
-            f"the threshold retains {d} pairs but the decomposition holds "
-            f"{len(decomposition.eigenvectors)} eigenvectors"
-        )
-    return normalizers(decomposition.eigenvalues[:d], filt, decomposition.coefficients(x)[:d]).t
-
-
 @dataclass(frozen=True)
 class EstimatorFit:
     """Fitted coefficient curve, f(lam_j) of its d_n retained eigenvalues,
@@ -120,26 +98,15 @@ def predict(fit: EstimatorFit, x: Curve) -> float:
 
 
 def _residual_sigma(rows: np.ndarray, y: np.ndarray, rho_hat: Curve, y_mean, d_n) -> float:
-    """sqrt(sum_i (Y_i - Yhat_i)^2 / (n - d_n)) over rows centered as the fit's."""
+    """sqrt(sum_i (Y_i - Yhat_i)^2 / (n - d_n)) over rows centered as the fit's;
+    the caller ensures n > d_n."""
     n = rows.shape[0]
-    if n <= d_n:
-        raise DegenerateFitError(f"degrees of freedom exhausted: n={n} <= d_n={d_n}")
     # row-wise inner_product: same products and weights, same reduction;
     # the weights multiply in place, so one (n, p) temporary is live
     prod = rho_hat.values * rows
     prod *= rho_hat.grid.weights
     preds = y_mean + np.sum(prod, axis=1)
     return float(np.sqrt(np.sum((y - preds) ** 2) / (n - d_n)))
-
-
-def sigma_hat(
-    sample: CurveMatrix | list[Curve], responses, fit: EstimatorFit
-) -> float:
-    """Residual noise scale with an (n - d_n) degrees-of-freedom correction."""
-    sample = CurveMatrix.of(sample)
-    ensure_same_grid(fit.rho_hat, sample)
-    rows = sample.values - fit.x_mean.values
-    return _residual_sigma(rows, np.asarray(responses, dtype=float), fit.rho_hat, fit.y_mean, fit.d_n)
 
 
 def fit(
@@ -176,7 +143,9 @@ def fit(
     delta = Curve(sample.grid, rows.T @ (y - y_mean) / n)
 
     decomposition = eigendecompose(cov, filt.cn, min_pairs=min_pairs)
-    d = _retained(decomposition, filt)
+    d = effective_rank(decomposition, filt.cn)
+    if d == 0:
+        raise DegenerateFitError("threshold exceeds spectrum: no eigenvalue retained")
     norms = normalizers(decomposition.eigenvalues[:d], filt)
     norms.filtered.flags.writeable = False
     # coordinates over every held pair, then the retained ones

@@ -238,6 +238,11 @@ def load_curves_csv(path) -> CurveMatrix:
     if rows.shape[0] < 2:
         raise ValidationError(f"{path}: need a grid row and at least one curve row")
     points = rows[0]
+    # checked before the weights, which divide by p - 1 and by the span
+    if points.size < 2:
+        raise ValidationError(f"{path}: grid row needs at least 2 points, got {points.size}")
+    if not np.all(np.isfinite(points)):
+        raise ValidationError(f"{path}: grid points must be finite")
     if not np.all(np.diff(points) > 0):
         raise ValidationError(f"{path}: grid row must be strictly increasing")
     grid = Grid(points, trapezoid_weights(points))

@@ -436,6 +436,66 @@ def _aggregate(rows, level, n, replicates, seed, x_rkhs_sup=None) -> CoverageRep
     )
 
 
+def _interval_experiment(model, x, n, cn, filt, level, replicates, seed, threads):
+    """The replicate loop of both interval experiments.
+
+    With ``x`` None each replicate draws X_new after its dataset and uses
+    the s_hat pivot; otherwise it targets <rho, x> with the t_hat pivot
+    and records t_hat. Both scale the standardized error by the pivot the
+    interval used.
+    """
+    _check_run(replicates, seed, threads, level)
+    filt = replace(filt, cn=cn)
+    k_n = select_kn(model.lambdas, cn)
+    # the row fields a failed replicate leaves None
+    blank = ["center", "half_width", "std_error", "bias", "d_n"] + ([] if x is None else ["t_hat"])
+    if x is None:
+        pivot, min_pairs, rkhs_sup = "s_hat", 0, None
+        rho_tail = model.rho_coeffs[k_n:]
+    else:
+        # the projection bias reads up to k_n eigenvectors
+        pivot, min_pairs = "t_hat", k_n
+        x_coeff = model.x_coefficients(x)
+        rkhs_sup = float(np.max(x_coeff**2 / model.lambdas))
+        true_proj = float(np.sum(model.rho_coeffs[:k_n] * x_coeff[:k_n]))
+        w = model.grid.weights
+
+    def worker(rep: int) -> dict:
+        rng = replicate_rng(seed, rep)
+        sample, y = generate_dataset(model, n, rng)
+        x_new = kl_sample(model, rng) if x is None else x
+        target = inner_product(model.rho_curve, x_new)
+        row = {"replicate": rep, "failed": False, "hit": False,
+               **dict.fromkeys(blank), "error": ""}
+        try:
+            ft = fit(sample, y, filt, center=False, min_pairs=min_pairs)
+            row["d_n"] = ft.d_n
+            iv = prediction_interval(ft, x_new, level, pivot)
+        except (DegenerateFitError, ValidationError) as exc:
+            row["failed"] = True
+            row["error"] = str(exc)
+            return row
+        row["center"] = iv.center
+        row["half_width"] = iv.half_width
+        row["hit"] = _interval_hit(iv.lo, iv.hi, target, iv.center)
+        row["std_error"] = _standardized(n, iv.center - target, ft.sigma_hat * iv.normalizer)
+        if x is None:
+            # the deterministic truncation-bias component at the rank k_n
+            row["bias"] = -float(np.sum(rho_tail * model.x_coefficients(x_new)[k_n:]))
+            return row
+        row["t_hat"] = iv.normalizer
+        # empirical-vs-true projection of rho at the nonrandom rank
+        kk = min(k_n, int(np.count_nonzero(ft.decomposition.eigenvalues > 0)))
+        ehat = ft.decomposition.vectors_matrix[:kk]
+        rho_on_ehat = ehat @ (w * model.rho_curve.values)
+        x_on_ehat = ehat @ (w * x.values)
+        row["bias"] = float(np.sum(rho_on_ehat * x_on_ehat) - true_proj)
+        return row
+
+    rows = _run_indexed(worker, replicates, threads)
+    return _aggregate(rows, level, n, replicates, seed, x_rkhs_sup=rkhs_sup)
+
+
 def coverage_experiment(
     model: SpectralModel,
     n: int,
@@ -454,36 +514,7 @@ def coverage_experiment(
     and the deterministic truncation-bias component at the nonrandom
     rank k_n.
     """
-    _check_run(replicates, seed, threads, level)
-    filt = replace(filt, cn=cn)
-    k_n = select_kn(model.lambdas, cn)
-    rho_tail = model.rho_coeffs[k_n:]
-
-    def worker(rep: int) -> dict:
-        rng = replicate_rng(seed, rep)
-        sample, y = generate_dataset(model, n, rng)
-        x_new = kl_sample(model, rng)
-        target = inner_product(model.rho_curve, x_new)
-        row = {"replicate": rep, "failed": False, "hit": False, "center": None,
-               "half_width": None, "std_error": None, "bias": None, "d_n": None,
-               "error": ""}
-        try:
-            ft = fit(sample, y, filt, center=False)
-            row["d_n"] = ft.d_n
-            iv = prediction_interval(ft, x_new, level, "s_hat")
-        except (DegenerateFitError, ValidationError) as exc:
-            row["failed"] = True
-            row["error"] = str(exc)
-            return row
-        row["center"] = iv.center
-        row["half_width"] = iv.half_width
-        row["hit"] = _interval_hit(iv.lo, iv.hi, target, iv.center)
-        row["std_error"] = _standardized(n, iv.center - target, ft.sigma_hat * ft.s_hat)
-        row["bias"] = -float(np.sum(rho_tail * model.x_coefficients(x_new)[k_n:]))
-        return row
-
-    rows = _run_indexed(worker, replicates, threads)
-    return _aggregate(rows, level, n, replicates, seed)
+    return _interval_experiment(model, None, n, cn, filt, level, replicates, seed, threads)
 
 
 def fixed_x_experiment(
@@ -504,45 +535,7 @@ def fixed_x_experiment(
     <(Pi_hat - Pi) rho, x> at rank k_n is estimated per replicate
     through the model's true eigenbasis.
     """
-    _check_run(replicates, seed, threads, level)
-    filt = replace(filt, cn=cn)
-    x_coeff = model.x_coefficients(x)
-    rkhs_sup = float(np.max(x_coeff**2 / model.lambdas))
-    target = inner_product(model.rho_curve, x)
-    k_n = select_kn(model.lambdas, cn)
-    true_proj = float(np.sum(model.rho_coeffs[:k_n] * x_coeff[:k_n]))
-    w = model.grid.weights
-
-    def worker(rep: int) -> dict:
-        rng = replicate_rng(seed, rep)
-        sample, y = generate_dataset(model, n, rng)
-        row = {"replicate": rep, "failed": False, "hit": False, "center": None,
-               "half_width": None, "std_error": None, "bias": None, "d_n": None,
-               "t_hat": None, "error": ""}
-        try:
-            # the bias below reads up to k_n eigenvectors
-            ft = fit(sample, y, filt, center=False, min_pairs=k_n)
-            row["d_n"] = ft.d_n
-            iv = prediction_interval(ft, x, level, "t_hat")
-        except (DegenerateFitError, ValidationError) as exc:
-            row["failed"] = True
-            row["error"] = str(exc)
-            return row
-        row["center"] = iv.center
-        row["half_width"] = iv.half_width
-        row["t_hat"] = iv.normalizer
-        row["hit"] = _interval_hit(iv.lo, iv.hi, target, iv.center)
-        row["std_error"] = _standardized(n, iv.center - target, ft.sigma_hat * iv.normalizer)
-        # empirical-vs-true projection of rho at the nonrandom rank
-        kk = min(k_n, int(np.count_nonzero(ft.decomposition.eigenvalues > 0)))
-        ehat = ft.decomposition.vectors_matrix[:kk]
-        rho_on_ehat = ehat @ (w * model.rho_curve.values)
-        x_on_ehat = ehat @ (w * x.values)
-        row["bias"] = float(np.sum(rho_on_ehat * x_on_ehat) - true_proj)
-        return row
-
-    rows = _run_indexed(worker, replicates, threads)
-    return _aggregate(rows, level, n, replicates, seed, x_rkhs_sup=rkhs_sup)
+    return _interval_experiment(model, x, n, cn, filt, level, replicates, seed, threads)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from funreg import simlab
+from funreg import cli, simlab
 from funreg.cli import main
 
 # grid points (0, 2) give trapezoid weights (1, 1), matching the
@@ -113,6 +113,38 @@ class TestFitCommand:
         assert_validation_exit(code, capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("curves_text", ["0.0\n1.0\n2.0\n", "0.0,inf\n1.0,2.0\n3.0,4.0\n"])
+    def test_malformed_grid_row_exits_2(self, tmp_path, capsys, curves_text):
+        # one grid point, or a point that is not finite: rejected before the
+        # trapezoid weights divide by p - 1 or by the span
+        curves = tmp_path / "c.csv"
+        curves.write_text(curves_text)
+        responses = tmp_path / "y.csv"
+        responses.write_text("1.0\n2.0\n")
+        code = run(["fit", "--curves", curves, "--responses", responses,
+                    "--filter", "truncation", "--cn", "0.1", "--out", tmp_path / "f.json"])
+        assert_validation_exit(code, capsys)
+
+    def test_underscore_response_exits_2(self, toy_inputs, tmp_path, capsys):
+        # Python's float() reads 1_0 as 10.0; the curve file's grammar does not
+        curves, _ = toy_inputs
+        responses = tmp_path / "y.csv"
+        responses.write_text("2.0\n1_0\n")
+        code = run(["fit", "--curves", curves, "--responses", responses,
+                    "--filter", "truncation", "--cn", "0.1", "--out", tmp_path / "f.json"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == (f"error: validation: {responses}: non-numeric response "
+                       "(could not convert string '1_0' to float64)\n")
+
+    def test_responses_parse_as_float_in_any_layout(self, tmp_path):
+        values = np.random.default_rng(4).standard_normal(12) * 10.0 ** np.arange(-6, 6)
+        cells = ["%.17g" % v for v in values]
+        path = tmp_path / "y.csv"
+        path.write_text(",".join(cells[:5]) + "\n" + "  ".join(cells[5:9]) + "\n\n"
+                        + "\t".join(cells[9:]) + ",\n")
+        assert np.array_equal(cli._load_responses(path), [float(c) for c in cells])
+
     def test_missing_curves_file_exits_2(self, tmp_path):
         code = run(["fit", "--curves", tmp_path / "none.csv",
                     "--responses", tmp_path / "none2.csv",
@@ -179,6 +211,14 @@ class TestPredictCommand:
         x_path = tmp_path / "x.csv"
         x_path.write_text("0.0,1.0\n1.0,1.0\n")
         assert run(["predict", "--fit", bad, "--x", x_path]) == 2
+
+    def test_one_column_predictor_exits_2(self, toy_fit_path, tmp_path, capsys):
+        fit_path, _ = toy_fit_path
+        capsys.readouterr()
+        x = tmp_path / "x1.csv"
+        x.write_text("0.0\n1.0\n")
+        code = run(["predict", "--fit", fit_path, "--x", x])
+        assert_validation_exit(code, capsys)
 
     def test_degenerate_t_hat_exits_3(self, tmp_path):
         # rank-one data along the first coordinate; x points the other way
@@ -517,6 +557,34 @@ MALFORMED_CONFIGS = [
     ("fixed-x", FIXED_X_CONFIG, "level", 1.5),
     ("fixed-x", FIXED_X_CONFIG, "level", 0),
 ]
+
+COVERAGE_HEADER = "replicate,failed,hit,center,half_width,std_error,bias,d_n,error"
+FIXED_X_HEADER = "replicate,failed,hit,center,half_width,std_error,bias,d_n,t_hat,error"
+# an all-failed run: cn below both eigenvalues of a two-curve sample leaves
+# no residual degrees of freedom (see test_all_replicates_failing_exits_4)
+SATURATED = dict(n=2, replicates=2, noise_sd=0.3, filter={"kind": "truncation", "cn": 1e-8})
+
+# (command, config, exit code, literal header line of the rows CSV)
+ROWS_CSV_HEADERS = [
+    ("coverage", COVERAGE_CONFIG, 0, COVERAGE_HEADER),
+    ("coverage", base_coverage_config(**SATURATED), 4, COVERAGE_HEADER),
+    ("fixed-x", FIXED_X_CONFIG, 0, FIXED_X_HEADER),
+    ("fixed-x", dict(FIXED_X_CONFIG, **SATURATED), 4, FIXED_X_HEADER),
+    ("norm-divergence", NORM_DIVERGENCE_CONFIG, 0,
+     "n,cn,mean_norm_error,mean_normalized,mean_d_n,n_failed"),
+    ("variance-bound", VARIANCE_BOUND_CONFIG, 0, "k,value,reference"),
+    ("condition-u", CONDITION_U_CONFIG, 0, "j,partial_sum"),
+]
+
+
+@pytest.mark.parametrize("command, cfg, code, header", ROWS_CSV_HEADERS)
+def test_rows_csv_header_is_pinned(tmp_path, command, cfg, code, header):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "r.json"
+    assert run(["simulate", command, "--config", cfg_path, "--out", out]) == code
+    with open(tmp_path / "r.csv", newline="") as fh:
+        assert fh.readline() == header + "\r\n"
 
 
 class TestArgumentErrors:

@@ -12,7 +12,7 @@ from funreg.covariance import (
     spectral_gaps,
 )
 from funreg.errors import DegenerateFitError, ValidationError
-from funreg.estimator import fit, normalizers, s_hat, t_hat
+from funreg.estimator import fit, normalizers
 from funreg.filters import FilterSpec, effective_rank
 from funreg.hilbert import (
     Curve,
@@ -417,8 +417,10 @@ class TestGramRoute:
             assert len(ft.decomposition.eigenvectors) == ft.d_n == d
             assert np.array_equal(ft.decomposition.eigenvalues, gram.eigenvalues)
             assert np.array_equal(ft.rho_hat.values, rho_held)
-        assert_rel(s_hat(gram, filt), s_hat(dense, filt))
-        assert_rel(t_hat(gram, filt, x), t_hat(dense, filt, x))
+        pivots = [normalizers(dec.eigenvalues[:d], filt, dec.coefficients(x)[:d])
+                  for dec in (gram, dense)]
+        assert_rel(pivots[0].s, pivots[1].s)
+        assert_rel(pivots[0].t, pivots[1].t)
 
     def test_zero_sample_keeps_the_degenerate_error(self):
         g = make_trapezoid_grid(0.0, 1.0, 11)
@@ -494,14 +496,6 @@ class TestHeldPrefix:
         ft = fit(sample, y, FilterSpec("truncation", cn), center=False)
         assert ft.d_n == 3
         assert_rel(ft.decomposition.vectors_matrix, full.vectors_matrix[:3])
-
-    def test_t_hat_needs_a_vector_for_every_retained_pair(self):
-        sample, y, op = self.problem(40, 9)
-        ft = fit(sample, y, FilterSpec("truncation", float(eigendecompose(op).eigenvalues[1])),
-                 center=False)
-        lower = FilterSpec("truncation", float(ft.decomposition.eigenvalues[4]))
-        with pytest.raises(ValidationError, match="holds 2 eigenvectors"):
-            t_hat(ft.decomposition, lower, sample[0])
 
     def test_centering_keeps_one_centered_array_and_the_mean(self):
         g, sample = random_sample(7, 5, seed=3)

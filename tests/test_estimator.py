@@ -15,12 +15,9 @@ from funreg.estimator import (
     normalizers,
     predict,
     prediction_interval,
-    s_hat,
     save_fit,
-    sigma_hat,
-    t_hat,
 )
-from funreg.filters import FilterSpec, filter_values
+from funreg.filters import FilterSpec, effective_rank, filter_values
 from funreg.hilbert import Curve, CurveMatrix, Grid, inner_product, make_trapezoid_grid, norm
 
 
@@ -180,33 +177,37 @@ class TestPredict:
         assert predict(ft, x_mean) == pytest.approx(y.mean(), rel=1e-10)
 
 
+def pivots(dec, spec, x=None):
+    """``normalizers`` over the pairs of ``dec`` that ``spec`` retains."""
+    d = effective_rank(dec, spec.cn)
+    return normalizers(dec.eigenvalues[:d], spec, None if x is None else dec.coefficients(x)[:d])
+
+
 class TestNormalizers:
     def test_s_hat_truncation_is_sqrt_rank(self):
-        g, sample, _ = gaussian_sample(30, 8, seed=6)
+        g, sample, rng = gaussian_sample(30, 8, seed=6)
         dec = eigendecompose(empirical_covariance(sample))
         spec = FilterSpec("truncation", dec.eigenvalues[3])
-        assert s_hat(dec, spec) == np.sqrt(4)
+        assert fit(sample, rng.standard_normal(30), spec).s_hat == np.sqrt(4)
 
     def test_s_hat_ridge_example(self):
-        dec = eigendecompose(
-            empirical_covariance(
-                [Curve(unit_weight_grid(), [np.sqrt(2), 0.0]),
-                 Curve(unit_weight_grid(), [0.0, 1.0])],
-                center=False,
-            )
-        )
+        sample = [Curve(unit_weight_grid(), [np.sqrt(2), 0.0]),
+                  Curve(unit_weight_grid(), [0.0, 1.0])]
+        dec = eigendecompose(empirical_covariance(sample, center=False))
         assert np.allclose(dec.eigenvalues, [1.0, 0.5])
         spec = FilterSpec("ridge", 0.1, alpha=0.5)
         expected = np.sqrt((1 / 1.5) ** 2 + 0.25)
-        assert s_hat(dec, spec) == pytest.approx(expected, abs=1e-4)
-        assert s_hat(dec, spec) == pytest.approx(0.8333, abs=1e-4)
+        s = fit(sample, [1.0, 1.0], spec, center=False).s_hat
+        assert s == pytest.approx(expected, abs=1e-4)
+        assert s == pytest.approx(0.8333, abs=1e-4)
 
     def test_s_hat_single_retained(self):
-        g, sample, _ = gaussian_sample(25, 6, seed=8)
+        g, sample, rng = gaussian_sample(25, 6, seed=8)
         dec = eigendecompose(empirical_covariance(sample))
         spec = FilterSpec("tikhonov", dec.eigenvalues[0] * 0.999, alpha=0.01)
         lam1 = dec.eigenvalues[0]
-        assert s_hat(dec, spec) == pytest.approx(lam1 * lam1 / (lam1**2 + 0.01))
+        s = fit(sample, rng.standard_normal(25), spec).s_hat
+        assert s == pytest.approx(lam1 * lam1 / (lam1**2 + 0.01))
 
     def test_t_hat_on_leading_eigenvector(self):
         g = unit_weight_grid()
@@ -214,14 +215,14 @@ class TestNormalizers:
         dec = eigendecompose(empirical_covariance([u], center=False))
         assert dec.eigenvalues[0] == pytest.approx(0.25)
         spec = FilterSpec("truncation", 0.01)
-        assert t_hat(dec, spec, dec.eigenvectors[0]) == pytest.approx(2.0, rel=1e-10)
+        assert pivots(dec, spec, dec.eigenvectors[0]).t == pytest.approx(2.0, rel=1e-10)
 
     def test_t_hat_orthogonal_xestimate_zero(self):
         g, sample, _ = gaussian_sample(20, 6, seed=12)
         dec = eigendecompose(empirical_covariance(sample))
         spec = FilterSpec("truncation", dec.eigenvalues[2])
         x = dec.eigenvectors[4]
-        assert t_hat(dec, spec, x) < 1e-10
+        assert pivots(dec, spec, x).t < 1e-10
 
     def test_t_hat_two_mode_example(self):
         g = Grid(np.arange(2.0), np.ones(2))
@@ -230,7 +231,7 @@ class TestNormalizers:
         assert np.allclose(dec.eigenvalues, [1.0, 0.25])
         x = dec.eigenvectors[0] + dec.eigenvectors[1]
         spec = FilterSpec("truncation", 0.01)
-        assert t_hat(dec, spec, x) == pytest.approx(2.2360, abs=1e-4)
+        assert pivots(dec, spec, x).t == pytest.approx(2.2360, abs=1e-4)
 
 
 class TestNormalizerKernel:
@@ -297,8 +298,9 @@ class TestSigmaHat:
 
     def test_explicit_error_when_saturated(self):
         sample, ft = toy_fit()
+        assert np.isnan(ft.sigma_hat)
         with pytest.raises(DegenerateFitError):
-            sigma_hat(sample, [2.0, 1.0], ft)
+            prediction_interval(ft, sample[0], 0.9)
 
     def test_single_residual_dof(self):
         g = unit_weight_grid(3)
@@ -312,7 +314,7 @@ class TestSigmaHat:
         assert ft.d_n == ft.n - 1
         res = y - np.array([predict(ft, x) for x in sample])
         expected = np.sqrt(np.sum(res**2))
-        assert sigma_hat(sample, y, ft) == pytest.approx(expected)
+        assert ft.sigma_hat == pytest.approx(expected)
 
 
 def per_curve_sigma_hat(sample, y, ft):
@@ -353,19 +355,11 @@ class TestMatrixSampleParity:
         g, sample, rng = gaussian_sample(n, p, seed=n + p)
         rho = Curve(g, np.cos(3 * g.points))
         y = np.array([inner_product(rho, x) for x in sample]) + 1e-3 * rng.standard_normal(n)
-        ft = fit(sample, y, FilterSpec("ridge", 1e-3, alpha=0.05), center=center)
+        spec = FilterSpec("ridge", 1e-3, alpha=0.05)
+        ft = fit(sample, y, spec, center=center)
         expected = per_curve_sigma_hat(sample, y, ft)
         assert ft.sigma_hat == expected
-        assert sigma_hat(sample, y, ft) == expected
-        assert sigma_hat(CurveMatrix.of(sample), y, ft) == expected
-
-    def test_sigma_hat_rejects_a_sample_on_another_grid(self):
-        g, sample, rng = gaussian_sample(20, 6, seed=5)
-        ft = fit(sample, rng.standard_normal(20), FilterSpec("truncation", 1e-2))
-        other = make_trapezoid_grid(0.0, 2.0, 6)
-        moved = [Curve(other, c.values) for c in sample]
-        with pytest.raises(GridMismatchError):
-            sigma_hat(moved, rng.standard_normal(20), ft)
+        assert fit(CurveMatrix.of(sample), y, spec, center=center).sigma_hat == expected
 
 
 class TestPredictionInterval:
@@ -401,7 +395,7 @@ class TestPredictionInterval:
         x = sample[2]
         assert prediction_interval(ft, x, 0.9, "s_hat").normalizer == ft.s_hat
         iv = prediction_interval(ft, x, 0.9, "t_hat")
-        assert iv.normalizer == t_hat(ft.decomposition, ft.filter, x)
+        assert iv.normalizer == pivots(ft.decomposition, ft.filter, x).t
 
     def test_width_vanishes_as_level_drops(self):
         g, sample, ft = self.make_noisy_fit()
@@ -489,8 +483,8 @@ class TestStructuralProperties:
         assert scaled.sigma_hat == pytest.approx(c * base.sigma_hat, rel=1e-10)
         assert scaled.s_hat == base.s_hat
         x = sample[0]
-        assert t_hat(scaled.decomposition, spec, x) == pytest.approx(
-            t_hat(base.decomposition, spec, x), rel=1e-12
+        assert prediction_interval(scaled, x, 0.9, "t_hat").normalizer == pytest.approx(
+            prediction_interval(base, x, 0.9, "t_hat").normalizer, rel=1e-12
         )
         iv_base = prediction_interval(base, x, 0.9)
         iv_scaled = prediction_interval(scaled, x, 0.9)
@@ -500,7 +494,7 @@ class TestStructuralProperties:
         g, sample, _ = gaussian_sample(40, 10, seed=37)
         dec = eigendecompose(empirical_covariance(sample))
         values = [
-            s_hat(dec, FilterSpec("ridge", dec.eigenvalues[d] * 0.9999, alpha=0.01))
+            pivots(dec, FilterSpec("ridge", dec.eigenvalues[d] * 0.9999, alpha=0.01)).s
             for d in range(6)
         ]
         assert all(b >= a for a, b in zip(values, values[1:]))

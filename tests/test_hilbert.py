@@ -271,6 +271,18 @@ class TestCurveCsv:
         with pytest.raises(ValidationError):
             load_curves_csv(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("0.0\n1.0\n", "at least 2 points"),
+        ("0.0,inf\n1.0,2.0\n", "must be finite"),
+        ("nan,1.0\n1.0,2.0\n", "must be finite"),
+        ("1.0,0.0\n1.0,2.0\n", "strictly increasing"),
+    ])
+    def test_rejects_a_malformed_grid_row_before_its_weights(self, tmp_path, text, message):
+        path = tmp_path / "grid.csv"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match=message):
+            load_curves_csv(path)
+
     def test_rejects_missing_curves(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("0.0,1.0\n")
