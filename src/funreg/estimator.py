@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import config
 from .covariance import SpectralDecomposition, eigendecompose, empirical_covariance, spectral_gaps
@@ -32,6 +31,7 @@ from .filters import TRUNCATION, FilterSpec, effective_rank, filter_from_config,
 from .filters import filter_values
 from .hilbert import Curve, CurveMatrix, Grid, ensure_same_grid, inner_product
 from .hilbert import norm as norm_of
+from .normal import ndtri
 
 # Relative tolerance for the stored filtered values and s_hat of a fit
 # payload against the values recomputed from its eigenvalues and filter.
@@ -196,12 +196,15 @@ class PredictionInterval:
 
 
 def normal_quantile(prob: float) -> float:
-    """Standard normal quantile, ``scipy.special.ndtri``.
+    """Standard normal quantile Phi^{-1}(prob), by Cephes ``ndtri``.
 
-    This is the routine ``scipy.stats.norm.ppf`` calls, so the quantile is
-    bit-equal to it.
+    ``funreg.normal`` ports Moshier's Cephes ``ndtri``, the routine that
+    ``scipy.special.ndtri`` and ``scipy.stats.norm.ppf`` run; the tests
+    check the quantile bit-equal to both (x86_64 Linux, glibc). It is
+    evaluated on one Python float with ``math``, not numpy, whose SIMD
+    ``log`` need not round as the C library does.
     """
-    return float(ndtri(prob))
+    return ndtri(float(prob))
 
 
 def prediction_interval(

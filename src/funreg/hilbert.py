@@ -237,7 +237,7 @@ def load_curves_csv(path) -> CurveMatrix:
         raise ValidationError(f"{path}: not a numeric curve matrix ({exc})") from None
     if rows.shape[0] < 2:
         raise ValidationError(f"{path}: need a grid row and at least one curve row")
-    points = rows[0]
+    points = rows[0].copy()
     # checked before the weights, which divide by p - 1 and by the span
     if points.size < 2:
         raise ValidationError(f"{path}: grid row needs at least 2 points, got {points.size}")
@@ -246,7 +246,19 @@ def load_curves_csv(path) -> CurveMatrix:
     if not np.all(np.diff(points) > 0):
         raise ValidationError(f"{path}: grid row must be strictly increasing")
     grid = Grid(points, trapezoid_weights(points))
-    return CurveMatrix(grid, rows[1:])
+    # The matrix keeps the parsed buffer, so the file is held once, not
+    # twice as with a copy of rows[1:]: the curve rows move up over the
+    # grid row (a 1-d overlapping assignment is a memmove, with no
+    # temporary) and the last row is cut off. ``rows`` is a fresh
+    # C-contiguous array from loadtxt and no view of it is left, so the
+    # resize needs no reference check.
+    p = rows.shape[1]
+    flat = rows.reshape(-1)
+    flat[:-p] = flat[p:]
+    del flat
+    rows.resize((rows.shape[0] - 1, p), refcheck=False)
+    rows.flags.writeable = False
+    return CurveMatrix(grid, rows)
 
 
 def save_curves_csv(path, curves: CurveMatrix | list[Curve]) -> None:

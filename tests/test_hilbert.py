@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -282,6 +284,23 @@ class TestCurveCsv:
         path.write_text(text)
         with pytest.raises(ValidationError, match=message):
             load_curves_csv(path)
+
+    def test_holds_the_file_once(self, tmp_path):
+        # the cli-fit-predict shape; a copy of the parsed rows would peak
+        # at about 2.1x the matrix
+        g = make_trapezoid_grid(0.0, 1.0, 101)
+        values = np.random.default_rng(3).standard_normal((5000, 101))
+        path = tmp_path / "big.csv"
+        np.savetxt(path, np.vstack([g.points, values]), fmt="%.17g", delimiter=",")
+        tracemalloc.start()
+        try:
+            loaded = load_curves_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded.values, values)
+        assert loaded.values.flags.owndata and not loaded.values.flags.writeable
+        assert peak <= 1.25 * values.nbytes
 
     def test_rejects_missing_curves(self, tmp_path):
         path = tmp_path / "empty.csv"

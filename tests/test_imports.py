@@ -1,11 +1,18 @@
-"""Modules of the package use only each other's public names."""
+"""Modules of the package use only each other's public names, and the
+package imports and runs without scipy."""
 
 import ast
+import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import funreg
+from funreg import cli
+from funreg.hilbert import CurveMatrix, make_trapezoid_grid, save_curves_csv
 
 PACKAGE = Path(funreg.__file__).parent
 
@@ -54,10 +61,11 @@ def test_no_module_uses_a_private_name_of_another():
 
 
 def test_import_does_not_load_scipy_stats():
-    # scipy.stats alone is most of a cold start, and scipy.linalg adds
-    # 0.05-0.10 s more; the package needs only scipy.special
+    # scipy.special alone is about 0.3 s of a cold start (it loads
+    # numpy.f2py, numpy.testing and numpy.ma); the normal quantile and
+    # distribution function come from funreg.normal instead
     code = ("import sys, funreg, funreg.cli; "
-            "print([m for m in ('scipy.stats', 'scipy.linalg') if m in sys.modules])")
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
     out = subprocess.run(
         [sys.executable, "-c", code],
         cwd=PACKAGE.parent,
@@ -66,3 +74,97 @@ def test_import_does_not_load_scipy_stats():
         check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+# Runs funreg.cli.main on each argv of sys.argv[1] (a JSON list) in the
+# working directory, with every import of scipy made to fail, and prints
+# the exit codes, the standard output and error, and the scipy modules
+# loaded.
+BLOCKED_SCIPY_RUN = """
+import contextlib, io, json, sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+sys.meta_path.insert(0, BlockScipy())
+from funreg import cli
+
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    runs.append([code, out.getvalue(), err.getvalue()])
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps({"runs": runs, "scipy": loaded}))
+"""
+
+
+def scipy_free_inputs(root: Path) -> list[list[str]]:
+    """Inputs for fit, predict (point, s_hat, t_hat) and simulate
+    coverage under ``root``, and the argv of each command; the commands
+    write their outputs to the working directory."""
+    rng = np.random.default_rng(11)
+    g = make_trapezoid_grid(0.0, 1.0, 9)
+    values = rng.standard_normal((40, 9))
+    save_curves_csv(root / "curves.csv", CurveMatrix(g, values))
+    responses = values @ np.linspace(1.0, -1.0, 9) / 9 + 0.3 * rng.standard_normal(40)
+    (root / "responses.csv").write_text("\n".join(repr(float(y)) for y in responses) + "\n")
+    save_curves_csv(root / "x.csv", CurveMatrix(g, rng.standard_normal((1, 9))))
+    (root / "coverage_config.json").write_text(json.dumps({
+        "decay": {"kind": "geometric", "r": 0.5},
+        "rho": {"kind": "finite", "coeffs": [1.0, 0.4]},
+        "noise_sd": 0.5,
+        "xi": "gaussian",
+        "L": 2,
+        "grid_points": 21,
+        "filter": {"kind": "truncation", "cn": 0.05},
+        "n": 25,
+        "level": 0.95,
+        "replicates": 6,
+        "seed": 7,
+    }))
+    fit = ["fit", "--curves", str(root / "curves.csv"), "--responses",
+           str(root / "responses.csv"), "--filter", "truncation", "--cn", "0.05", "--out", "fit.json"]
+    predict = ["predict", "--fit", "fit.json", "--x", str(root / "x.csv")]
+    return [
+        fit,
+        predict,
+        predict + ["--level", "0.9", "--normalizer", "s_hat"],
+        predict + ["--level", "0.9", "--normalizer", "t_hat"],
+        ["simulate", "coverage", "--config", str(root / "coverage_config.json"), "--out", "coverage.json"],
+    ]
+
+
+def test_cli_runs_with_scipy_unimportable(tmp_path, monkeypatch, capsys):
+    commands = scipy_free_inputs(tmp_path)
+    blocked, normal = tmp_path / "blocked", tmp_path / "normal"
+    blocked.mkdir()
+    normal.mkdir()
+    out = subprocess.run(
+        [sys.executable, "-c", BLOCKED_SCIPY_RUN, json.dumps(commands)],
+        cwd=blocked,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    result = json.loads(out.stdout)
+    assert result["scipy"] == []
+
+    monkeypatch.chdir(normal)
+    expected = []
+    for argv in commands:
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        expected.append([code, captured.out, captured.err])
+    assert result["runs"] == expected
+    assert [code for code, _, _ in expected] == [0] * len(commands)
+    files = sorted(p.name for p in normal.iterdir())
+    assert files == ["coverage.csv", "coverage.json", "fit.json"]
+    assert sorted(p.name for p in blocked.iterdir()) == files
+    for name in files:
+        assert (blocked / name).read_bytes() == (normal / name).read_bytes(), name
