@@ -28,8 +28,6 @@ from .covariance import (
 )
 from .filters import (
     FilterSpec,
-    H3Report,
-    check_h3,
     effective_rank,
     filter_values,
     select_kn,
@@ -51,13 +49,10 @@ from .simlab import (
     SpectralModel,
     condition_u_diagnostic,
     coverage_experiment,
-    eigen_inequality_check,
     fixed_x_experiment,
     generate_dataset,
     kl_sample,
     norm_divergence_demo,
-    true_normalizers,
-    truncation_bias,
     variance_lower_bound,
 )
 

@@ -212,10 +212,11 @@ def cmd_simulate_variance_bound(args) -> int:
     kinds = {"power": (("beta",), ()), "values": (("values",), ())}
     if config.kind(xcfg, "x_squared", kinds) == "power":
         beta = config.value(xcfg, "beta", "x_squared", float)
-        report = simlab.variance_lower_bound(model, k_grid, beta=beta)
+        # an empty k_grid is rejected by variance_lower_bound
+        x_squared = simlab.power_squared_coeffs(beta, max(k_grid, default=0))
     else:
         x_squared = config.numbers(xcfg, "values", "x_squared", float)
-        report = simlab.variance_lower_bound(model, k_grid, x_squared=x_squared)
+    report = simlab.variance_lower_bound(model, k_grid, x_squared)
     config.write_json(args.out, report.to_dict())
     _write_rows_csv(
         _csv_path(args.out),

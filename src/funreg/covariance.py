@@ -19,6 +19,19 @@ eigenvectors are mapped back, renormalized and sign-fixed only for the
 leading pairs a fit reads: those at or above cn, or a caller's minimum
 count of leading pairs when that is more.
 
+A threshold must not split a cluster of eigenvalues that the solve cannot
+tell apart. ``eigh`` is backward stable: its spectrum is exact for S + E
+with ||E||_2 <= c m eps ||S||_2 (m <= p the order of the matrix solved,
+eps the unit roundoff, c a modest constant), so by Weyl's inequality each
+computed eigenvalue is within ||E||_2 of an exact one, and ||S||_2 =
+lambda_1; forming S adds rounding of the same kind. Two computed
+eigenvalues closer than about p eps lambda_1 may thus be a tie, and which
+of them lands above cn depends on roundoff, such as the order of the
+sample rows. ``cluster_tolerance`` is CLUSTER_FACTOR times that scale,
+with p the grid size on both routes. When cn falls between two positive
+eigenvalues closer than it, ``eigendecompose`` raises DegenerateFitError;
+widening d_n over the cluster instead would silently move the threshold.
+
 Samples enter as a ``CurveMatrix``; a list of curves is stacked once by
 ``CurveMatrix.of``, which also checks that they share one grid. The
 eigenvectors of a decomposition are one ``CurveMatrix`` holding a
@@ -37,6 +50,15 @@ from .hilbert import Curve, CurveMatrix, Grid, ensure_same_grid
 
 # Relative cutoff below which empirical eigenvalues are treated as exact zeros.
 EIGENVALUE_CLAMP = 1e-12
+# Multiple of p * eps * lambda_1 within which two eigenvalues are one
+# cluster that a threshold must not split (see the module docstring).
+CLUSTER_FACTOR = 4.0
+
+
+def cluster_tolerance(lambda_1: float, p: int) -> float:
+    """CLUSTER_FACTOR * p * eps * lambda_1: the gap below which two computed
+    eigenvalues of a p-point operator with top eigenvalue lambda_1 may be a tie."""
+    return CLUSTER_FACTOR * p * np.finfo(float).eps * lambda_1
 
 
 @dataclass(frozen=True)
@@ -156,7 +178,8 @@ def eigendecompose(
     only the leading pairs whose eigenvalue is positive and at least cn
     (boundary inclusive) get one, or the first ``min_pairs`` positive
     pairs when that is more; DegenerateFitError is raised when that
-    leaves none.
+    leaves none, or when cn separates two positive eigenvalues closer than
+    ``cluster_tolerance``.
     """
     w = op.grid.weights
     sqrt_w = np.sqrt(w)
@@ -184,9 +207,17 @@ def eigendecompose(
     if cn is None:
         held = lam.size
     else:
-        held = max(int(np.count_nonzero(lam[:rank] >= cn)), min(min_pairs, rank))
+        d = int(np.count_nonzero(lam[:rank] >= cn))
+        held = max(d, min(min_pairs, rank))
         if held == 0:
             raise DegenerateFitError("threshold exceeds spectrum: no eigenvalue retained")
+        tol = cluster_tolerance(lam[0], len(w))
+        if 0 < d < rank and lam[d - 1] - lam[d] <= tol:
+            raise DegenerateFitError(
+                f"threshold splits tied eigenvalues lambda_{d} = {float(lam[d - 1])!r} and "
+                f"lambda_{d + 1} = {float(lam[d])!r}: gap {lam[d - 1] - lam[d]:.3g} <= "
+                f"cluster tolerance {tol:.3g}"
+            )
     vec = vec[:, order[:held]]
     if gram_route:
         vec = z.T @ vec / np.sqrt(op.n * lam[:held])

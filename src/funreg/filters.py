@@ -1,4 +1,4 @@
-"""Regularization filter family, rank rules, and the bias-condition probe.
+"""Regularization filter family, rank rules, and the attenuation probe of H3.
 
 A filter maps empirical eigenvalues to the coefficients of the
 regularized inverse. Every kind vanishes strictly below its threshold
@@ -27,9 +27,6 @@ TIKHONOV = "tikhonov"
 GENERALIZED = "generalized"
 
 _KINDS = (TRUNCATION, RIDGE, TIKHONOV, GENERALIZED)
-
-# Grid resolution for the sup search when no closed form is available.
-_H3_GRID = 10_000
 
 
 @dataclass(frozen=True)
@@ -128,50 +125,32 @@ def effective_rank(decomposition, cn: float) -> int:
     return int(np.count_nonzero((lam >= cn) & (lam > 0)))
 
 
-@dataclass(frozen=True)
-class H3Report:
-    """Finite-sample probe of the attenuation condition.
+def h3_sup_deviation(spec: FilterSpec) -> float:
+    """sup over s >= cn of |s f_n(s) - 1|, the attenuation of H3.
 
-    sup_deviation is sup over [cn, upper] of |s f_n(s) - 1|. The
-    asymptotic requirement (a o(1/sqrt(n)) decay) cannot be decided from
-    one sample; bound_satisfied_hint just flags sup * sqrt(n) <= 1.
+    For every kind s f_n(s) rises with s from cn f_n(cn) toward 1, so the
+    sup sits at s = cn; truncation, ridge and tikhonov take the closed
+    form, which avoids the cancellation in 1 - cn f_n(cn).
     """
-
-    sup_deviation: float
-    bound_satisfied_hint: bool
-
-
-def check_h3(spec: FilterSpec, n: int, upper: float) -> H3Report:
-    """Evaluate the sup deviation analytically where a closed form exists
-    (the extremum sits at s = cn for truncation/ridge/tikhonov), else by
-    dense grid search."""
-    if n < 1:
-        raise ValidationError("sample size must be >= 1")
-    if upper < spec.cn:
-        raise ValidationError("upper end must be >= cn")
     if spec.kind == TRUNCATION:
-        sup = 0.0
-    elif spec.kind == RIDGE:
-        sup = spec.alpha / (spec.cn + spec.alpha)
-    elif spec.kind == TIKHONOV:
-        sup = spec.alpha / (spec.cn**2 + spec.alpha)
-    else:
-        s = np.linspace(spec.cn, upper, _H3_GRID)
-        sup = float(np.max(np.abs(s * filter_values(spec, s) - 1.0)))
-    return H3Report(
-        sup_deviation=float(sup), bound_satisfied_hint=bool(sup * np.sqrt(n) <= 1.0)
-    )
+        return 0.0
+    if spec.kind == RIDGE:
+        return spec.alpha / (spec.cn + spec.alpha)
+    if spec.kind == TIKHONOV:
+        return spec.alpha / (spec.cn**2 + spec.alpha)
+    return float(1.0 - spec.cn * filter_values(spec, spec.cn))
 
 
 def filter_from_config(cfg: dict, cn: float | None = None) -> FilterSpec:
     """Build a FilterSpec from its JSON fragment, rejecting unknown keys.
 
-    An explicit ``cn`` argument overrides the fragment's value (used when
-    a threshold rule supplies the cutoff per sample size).
+    An explicit ``cn`` argument supplies the threshold (used when a
+    threshold rule gives the cutoff per sample size), and the fragment may
+    then not hold a ``cn`` of its own.
     """
     where = "filter"
     required = ("kind", "cn") if cn is None else ("kind",)
-    config.section(cfg, where, required, ("cn", "alpha", "p", "variant"))
+    config.section(cfg, where, required, ("alpha", "p", "variant"))
     return FilterSpec(
         kind=config.value(cfg, "kind", where, str),
         cn=config.value(cfg, "cn", where, float) if cn is None else float(cn),

@@ -11,6 +11,40 @@ Kolmogorov-Smirnov statistic D against N(0, 1), with no p-value. Phi is
 ``kstest``'s arithmetic, so it is bit-equal to
 ``scipy.stats.kstest(errors, "norm").statistic`` (tested on x86_64 Linux,
 glibc).
+
+``population(model, filt, x)`` is what the model and the filter f (with
+its threshold cn) fix before any sample is drawn, for the true eigenpairs
+(lam_l, e_l) and rho_l = <rho, e_l>. Every coverage and fixed-x report
+carries it, last, as its ``population`` key:
+
+* ``k_n``: the nonrandom rank, the largest p with lam_p + delta_p/2 >= cn
+  (``filters.select_kn``), which d_n tracks in both CLTs.
+* ``s_n`` = sqrt(sum_{j<=k_n} [lam_j f(lam_j)]^2): the random-x
+  normalizer that s_hat estimates (sqrt(k_n) for truncation).
+* ``t_n_x`` = sqrt(sum_{j<=k_n} lam_j f(lam_j)^2 <x, e_j>^2), fixed x
+  only: the normalizer that t_hat(x) estimates. It stays bounded as k_n
+  grows iff x is in the range of Gamma^{1/2}: the rate depends on x.
+* ``tail_bias``: what the rank-k_n projection leaves of rho,
+  sqrt(sum_{l>k_n} lam_l rho_l^2) for a random x, or the signed
+  sum_{l>k_n} rho_l <x, e_l> at a fixed x. The CLTs centre at the
+  projection, so it must be small against the half width; this is where
+  the smoothness of rho enters the rate.
+* ``h3_sup`` = sup over [cn, lam_1] of |s f(s) - 1|: the filter's
+  attenuation, which hypothesis H3 asks to be o(1/sqrt(n)). s f(s) rises
+  with s for every kind, so it is 1 - cn f(cn): 0 for truncation,
+  alpha/(cn + alpha) for ridge, alpha/(cn^2 + alpha) for tikhonov.
+* ``first_pairwise_violation`` and ``first_tail_violation``: the
+  eigenvalue inequalities j lam_j >= k lam_k (j < k) and
+  sum_{j>=k} lam_j <= (k+1) lam_k that follow from the convexity of
+  lam_l assumed in the paper, swept over the L model eigenvalues with
+  1e-9 relative slack (tail sums end at L). The first is the first k with
+  k lam_k above min_{j<k} j lam_j, paired with the j of that minimum; the
+  second is the first k whose tail sum is too large. Each is None when
+  its inequality holds.
+
+The block also holds, outside its JSON, ``x_rkhs_sup`` =
+max_l <x, e_l>^2 / lam_l (a top-level key of fixed-x reports) and the
+projection <Pi_{k_n} rho, x> that the fixed-x bias is measured from.
 The ``*_from_config`` functions at the end read their fields through ``config``.
 """
 
@@ -26,7 +60,7 @@ import numpy as np
 from . import config
 from .errors import DegenerateFitError, ValidationError
 from .estimator import fit, normalizers, prediction_interval
-from .filters import FilterSpec, select_kn
+from .filters import FilterSpec, h3_sup_deviation, select_kn
 from .hilbert import (
     Curve,
     CurveMatrix,
@@ -267,65 +301,70 @@ def generate_dataset(
 
 
 # ---------------------------------------------------------------------------
-# truth-side quantities
+# the population block
 
 
 @dataclass(frozen=True)
-class TrueNormalizers:
+class Population:
+    """The population side of an experiment; see the module docstring.
+
+    ``x_rkhs_sup`` and ``projection`` are None for a random x and are
+    left out of ``to_dict``, as is ``t_n_x`` when None.
+    """
+
     k_n: int
     s_n: float
     t_n_x: float | None
+    tail_bias: float
+    h3_sup: float
+    first_pairwise_violation: tuple[int, int] | None
+    first_tail_violation: int | None
+    x_rkhs_sup: float | None
+    projection: float | None
+
+    def to_dict(self) -> dict:
+        keys = ("k_n", "s_n", "t_n_x", "tail_bias", "h3_sup",
+                "first_pairwise_violation", "first_tail_violation")
+        return {k: getattr(self, k) for k in keys if k != "t_n_x" or self.t_n_x is not None}
 
 
-def true_normalizers(
-    model: SpectralModel, cn: float, filt: FilterSpec, x: Curve | None = None
-) -> TrueNormalizers:
-    """Nonrandom rank k_n and the population normalizers at that rank."""
-    k_n = select_kn(model.lambdas, cn)
-    coeffs = None if x is None else model.x_coefficients(x)[:k_n]
-    norms = normalizers(model.lambdas[:k_n], replace(filt, cn=cn), coeffs)
-    return TrueNormalizers(k_n=k_n, s_n=norms.s, t_n_x=norms.t)
-
-
-def truncation_bias(model: SpectralModel, k: int, x: Curve | None = None) -> float:
-    """Tail size left by a rank-k projection of rho.
-
-    Expected-predictor form sqrt(sum_{l>k} lam_l rho_l^2), or the signed
-    magnitude |sum_{l>k} rho_l <x, e_l>| at a fixed x.
-    """
-    if k < 0:
-        raise ValidationError("rank must be nonnegative")
-    if k >= model.L:
-        return 0.0
+def population(model: SpectralModel, filt: FilterSpec, x: Curve | None = None) -> Population:
+    """The population block of ``model`` under ``filt`` (threshold filt.cn),
+    for a random new predictor or, given ``x``, at that fixed point."""
+    lam, rho = model.lambdas, model.rho_coeffs
+    k_n = select_kn(lam, filt.cn)
     if x is None:
-        tail = model.lambdas[k:] * model.rho_coeffs[k:] ** 2
-        return float(np.sqrt(np.sum(tail)))
-    coeff = model.x_coefficients(x)
-    return float(abs(np.sum(model.rho_coeffs[k:] * coeff[k:])))
-
-
-def t_normalizer_profile(
-    decay: EigenDecay, k_max: int, beta: float | None = None, x_squared=None
-) -> np.ndarray:
-    """t_{k,x} = sqrt(sum_{j<=k} x_j^2 / lam_j) for k = 1..k_max.
-
-    Uses the plain spectral-truncation weights; bounded iff x lies in
-    the range of the square-root covariance.
-    """
-    lam = decay.values(k_max)
-    if beta is not None:
-        x2 = power_squared_coeffs(beta, k_max)
+        coeffs = rkhs_sup = projection = None
+        tail = float(np.sqrt(np.sum(lam[k_n:] * rho[k_n:] ** 2)))
     else:
-        x2 = np.asarray(x_squared, dtype=float)
-        if x2.size < k_max:
-            raise ValidationError("x_squared shorter than k_max")
-        x2 = x2[:k_max]
-    return np.sqrt(np.cumsum(x2 / lam))
+        x_coeff = model.x_coefficients(x)
+        coeffs = x_coeff[:k_n]
+        rkhs_sup = float(np.max(x_coeff**2 / lam))
+        projection = float(np.sum(rho[:k_n] * coeffs))
+        tail = float(np.sum(rho[k_n:] * x_coeff[k_n:]))
+    norms = normalizers(lam[:k_n], filt, coeffs)
 
+    slack = 1.0 + 1e-9
+    idx = np.arange(1, lam.size + 1, dtype=float)
+    jl = idx * lam
+    # k breaks the pairwise inequality when k lam_k exceeds the running
+    # minimum of j lam_j over j < k; j is where that minimum first occurs
+    up = np.flatnonzero(jl[1:] > np.minimum.accumulate(jl)[:-1] * slack)
+    pairwise = (int(np.argmin(jl[: up[0] + 1])) + 1, int(up[0]) + 2) if up.size else None
+    tails = np.cumsum(lam[::-1])[::-1]
+    bad = np.flatnonzero(tails > (idx + 1) * lam * slack)
 
-def loglog_slope(xs, ys) -> float:
-    """Least-squares slope of log(ys) against log(xs)."""
-    return float(np.polyfit(np.log(np.asarray(xs, float)), np.log(np.asarray(ys, float)), 1)[0])
+    return Population(
+        k_n=k_n,
+        s_n=norms.s,
+        t_n_x=norms.t,
+        tail_bias=tail,
+        h3_sup=h3_sup_deviation(filt),
+        first_pairwise_violation=pairwise,
+        first_tail_violation=int(bad[0]) + 1 if bad.size else None,
+        x_rkhs_sup=rkhs_sup,
+        projection=projection,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +378,23 @@ class CoverageReport:
     ``ks_statistic`` is the two-sided Kolmogorov-Smirnov D of the
     standardized errors against N(0, 1) (``normal_ks_statistic``; no
     p-value), or None when no replicate succeeded or an error is not finite.
+
+    ``population`` is the run's ``Population``, written last by
+    ``to_dict``; in the module docstring's terms, each field and what it
+    probes:
+
+    * ``k_n``: the nonrandom rank, lam_p + delta_p/2 >= cn; d_n tracks it;
+    * ``s_n`` = sqrt(sum_{j<=k_n} [lam_j f(lam_j)]^2): the limit of s_hat;
+    * ``t_n_x`` = sqrt(sum_{j<=k_n} lam_j f(lam_j)^2 <x, e_j>^2), fixed x
+      only: the limit of t_hat(x), bounded iff x is in the range of Gamma^{1/2};
+    * ``tail_bias``: sqrt(sum_{l>k_n} lam_l rho_l^2), or sum_{l>k_n} rho_l
+      <x, e_l> at a fixed x: the bias the smoothness of rho must make small;
+    * ``h3_sup`` = sup_{cn <= s <= lam_1} |s f(s) - 1|: hypothesis H3;
+    * ``first_pairwise_violation`` (j lam_j >= k lam_k, j < k) and
+      ``first_tail_violation`` (sum_{j>=k} lam_j <= (k+1) lam_k): the
+      convexity of the eigenvalues; None where they hold.
+
+    Its ``x_rkhs_sup`` = max_l <x, e_l>^2 / lam_l is the top-level key.
     """
 
     nominal_level: float
@@ -350,7 +406,7 @@ class CoverageReport:
     bias_summary: float | None
     seed: int
     n_failed: int
-    x_rkhs_sup: float | None
+    population: Population
     rows: tuple[dict, ...]
 
     def to_dict(self) -> dict:
@@ -365,8 +421,9 @@ class CoverageReport:
             "seed": self.seed,
             "n_failed": self.n_failed,
         }
-        if self.x_rkhs_sup is not None:
-            out["x_rkhs_sup"] = self.x_rkhs_sup
+        if self.population.x_rkhs_sup is not None:
+            out["x_rkhs_sup"] = self.population.x_rkhs_sup
+        out["population"] = self.population.to_dict()
         return out
 
 
@@ -417,7 +474,7 @@ def normal_ks_statistic(sample: np.ndarray) -> float:
     return float(max((np.arange(1.0, n + 1) / n - c).max(), (c - np.arange(0.0, n) / n).max()))
 
 
-def _aggregate(rows, level, n, replicates, seed, x_rkhs_sup=None) -> CoverageReport:
+def _aggregate(rows, level, n, replicates, seed, pop: Population) -> CoverageReport:
     ok = [r for r in rows if not r["failed"]]
     n_failed = len(rows) - len(ok)
     if ok:
@@ -438,7 +495,7 @@ def _aggregate(rows, level, n, replicates, seed, x_rkhs_sup=None) -> CoverageRep
         bias_summary=bias,
         seed=seed,
         n_failed=n_failed,
-        x_rkhs_sup=x_rkhs_sup,
+        population=pop,
         rows=tuple(rows),
     )
 
@@ -453,18 +510,16 @@ def _interval_experiment(model, x, n, cn, filt, level, replicates, seed, threads
     """
     _check_run(replicates, seed, threads, level)
     filt = replace(filt, cn=cn)
-    k_n = select_kn(model.lambdas, cn)
+    pop = population(model, filt, x)
+    k_n = pop.k_n
     # the row fields a failed replicate leaves None
     blank = ["center", "half_width", "std_error", "bias", "d_n"] + ([] if x is None else ["t_hat"])
     if x is None:
-        pivot, min_pairs, rkhs_sup = "s_hat", 0, None
+        pivot, min_pairs = "s_hat", 0
         rho_tail = model.rho_coeffs[k_n:]
     else:
         # the projection bias reads up to k_n eigenvectors
         pivot, min_pairs = "t_hat", k_n
-        x_coeff = model.x_coefficients(x)
-        rkhs_sup = float(np.max(x_coeff**2 / model.lambdas))
-        true_proj = float(np.sum(model.rho_coeffs[:k_n] * x_coeff[:k_n]))
         w = model.grid.weights
 
     def worker(rep: int) -> dict:
@@ -496,11 +551,11 @@ def _interval_experiment(model, x, n, cn, filt, level, replicates, seed, threads
         ehat = ft.decomposition.vectors_matrix[:kk]
         rho_on_ehat = ehat @ (w * model.rho_curve.values)
         x_on_ehat = ehat @ (w * x.values)
-        row["bias"] = float(np.sum(rho_on_ehat * x_on_ehat) - true_proj)
+        row["bias"] = float(np.sum(rho_on_ehat * x_on_ehat) - pop.projection)
         return row
 
     rows = _run_indexed(worker, replicates, threads)
-    return _aggregate(rows, level, n, replicates, seed, x_rkhs_sup=rkhs_sup)
+    return _aggregate(rows, level, n, replicates, seed, pop)
 
 
 def coverage_experiment(
@@ -666,7 +721,6 @@ class VarianceBoundReport:
     k_grid: tuple[int, ...]
     values: tuple[float, ...]
     reference: tuple[float, ...]
-    inner_sums: np.ndarray
 
     def to_dict(self) -> dict:
         return {
@@ -676,14 +730,13 @@ class VarianceBoundReport:
         }
 
 
-def variance_lower_bound(
-    model: SpectralModel, k_grid, beta: float | None = None, x_squared=None
-) -> VarianceBoundReport:
+def variance_lower_bound(model: SpectralModel, k_grid, x_squared) -> VarianceBoundReport:
     """Evaluate sum_{j<=k} lam_j rho_j^2 sum_{l<j} lam_l x_l^2/(lam_j-lam_l)^2.
 
-    Also returns the comparison series sum_{j<=k} j^2 x_j^2 rho_j^2
-    (the divergent reference when x follows a power law) and the raw
-    inner sums for growth-rate inspection.
+    ``x_squared`` holds the squared coordinates x_j^2, at least max(k_grid)
+    of them (``power_squared_coeffs`` gives the power profile). Also
+    returns the comparison series sum_{j<=k} j^2 x_j^2 rho_j^2 (the
+    divergent reference when x follows a power law).
     """
     ks = [int(k) for k in k_grid]
     if not ks or any(k < 1 for k in ks):
@@ -693,13 +746,10 @@ def variance_lower_bound(
     if np.unique(lam).size != lam.size:
         raise ValidationError("repeated eigenvalues make the inner sum singular")
     rho = model.rho.values(max_k)
-    if beta is not None:
-        x2 = power_squared_coeffs(beta, max_k)
-    else:
-        x2 = np.asarray(x_squared, dtype=float)
-        if x2.size < max_k:
-            raise ValidationError("x_squared shorter than max(k_grid)")
-        x2 = x2[:max_k]
+    x2 = np.asarray(x_squared, dtype=float)
+    if x2.size < max_k:
+        raise ValidationError("x_squared shorter than max(k_grid)")
+    x2 = x2[:max_k]
 
     inner = np.zeros(max_k)
     for j in range(1, max_k):
@@ -713,7 +763,6 @@ def variance_lower_bound(
         k_grid=tuple(ks),
         values=tuple(float(totals[k - 1]) for k in ks),
         reference=tuple(float(reference[k - 1]) for k in ks),
-        inner_sums=inner,
     )
 
 
@@ -764,77 +813,6 @@ def condition_u_diagnostic(model: SpectralModel, J: int) -> ConditionUReport:
         convergent=fraction <= 0.01,
         last_decade_fraction=fraction,
         J=J,
-    )
-
-
-@dataclass(frozen=True)
-class EigenInequalityReport:
-    """Outcome of the convexity inequality sweep on an eigenvalue sequence."""
-
-    pairwise_ok: bool
-    tail_ok: bool
-    first_pairwise_violation: tuple[int, int] | None
-    first_tail_violation: int | None
-    start_index: int
-    length: int
-
-    @property
-    def ok(self) -> bool:
-        return self.pairwise_ok and self.tail_ok
-
-    def to_dict(self) -> dict:
-        return {
-            "pairwise_ok": self.pairwise_ok,
-            "tail_ok": self.tail_ok,
-            "first_pairwise_violation": self.first_pairwise_violation,
-            "first_tail_violation": self.first_tail_violation,
-            "start_index": self.start_index,
-            "length": self.length,
-        }
-
-
-def eigen_inequality_check(lambdas, start_index: int = 1) -> EigenInequalityReport:
-    """Verify j lam_j >= k lam_k (j < k) and sum_{j>=k} lam_j <= (k+1) lam_k.
-
-    Both sweeps run over 1-based indices >= start_index (the source
-    inequalities are asymptotic, so callers may exclude a finite prefix);
-    tail sums are truncated at the end of the sequence. Comparisons allow
-    1e-9 relative slack so exact-equality cases do not flag.
-    """
-    lam = np.asarray(lambdas, dtype=float)
-    if lam.ndim != 1 or lam.size < 2:
-        raise ValidationError("need a 1-d sequence with >= 2 eigenvalues")
-    if not np.all(lam > 0) or not np.all(np.diff(lam) < 0):
-        raise ValidationError("eigenvalues must be strictly decreasing, positive")
-    if not 1 <= start_index <= lam.size:
-        raise ValidationError("start_index out of range")
-    s = start_index - 1
-    idx = np.arange(1, lam.size + 1, dtype=float)
-    jl = idx * lam
-    slack = 1.0 + 1e-9
-
-    first_pair = None
-    running_min = jl[s]
-    running_arg = s
-    for k in range(s + 1, lam.size):
-        if jl[k] > running_min * slack:
-            first_pair = (running_arg + 1, k + 1)
-            break
-        if jl[k] < running_min:
-            running_min = jl[k]
-            running_arg = k
-
-    tails = np.cumsum(lam[::-1])[::-1]
-    bad = np.flatnonzero(tails[s:] > (idx[s:] + 1) * lam[s:] * slack)
-    first_tail = int(bad[0]) + start_index if bad.size else None
-
-    return EigenInequalityReport(
-        pairwise_ok=first_pair is None,
-        tail_ok=first_tail is None,
-        first_pairwise_violation=first_pair,
-        first_tail_violation=first_tail,
-        start_index=start_index,
-        length=int(lam.size),
     )
 
 

@@ -442,6 +442,9 @@ class TestSimulateCommand:
         assert run(["simulate", "fixed-x", "--config", cfg_path, "--out", out]) == 0
         report = json.loads(out.read_text())
         assert report["x_rkhs_sup"] == pytest.approx(2.0)  # 1/lambda_1
+        # L = 2, whose last index never enters k_n: t_n_x = 1/sqrt(lambda_1) at x = e_1
+        assert report["population"]["k_n"] == 1
+        assert report["population"]["t_n_x"] == pytest.approx(np.sqrt(2.0), rel=1e-12)
 
     def test_norm_divergence_roundtrip(self, tmp_path):
         cfg = {
@@ -556,6 +559,8 @@ MALFORMED_CONFIGS = [
     ("coverage", COVERAGE_CONFIG, "level", 1.5),
     ("fixed-x", FIXED_X_CONFIG, "level", 1.5),
     ("fixed-x", FIXED_X_CONFIG, "level", 0),
+    # the threshold rule sets cn per n, so a cn in the filter is refused
+    ("norm-divergence", NORM_DIVERGENCE_CONFIG, "filter", {"kind": "truncation", "cn": 123.0}),
 ]
 
 COVERAGE_HEADER = "replicate,failed,hit,center,half_width,std_error,bias,d_n,error"
@@ -585,6 +590,30 @@ def test_rows_csv_header_is_pinned(tmp_path, command, cfg, code, header):
     assert run(["simulate", command, "--config", cfg_path, "--out", out]) == code
     with open(tmp_path / "r.csv", newline="") as fh:
         assert fh.readline() == header + "\r\n"
+
+
+REPORT_KEYS = ["nominal_level", "n", "replicates", "empirical_coverage", "mean_half_width",
+               "ks_statistic", "bias_summary", "seed", "n_failed"]
+POPULATION_KEYS = ["k_n", "s_n", "tail_bias", "h3_sup", "first_pairwise_violation",
+                   "first_tail_violation"]
+
+# (command, config, top-level keys of the report JSON, keys of its population block)
+REPORT_SCHEMAS = [
+    ("coverage", COVERAGE_CONFIG, REPORT_KEYS + ["population"], POPULATION_KEYS),
+    ("fixed-x", FIXED_X_CONFIG, REPORT_KEYS + ["x_rkhs_sup", "population"],
+     POPULATION_KEYS[:2] + ["t_n_x"] + POPULATION_KEYS[2:]),
+]
+
+
+@pytest.mark.parametrize("command, cfg, keys, population_keys", REPORT_SCHEMAS)
+def test_report_key_order_is_pinned(tmp_path, command, cfg, keys, population_keys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "r.json"
+    assert run(["simulate", command, "--config", cfg_path, "--out", out]) == 0
+    report = json.loads(out.read_text())
+    assert list(report) == keys
+    assert list(report["population"]) == population_keys
 
 
 class TestArgumentErrors:

@@ -3,10 +3,12 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from funreg import cli
 from funreg.covariance import (
     EIGENVALUE_CLAMP,
     CovarianceOperator,
     SpectralDecomposition,
+    cluster_tolerance,
     eigendecompose,
     empirical_covariance,
     spectral_gaps,
@@ -21,6 +23,7 @@ from funreg.hilbert import (
     inner_product,
     make_trapezoid_grid,
     norm,
+    save_curves_csv,
     trapezoid_weights,
 )
 
@@ -506,3 +509,71 @@ class TestHeldPrefix:
         # the centered rows are held as computed, read-only, not copied again
         assert op.samples.values.flags.owndata and not op.samples.values.flags.writeable
         assert empirical_covariance(matrix, center=False).mean is None
+
+
+def tied_pair_problem(n, p=41, seed=0):
+    """Uncentered rows whose two leading eigenvalues tie: three curves
+    orthonormal under the weights, orthogonal score columns with empirical
+    variances 1, 1 and 0.01, and noiseless responses."""
+    g = make_trapezoid_grid(0.0, 1.0, p)
+    rng = np.random.default_rng(seed)
+    curves = np.linalg.qr(rng.standard_normal((p, 3)))[0].T / np.sqrt(g.weights)
+    scores = np.sqrt(n) * np.linalg.qr(rng.standard_normal((n, 3)))[0] * [1.0, 1.0, 0.1]
+    return CurveMatrix(g, scores @ curves), scores @ np.array([1.0, 0.5, 0.25])
+
+
+class TestTiedCutoff:
+    # n = 400 >= p = 41 solves the p x p matrix, n = 20 the Gram matrix
+    TIED_ROUTES = [400, 20]
+
+    @staticmethod
+    def split_threshold(sample):
+        """The top eigenvalue, a threshold that keeps lambda_1 alone."""
+        lam = eigendecompose(empirical_covariance(sample, center=False)).eigenvalues
+        # the tie is broken by roundoff alone, within the cluster tolerance
+        assert 0 < lam[0] - lam[1] <= cluster_tolerance(lam[0], len(sample.grid))
+        return float(lam[0])
+
+    @pytest.mark.parametrize("n", TIED_ROUTES)
+    def test_a_threshold_inside_a_tie_is_degenerate(self, n):
+        sample, y = tied_pair_problem(n)
+        cn = self.split_threshold(sample)
+        match = r"splits tied eigenvalues lambda_1 = \S+ and lambda_2 = \S+: gap \S+ <= cluster"
+        with pytest.raises(DegenerateFitError, match=match):
+            eigendecompose(empirical_covariance(sample, center=False), cn)
+        with pytest.raises(DegenerateFitError, match=match):
+            fit(sample, y, FilterSpec("truncation", cn), center=False)
+
+    @pytest.mark.parametrize("n", TIED_ROUTES)
+    def test_every_row_order_raises_or_agrees(self, n):
+        sample, y = tied_pair_problem(n)
+        # inside the tie, and clear of it with both tied pairs retained
+        for cn in (self.split_threshold(sample), 0.5):
+            fits = []
+            for seed in range(12):
+                perm = np.random.default_rng(seed).permutation(n)
+                try:
+                    ft = fit(CurveMatrix(sample.grid, sample.values[perm]), y[perm],
+                             FilterSpec("truncation", cn), center=False)
+                except DegenerateFitError:
+                    continue
+                fits.append(ft.rho_hat.values)
+            if cn == 0.5:
+                assert len(fits) == 12
+            for rho in fits[1:]:
+                assert np.max(np.abs(rho - fits[0])) <= 1e-12 * np.max(np.abs(fits[0]))
+
+    @pytest.mark.parametrize("n", TIED_ROUTES)
+    def test_cli_fit_inside_a_tie_exits_3(self, n, tmp_path, capsys):
+        sample, y = tied_pair_problem(n)
+        save_curves_csv(tmp_path / "curves.csv", sample)
+        (tmp_path / "y.csv").write_text("\n".join(repr(float(v)) for v in y) + "\n")
+        cn = self.split_threshold(sample)
+        code = cli.main(["fit", "--curves", str(tmp_path / "curves.csv"),
+                         "--responses", str(tmp_path / "y.csv"), "--filter", "truncation",
+                         "--cn", repr(cn), "--no-center", "--out", str(tmp_path / "fit.json")])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 3
+        assert len(err) == 1
+        assert err[0].startswith("error: degenerate: threshold splits tied eigenvalues lambda_1")
+        assert not (tmp_path / "fit.json").exists()

@@ -6,7 +6,6 @@ from funreg.covariance import eigendecompose, empirical_covariance, spectral_gap
 from funreg.errors import ValidationError
 from funreg.filters import (
     FilterSpec,
-    check_h3,
     effective_rank,
     filter_from_config,
     filter_to_config,
@@ -15,6 +14,7 @@ from funreg.filters import (
 )
 from funreg.estimator import normalizers
 from funreg.hilbert import Curve, make_trapezoid_grid
+from funreg.simlab import CoeffRule, EigenDecay, SpectralModel, population
 
 
 def filter_at(spec, x):
@@ -206,36 +206,49 @@ class TestEffectiveRank:
 
 
 class TestCheckH3:
+    """H3's sup deviation, sup over [cn, lambda_1] of |s f(s) - 1|, as the
+    population block reports it on a model with lambda_1 = 1."""
+
+    MODEL = SpectralModel(make_trapezoid_grid(0, 1, 21), EigenDecay.power(1.0),
+                          CoeffRule.finite([1.0]), noise_sd=0.0, L=10)
+
+    def h3_sup(self, spec):
+        return population(self.MODEL, spec).h3_sup
+
     def test_truncation_exact_zero(self):
-        rep = check_h3(FilterSpec("truncation", 0.3), n=50, upper=2.0)
-        assert rep.sup_deviation == 0.0
-        assert rep.bound_satisfied_hint
+        assert self.h3_sup(FilterSpec("truncation", 0.3)) == 0.0
 
     def test_ridge_analytic_value(self):
-        rep = check_h3(FilterSpec("ridge", 0.3, alpha=0.1), n=50, upper=2.0)
-        assert rep.sup_deviation == pytest.approx(0.25, abs=1e-12)
+        assert self.h3_sup(FilterSpec("ridge", 0.3, alpha=0.1)) == pytest.approx(0.25, abs=1e-12)
 
     def test_tikhonov_analytic_value(self):
-        rep = check_h3(FilterSpec("tikhonov", 0.3, alpha=0.01), n=50, upper=2.0)
-        assert rep.sup_deviation == pytest.approx(0.01 / (0.09 + 0.01), abs=1e-12)
+        sup = self.h3_sup(FilterSpec("tikhonov", 0.3, alpha=0.01))
+        assert sup == pytest.approx(0.01 / (0.09 + 0.01), abs=1e-12)
 
     def test_generalized_grid_search_matches_closed_form(self):
         # variant A: x f(x) = (x/(x+alpha))^(p+1), worst at x = cn
         spec = FilterSpec("generalized", 0.3, alpha=0.05, p=2, variant="A")
-        rep = check_h3(spec, n=100, upper=3.0)
         expected = 1.0 - (0.3 / 0.35) ** 3
-        assert rep.sup_deviation == pytest.approx(expected, rel=1e-6)
+        assert self.h3_sup(spec) == pytest.approx(expected, rel=1e-6)
+
+    @pytest.mark.parametrize("spec", [
+        FilterSpec("ridge", 0.3, alpha=0.1),
+        FilterSpec("tikhonov", 0.05, alpha=0.02),
+        FilterSpec("generalized", 0.3, alpha=0.05, p=2, variant="A"),
+        FilterSpec("generalized", 0.02, alpha=0.5, p=3, variant="A"),
+        FilterSpec("generalized", 0.3, alpha=0.05, p=1, variant="B"),
+        FilterSpec("generalized", 0.02, alpha=1e-4, p=4, variant="B"),
+    ])
+    def test_sup_sits_at_the_threshold(self, spec):
+        # the dense grid search over [cn, lambda_1] that the value replaced
+        s = np.linspace(spec.cn, 1.0, 10_000)
+        grid_sup = np.max(np.abs(s * filter_values(spec, s) - 1.0))
+        assert self.h3_sup(spec) == pytest.approx(grid_sup, rel=1e-12, abs=0)
 
     def test_upper_below_cn_rejected(self):
+        # the block needs cn < lambda_1: a threshold above it retains nothing
         with pytest.raises(ValidationError):
-            check_h3(FilterSpec("truncation", 0.3), n=10, upper=0.2)
-
-    def test_hint_scales_with_n(self):
-        spec = FilterSpec("ridge", 0.3, alpha=0.001)
-        small = check_h3(spec, n=4, upper=1.0)
-        large = check_h3(spec, n=10**8, upper=1.0)
-        assert small.bound_satisfied_hint
-        assert not large.bound_satisfied_hint
+            self.h3_sup(FilterSpec("truncation", 1.2))
 
 
 class TestFilterConfig:

@@ -1,4 +1,6 @@
+import functools
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,21 +19,17 @@ from funreg.simlab import (
     cn_rule_from_config,
     condition_u_diagnostic,
     coverage_experiment,
-    eigen_inequality_check,
     fixed_x_experiment,
     generate_dataset,
     kl_sample,
-    loglog_slope,
     model_from_config,
     normal_ks_statistic,
     norm_divergence_demo,
+    population,
     power_squared_coeffs,
     rank_power_cn_rule,
     rank_threshold,
     replicate_rng,
-    t_normalizer_profile,
-    true_normalizers,
-    truncation_bias,
     variance_lower_bound,
     x_from_config,
 )
@@ -200,18 +198,24 @@ class TestGenerateDataset:
             assert np.array_equal(a.values, b.values)
 
 
-class TestTrueNormalizers:
+def truncated_at(model, k, x=None):
+    """The population block under truncation with k_n = k."""
+    pop = population(model, FilterSpec("truncation", rank_threshold(model.lambdas, k)), x)
+    assert pop.k_n == k
+    return pop
+
+
+class TestPopulationNormalizers:
     def test_truncation_s_is_sqrt_kn(self):
         m = smooth_model()
-        res = true_normalizers(m, cn=rank_threshold(m.lambdas, 4), filt=TRUNC)
+        res = population(m, FilterSpec("truncation", rank_threshold(m.lambdas, 4)))
         assert res.k_n == 4
         assert res.s_n == np.sqrt(4)
 
     def test_t_on_first_basis_function(self):
         m = smooth_model()
-        res = true_normalizers(
-            m, cn=rank_threshold(m.lambdas, 3), filt=TRUNC, x=m.basis_curves[0]
-        )
+        res = population(m, FilterSpec("truncation", rank_threshold(m.lambdas, 3)),
+                         m.basis_curves[0])
         assert res.t_n_x == pytest.approx(1 / np.sqrt(m.lambdas[0]), rel=1e-8)
 
     def test_bounded_t_regime_partial_sum(self):
@@ -221,11 +225,50 @@ class TestTrueNormalizers:
             CoeffRule.power(3.0), noise_sd=0.0, L=60,
         )
         x = m.curve_from_coeffs(np.sqrt(power_squared_coeffs(3.0, 50)))
-        res = true_normalizers(m, cn=rank_threshold(m.lambdas, 40), filt=TRUNC, x=x)
+        res = population(m, FilterSpec("truncation", rank_threshold(m.lambdas, 40)), x)
         assert res.k_n == 40
         partial = np.sqrt(np.sum(np.arange(1.0, 41.0) ** -2))
         assert res.t_n_x == pytest.approx(partial, rel=1e-6)
         assert res.t_n_x < np.pi / np.sqrt(6)
+
+
+class TestPopulation:
+    def test_block_matches_closed_forms(self):
+        # rho in the span of e_1..e_3 = the rank k_n = 3, and x = e_2
+        m = SpectralModel(
+            make_trapezoid_grid(0, 1, 31), EigenDecay.power(1.0),
+            CoeffRule.finite([1.0, 0.5, 0.25]), noise_sd=0.0, L=10,
+        )
+        cn, alpha = rank_threshold(m.lambdas, 3), 0.01
+        x = m.basis_curves[1]
+        h3 = {
+            FilterSpec("truncation", cn): 0.0,
+            FilterSpec("ridge", cn, alpha=alpha): alpha / (cn + alpha),
+            FilterSpec("tikhonov", cn, alpha=alpha): alpha / (cn**2 + alpha),
+        }
+        for filt, sup in h3.items():
+            for pop in (population(m, filt), population(m, filt, x)):
+                assert pop.k_n == 3
+                assert pop.tail_bias == 0.0
+                assert pop.h3_sup == pytest.approx(sup, rel=1e-12, abs=0)
+                assert pop.first_pairwise_violation is None
+                assert pop.first_tail_violation is None
+        pop = population(m, FilterSpec("truncation", cn), x)
+        assert pop.s_n == np.sqrt(3.0)
+        assert pop.t_n_x == pytest.approx(1 / np.sqrt(m.lambdas[1]), rel=1e-12)
+        assert population(m, FilterSpec("truncation", cn)).t_n_x is None
+
+    def test_reports_carry_the_block_last(self):
+        m = smooth_model(L=10, p=31)
+        cn = rank_threshold(m.lambdas, 3)
+        cov = coverage_experiment(m, 40, cn, TRUNC, 0.9, 2, 5)
+        fx = fixed_x_experiment(m, m.basis_curves[0], 40, cn, TRUNC, 0.9, 2, 5)
+        assert cov.population == population(m, FilterSpec("truncation", cn))
+        assert fx.population == population(m, FilterSpec("truncation", cn), m.basis_curves[0])
+        for rep in (cov, fx):
+            assert list(rep.to_dict())[-1] == "population"
+            assert rep.to_dict()["population"] == rep.population.to_dict()
+        assert "x_rkhs_sup" not in fx.to_dict()["population"]
 
 
 class TestTruncationBias:
@@ -234,38 +277,53 @@ class TestTruncationBias:
             make_trapezoid_grid(0, 1, 31), EigenDecay.power(1.0),
             CoeffRule.finite([1.0, 0.5, 0.25]), noise_sd=0.0, L=10,
         )
-        assert truncation_bias(m, 3) == 0.0
+        assert truncated_at(m, 3).tail_bias == 0.0
 
     def test_single_term_tail(self):
         m = SpectralModel(
             make_trapezoid_grid(0, 1, 31), EigenDecay.geometric(0.5),
             CoeffRule.finite([1.0] * 10), noise_sd=0.0, L=10,
         )
-        assert truncation_bias(m, 9) == pytest.approx(np.sqrt(2.0**-10))
-        assert truncation_bias(m, 9) == pytest.approx(0.03125)
+        assert truncated_at(m, 9).tail_bias == pytest.approx(np.sqrt(2.0**-10))
+        assert truncated_at(m, 9).tail_bias == pytest.approx(0.03125)
 
     def test_monotone_in_rank(self):
         m = smooth_model()
-        vals = [truncation_bias(m, k) for k in range(0, 20)]
+        vals = [truncated_at(m, k).tail_bias for k in range(1, 20)]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
     def test_fixed_x_form(self):
+        # signed at a fixed x: sum_{l>k_n} rho_l <x, e_l>
         m = smooth_model(L=10, p=41)
         x = m.basis_curves[4]
-        expected = abs(m.rho_coeffs[4])
-        assert truncation_bias(m, 4, x=x) == pytest.approx(expected, abs=1e-10)
-        assert truncation_bias(m, 5, x=x) == pytest.approx(0.0, abs=1e-10)
+        assert truncated_at(m, 4, x).tail_bias == pytest.approx(m.rho_coeffs[4], abs=1e-10)
+        minus_x = Curve(m.grid, -x.values)
+        assert truncated_at(m, 4, minus_x).tail_bias == pytest.approx(-m.rho_coeffs[4], abs=1e-10)
+        assert truncated_at(m, 5, x).tail_bias == pytest.approx(0.0, abs=1e-10)
 
 
 class TestTRegimeProfile:
+    # under truncation t_n_x at rank k is sqrt(sum_{j<=k} x_j^2 / lam_j)
+
+    @staticmethod
+    @functools.cache
+    def model():
+        return SpectralModel(make_trapezoid_grid(0, 1, 502), EigenDecay.power(1.0),
+                             CoeffRule.power(3.0), noise_sd=0.0, L=501)
+
+    def profile(self, x_squared, ranks):
+        m = self.model()
+        x = m.curve_from_coeffs(np.sqrt(x_squared))
+        return np.array([truncated_at(m, k, x).t_n_x for k in ranks])
+
     def test_bounded_branch_stabilizes(self):
-        t = t_normalizer_profile(EigenDecay.power(1.0), 500, beta=3.0)
-        rel_inc = (t[-1] - t[49]) / t[-1]
+        t = self.profile(power_squared_coeffs(3.0, 501), [50, 500])
+        rel_inc = (t[-1] - t[0]) / t[-1]
         assert rel_inc < 0.01
 
     def test_divergent_branch_grows(self):
-        lam = EigenDecay.power(1.0).values(500)
-        t = t_normalizer_profile(EigenDecay.power(1.0), 500, x_squared=lam)
+        lam = EigenDecay.power(1.0).values(501)
+        t = self.profile(lam, range(1, 501))
         assert t[499] >= 10 * t[4] * (1 - 1e-12)
         assert np.allclose(t**2, np.arange(1.0, 501.0))
 
@@ -282,7 +340,7 @@ class TestVarianceLowerBound:
             make_trapezoid_grid(0, 1, 31), EigenDecay.power(0.5),
             CoeffRule.finite([1.0]), noise_sd=0.0, L=10,
         )
-        rep = variance_lower_bound(m, [1, 3, 5], beta=2.0)
+        rep = variance_lower_bound(m, [1, 3, 5], power_squared_coeffs(2.0, 5))
         assert rep.values == (0.0, 0.0, 0.0)
 
     def test_hand_computed_two_mode_case(self):
@@ -292,22 +350,25 @@ class TestVarianceLowerBound:
             make_trapezoid_grid(0, 1, 31), EigenDecay.geometric(0.5),
             CoeffRule.finite([0.0, 1.0]), noise_sd=0.0, L=4,
         )
-        rep = variance_lower_bound(m, [2], x_squared=[1.0, 0.0])
+        rep = variance_lower_bound(m, [2], [1.0, 0.0])
         assert rep.values[0] == pytest.approx(0.25 * 1.0 * (0.5 / 0.0625))
         assert rep.values[0] == pytest.approx(2.0)
 
     def test_growth_exponent_matches_prediction(self):
         # inner sum ~ C j^(2+alpha-beta) for lam=j^-(1+alpha), x^2=j^-(1+beta)
+        # the inner sum at j is the step of the values from k = j - 1 to j
+        # over lam_j rho_j^2
         m = self.base_model()
-        rep = variance_lower_bound(m, [500], beta=2.0)
         js = np.arange(50, 501)
-        slope = loglog_slope(js, rep.inner_sums[49:500])
+        rep = variance_lower_bound(m, range(49, 501), power_squared_coeffs(2.0, 500))
+        inner = np.diff(rep.values) / (m.decay.values(500) * m.rho.values(500) ** 2)[49:]
+        slope = np.polyfit(np.log(js), np.log(inner), 1)[0]
         assert abs(slope - 0.5) <= 0.15
 
     def test_reference_series_matches_power_form(self):
         m = self.base_model()
         beta = 2.0
-        rep = variance_lower_bound(m, [10], beta=beta)
+        rep = variance_lower_bound(m, [10], power_squared_coeffs(beta, 10))
         j = np.arange(1.0, 11.0)
         rho = CoeffRule.power(1.0).values(10)
         assert rep.reference[0] == pytest.approx(np.sum(j ** (1 - beta) * rho**2))
@@ -363,36 +424,54 @@ class TestConditionU:
             condition_u_diagnostic(m, 21)
 
 
+def spectrum_population(lambdas):
+    """The population block of a model given by its eigenvalues alone."""
+    lam = np.asarray(lambdas, dtype=float)
+    model = SimpleNamespace(lambdas=lam, rho_coeffs=np.zeros(lam.size))
+    return population(model, FilterSpec("truncation", lam[1]))
+
+
 class TestEigenInequalities:
+    @staticmethod
+    def holds(pop):
+        return pop.first_pairwise_violation is None and pop.first_tail_violation is None
+
     def test_power_decay_clean(self):
         lam = np.arange(1.0, 1001.0) ** -2
-        rep = eigen_inequality_check(lam)
-        assert rep.ok
+        assert self.holds(spectrum_population(lam))
 
     def test_geometric_half_clean(self):
         lam = 0.5 ** np.arange(1.0, 61.0)
-        rep = eigen_inequality_check(lam)
-        assert rep.ok
+        assert self.holds(spectrum_population(lam))
 
     def test_non_convex_sequence_flagged(self):
         # tail sum at k=1 is 2.09 > 2*1.0; pairwise already fails at (1, 2)
-        rep = eigen_inequality_check([1.0, 0.9, 0.1, 0.09])
-        assert not rep.tail_ok
+        rep = spectrum_population([1.0, 0.9, 0.1, 0.09])
         assert rep.first_tail_violation == 1
-        assert not rep.pairwise_ok
         assert rep.first_pairwise_violation == (1, 2)
 
     def test_geometric_point_nine_violates_at_small_indices(self):
         lam = 0.9 ** np.arange(1.0, 61.0)
-        rep = eigen_inequality_check(lam)
+        rep = spectrum_population(lam)
         assert rep.first_pairwise_violation == (1, 2)
         assert rep.first_tail_violation == 1
 
-    def test_geometric_point_nine_clean_in_asymptotic_regime(self):
-        # j * 0.9^j peaks at j ~ 9.49, so both sweeps hold from index 9 on
-        lam = 0.9 ** np.arange(1.0, 61.0)
-        rep = eigen_inequality_check(lam, start_index=9)
-        assert rep.ok
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.floats(0.01, 0.999), st.none()), min_size=1, max_size=40))
+    def test_pairwise_sweep_matches_the_loop(self, ratios):
+        # the running-minimum loop the vectorized sweep replaced, kept as the
+        # reference; a None step j/(j+1) keeps j lam_j level up to roundoff
+        steps = [j / (j + 1) if r is None else r for j, r in enumerate(ratios, 1)]
+        lam = np.cumprod([1.0] + steps)
+        jl = np.arange(1, lam.size + 1) * lam
+        expected, running_min, running_arg = None, jl[0], 0
+        for k in range(1, lam.size):
+            if jl[k] > running_min * (1.0 + 1e-9):
+                expected = (running_arg + 1, k + 1)
+                break
+            if jl[k] < running_min:
+                running_min, running_arg = jl[k], k
+        assert spectrum_population(lam).first_pairwise_violation == expected
 
 
 class TestCoverageExperiment:
@@ -487,7 +566,7 @@ class TestFixedXExperiment:
                                  replicates=500, seed=11)
         assert rep.n_failed == 0
         assert rep.ks_statistic < 1.36 / np.sqrt(500)
-        assert rep.x_rkhs_sup == pytest.approx(1 / m.lambdas[0], rel=1e-8)
+        assert rep.population.x_rkhs_sup == pytest.approx(1 / m.lambdas[0], rel=1e-8)
 
     def test_orthogonal_x_fails_every_replicate(self):
         m = smooth_model(L=20, p=101)
@@ -510,7 +589,7 @@ class TestFixedXExperiment:
         )
         x = m.basis_curves[1]
         cn = rank_threshold(m.lambdas, 3)
-        assert truncation_bias(m, 3, x) == 0.0
+        assert truncated_at(m, 3, x).tail_bias == 0.0
         level, replicates = 0.95, 1000
         rep = fixed_x_experiment(m, x, n=200, cn=cn, filt=FilterSpec("truncation", cn),
                                  level=level, replicates=replicates, seed=1)
@@ -609,7 +688,8 @@ class TestFixedXNormalizer:
         rep = fixed_x_experiment(m, m.basis_curves[1], n=60, cn=rank_threshold(m.lambdas, 3),
                                  filt=TRUNC, level=0.9, replicates=4, seed=5)
         assert rep.n_failed == 0
-        assert len(calls) == 4
+        # one per replicate, and one for the run's population block
+        assert len(calls) == 4 + 1
 
 
 # Seeded reports recorded before the sample became one curve matrix: the
