@@ -21,14 +21,11 @@ from .hilbert import (
     save_curves_csv,
 )
 from .covariance import (
-    CovarianceOperator,
     SpectralDecomposition,
     eigendecompose,
-    empirical_covariance,
 )
 from .filters import (
     FilterSpec,
-    effective_rank,
     filter_values,
     select_kn,
 )

@@ -1,12 +1,12 @@
-"""Empirical covariance operator and its eigensystem.
+"""Empirical covariance operator, its eigensystem and the retained-rank rule.
 
 The operator acts on a curve h as (Ah)(t_i) = sum_j w_j K(t_i, t_j) h(t_j),
 i.e. K W in raw coordinates, with K = X'X / n for the n sample rows X.
-``empirical_covariance`` centers the rows when asked, once, and keeps
-them and the mean it subtracted: ``estimator.fit`` reads the same rows
-for the cross-covariance and the residuals, and an uncentered sample is
-used as it is, uncopied. The eigenproblem is solved in the symmetric
-coordinates Z = X W^{1/2}, on the matrix chosen by shape alone:
+``eigendecompose`` solves on the rows it is given and never centers:
+``estimator.fit`` centers the sample once, when asked, and passes the
+same rows it reads for the cross-covariance and the residuals. The
+eigenproblem is solved in the symmetric coordinates Z = X W^{1/2}, on the
+matrix chosen by shape alone:
 
 * n >= p: the p x p matrix S = W^{1/2} K W^{1/2} = Z'Z / n, every eigenvalue;
 * n < p: the n x n Gram matrix Z Z' / n, whose eigenvectors v map back
@@ -19,6 +19,12 @@ eigenvectors are mapped back, renormalized and sign-fixed only for the
 leading pairs a fit reads: those at or above cn, or a caller's minimum
 count of leading pairs when that is more.
 
+The one rule for how many pairs a threshold keeps, d_n, is
+``retained_rank``: the positive eigenvalues at or above cn of a
+descending spectrum. ``eigendecompose``, ``estimator.fit`` and a loaded
+fit all count d_n with it, so "no eigenvalue retained" and a split tie
+are raised in one place.
+
 A threshold must not split a cluster of eigenvalues that the solve cannot
 tell apart. ``eigh`` is backward stable: its spectrum is exact for S + E
 with ||E||_2 <= c m eps ||S||_2 (m <= p the order of the matrix solved,
@@ -29,11 +35,11 @@ eigenvalues closer than about p eps lambda_1 may thus be a tie, and which
 of them lands above cn depends on roundoff, such as the order of the
 sample rows. ``cluster_tolerance`` is CLUSTER_FACTOR times that scale,
 with p the grid size on both routes. When cn falls between two positive
-eigenvalues closer than it, ``eigendecompose`` raises DegenerateFitError;
+eigenvalues closer than it, ``retained_rank`` raises DegenerateFitError;
 widening d_n over the cluster instead would silently move the threshold.
 
-Samples enter as a ``CurveMatrix``; a list of curves is stacked once by
-``CurveMatrix.of``, which also checks that they share one grid. The
+Samples enter as a ``CurveMatrix``; ``fit`` stacks a list of curves once
+by ``CurveMatrix.of``, which also checks that they share one grid. The
 eigenvectors of a decomposition are one ``CurveMatrix`` holding a
 leading prefix of the pairs, one row per pair.
 """
@@ -41,7 +47,6 @@ leading prefix of the pairs, one row per pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -61,57 +66,26 @@ def cluster_tolerance(lambda_1: float, p: int) -> float:
     return CLUSTER_FACTOR * p * np.finfo(float).eps * lambda_1
 
 
-@dataclass(frozen=True)
-class CovarianceOperator:
-    """Empirical second-moment operator with kernel K = X'X / n.
+def retained_rank(lam: np.ndarray, cn: float, p: int) -> int:
+    """d_n: the number of positive eigenvalues at or above cn (boundary
+    inclusive) of a descending spectrum of a p-point operator.
 
-    ``samples`` holds the n rows X (already centered when the operator
-    was built with centering, and ``mean`` is then the curve subtracted);
-    the p x p kernel is formed only when read.
+    The positive values are read as a prefix. DegenerateFitError is
+    raised when none is retained, or when cn separates two positive
+    eigenvalues closer than ``cluster_tolerance``.
     """
-
-    samples: CurveMatrix
-    mean: Curve | None = None
-
-    def __post_init__(self):
-        if not isinstance(self.samples, CurveMatrix):
-            raise ValidationError("covariance samples must be a CurveMatrix")
-
-    @property
-    def grid(self) -> Grid:
-        return self.samples.grid
-
-    @property
-    def n(self) -> int:
-        return len(self.samples)
-
-    @cached_property
-    def kernel(self) -> np.ndarray:
-        """K[i, j] = (1/n) sum_k X_k(t_i) X_k(t_j), symmetrized."""
-        values = self.samples.values
-        kernel = values.T @ values / self.n
-        kernel = (kernel + kernel.T) / 2
-        kernel.flags.writeable = False
-        return kernel
-
-
-def empirical_covariance(
-    sample: CurveMatrix | list[Curve], center: bool = True
-) -> CovarianceOperator:
-    """Operator with kernel K[i, j] = (1/n) sum_k X_k(t_i) X_k(t_j).
-
-    With center=True the sample mean curve is subtracted first and kept
-    as the operator's ``mean``; disable for synthetic data that is
-    centered by construction.
-    """
-    sample = CurveMatrix.of(sample)
-    if not center:
-        return CovarianceOperator(sample)
-    mean = sample.values.mean(axis=0)
-    # a fresh read-only array is held by the matrix as it is, not copied
-    rows = sample.values - mean
-    rows.flags.writeable = False
-    return CovarianceOperator(CurveMatrix(sample.grid, rows), Curve(sample.grid, mean))
+    rank = int(np.count_nonzero(lam > 0))
+    d = int(np.count_nonzero(lam[:rank] >= cn))
+    if d == 0:
+        raise DegenerateFitError("threshold exceeds spectrum: no eigenvalue retained")
+    tol = cluster_tolerance(lam[0], p)
+    if d < rank and lam[d - 1] - lam[d] <= tol:
+        raise DegenerateFitError(
+            f"threshold splits tied eigenvalues lambda_{d} = {float(lam[d - 1])!r} and "
+            f"lambda_{d + 1} = {float(lam[d])!r}: gap {lam[d - 1] - lam[d]:.3g} <= "
+            f"cluster tolerance {tol:.3g}"
+        )
+    return d
 
 
 @dataclass(frozen=True)
@@ -126,23 +100,21 @@ class SpectralDecomposition:
     agree. ``eigenvectors`` holds the vectors of the first m pairs as the
     rows of one matrix (1 <= m <= the number of eigenvalues), orthonormal
     under the quadrature product with a deterministic sign convention.
-    ``gaps`` holds the min-of-neighbors differences of every eigenvalue
-    (the trailing entry uses the implicit next eigenvalue 0).
     """
 
-    grid: Grid
     eigenvalues: np.ndarray
     eigenvectors: CurveMatrix
-    gaps: np.ndarray
 
     def __post_init__(self):
-        for name in ("eigenvalues", "gaps"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        if len(self.eigenvectors) > self.eigenvalues.size:
+        lam = np.array(self.eigenvalues, dtype=float)
+        lam.flags.writeable = False
+        object.__setattr__(self, "eigenvalues", lam)
+        if len(self.eigenvectors) > lam.size:
             raise ValidationError("more eigenvectors than eigenvalues")
-        ensure_same_grid(self.eigenvectors, self)
+
+    @property
+    def grid(self) -> Grid:
+        return self.eigenvectors.grid
 
     @property
     def vectors_matrix(self) -> np.ndarray:
@@ -155,40 +127,34 @@ class SpectralDecomposition:
         return self.vectors_matrix @ (self.grid.weights * h.values)
 
 
-def spectral_gaps(lam: np.ndarray) -> np.ndarray:
-    """Min-of-neighbors differences of a descending spectrum: delta_1 =
-    lam_1 - lam_2 and delta_j = min(lam_{j-1} - lam_j, lam_j - lam_{j+1}),
-    with an implicit next eigenvalue 0 after the last."""
-    ext = np.append(lam, 0.0)
-    right = ext[:-1] - ext[1:]
-    gaps = right.copy()
-    gaps[1:] = np.minimum(right[1:], right[:-1])
-    return gaps
-
-
 def eigendecompose(
-    op: CovarianceOperator, cn: float | None = None, *, min_pairs: int = 0
+    sample: CurveMatrix, cn: float | None = None, *, min_pairs: int = 0
 ) -> SpectralDecomposition:
-    """Eigensystem of h -> sum_j w_j K(., t_j) h(t_j) under the weighted product.
+    """Eigensystem of h -> sum_j w_j K(., t_j) h(t_j) under the weighted
+    product, with K = X'X / n for the rows X of ``sample`` as given.
 
     Solved on the p x p matrix when n >= p and on the n x n Gram matrix
     when n < p (see the module docstring); the latter keeps only the
     positive eigenvalues and raises DegenerateFitError when there is none.
-    Without ``cn`` every held eigenvalue gets its vector. With ``cn``,
-    only the leading pairs whose eigenvalue is positive and at least cn
-    (boundary inclusive) get one, or the first ``min_pairs`` positive
-    pairs when that is more; DegenerateFitError is raised when that
-    leaves none, or when cn separates two positive eigenvalues closer than
-    ``cluster_tolerance``.
+    Without ``cn`` every held eigenvalue gets its vector. With ``cn``, the
+    d_n pairs of ``retained_rank`` get one (which raises when there is
+    none, or when cn splits a tie), or the first ``min_pairs`` positive
+    pairs when that is more.
     """
-    w = op.grid.weights
+    if not isinstance(sample, CurveMatrix):
+        raise ValidationError("sample rows must be a CurveMatrix")
+    grid = sample.grid
+    n = len(sample)
+    w = grid.weights
     sqrt_w = np.sqrt(w)
-    gram_route = op.n < len(w)
+    gram_route = n < len(w)
     if gram_route:
-        z = op.samples.values * sqrt_w
-        sym = z @ z.T / op.n
+        z = sample.values * sqrt_w
+        sym = z @ z.T / n
     else:
-        sym = sqrt_w[:, None] * op.kernel * sqrt_w[None, :]
+        kernel = sample.values.T @ sample.values / n
+        kernel = (kernel + kernel.T) / 2
+        sym = sqrt_w[:, None] * kernel * sqrt_w[None, :]
     sym = (sym + sym.T) / 2
     try:
         lam, vec = np.linalg.eigh(sym)
@@ -207,20 +173,10 @@ def eigendecompose(
     if cn is None:
         held = lam.size
     else:
-        d = int(np.count_nonzero(lam[:rank] >= cn))
-        held = max(d, min(min_pairs, rank))
-        if held == 0:
-            raise DegenerateFitError("threshold exceeds spectrum: no eigenvalue retained")
-        tol = cluster_tolerance(lam[0], len(w))
-        if 0 < d < rank and lam[d - 1] - lam[d] <= tol:
-            raise DegenerateFitError(
-                f"threshold splits tied eigenvalues lambda_{d} = {float(lam[d - 1])!r} and "
-                f"lambda_{d + 1} = {float(lam[d])!r}: gap {lam[d - 1] - lam[d]:.3g} <= "
-                f"cluster tolerance {tol:.3g}"
-            )
+        held = max(retained_rank(lam, cn, len(w)), min(min_pairs, rank))
     vec = vec[:, order[:held]]
     if gram_route:
-        vec = z.T @ vec / np.sqrt(op.n * lam[:held])
+        vec = z.T @ vec / np.sqrt(n * lam[:held])
 
     # rows are eigenvectors in raw coordinates; C order keeps each row's
     # sum the same pairwise reduction as the sum over a single curve
@@ -232,9 +188,4 @@ def eigendecompose(
     u[peak < 0] *= -1
     u.flags.writeable = False
 
-    return SpectralDecomposition(
-        grid=op.grid,
-        eigenvalues=lam,
-        eigenvectors=CurveMatrix(op.grid, u),
-        gaps=spectral_gaps(lam),
-    )
+    return SpectralDecomposition(eigenvalues=lam, eigenvectors=CurveMatrix(grid, u))

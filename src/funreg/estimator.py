@@ -1,11 +1,14 @@
 """Spectral estimator, its CLT normalizers, and prediction intervals.
 
-A fit centers the sample once (unless told not to) and reads those rows
-X_c three times: for the covariance K = X_c'X_c / n, for the
-cross-covariance Delta_n = X_c'(Y - Y_mean) / n and for the residuals.
-The estimate is rho_hat = sum_{j<=d_n} f(lam_j) <Delta_n, e_j> e_j, where
-d_n counts the empirical eigenvalues at or above the threshold; d_n and
-the filtered values f(lam_j) are worked out once and kept on the fit.
+``fit`` centers the sample itself, once (unless told not to), and reads
+those rows X_c three times: ``covariance.eigendecompose`` solves for the
+covariance K = X_c'X_c / n on them, and the fit forms the
+cross-covariance Delta_n = X_c'(Y - Y_mean) / n and the residuals. The
+estimate is rho_hat = sum_{j<=d_n} f(lam_j) <Delta_n, e_j> e_j, where
+d_n counts the empirical eigenvalues at or above the threshold by the one
+rule ``covariance.retained_rank``, on a fresh spectrum and on a loaded
+one alike; d_n and the filtered values f(lam_j) are worked out once and
+kept on the fit.
 Both CLT pivots are sums over that retained spectrum, computed by the
 one kernel ``normalizers``:
 
@@ -25,9 +28,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import config
-from .covariance import SpectralDecomposition, eigendecompose, empirical_covariance, spectral_gaps
+from .covariance import SpectralDecomposition, eigendecompose, retained_rank
 from .errors import DegenerateFitError, ValidationError
-from .filters import TRUNCATION, FilterSpec, effective_rank, filter_from_config, filter_to_config
+from .filters import TRUNCATION, FilterSpec, filter_from_config, filter_to_config
 from .filters import filter_values
 from .hilbert import Curve, CurveMatrix, Grid, ensure_same_grid, inner_product
 from .hilbert import norm as norm_of
@@ -135,22 +138,29 @@ def fit(
     if not np.all(np.isfinite(y)):
         raise ValidationError("responses must be finite")
 
-    cov = empirical_covariance(sample, center=center)
-    # the covariance's rows: the sample centered once, or the sample itself
-    rows = cov.samples.values
-    x_mean = cov.mean if center else Curve.zeros(sample.grid)
+    grid = sample.grid
+    if center:
+        mean = sample.values.mean(axis=0)
+        # a fresh read-only array is held by the matrix as it is, not
+        # copied, and the matrix checks the centered rows finite
+        centered = sample.values - mean
+        centered.flags.writeable = False
+        sample = CurveMatrix(grid, centered)
+        x_mean = Curve(grid, mean)
+    else:
+        x_mean = Curve.zeros(grid)
+    # the rows of the covariance, the cross-covariance and the residuals
+    rows = sample.values
     y_mean = float(y.mean()) if center else 0.0
-    delta = Curve(sample.grid, rows.T @ (y - y_mean) / n)
+    delta = Curve(grid, rows.T @ (y - y_mean) / n)
 
-    decomposition = eigendecompose(cov, filt.cn, min_pairs=min_pairs)
-    d = effective_rank(decomposition, filt.cn)
-    if d == 0:
-        raise DegenerateFitError("threshold exceeds spectrum: no eigenvalue retained")
+    decomposition = eigendecompose(sample, filt.cn, min_pairs=min_pairs)
+    d = retained_rank(decomposition.eigenvalues, filt.cn, len(grid))
     norms = normalizers(decomposition.eigenvalues[:d], filt)
     norms.filtered.flags.writeable = False
     # coordinates over every held pair, then the retained ones
     coeff = decomposition.coefficients(delta)[:d]
-    rho = Curve(sample.grid, (norms.filtered * coeff) @ decomposition.vectors_matrix[:d])
+    rho = Curve(grid, (norms.filtered * coeff) @ decomposition.vectors_matrix[:d])
 
     if n > d:
         sigma = _residual_sigma(rows, y, rho, y_mean, d)
@@ -278,8 +288,10 @@ def fit_from_dict(payload: dict) -> EstimatorFit:
 
     The decomposition holds every stored eigenvalue and the d_n stored
     eigenvectors, the same form as a fresh fit's. The eigenvectors must
-    form a (d_n, p) matrix, the eigenvalues must retain exactly d_n pairs
-    at the filter's threshold, and the stored filtered values and s_hat
+    form a (d_n, p) matrix, the eigenvalues must be finite, nonnegative
+    and nonincreasing and retain exactly d_n pairs at the filter's
+    threshold by ``retained_rank`` (which raises DegenerateFitError when
+    the threshold splits a tie), and the stored filtered values and s_hat
     must agree with the retained eigenvalues and filter. Scalar fields
     are read with the config module's exact JSON types.
     """
@@ -316,13 +328,15 @@ def fit_from_dict(payload: dict) -> EstimatorFit:
         )
     if lam_all.ndim != 1 or lam_all.size < d:
         raise ValidationError("stored eigenvalues do not cover the d_n retained pairs")
-    decomposition = SpectralDecomposition(
-        grid=grid,
-        eigenvalues=lam_all,
-        eigenvectors=CurveMatrix(grid, vectors),
-        gaps=spectral_gaps(lam_all),
-    )
-    retained = effective_rank(decomposition, filt.cn)
+    # a fit writes its spectrum descending with the tail clamped to zeros,
+    # the form that retained_rank reads
+    if not (np.all(np.isfinite(lam_all)) and np.all(lam_all >= 0)
+            and np.all(np.diff(lam_all) <= 0)):
+        raise ValidationError(
+            f"{where}.eigenvalues must be finite, nonnegative and nonincreasing"
+        )
+    decomposition = SpectralDecomposition(lam_all, CurveMatrix(grid, vectors))
+    retained = retained_rank(lam_all, filt.cn, len(grid))
     if retained != d:
         raise ValidationError(
             f"stored eigenvalues retain {retained} pairs at the threshold, but d_n = {d}"

@@ -1,4 +1,5 @@
-"""Regularization filter family, rank rules, and the attenuation probe of H3.
+"""Regularization filter family, the nonrandom rank k_n, and the attenuation
+probe of H3.
 
 A filter maps empirical eigenvalues to the coefficients of the
 regularized inverse. Every kind vanishes strictly below its threshold
@@ -9,6 +10,9 @@ cn and satisfies f(x) > 0 for x >= cn:
     tikhonov     f(x) = x/(x^2 + alpha)
     generalized  f(x) = x^p/(x + alpha)^(p+1)   (variant A)
                  f(x) = x^p/(x^(p+1) + alpha)   (variant B)
+
+The empirical rank d_n a threshold keeps is counted on the sample
+spectrum by ``covariance.retained_rank``.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .covariance import spectral_gaps
 from .errors import ValidationError
 
 TRUNCATION = "truncation"
@@ -90,6 +93,17 @@ def filter_values(spec: FilterSpec, x) -> np.ndarray:
     return out
 
 
+def spectral_gaps(lam: np.ndarray) -> np.ndarray:
+    """Min-of-neighbors differences of a descending spectrum: delta_1 =
+    lam_1 - lam_2 and delta_j = min(lam_{j-1} - lam_j, lam_j - lam_{j+1}),
+    with an implicit next eigenvalue 0 after the last."""
+    ext = np.append(lam, 0.0)
+    right = ext[:-1] - ext[1:]
+    gaps = right.copy()
+    gaps[1:] = np.minimum(right[1:], right[:-1])
+    return gaps
+
+
 def select_kn(true_eigenvalues, cn: float) -> int:
     """Nonrandom rank: the largest p with lambda_p + delta_p/2 >= cn.
 
@@ -114,15 +128,6 @@ def select_kn(true_eigenvalues, cn: float) -> int:
     eligible = np.flatnonzero(lam[: m - 1] + deltas / 2 >= cn)
     # p = 1 always qualifies because lambda_1 > cn
     return int(eligible[-1]) + 1
-
-
-def effective_rank(decomposition, cn: float) -> int:
-    """Number of strictly positive empirical eigenvalues >= cn (boundary
-    inclusive)."""
-    lam = np.asarray(decomposition.eigenvalues, dtype=float)
-    if not np.isfinite(cn) or cn < 0:
-        raise ValidationError("threshold cn must be nonnegative and finite")
-    return int(np.count_nonzero((lam >= cn) & (lam > 0)))
 
 
 def h3_sup_deviation(spec: FilterSpec) -> float:

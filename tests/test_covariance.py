@@ -4,18 +4,19 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from funreg import cli
+from unittest import mock
+
+from funreg import estimator
 from funreg.covariance import (
     EIGENVALUE_CLAMP,
-    CovarianceOperator,
     SpectralDecomposition,
     cluster_tolerance,
     eigendecompose,
-    empirical_covariance,
-    spectral_gaps,
+    retained_rank,
 )
 from funreg.errors import DegenerateFitError, ValidationError
 from funreg.estimator import fit, normalizers
-from funreg.filters import FilterSpec, effective_rank
+from funreg.filters import FilterSpec, spectral_gaps
 from funreg.hilbert import (
     Curve,
     CurveMatrix,
@@ -43,9 +44,30 @@ def random_sample(n, p, seed=0, grid=None):
     return g, [Curve(g, rng.standard_normal(p)) for _ in range(n)]
 
 
-def operator_action(op, h):
-    """(Ah)(t_i) = sum_j w_j K(t_i, t_j) h(t_j) from the kernel."""
-    return Curve(op.grid, op.kernel @ (op.grid.weights * h.values))
+def kernel(sample):
+    """The reference kernel K[i, j] = (1/n) sum_k X_k(t_i) X_k(t_j) of the
+    rows as given, symmetrized: (X'X/n + its transpose)/2."""
+    values = CurveMatrix.of(sample).values
+    k = values.T @ values / len(values)
+    return (k + k.T) / 2
+
+
+def centered_rows(sample):
+    """The rows minus their mean curve, as ``fit`` centers them."""
+    matrix = CurveMatrix.of(sample)
+    return CurveMatrix(matrix.grid, matrix.values - matrix.values.mean(axis=0))
+
+
+def operator_action(sample, h):
+    """(Ah)(t_i) = sum_j w_j K(t_i, t_j) h(t_j) from the reference kernel."""
+    return Curve(h.grid, kernel(sample) @ (h.grid.weights * h.values))
+
+
+def held_kernel(dec):
+    """sum_j lam_j e_j e_j' over the held pairs: K itself when every
+    positive pair is held."""
+    e = dec.vectors_matrix
+    return (e.T * dec.eigenvalues[: len(e)]) @ e
 
 
 def sorted_clamped_eigh(sym):
@@ -56,20 +78,23 @@ def sorted_clamped_eigh(sym):
     return np.where(lam < EIGENVALUE_CLAMP * max(lam[0], 0.0), 0.0, lam), vec
 
 
-def dense_solve(op):
-    """The p x p route from op.kernel: every pair, with the eigenvectors as
-    columns in symmetric coordinates."""
-    sqrt_w = np.sqrt(op.grid.weights)
-    return sorted_clamped_eigh(sqrt_w[:, None] * op.kernel * sqrt_w[None, :])
+def dense_solve(sample):
+    """The p x p route from the reference kernel: every pair, with the
+    eigenvectors as columns in symmetric coordinates."""
+    sample = CurveMatrix.of(sample)
+    sqrt_w = np.sqrt(sample.grid.weights)
+    return sorted_clamped_eigh(sqrt_w[:, None] * kernel(sample) * sqrt_w[None, :])
 
 
-def gram_solve(op):
+def gram_solve(sample):
     """The n x n route: the positive pairs, eigenvectors mapped back through Z'."""
-    z = op.samples.values * np.sqrt(op.grid.weights)
-    lam, vec = sorted_clamped_eigh(z @ z.T / op.n)
+    sample = CurveMatrix.of(sample)
+    n = len(sample)
+    z = sample.values * np.sqrt(sample.grid.weights)
+    lam, vec = sorted_clamped_eigh(z @ z.T / n)
     rank = int(np.count_nonzero(lam > 0))
     lam = lam[:rank]
-    return lam, z.T @ vec[:, :rank] / np.sqrt(op.n * lam)
+    return lam, z.T @ vec[:, :rank] / np.sqrt(n * lam)
 
 
 def per_column_vectors(lam, vec, w):
@@ -87,46 +112,53 @@ def per_column_vectors(lam, vec, w):
 
 
 class TestEmpiricalCovariance:
+    """The kernel K = X'X / n that ``eigendecompose`` solves for, read back
+    from the decomposition as sum_j lam_j e_j e_j'."""
+
     def test_single_curve_outer_product(self):
         g = unit_weight_grid()
         x = Curve(g, [3.0, -1.0])
-        op = empirical_covariance([x], center=False)
-        assert np.allclose(op.kernel, np.outer(x.values, x.values))
+        dec = eigendecompose(CurveMatrix.of([x]))
+        assert np.allclose(held_kernel(dec), np.outer(x.values, x.values))
 
     def test_hand_example_diagonal(self):
         g, sample = toy_sample()
-        op = empirical_covariance(sample, center=False)
-        assert np.allclose(op.kernel, np.diag([2.0, 0.5]))
+        assert np.allclose(held_kernel(eigendecompose(CurveMatrix.of(sample))), np.diag([2.0, 0.5]))
 
     def test_positive_semidefinite_pairing(self):
         g, sample = random_sample(6, 9, seed=3)
-        op = empirical_covariance(sample)
+        dec = eigendecompose(centered_rows(sample))
+        assert np.all(dec.eigenvalues >= 0)
         rng = np.random.default_rng(7)
         for _ in range(5):
             h = Curve(g, rng.standard_normal(9))
-            assert inner_product(operator_action(op, h), h) >= -1e-12
+            action = Curve(g, held_kernel(dec) @ (g.weights * h.values))
+            assert inner_product(action, h) >= -1e-12
 
     def test_empty_sample_rejected(self):
-        with pytest.raises(ValidationError):
-            empirical_covariance([])
+        with pytest.raises(ValidationError, match="empty sample"):
+            fit([], [], FilterSpec("truncation", 0.1))
 
     def test_grid_mismatch_rejected(self):
         a = Curve(make_trapezoid_grid(0, 1, 4), np.ones(4))
         b = Curve(make_trapezoid_grid(0, 2, 4), np.ones(4))
         with pytest.raises(ValidationError):
-            empirical_covariance([a, b])
+            fit([a, b], [1.0, 2.0], FilterSpec("truncation", 0.1))
 
     def test_centering_changes_kernel(self):
         _, sample = toy_sample()
-        raw = empirical_covariance(sample, center=False)
-        centered = empirical_covariance(sample, center=True)
-        assert not np.allclose(raw.kernel, centered.kernel)
+        y = [2.0, 1.0]
+        filt = FilterSpec("truncation", 1e-9)
+        raw = fit(sample, y, filt, center=False).decomposition
+        cen = fit(sample, y, filt, center=True).decomposition
+        assert not np.allclose(held_kernel(raw), held_kernel(cen))
         vals = np.stack([c.values for c in sample])
         vals = vals - vals.mean(axis=0)
-        assert np.allclose(centered.kernel, vals.T @ vals / 2)
-        # the kernel is (X'X/n + its transpose)/2, bit for bit
-        kernel = vals.T @ vals / 2
-        assert np.array_equal(centered.kernel, (kernel + kernel.T) / 2)
+        assert np.allclose(held_kernel(cen), vals.T @ vals / 2)
+        # the fit solves on (X'X/n + its transpose)/2 of the centered rows,
+        # bit for bit
+        lam, _ = dense_solve(CurveMatrix(sample[0].grid, vals))
+        assert np.array_equal(cen.eigenvalues, lam)
 
 
 class TestCrossCovariance:
@@ -143,8 +175,7 @@ class TestCrossCovariance:
     def test_hand_example(self):
         _, sample = toy_sample()
         ft = fit(sample, [2.0, 1.0], self.FULL_RANK, center=False)
-        op = empirical_covariance(sample, center=False)
-        assert np.allclose(operator_action(op, ft.rho_hat).values, [2.0, 0.5])
+        assert np.allclose(operator_action(sample, ft.rho_hat).values, [2.0, 0.5])
 
     def test_noiseless_identity_with_kernel(self):
         g, sample = random_sample(8, 6, seed=11)
@@ -172,9 +203,9 @@ class TestEigendecompose:
     def test_diagonal_kernel_unit_weights(self):
         g = unit_weight_grid()
         # rows (2, 0) and (0, 1) give the kernel diag(2, 0.5)
-        op = CovarianceOperator(CurveMatrix(g, [[2.0, 0.0], [0.0, 1.0]]))
-        assert np.array_equal(op.kernel, np.diag([2.0, 0.5]))
-        dec = eigendecompose(op)
+        rows = CurveMatrix(g, [[2.0, 0.0], [0.0, 1.0]])
+        assert np.array_equal(kernel(rows), np.diag([2.0, 0.5]))
+        dec = eigendecompose(rows)
         assert np.allclose(dec.eigenvalues, [2.0, 0.5])
         assert np.allclose(np.abs(dec.vectors_matrix), np.eye(2), atol=1e-12)
 
@@ -182,23 +213,23 @@ class TestEigendecompose:
         g = make_trapezoid_grid(0.0, 1.0, 21)
         u = Curve(g, np.sin(2 * np.pi * g.points))
         u = u * (1.0 / norm(u))
-        dec = eigendecompose(empirical_covariance([u], center=False))
+        dec = eigendecompose(CurveMatrix.of([u]))
         assert dec.eigenvalues[0] == pytest.approx(1.0, rel=1e-10)
         assert np.all(dec.eigenvalues[1:] <= 1e-12)
 
     def test_reconstruction_matches_operator_action(self):
         g, sample = random_sample(12, 6, seed=2)
-        op = empirical_covariance(sample)
-        dec = eigendecompose(op)
+        rows = centered_rows(sample)
+        dec = eigendecompose(rows)
         rng = np.random.default_rng(4)
         for _ in range(4):
             h = Curve(g, rng.standard_normal(6))
             action = (dec.eigenvalues * dec.coefficients(h)) @ dec.vectors_matrix
-            assert norm(Curve(g, action) - operator_action(op, h)) < 1e-8
+            assert norm(Curve(g, action) - operator_action(rows, h)) < 1e-8
 
     def test_orthonormal_under_weighted_product(self):
         g, sample = random_sample(10, 7, seed=9)
-        dec = eigendecompose(empirical_covariance(sample))
+        dec = eigendecompose(centered_rows(sample))
         gram = np.array(
             [
                 [inner_product(a, b) for b in dec.eigenvectors]
@@ -209,23 +240,23 @@ class TestEigendecompose:
 
     def test_eigenvector_equation(self):
         g, sample = random_sample(9, 5, seed=14)
-        op = empirical_covariance(sample)
-        dec = eigendecompose(op)
+        rows = centered_rows(sample)
+        dec = eigendecompose(rows)
         for lam, e in zip(dec.eigenvalues, dec.eigenvectors):
-            assert norm(operator_action(op, e) - lam * e) < 1e-8
+            assert norm(operator_action(rows, e) - lam * e) < 1e-8
 
     def test_matches_dense_generalized_solve(self):
         # oracle: eigenvalues of the non-symmetric matrix K W solved densely
         g, sample = random_sample(20, 8, seed=21)
-        op = empirical_covariance(sample)
-        dec = eigendecompose(op)
-        raw = scipy.linalg.eig(op.kernel @ np.diag(g.weights))
+        rows = centered_rows(sample)
+        dec = eigendecompose(rows)
+        raw = scipy.linalg.eig(kernel(rows) @ np.diag(g.weights))
         oracle = np.sort(raw[0].real)[::-1]
         assert np.allclose(dec.eigenvalues, oracle, rtol=1e-10, atol=1e-12)
 
     def test_trace_identity_after_centering(self):
         g, sample = random_sample(15, 9, seed=8)
-        dec = eigendecompose(empirical_covariance(sample, center=True))
+        dec = eigendecompose(centered_rows(sample))
         mean = np.mean([c.values for c in sample], axis=0)
         centered = [Curve(g, c.values - mean) for c in sample]
         avg_sq = np.mean([norm(c) ** 2 for c in centered])
@@ -233,13 +264,13 @@ class TestEigendecompose:
 
     def test_rank_bounded_by_sample_size(self):
         g, sample = random_sample(3, 10, seed=6)
-        dec = eigendecompose(empirical_covariance(sample, center=False))
+        dec = eigendecompose(CurveMatrix.of(sample))
         assert np.count_nonzero(dec.eigenvalues > 1e-12 * dec.eigenvalues[0]) <= 3
 
     def test_sign_convention_is_deterministic(self):
         _, sample = random_sample(10, 6, seed=13)
-        d1 = eigendecompose(empirical_covariance(sample))
-        d2 = eigendecompose(empirical_covariance(sample))
+        d1 = eigendecompose(centered_rows(sample))
+        d2 = eigendecompose(centered_rows(sample))
         for a, b in zip(d1.eigenvectors, d2.eigenvectors):
             assert np.array_equal(a.values, b.values)
         for e in d1.eigenvectors:
@@ -252,9 +283,9 @@ class TestEigendecompose:
         # route's mapped matrix when n < p
         for n, p, seed in ((10, 6, 13), (40, 101, 2), (5, 150, 8)):
             g, sample = random_sample(n, p, seed=seed)
-            op = empirical_covariance(sample)
-            dec = eigendecompose(op)
-            lam, vec = gram_solve(op) if n < p else dense_solve(op)
+            rows = centered_rows(sample)
+            dec = eigendecompose(rows)
+            lam, vec = gram_solve(rows) if n < p else dense_solve(rows)
             assert isinstance(dec.eigenvectors, CurveMatrix)
             # n < p keeps the centered sample's rank, n - 1
             assert len(dec.eigenvectors) == (n - 1 if n < p else p)
@@ -266,23 +297,18 @@ class TestEigendecompose:
         y = np.random.default_rng(3).standard_normal(30)
         matrix = CurveMatrix.of(sample)
         for center in (False, True):
-            assert np.array_equal(
-                empirical_covariance(sample, center=center).kernel,
-                empirical_covariance(matrix, center=center).kernel,
-            )
-            assert np.array_equal(
-                fit(sample, y, FilterSpec("truncation", 1e-9), center=center).rho_hat.values,
-                fit(matrix, y, FilterSpec("truncation", 1e-9), center=center).rho_hat.values,
-            )
+            a, b = (fit(s, y, FilterSpec("truncation", 1e-9), center=center)
+                    for s in (sample, matrix))
+            assert np.array_equal(a.decomposition.eigenvalues, b.decomposition.eigenvalues)
+            assert np.array_equal(a.rho_hat.values, b.rho_hat.values)
 
     def test_gaps_follow_min_of_neighbors(self):
         g = Grid(np.arange(4.0), np.ones(4))
         # four rows 2 * sqrt(lambda_j) e_j give the kernel diag(4, 2, 1, 0.5)
-        rows = 2 * np.diag(np.sqrt([4.0, 2.0, 1.0, 0.5]))
-        op = CovarianceOperator(CurveMatrix(g, rows))
-        assert np.allclose(op.kernel, np.diag([4.0, 2.0, 1.0, 0.5]), rtol=1e-15, atol=0)
-        dec = eigendecompose(op)
-        assert np.allclose(dec.gaps, [2.0, 1.0, 0.5, 0.5])
+        rows = CurveMatrix(g, 2 * np.diag(np.sqrt([4.0, 2.0, 1.0, 0.5])))
+        assert np.allclose(kernel(rows), np.diag([4.0, 2.0, 1.0, 0.5]), rtol=1e-15, atol=0)
+        dec = eigendecompose(rows)
+        assert np.allclose(spectral_gaps(dec.eigenvalues), [2.0, 1.0, 0.5, 0.5])
 
     def test_malformed_rows_rejected(self):
         g = unit_weight_grid()
@@ -292,22 +318,22 @@ class TestEigendecompose:
             np.array([[1.0, np.inf]]),
         ):
             with pytest.raises(ValidationError):
-                CovarianceOperator(CurveMatrix(g, rows))
+                eigendecompose(CurveMatrix(g, rows))
             # a bare array is not a validated sample
             with pytest.raises(ValidationError):
-                CovarianceOperator(rows)
+                eigendecompose(rows)
 
     def test_negative_noise_eigenvalues_clamped_to_zero(self):
         # n < p: only the positive pairs are kept, never a noise pair
         g, sample = random_sample(2, 6, seed=31)
-        dec = eigendecompose(empirical_covariance(sample, center=False))
+        dec = eigendecompose(CurveMatrix.of(sample))
         assert 1 <= dec.eigenvalues.size <= 2
         assert np.all(dec.eigenvalues > 0)
         # n >= p: six curves in a two-dimensional span leave four noise
         # eigenvalues, clamped to exact zeros
         rng = np.random.default_rng(31)
         values = rng.standard_normal((6, 2)) @ np.stack([c.values for c in sample])
-        dec = eigendecompose(empirical_covariance(CurveMatrix(g, values), center=False))
+        dec = eigendecompose(CurveMatrix(g, values))
         assert dec.eigenvalues.size == 6
         assert np.all(dec.eigenvalues[:2] > 0)
         assert np.all(dec.eigenvalues[2:] == 0.0)
@@ -373,32 +399,34 @@ class TestGramRoute:
     @given(wide_problems())
     def test_matches_the_p_by_p_solve(self, problem):
         sample, y, x, filt, levels = problem
-        op = empirical_covariance(sample, center=False)
-        gram = eigendecompose(op)
-        assert "kernel" not in vars(op), "the n < p route built the p x p kernel"
+        n, grid = len(sample), sample.grid
+        with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+            gram = eigendecompose(sample)
+        assert eigh.call_args.args[0].shape == (n, n), "the n < p route solved the p x p kernel"
         # one eigenpair per positive eigenvalue: the sample rank
         assert gram.eigenvalues.size == levels.size
         assert np.all(gram.eigenvalues > 0)
         np.testing.assert_allclose(gram.eigenvalues, levels, rtol=1e-10, atol=0)
 
-        lam, vec = dense_solve(op)
-        dense = SpectralDecomposition(op.grid, lam, CurveMatrix(op.grid, per_column_vectors(
-            lam, vec, op.grid.weights)), spectral_gaps(lam))
+        lam, vec = dense_solve(sample)
+        dense = SpectralDecomposition(lam, CurveMatrix(grid, per_column_vectors(
+            lam, vec, grid.weights)))
         assert np.count_nonzero(dense.eigenvalues > 0) == levels.size
         for dec in (gram, dense):
-            d = effective_rank(dec, filt.cn)
+            d = retained_rank(dec.eigenvalues, filt.cn, len(grid))
             assert d == np.count_nonzero(levels >= filt.cn)
         np.testing.assert_allclose(gram.eigenvalues, dense.eigenvalues[:levels.size],
                                    rtol=1e-10, atol=0)
         # gaps inside a tie are roundoff: compare on the scale of lambda_1
-        assert_rel(gram.gaps, dense.gaps[:levels.size], scale=levels[0])
+        assert_rel(spectral_gaps(gram.eigenvalues),
+                   spectral_gaps(dense.eigenvalues)[:levels.size], scale=levels[0])
 
         e_gram = gram.vectors_matrix[:d]
         e_dense = dense.vectors_matrix[:d]
         assert_rel(e_gram.T @ e_gram, e_dense.T @ e_dense)
 
         # the filtered inverse of each solve applied to Delta_n
-        delta = Curve(op.grid, sample.values.T @ y / op.n)
+        delta = Curve(grid, sample.values.T @ y / n)
         rho = []
         for dec in (gram, dense):
             f = normalizers(dec.eigenvalues[:d], filt).filtered
@@ -407,14 +435,14 @@ class TestGramRoute:
 
         # a fit holds the vectors of the d retained pairs only, mapped back
         # from the same Gram solve as the full decomposition's
-        held = eigendecompose(op, filt.cn)
+        held = eigendecompose(sample, filt.cn)
         assert len(held.eigenvectors) == d
         assert np.array_equal(held.eigenvalues, gram.eigenvalues)
         assert_rel(held.vectors_matrix, gram.vectors_matrix[:d])
         rho_held = (normalizers(held.eigenvalues[:d], filt).filtered
                     * held.coefficients(delta)) @ held.vectors_matrix
         assert_rel(rho_held, rho[1])
-        if op.n >= 2:
+        if n >= 2:
             # fit takes the Gram route to the same estimate
             ft = fit(sample, y, filt, center=False)
             assert len(ft.decomposition.eigenvectors) == ft.d_n == d
@@ -427,16 +455,15 @@ class TestGramRoute:
 
     def test_zero_sample_keeps_the_degenerate_error(self):
         g = make_trapezoid_grid(0.0, 1.0, 11)
-        op = empirical_covariance(CurveMatrix(g, np.zeros((3, 11))), center=False)
         with pytest.raises(DegenerateFitError, match="threshold exceeds spectrum"):
-            eigendecompose(op)
+            eigendecompose(CurveMatrix(g, np.zeros((3, 11))))
 
     def test_route_is_chosen_by_shape(self):
         # n = p solves the p x p matrix and keeps every pair
         g, sample = random_sample(6, 6, seed=4)
-        op = empirical_covariance(sample)
-        dec = eigendecompose(op)
-        assert "kernel" in vars(op)
+        with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+            dec = eigendecompose(centered_rows(sample))
+        assert eigh.call_args.args[0].shape == (6, 6)
         assert dec.eigenvalues.size == 6
         assert dec.eigenvalues[-1] == 0.0
 
@@ -451,64 +478,74 @@ class TestHeldPrefix:
         g = make_trapezoid_grid(0.0, 1.0, p)
         rng = np.random.default_rng(seed)
         sample = CurveMatrix(g, rng.standard_normal((n, p)))
-        return sample, rng.standard_normal(n), empirical_covariance(sample, center=False)
+        return sample, rng.standard_normal(n)
 
     @pytest.mark.parametrize("n, p", ROUTES)
     def test_fit_holds_the_retained_vectors_and_the_full_spectrum(self, n, p):
-        sample, y, op = self.problem(n, p)
-        full = eigendecompose(op)
+        sample, y = self.problem(n, p)
+        full = eigendecompose(sample)
         cn = float(np.sqrt(full.eigenvalues[3] * full.eigenvalues[4]))
         filt = FilterSpec("ridge", cn, alpha=0.05)
         ft = fit(sample, y, filt, center=False)
         assert ft.d_n == 4
         assert len(ft.decomposition.eigenvectors) == ft.d_n
         assert np.array_equal(ft.decomposition.eigenvalues, full.eigenvalues)
-        assert np.array_equal(ft.decomposition.gaps, full.gaps)
         assert_rel(ft.decomposition.vectors_matrix, full.vectors_matrix[:4])
 
     @pytest.mark.parametrize("n, p", ROUTES)
     def test_min_pairs_extends_the_prefix_up_to_the_rank(self, n, p):
-        _, _, op = self.problem(n, p)
-        full = eigendecompose(op)
+        sample, _ = self.problem(n, p)
+        full = eigendecompose(sample)
         rank = int(np.count_nonzero(full.eigenvalues > 0))
         cn = float(full.eigenvalues[1])
-        assert len(eigendecompose(op, cn).eigenvectors) == 2
-        assert len(eigendecompose(op, cn, min_pairs=1).eigenvectors) == 2
-        held = eigendecompose(op, cn, min_pairs=5)
+        assert len(eigendecompose(sample, cn).eigenvectors) == 2
+        assert len(eigendecompose(sample, cn, min_pairs=1).eigenvectors) == 2
+        held = eigendecompose(sample, cn, min_pairs=5)
         assert len(held.eigenvectors) == 5
         assert_rel(held.vectors_matrix, full.vectors_matrix[:5])
-        assert len(eigendecompose(op, cn, min_pairs=p + 1).eigenvectors) == rank
+        assert len(eigendecompose(sample, cn, min_pairs=p + 1).eigenvectors) == rank
 
     @pytest.mark.parametrize("n, p", ROUTES)
     def test_threshold_above_the_spectrum_is_degenerate(self, n, p):
-        sample, y, op = self.problem(n, p)
-        cn = 2 * float(eigendecompose(op).eigenvalues[0])
+        sample, y = self.problem(n, p)
+        cn = 2 * float(eigendecompose(sample).eigenvalues[0])
         with pytest.raises(DegenerateFitError, match="no eigenvalue retained"):
-            eigendecompose(op, cn)
+            eigendecompose(sample, cn)
         for min_pairs in (0, 3):
             with pytest.raises(DegenerateFitError, match="no eigenvalue retained"):
                 fit(sample, y, FilterSpec("truncation", cn), center=False, min_pairs=min_pairs)
 
     @pytest.mark.parametrize("n, p", ROUTES)
     def test_a_threshold_tied_with_an_eigenvalue_holds_its_vector(self, n, p):
-        sample, y, op = self.problem(n, p)
-        full = eigendecompose(op)
+        sample, y = self.problem(n, p)
+        full = eigendecompose(sample)
         cn = float(full.eigenvalues[2])
         assert full.eigenvalues[3] < cn
-        assert len(eigendecompose(op, cn).eigenvectors) == 3
+        assert len(eigendecompose(sample, cn).eigenvectors) == 3
         ft = fit(sample, y, FilterSpec("truncation", cn), center=False)
         assert ft.d_n == 3
         assert_rel(ft.decomposition.vectors_matrix, full.vectors_matrix[:3])
 
-    def test_centering_keeps_one_centered_array_and_the_mean(self):
+    def test_centering_keeps_one_centered_array_and_the_mean(self, monkeypatch):
         g, sample = random_sample(7, 5, seed=3)
         matrix = CurveMatrix.of(sample)
-        op = empirical_covariance(matrix)
-        assert np.array_equal(op.mean.values, matrix.values.mean(axis=0))
-        assert np.array_equal(op.samples.values, matrix.values - matrix.values.mean(axis=0))
+        solved = []
+
+        def spy(rows, *args, **kwargs):
+            solved.append(rows)
+            return eigendecompose(rows, *args, **kwargs)
+
+        monkeypatch.setattr(estimator, "eigendecompose", spy)
+        y, filt = np.arange(7.0), FilterSpec("truncation", 1e-9)
+        ft = fit(matrix, y, filt)
+        assert np.array_equal(ft.x_mean.values, matrix.values.mean(axis=0))
+        assert np.array_equal(solved[0].values, matrix.values - matrix.values.mean(axis=0))
         # the centered rows are held as computed, read-only, not copied again
-        assert op.samples.values.flags.owndata and not op.samples.values.flags.writeable
-        assert empirical_covariance(matrix, center=False).mean is None
+        assert solved[0].values.flags.owndata and not solved[0].values.flags.writeable
+        # an uncentered fit solves on the sample itself, with a zero mean
+        ft = fit(matrix, y, filt, center=False)
+        assert solved[1] is matrix
+        assert not np.any(ft.x_mean.values)
 
 
 def tied_pair_problem(n, p=41, seed=0):
@@ -529,7 +566,7 @@ class TestTiedCutoff:
     @staticmethod
     def split_threshold(sample):
         """The top eigenvalue, a threshold that keeps lambda_1 alone."""
-        lam = eigendecompose(empirical_covariance(sample, center=False)).eigenvalues
+        lam = eigendecompose(sample).eigenvalues
         # the tie is broken by roundoff alone, within the cluster tolerance
         assert 0 < lam[0] - lam[1] <= cluster_tolerance(lam[0], len(sample.grid))
         return float(lam[0])
@@ -540,7 +577,7 @@ class TestTiedCutoff:
         cn = self.split_threshold(sample)
         match = r"splits tied eigenvalues lambda_1 = \S+ and lambda_2 = \S+: gap \S+ <= cluster"
         with pytest.raises(DegenerateFitError, match=match):
-            eigendecompose(empirical_covariance(sample, center=False), cn)
+            eigendecompose(sample, cn)
         with pytest.raises(DegenerateFitError, match=match):
             fit(sample, y, FilterSpec("truncation", cn), center=False)
 

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from funreg import estimator
-from funreg.covariance import eigendecompose, empirical_covariance
+from funreg import cli, estimator
+from funreg.covariance import eigendecompose, retained_rank
 from funreg.errors import DegenerateFitError, GridMismatchError, ValidationError
 from funreg.estimator import (
     fit,
@@ -17,8 +17,16 @@ from funreg.estimator import (
     prediction_interval,
     save_fit,
 )
-from funreg.filters import FilterSpec, effective_rank, filter_values
-from funreg.hilbert import Curve, CurveMatrix, Grid, inner_product, make_trapezoid_grid, norm
+from funreg.filters import FilterSpec, filter_values
+from funreg.hilbert import (
+    Curve,
+    CurveMatrix,
+    Grid,
+    inner_product,
+    make_trapezoid_grid,
+    norm,
+    save_curves_csv,
+)
 
 
 def unit_weight_grid(p=2):
@@ -29,6 +37,12 @@ def toy_fit(center=False):
     g = unit_weight_grid()
     sample = [Curve(g, [2.0, 0.0]), Curve(g, [0.0, 1.0])]
     return sample, fit(sample, [2.0, 1.0], FilterSpec("truncation", 0.1), center=center)
+
+
+def centered_rows(sample):
+    """The rows minus their mean curve, as ``fit`` centers them."""
+    matrix = CurveMatrix.of(sample)
+    return CurveMatrix(matrix.grid, matrix.values - matrix.values.mean(axis=0))
 
 
 def gaussian_sample(n, p, seed=0):
@@ -62,15 +76,16 @@ class TestRegularizedInverse:
 
     def test_rank_zero_is_an_error(self):
         g, sample, _ = gaussian_sample(5, 6, seed=4)
-        dec = eigendecompose(empirical_covariance(sample))
+        dec = eigendecompose(centered_rows(sample))
         with pytest.raises(DegenerateFitError):
             fit(sample, np.ones(5), FilterSpec("truncation", dec.eigenvalues[0] * 2))
 
     def test_rank_matches_effective_rank(self):
         g, sample, _ = gaussian_sample(12, 6, seed=5)
-        dec = eigendecompose(empirical_covariance(sample))
-        ft = fit(sample, np.ones(12), FilterSpec("truncation", dec.eigenvalues[2]))
-        assert ft.d_n == 3
+        dec = eigendecompose(centered_rows(sample))
+        spec = FilterSpec("truncation", dec.eigenvalues[2])
+        ft = fit(sample, np.ones(12), spec)
+        assert ft.d_n == retained_rank(dec.eigenvalues, spec.cn, len(g)) == 3
         assert ft.filtered_values.size == 3
 
 
@@ -83,7 +98,7 @@ class TestFit:
 
     def test_noiseless_recovery_on_retained_span(self):
         g, sample, rng = gaussian_sample(40, 10, seed=7)
-        dec = eigendecompose(empirical_covariance(sample, center=False))
+        dec = eigendecompose(CurveMatrix.of(sample))
         rho = dec.eigenvectors[0] * 0.8 + dec.eigenvectors[1] * (-0.3)
         y = [inner_product(rho, x) for x in sample]
         ft = fit(sample, y, FilterSpec("truncation", dec.eigenvalues[2]), center=False)
@@ -179,21 +194,21 @@ class TestPredict:
 
 def pivots(dec, spec, x=None):
     """``normalizers`` over the pairs of ``dec`` that ``spec`` retains."""
-    d = effective_rank(dec, spec.cn)
+    d = retained_rank(dec.eigenvalues, spec.cn, len(dec.grid))
     return normalizers(dec.eigenvalues[:d], spec, None if x is None else dec.coefficients(x)[:d])
 
 
 class TestNormalizers:
     def test_s_hat_truncation_is_sqrt_rank(self):
         g, sample, rng = gaussian_sample(30, 8, seed=6)
-        dec = eigendecompose(empirical_covariance(sample))
+        dec = eigendecompose(centered_rows(sample))
         spec = FilterSpec("truncation", dec.eigenvalues[3])
         assert fit(sample, rng.standard_normal(30), spec).s_hat == np.sqrt(4)
 
     def test_s_hat_ridge_example(self):
         sample = [Curve(unit_weight_grid(), [np.sqrt(2), 0.0]),
                   Curve(unit_weight_grid(), [0.0, 1.0])]
-        dec = eigendecompose(empirical_covariance(sample, center=False))
+        dec = eigendecompose(CurveMatrix.of(sample))
         assert np.allclose(dec.eigenvalues, [1.0, 0.5])
         spec = FilterSpec("ridge", 0.1, alpha=0.5)
         expected = np.sqrt((1 / 1.5) ** 2 + 0.25)
@@ -203,7 +218,7 @@ class TestNormalizers:
 
     def test_s_hat_single_retained(self):
         g, sample, rng = gaussian_sample(25, 6, seed=8)
-        dec = eigendecompose(empirical_covariance(sample))
+        dec = eigendecompose(centered_rows(sample))
         spec = FilterSpec("tikhonov", dec.eigenvalues[0] * 0.999, alpha=0.01)
         lam1 = dec.eigenvalues[0]
         s = fit(sample, rng.standard_normal(25), spec).s_hat
@@ -212,14 +227,14 @@ class TestNormalizers:
     def test_t_hat_on_leading_eigenvector(self):
         g = unit_weight_grid()
         u = Curve(g, [0.5, 0.0])  # eigenvalue 0.25 via outer product
-        dec = eigendecompose(empirical_covariance([u], center=False))
+        dec = eigendecompose(CurveMatrix.of([u]))
         assert dec.eigenvalues[0] == pytest.approx(0.25)
         spec = FilterSpec("truncation", 0.01)
         assert pivots(dec, spec, dec.eigenvectors[0]).t == pytest.approx(2.0, rel=1e-10)
 
     def test_t_hat_orthogonal_xestimate_zero(self):
         g, sample, _ = gaussian_sample(20, 6, seed=12)
-        dec = eigendecompose(empirical_covariance(sample))
+        dec = eigendecompose(centered_rows(sample))
         spec = FilterSpec("truncation", dec.eigenvalues[2])
         x = dec.eigenvectors[4]
         assert pivots(dec, spec, x).t < 1e-10
@@ -227,7 +242,7 @@ class TestNormalizers:
     def test_t_hat_two_mode_example(self):
         g = Grid(np.arange(2.0), np.ones(2))
         sample = [Curve(g, [np.sqrt(2), 0.0]), Curve(g, [0.0, np.sqrt(0.5)])]
-        dec = eigendecompose(empirical_covariance(sample, center=False))
+        dec = eigendecompose(CurveMatrix.of(sample))
         assert np.allclose(dec.eigenvalues, [1.0, 0.25])
         x = dec.eigenvectors[0] + dec.eigenvectors[1]
         spec = FilterSpec("truncation", 0.01)
@@ -290,7 +305,7 @@ class TestNormalizerKernel:
 class TestSigmaHat:
     def test_noiseless(self):
         g, sample, _ = gaussian_sample(30, 8, seed=13)
-        dec = eigendecompose(empirical_covariance(sample, center=False))
+        dec = eigendecompose(CurveMatrix.of(sample))
         rho = dec.eigenvectors[0] * 1.5
         y = [inner_product(rho, x) for x in sample]
         ft = fit(sample, y, FilterSpec("truncation", dec.eigenvalues[1]), center=False)
@@ -409,7 +424,7 @@ class TestPredictionInterval:
 
     def test_noiseless_interval_degenerates(self):
         g, sample, _ = gaussian_sample(20, 6, seed=23)
-        dec = eigendecompose(empirical_covariance(sample, center=False))
+        dec = eigendecompose(CurveMatrix.of(sample))
         rho = dec.eigenvectors[0]
         y = [inner_product(rho, x) for x in sample]
         ft = fit(sample, y, FilterSpec("truncation", dec.eigenvalues[1]), center=False)
@@ -424,7 +439,7 @@ class TestPredictionInterval:
 
     def test_degenerate_t_hat_is_an_error(self):
         g, sample, _ = gaussian_sample(20, 6, seed=25)
-        dec = eigendecompose(empirical_covariance(sample, center=False))
+        dec = eigendecompose(CurveMatrix.of(sample))
         spec = FilterSpec("truncation", dec.eigenvalues[2])
         y = np.linspace(0, 1, 20)
         ft = fit(sample, y, spec, center=False)
@@ -451,7 +466,7 @@ class TestStructuralProperties:
         y = np.array(
             [inner_product(Curve(g, np.cos(np.pi * g.points)), x) for x in sample]
         ) + 0.2 * rng.standard_normal(50)
-        dec = eigendecompose(empirical_covariance(sample, center=False))
+        dec = eigendecompose(CurveMatrix.of(sample))
         d = 4
         ft = fit(sample, y, FilterSpec("truncation", dec.eigenvalues[d] * 1.0001),
                  center=False)
@@ -492,7 +507,7 @@ class TestStructuralProperties:
 
     def test_s_hat_monotone_in_retained_rank(self):
         g, sample, _ = gaussian_sample(40, 10, seed=37)
-        dec = eigendecompose(empirical_covariance(sample))
+        dec = eigendecompose(centered_rows(sample))
         values = [
             pivots(dec, FilterSpec("ridge", dec.eigenvalues[d] * 0.9999, alpha=0.01)).s
             for d in range(6)
@@ -508,7 +523,9 @@ class TestDenseOracles:
         rng = np.random.default_rng(seed)
         sample = [Curve(g, rng.standard_normal(p)) for _ in range(n)]
         y = rng.standard_normal(n)
-        K = empirical_covariance(sample, center=False).kernel
+        values = np.stack([c.values for c in sample])
+        K = values.T @ values / n
+        K = (K + K.T) / 2
         delta = np.stack([c.values for c in sample]).T @ y / n
         return g, sample, y, K, delta
 
@@ -557,7 +574,7 @@ class TestSerialization:
         assert back.sigma_hat == ft.sigma_hat
         assert back.filter == ft.filter
         # a loaded fit and a fresh one hold one form: every eigenvalue, d_n vectors
-        for name in ("eigenvalues", "vectors_matrix", "gaps"):
+        for name in ("eigenvalues", "vectors_matrix"):
             assert np.array_equal(getattr(back.decomposition, name),
                                   getattr(ft.decomposition, name))
 
@@ -587,3 +604,127 @@ class TestSerialization:
             edited = dict(payload, **{key: value})
             with pytest.raises(ValidationError):
                 fit_from_dict(edited)
+
+
+def truncation_payload():
+    """The JSON of an uncentered truncation fit that keeps 4 of 8 pairs."""
+    g, sample, rng = gaussian_sample(40, 8, seed=61)
+    cn = float(eigendecompose(CurveMatrix.of(sample)).eigenvalues[3])
+    ft = fit(sample, rng.standard_normal(40), FilterSpec("truncation", cn), center=False)
+    assert ft.d_n == 4
+    return json.loads(json.dumps(fit_to_dict(ft))), sample[0]
+
+
+def run_predict(tmp_path, capsys, payload, x):
+    """``funreg predict --level 0.9 --normalizer t_hat`` on a fit payload:
+    the exit code and the stderr lines."""
+    (tmp_path / "fit.json").write_text(json.dumps(payload))
+    save_curves_csv(tmp_path / "x.csv", [x])
+    code = cli.main(["predict", "--fit", str(tmp_path / "fit.json"), "--x",
+                     str(tmp_path / "x.csv"), "--level", "0.9", "--normalizer", "t_hat"])
+    return code, capsys.readouterr().err.splitlines()
+
+
+def unsorted_spectrum(payload):
+    """Eigenvalues d_n and d_n + 1 swapped, with the stored filtered value
+    and s_hat that the swapped spectrum gives: a zero inside the retained
+    block, which a fit never writes."""
+    d = payload["d_n"]
+    lam = list(payload["eigenvalues"])
+    lam[d - 1], lam[d] = lam[d], lam[d - 1]
+    return dict(payload, eigenvalues=lam, filtered_values=payload["filtered_values"][:-1] + [0.0],
+                s_hat=float(np.sqrt(d - 1)))
+
+
+def edited_tail(payload, value):
+    return dict(payload, eigenvalues=payload["eigenvalues"][:-1] + [value])
+
+
+class TestLoadedSpectrum:
+    """A loaded fit counts d_n by the one retained-rank rule, on a spectrum
+    of the form a fit writes."""
+
+    @staticmethod
+    def split_tie(payload):
+        """Eigenvalue d_n + 1 one ulp below lambda_{d_n}, and cn = lambda_{d_n}."""
+        d = payload["d_n"]
+        lam = list(payload["eigenvalues"])
+        lam[d] = float(np.nextafter(lam[d - 1], 0))
+        return dict(payload, eigenvalues=lam, filter=dict(payload["filter"], cn=lam[d - 1]))
+
+    def test_a_loaded_fit_inside_a_tie_is_degenerate(self, tmp_path):
+        payload, _ = truncation_payload()
+        (tmp_path / "fit.json").write_text(json.dumps(self.split_tie(payload)))
+        with pytest.raises(DegenerateFitError,
+                           match=r"threshold splits tied eigenvalues lambda_4 = \S+ and lambda_5"):
+            load_fit(tmp_path / "fit.json")
+
+    def test_cli_predict_on_a_loaded_tie_exits_3(self, tmp_path, capsys):
+        payload, x = truncation_payload()
+        code, err = run_predict(tmp_path, capsys, self.split_tie(payload), x)
+        assert code == 3
+        assert len(err) == 1
+        assert err[0].startswith("error: degenerate: threshold splits tied eigenvalues lambda_4")
+
+    @pytest.mark.parametrize("edit", [
+        unsorted_spectrum,
+        lambda payload: edited_tail(payload, float("nan")),
+        lambda payload: edited_tail(payload, -1e-3),
+    ], ids=["unsorted", "nan", "negative"])
+    def test_a_spectrum_no_fit_writes_is_rejected(self, edit, tmp_path, capsys):
+        payload, x = truncation_payload()
+        # the stored fit itself loads and predicts
+        assert run_predict(tmp_path, capsys, payload, x) == (0, [])
+        with pytest.raises(ValidationError, match="eigenvalues must be finite, nonnegative"):
+            fit_from_dict(edit(payload))
+        code, err = run_predict(tmp_path, capsys, edit(payload), x)
+        assert code == 2
+        assert len(err) == 1
+        assert err[0].startswith("error: validation: fit payload.eigenvalues must be")
+
+
+def centered_case(n, p, seed=7):
+    """Rows around the mean curve 1.5 sin(pi t), with an intercept of 2 in
+    the responses."""
+    g = make_trapezoid_grid(0.0, 1.0, p)
+    rng = np.random.default_rng(seed)
+    values = 1.5 * np.sin(np.pi * g.points) + rng.standard_normal((n, p))
+    rho = np.cos(2 * g.points)
+    y = 2.0 + values @ (g.weights * rho) + 0.2 * rng.standard_normal(n)
+    return CurveMatrix(g, values), y
+
+
+# fit(center=True) on each route: (n, p, filter) and the values it gave
+CENTERED_GOLDEN = {
+    "p x p": ((60, 11, FilterSpec("truncation", 0.05)), {
+        "d_n": 8, "s_hat": 2.8284271247461903, "sigma_hat": 0.22149441710880302,
+        "rho_hat": (0.2545170095066849, 0.4862469212174255, -0.10127850610162172),
+        "t_hat": 3.6517171378120556,
+        "interval": (2.4951233928427095, 2.323367539950723, 2.666879245734696),
+    }),
+    "gram": ((15, 41, FilterSpec("ridge", 0.02, alpha=0.05)), {
+        "d_n": 12, "s_hat": 1.8676228705054188, "sigma_hat": 0.28213721860908664,
+        "rho_hat": (0.09356359254292035, 0.7631020259752896, 0.8302330045466866),
+        "t_hat": 1.449823193955223,
+        "interval": (2.14203332778258, 1.9683104355529353, 2.3157562200122244),
+    }),
+}
+
+
+def approx(value):
+    return pytest.approx(value, rel=1e-12, abs=0)
+
+
+class TestCenteredGolden:
+    @pytest.mark.parametrize("route", CENTERED_GOLDEN)
+    def test_centered_fit_and_interval(self, route):
+        (n, p, spec), golden = CENTERED_GOLDEN[route]
+        sample, y = centered_case(n, p)
+        ft = fit(sample, y, spec, center=True)
+        assert ft.d_n == golden["d_n"]
+        assert ft.s_hat == approx(golden["s_hat"])
+        assert ft.sigma_hat == approx(golden["sigma_hat"])
+        assert tuple(ft.rho_hat.values[[0, p // 2, p - 1]]) == approx(golden["rho_hat"])
+        iv = prediction_interval(ft, sample[0], 0.9, "t_hat")
+        assert iv.normalizer == approx(golden["t_hat"])
+        assert (iv.center, iv.lo, iv.hi) == approx(golden["interval"])

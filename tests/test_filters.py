@@ -2,18 +2,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from funreg.covariance import eigendecompose, empirical_covariance, spectral_gaps
-from funreg.errors import ValidationError
+from funreg.covariance import eigendecompose, retained_rank
+from funreg.errors import DegenerateFitError, ValidationError
 from funreg.filters import (
     FilterSpec,
-    effective_rank,
     filter_from_config,
     filter_to_config,
     filter_values,
     select_kn,
+    spectral_gaps,
 )
 from funreg.estimator import normalizers
-from funreg.hilbert import Curve, make_trapezoid_grid
+from funreg.hilbert import CurveMatrix, make_trapezoid_grid
 from funreg.simlab import CoeffRule, EigenDecay, SpectralModel, population
 
 
@@ -22,9 +22,10 @@ def filter_at(spec, x):
     return float(filter_values(spec, [x])[0])
 
 
-class FakeDecomposition:
-    def __init__(self, eigenvalues):
-        self.eigenvalues = np.asarray(eigenvalues, dtype=float)
+def rank(eigenvalues, cn):
+    """``retained_rank`` of a descending spectrum of as many grid points."""
+    lam = np.asarray(eigenvalues, dtype=float)
+    return retained_rank(lam, cn, lam.size)
 
 
 class TestFilterSpecValidation:
@@ -187,22 +188,33 @@ class TestSelectKn:
 
 
 class TestEffectiveRank:
+    """The empirical rank d_n, counted by ``covariance.retained_rank``."""
+
     def test_zero_when_all_below(self):
-        assert effective_rank(FakeDecomposition([0.05, 0.01]), 0.1) == 0
+        with pytest.raises(DegenerateFitError, match="no eigenvalue retained"):
+            rank([0.05, 0.01], 0.1)
 
     def test_ignores_numerically_zero_tail(self):
-        assert effective_rank(FakeDecomposition([2.0, 0.5, 1e-13]), 0.1) == 2
+        assert rank([2.0, 0.5, 1e-13], 0.1) == 2
 
     def test_boundary_inclusive(self):
-        assert effective_rank(FakeDecomposition([1.0, 0.5, 0.25]), 0.25) == 3
+        assert rank([1.0, 0.5, 0.25], 0.25) == 3
 
     def test_zero_threshold_counts_positive_only(self):
-        assert effective_rank(FakeDecomposition([1.0, 0.5, 0.0, 0.0]), 0.0) == 2
+        assert rank([1.0, 0.5, 0.0, 0.0], 0.0) == 2
 
     def test_matches_kn_on_gapped_spectrum(self):
         lam = [1.0, 0.7, 0.5, 1e-4, 5e-5]
         cn = 0.01
-        assert effective_rank(FakeDecomposition(lam), cn) == select_kn(lam, cn)
+        assert rank(lam, cn) == select_kn(lam, cn)
+
+    def test_threshold_inside_a_tie_is_degenerate(self):
+        tied = float(np.nextafter(0.5, 0))
+        with pytest.raises(DegenerateFitError, match="splits tied eigenvalues lambda_2"):
+            rank([1.0, 0.5, tied, 0.1], 0.5)
+        # both of the pair retained, or neither: no split
+        assert rank([1.0, 0.5, tied, 0.1], tied) == 3
+        assert rank([1.0, 0.5, tied, 0.1], 0.6) == 1
 
 
 class TestCheckH3:
@@ -289,7 +301,7 @@ class TestRankAgreementOnRealDecomposition:
     def test_effective_rank_of_fitted_spectrum(self):
         g = make_trapezoid_grid(0.0, 1.0, 16)
         rng = np.random.default_rng(2)
-        sample = [Curve(g, rng.standard_normal(16)) for _ in range(40)]
-        dec = eigendecompose(empirical_covariance(sample))
-        d = effective_rank(dec, dec.eigenvalues[4] * 0.999)
+        values = rng.standard_normal((40, 16))
+        dec = eigendecompose(CurveMatrix(g, values - values.mean(axis=0)))
+        d = retained_rank(dec.eigenvalues, dec.eigenvalues[4] * 0.999, len(g))
         assert d == 5

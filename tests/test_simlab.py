@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from funreg.covariance import eigendecompose, empirical_covariance
+from funreg.covariance import eigendecompose
 from funreg.errors import GridMismatchError, ValidationError
 from funreg import estimator, simlab
 from funreg.estimator import fit
@@ -525,7 +525,7 @@ class TestCoverageExperiment:
             CoeffRule.finite([1.0, 0.5, 0.25]), noise_sd=0.0, L=3,
         )
         sample, _ = generate_dataset(m, 50000, replicate_rng(123, 0))
-        dec = eigendecompose(empirical_covariance(sample, center=True))
+        dec = eigendecompose(CurveMatrix(sample.grid, sample.values - sample.values.mean(axis=0)))
         rel = np.abs(dec.eigenvalues[:3] - m.lambdas) / m.lambdas
         assert rel.max() < 0.05
         for j in range(3):
@@ -612,7 +612,7 @@ class TestFixedXExperiment:
         true_proj = np.sum(m.rho_coeffs[:k_n] * m.x_coefficients(x)[:k_n])
         for row in rep.rows:
             sample, _ = generate_dataset(m, n, replicate_rng(seed, row["replicate"]))
-            full = eigendecompose(empirical_covariance(sample, center=False))
+            full = eigendecompose(sample)
             e = full.vectors_matrix[: min(k_n, np.count_nonzero(full.eigenvalues > 0))]
             bias = np.sum((e @ (w * m.rho_curve.values)) * (e @ (w * x.values))) - true_proj
             assert row["bias"] == pytest.approx(bias, rel=1e-12, abs=0)
