@@ -7,9 +7,10 @@ machine-parsable line `error: <kind>: <message>` on stderr; a bad
 command line (unknown option, missing option, a value of the wrong type
 or outside its choices) is `error: validation: <argparse's message>`.
 
-Experiment configs are JSON objects read through ``funreg.config``: each
-command names its required and optional top-level keys, and every field
-must have its exact JSON type (an integer field such as ``n`` or
+Experiment configs are JSON objects that ``simlab.experiment_from_config``
+reads through ``funreg.config``: ``simlab.EXPERIMENTS`` names each
+experiment's required top-level keys besides the model's, and every
+field must have its exact JSON type (an integer field such as ``n`` or
 ``replicates`` takes a JSON integer, never 2.7, 2.0 or "2"; a number
 field takes an integer or a float but not a boolean; a flag such as
 ``normalize`` takes a JSON boolean). Any other value exits 2.
@@ -25,20 +26,15 @@ from pathlib import Path
 import numpy as np
 
 from . import config, simlab
-from .errors import DegenerateFitError, FunregError, ValidationError
+from .errors import DegenerateFitError, ValidationError
 from .estimator import fit, load_fit, prediction_interval, predict, save_fit
-from .filters import FilterSpec, filter_from_config
+from .filters import FilterSpec
 from .hilbert import load_curves_csv
-from .simlab import cn_rule_from_config, model_from_config, x_from_config
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_DEGENERATE = 3
 EXIT_ALL_FAILED = 4
-
-
-class _AllReplicatesFailed(FunregError):
-    pass
 
 
 def _fmt(value) -> str:
@@ -130,118 +126,19 @@ def cmd_predict(args) -> int:
     return EXIT_OK
 
 
-_COMMON_SIM_KEYS = {"decay", "rho", "noise_sd", "xi", "L", "grid_points"}
-
-
-def _coverage_like(args, fixed_x: bool) -> int:
-    required = {"decay", "rho", "filter", "n", "level", "replicates", "seed"}
-    if fixed_x:
-        required = required | {"x"}
-    cfg = config.section(config.read_json(args.config), "config", required, _COMMON_SIM_KEYS)
-    model = model_from_config(cfg)
-    filt = filter_from_config(cfg["filter"])
-    kwargs = dict(
-        n=config.value(cfg, "n", "config", int),
-        cn=filt.cn,
-        filt=filt,
-        level=config.value(cfg, "level", "config", float),
-        replicates=config.value(cfg, "replicates", "config", int),
-        seed=config.value(cfg, "seed", "config", int),
-        threads=args.threads,
+def cmd_simulate(args) -> int:
+    report = simlab.experiment_from_config(
+        args.experiment, config.read_json(args.config), args.threads
     )
-    if fixed_x:
-        x = x_from_config(model, cfg["x"])
-        report = simlab.fixed_x_experiment(model, x, **kwargs)
-    else:
-        report = simlab.coverage_experiment(model, **kwargs)
     config.write_json(args.out, report.to_dict())
     _write_rows_csv(_csv_path(args.out), report.rows)
-    if report.n_failed == report.replicates:
-        raise _AllReplicatesFailed(
-            f"all {report.replicates} replicates failed; see {args.out}"
+    if report.all_failed:
+        print(
+            f"error: all-replicates-failed: all {report.replicates} replicates failed;"
+            f" see {args.out}",
+            file=sys.stderr,
         )
-    return EXIT_OK
-
-
-def cmd_simulate_coverage(args) -> int:
-    return _coverage_like(args, fixed_x=False)
-
-
-def cmd_simulate_fixed_x(args) -> int:
-    return _coverage_like(args, fixed_x=True)
-
-
-def cmd_simulate_norm_divergence(args) -> int:
-    cfg = config.section(
-        config.read_json(args.config),
-        "config",
-        {"decay", "rho", "filter", "n_grid", "cn_rule", "replicates", "seed"},
-        _COMMON_SIM_KEYS,
-    )
-    n_grid = config.numbers(cfg, "n_grid", "config", int)
-    if not n_grid:
-        raise ValidationError("n_grid must be a nonempty list")
-    model = model_from_config(cfg)
-    rule = cn_rule_from_config(model, cfg["cn_rule"])
-    # placeholder threshold; the rule supplies the real value per n
-    filt = filter_from_config(cfg["filter"], cn=rule(n_grid[0]))
-    report = simlab.norm_divergence_demo(
-        model,
-        n_grid,
-        rule,
-        filt,
-        replicates=config.value(cfg, "replicates", "config", int),
-        seed=config.value(cfg, "seed", "config", int),
-        threads=args.threads,
-    )
-    config.write_json(args.out, report.to_dict())
-    _write_rows_csv(_csv_path(args.out), report.rows)
-    if all(row["n_failed"] == report.replicates for row in report.rows):
-        raise _AllReplicatesFailed("all replicates failed at every sample size")
-    return EXIT_OK
-
-
-def cmd_simulate_variance_bound(args) -> int:
-    cfg = config.section(
-        config.read_json(args.config), "config", {"decay", "rho", "x_squared", "k_grid"},
-        _COMMON_SIM_KEYS,
-    )
-    model = model_from_config(cfg)
-    k_grid = config.numbers(cfg, "k_grid", "config", int)
-    xcfg = cfg["x_squared"]
-    kinds = {"power": (("beta",), ()), "values": (("values",), ())}
-    if config.kind(xcfg, "x_squared", kinds) == "power":
-        beta = config.value(xcfg, "beta", "x_squared", float)
-        # an empty k_grid is rejected by variance_lower_bound
-        x_squared = simlab.power_squared_coeffs(beta, max(k_grid, default=0))
-    else:
-        x_squared = config.numbers(xcfg, "values", "x_squared", float)
-    report = simlab.variance_lower_bound(model, k_grid, x_squared)
-    config.write_json(args.out, report.to_dict())
-    _write_rows_csv(
-        _csv_path(args.out),
-        [
-            {"k": k, "value": v, "reference": r}
-            for k, v, r in zip(report.k_grid, report.values, report.reference)
-        ],
-    )
-    return EXIT_OK
-
-
-def cmd_simulate_condition_u(args) -> int:
-    cfg = config.section(
-        config.read_json(args.config), "config", {"decay", "rho", "J"}, _COMMON_SIM_KEYS
-    )
-    model = model_from_config(cfg)
-    report = simlab.condition_u_diagnostic(model, config.value(cfg, "J", "config", int))
-    config.write_json(args.out, report.to_dict())
-    _write_rows_csv(
-        _csv_path(args.out),
-        [
-            {"j": j + 1, "partial_sum": float(s)}
-            for j, s in enumerate(report.partial_sums)
-        ],
-    )
+        return EXIT_ALL_FAILED
     return EXIT_OK
 
 
@@ -298,20 +195,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo experiment")
     sim_sub = p_sim.add_subparsers(dest="experiment", required=True)
-    # only the Monte Carlo experiments have replicates to spread over threads
-    for name, handler, monte_carlo in (
-        ("coverage", cmd_simulate_coverage, True),
-        ("fixed-x", cmd_simulate_fixed_x, True),
-        ("norm-divergence", cmd_simulate_norm_divergence, True),
-        ("variance-bound", cmd_simulate_variance_bound, False),
-        ("condition-u", cmd_simulate_condition_u, False),
-    ):
+    for name, (keys, _) in simlab.EXPERIMENTS.items():
         p = sim_sub.add_parser(name)
         p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--out", required=True, help="report JSON path")
-        if monte_carlo:
-            p.add_argument("--threads", type=int, default=1)
-        p.set_defaults(func=handler)
+        # only the Monte Carlo experiments have replicates to spread over threads
+        if "replicates" in keys:
+            p.add_argument("--threads", type=int)
+        p.set_defaults(func=cmd_simulate, threads=1)
 
     return parser
 
@@ -327,9 +218,6 @@ def main(argv=None) -> int:
     except DegenerateFitError as exc:
         print(f"error: degenerate: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except _AllReplicatesFailed as exc:
-        print(f"error: all-replicates-failed: {exc}", file=sys.stderr)
-        return EXIT_ALL_FAILED
 
 
 if __name__ == "__main__":

@@ -153,8 +153,9 @@ def eigendecompose(
         sym = z @ z.T / n
     else:
         kernel = sample.values.T @ sample.values / n
-        kernel = (kernel + kernel.T) / 2
         sym = sqrt_w[:, None] * kernel * sqrt_w[None, :]
+    # X'X of one buffer is exactly symmetric, but the sqrt(w) scaling
+    # rounds its two triangles differently
     sym = (sym + sym.T) / 2
     try:
         lam, vec = np.linalg.eigh(sym)

@@ -45,7 +45,9 @@ carries it, last, as its ``population`` key:
 The block also holds, outside its JSON, ``x_rkhs_sup`` =
 max_l <x, e_l>^2 / lam_l (a top-level key of fixed-x reports) and the
 projection <Pi_{k_n} rho, x> that the fixed-x bias is measured from.
-The ``*_from_config`` functions at the end read their fields through ``config``.
+The ``*_from_config`` functions at the end read their fields through
+``config``; ``experiment_from_config`` is the one reader of a whole
+``simulate`` config, with each experiment's keys in ``EXPERIMENTS``.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ import numpy as np
 from . import config
 from .errors import DegenerateFitError, ValidationError
 from .estimator import fit, normalizers, prediction_interval
-from .filters import FilterSpec, h3_sup_deviation, select_kn
+from .filters import FilterSpec, filter_from_config, h3_sup_deviation, select_kn
 from .hilbert import (
     Curve,
     CurveMatrix,
@@ -379,22 +381,9 @@ class CoverageReport:
     standardized errors against N(0, 1) (``normal_ks_statistic``; no
     p-value), or None when no replicate succeeded or an error is not finite.
 
-    ``population`` is the run's ``Population``, written last by
-    ``to_dict``; in the module docstring's terms, each field and what it
-    probes:
-
-    * ``k_n``: the nonrandom rank, lam_p + delta_p/2 >= cn; d_n tracks it;
-    * ``s_n`` = sqrt(sum_{j<=k_n} [lam_j f(lam_j)]^2): the limit of s_hat;
-    * ``t_n_x`` = sqrt(sum_{j<=k_n} lam_j f(lam_j)^2 <x, e_j>^2), fixed x
-      only: the limit of t_hat(x), bounded iff x is in the range of Gamma^{1/2};
-    * ``tail_bias``: sqrt(sum_{l>k_n} lam_l rho_l^2), or sum_{l>k_n} rho_l
-      <x, e_l> at a fixed x: the bias the smoothness of rho must make small;
-    * ``h3_sup`` = sup_{cn <= s <= lam_1} |s f(s) - 1|: hypothesis H3;
-    * ``first_pairwise_violation`` (j lam_j >= k lam_k, j < k) and
-      ``first_tail_violation`` (sum_{j>=k} lam_j <= (k+1) lam_k): the
-      convexity of the eigenvalues; None where they hold.
-
-    Its ``x_rkhs_sup`` = max_l <x, e_l>^2 / lam_l is the top-level key.
+    ``population`` is the run's ``Population``, written last by ``to_dict``;
+    the module docstring lists its fields and what each probes. Its
+    ``x_rkhs_sup`` is the top-level key.
     """
 
     nominal_level: float
@@ -425,6 +414,10 @@ class CoverageReport:
             out["x_rkhs_sup"] = self.population.x_rkhs_sup
         out["population"] = self.population.to_dict()
         return out
+
+    @property
+    def all_failed(self) -> bool:
+        return self.n_failed == self.replicates
 
 
 def _check_run(replicates: int, seed: int, threads: int, level: float | None = None) -> None:
@@ -621,6 +614,11 @@ class NormDivergenceReport:
             "seed": self.seed,
         }
 
+    @property
+    def all_failed(self) -> bool:
+        """Every replicate failed at every sample size."""
+        return all(row["n_failed"] == self.replicates for row in self.rows)
+
 
 def rank_threshold(lambdas, k: int) -> float:
     """Threshold sitting between the k-th and (k+1)-th true eigenvalues."""
@@ -669,7 +667,7 @@ def norm_divergence_demo(
     rho = model.rho_curve
     rows = []
     for n in ns:
-        cn = float(cn_rule(n)) if callable(cn_rule) else float(cn_rule)
+        cn = float(cn_rule(n))
         filt_n = replace(filt, cn=cn)
 
         def worker(rep: int, n=n, filt_n=filt_n) -> tuple:
@@ -728,6 +726,16 @@ class VarianceBoundReport:
             "values": list(self.values),
             "reference": list(self.reference),
         }
+
+    all_failed = False  # deterministic: no replicate to fail
+
+    @property
+    def rows(self) -> list[dict]:
+        """One rows-CSV line per rank of ``k_grid``."""
+        return [
+            {"k": k, "value": v, "reference": r}
+            for k, v, r in zip(self.k_grid, self.values, self.reference)
+        ]
 
 
 def variance_lower_bound(model: SpectralModel, k_grid, x_squared) -> VarianceBoundReport:
@@ -788,6 +796,13 @@ class ConditionUReport:
             "J": self.J,
         }
 
+    all_failed = False  # deterministic: no replicate to fail
+
+    @property
+    def rows(self) -> list[dict]:
+        """One rows-CSV line per partial sum."""
+        return [{"j": j + 1, "partial_sum": float(s)} for j, s in enumerate(self.partial_sums)]
+
 
 def condition_u_diagnostic(model: SpectralModel, J: int) -> ConditionUReport:
     """Identifiability diagnostic: partial sums of the squared coefficients.
@@ -840,8 +855,13 @@ def rho_from_config(cfg: dict) -> CoeffRule:
     return CoeffRule.finite(config.numbers(cfg, "coeffs", "rho", float), normalize=normalize)
 
 
+# the model's keys, which every experiment config holds beside its own
+_MODEL_REQUIRED = ("decay", "rho")
+_MODEL_OPTIONAL = ("noise_sd", "xi", "L", "grid_points")
+
+
 def model_from_config(cfg: dict) -> SpectralModel:
-    """Build a SpectralModel from the shared config fields."""
+    """Build a SpectralModel from the model's config fields."""
     grid_points = config.value(cfg, "grid_points", "config", int, 101)
     return SpectralModel(
         grid=make_trapezoid_grid(0.0, 1.0, grid_points),
@@ -882,3 +902,82 @@ def cn_rule_from_config(model: SpectralModel, cfg: dict):
         cn = config.value(cfg, "value", "cn_rule", float)
         return lambda n: cn
     return rank_power_cn_rule(model, config.value(cfg, "exponent", "cn_rule", float, 1 / 3))
+
+
+def _interval_from_config(cfg: dict, threads: int) -> CoverageReport:
+    model = model_from_config(cfg)
+    filt = filter_from_config(cfg["filter"])
+    n = config.value(cfg, "n", "config", int)
+    level = config.value(cfg, "level", "config", float)
+    replicates = config.value(cfg, "replicates", "config", int)
+    seed = config.value(cfg, "seed", "config", int)
+    # the key table makes x required for fixed-x and unknown for coverage
+    x = x_from_config(model, cfg["x"]) if "x" in cfg else None
+    return _interval_experiment(model, x, n, filt.cn, filt, level, replicates, seed, threads)
+
+
+def _norm_divergence_from_config(cfg: dict, threads: int) -> NormDivergenceReport:
+    n_grid = config.numbers(cfg, "n_grid", "config", int)
+    if not n_grid:
+        raise ValidationError("n_grid must be a nonempty list")
+    model = model_from_config(cfg)
+    rule = cn_rule_from_config(model, cfg["cn_rule"])
+    # placeholder threshold; the rule supplies the real value per n
+    filt = filter_from_config(cfg["filter"], cn=rule(n_grid[0]))
+    return norm_divergence_demo(
+        model,
+        n_grid,
+        rule,
+        filt,
+        replicates=config.value(cfg, "replicates", "config", int),
+        seed=config.value(cfg, "seed", "config", int),
+        threads=threads,
+    )
+
+
+def _variance_bound_from_config(cfg: dict, threads: int) -> VarianceBoundReport:
+    model = model_from_config(cfg)
+    k_grid = config.numbers(cfg, "k_grid", "config", int)
+    xcfg = cfg["x_squared"]
+    kinds = {"power": (("beta",), ()), "values": (("values",), ())}
+    if config.kind(xcfg, "x_squared", kinds) == "power":
+        beta = config.value(xcfg, "beta", "x_squared", float)
+        # an empty k_grid is rejected by variance_lower_bound
+        x_squared = power_squared_coeffs(beta, max(k_grid, default=0))
+    else:
+        x_squared = config.numbers(xcfg, "values", "x_squared", float)
+    return variance_lower_bound(model, k_grid, x_squared)
+
+
+def _condition_u_from_config(cfg: dict, threads: int) -> ConditionUReport:
+    return condition_u_diagnostic(model_from_config(cfg), config.value(cfg, "J", "config", int))
+
+
+# Each ``simulate`` experiment: its required config keys besides the model's,
+# and its reader. The ones with replicates are the Monte Carlo experiments.
+EXPERIMENTS = {
+    "coverage": (("filter", "n", "level", "replicates", "seed"), _interval_from_config),
+    "fixed-x": (("filter", "n", "level", "replicates", "seed", "x"), _interval_from_config),
+    "norm-divergence": (
+        ("filter", "n_grid", "cn_rule", "replicates", "seed"),
+        _norm_divergence_from_config,
+    ),
+    "variance-bound": (("x_squared", "k_grid"), _variance_bound_from_config),
+    "condition-u": (("J",), _condition_u_from_config),
+}
+
+
+def experiment_from_config(name: str, cfg, threads: int = 1):
+    """Run the experiment ``name`` of ``EXPERIMENTS`` on its JSON config.
+
+    Keys outside the model's and the experiment's are refused; the fields
+    are then read in a fixed order, so a config with several faults always
+    reports the same first one. ``threads`` spreads the replicates of a
+    Monte Carlo experiment. Every report gives ``to_dict()``, its rows-CSV
+    ``rows`` and ``all_failed``.
+    """
+    if name not in EXPERIMENTS:
+        raise ValidationError(f"unknown experiment {name!r}")
+    keys, run = EXPERIMENTS[name]
+    config.section(cfg, "config", (*_MODEL_REQUIRED, *keys), _MODEL_OPTIONAL)
+    return run(cfg, threads)

@@ -579,6 +579,10 @@ ROWS_CSV_HEADERS = [
      "n,cn,mean_norm_error,mean_normalized,mean_d_n,n_failed"),
     ("variance-bound", VARIANCE_BOUND_CONFIG, 0, "k,value,reference"),
     ("condition-u", CONDITION_U_CONFIG, 0, "j,partial_sum"),
+    # a threshold above the whole spectrum fails every replicate at every n
+    ("norm-divergence", dict(NORM_DIVERGENCE_CONFIG, n_grid=[1, 2],
+                             cn_rule={"kind": "fixed", "value": 50.0}), 4,
+     "n,cn,mean_norm_error,mean_normalized,mean_d_n,n_failed"),
 ]
 
 
@@ -590,6 +594,20 @@ def test_rows_csv_header_is_pinned(tmp_path, command, cfg, code, header):
     assert run(["simulate", command, "--config", cfg_path, "--out", out]) == code
     with open(tmp_path / "r.csv", newline="") as fh:
         assert fh.readline() == header + "\r\n"
+
+
+@pytest.mark.parametrize(
+    "command, cfg", [(command, cfg) for command, cfg, code, _ in ROWS_CSV_HEADERS if code == 4]
+)
+def test_all_failed_run_prints_one_error_line(tmp_path, capsys, command, cfg):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "r.json"
+    assert run(["simulate", command, "--config", cfg_path, "--out", out]) == 4
+    replicates = json.loads(out.read_text())["replicates"]
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: all-replicates-failed: all {replicates} replicates failed; see {out}"
+    ]
 
 
 REPORT_KEYS = ["nominal_level", "n", "replicates", "empirical_coverage", "mean_half_width",

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -160,6 +161,24 @@ class TestFit:
         coeff = vm @ (g.weights * ft.rho_hat.values)
         residual = ft.rho_hat.values - coeff @ vm
         assert np.sqrt(np.sum(residual**2 * g.weights)) < 1e-8
+
+    def test_centered_fit_holds_one_copy_of_the_rows(self):
+        # the centered rows cost one copy of the sample, so the peak is about
+        # 2.0x the rows' bytes; a second copy of them would peak at about 3.0x
+        g = make_trapezoid_grid(0.0, 1.0, 101)
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal((20000, 101))
+        values.flags.writeable = False
+        sample = CurveMatrix(g, values)
+        y = rng.standard_normal(20000)
+        tracemalloc.start()
+        try:
+            ft = fit(sample, y, FilterSpec("ridge", 0.01, alpha=0.1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sample.values is values and ft.centered
+        assert peak <= 2.5 * values.nbytes
 
 
 class TestPredict:
