@@ -7,6 +7,13 @@ machine-parsable line `error: <kind>: <message>` on stderr; a bad
 command line (unknown option, missing option, a value of the wrong type
 or outside its choices) is `error: validation: <argparse's message>`.
 
+``main`` may be called many times in one process: it parses with one
+parser, which ``build_parser`` builds on first use and then returns
+again. Parsing leaves the parser as it was and every default is
+immutable, so the same argv gives the same namespace whatever ran
+before it; help is formatted only when asked for, so it still reads
+``COLUMNS`` at that time.
+
 Experiment configs are JSON objects that ``simlab.experiment_from_config``
 reads through ``funreg.config``: ``simlab.EXPERIMENTS`` names each
 experiment's required top-level keys besides the model's, and every
@@ -20,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 from pathlib import Path
 
@@ -156,7 +164,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_VALIDATION, f"error: validation: {' '.join(message.split())}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call; every later call
+    returns the same parser, which callers must not change."""
     parser = _Parser(
         prog="funreg",
         description="Functional linear regression with spectral regularization.",

@@ -14,6 +14,12 @@ matrix chosen by shape alone:
   the clamp are kept (at most n, the sample rank): the null space of K
   is never computed, and the p x p kernel is never built.
 
+Only the p x p route symmetrizes, as (S + S') / 2: X'X of one buffer is
+exactly symmetric, but scaling it by W^{1/2} on both sides rounds its two
+triangles differently. The Gram route scales the rows first, and Z Z' of
+one buffer is exactly symmetric as computed (the same products summed in
+the same order for entries (i, j) and (j, i)), so it is solved as it is.
+
 Every eigenvalue of the solve is kept, but given a threshold cn the
 eigenvectors are mapped back, renormalized and sign-fixed only for the
 leading pairs a fit reads: those at or above cn, or a caller's minimum
@@ -37,6 +43,10 @@ sample rows. ``cluster_tolerance`` is CLUSTER_FACTOR times that scale,
 with p the grid size on both routes. When cn falls between two positive
 eigenvalues closer than it, ``retained_rank`` raises DegenerateFitError;
 widening d_n over the cluster instead would silently move the threshold.
+A caller's minimum count of pairs is a boundary too: when it holds more
+pairs than cn and its prefix ends inside such a cluster, ``eigendecompose``
+raises the same error by the same check, since the last vector it maps
+back would be an arbitrary mix of the tied pairs.
 
 Samples enter as a ``CurveMatrix``; ``fit`` stacks a list of curves once
 by ``CurveMatrix.of``, which also checks that they share one grid. The
@@ -78,14 +88,21 @@ def retained_rank(lam: np.ndarray, cn: float, p: int) -> int:
     d = int(np.count_nonzero(lam[:rank] >= cn))
     if d == 0:
         raise DegenerateFitError("threshold exceeds spectrum: no eigenvalue retained")
+    _refuse_split(lam, d, p, "threshold")
+    return d
+
+
+def _refuse_split(lam: np.ndarray, k: int, p: int, bound: str) -> None:
+    """Raise DegenerateFitError when a prefix of k >= 1 pairs of a descending
+    spectrum ends between two positive eigenvalues closer than
+    ``cluster_tolerance``; ``bound`` names what set k."""
     tol = cluster_tolerance(lam[0], p)
-    if d < rank and lam[d - 1] - lam[d] <= tol:
+    if k < lam.size and lam[k] > 0 and lam[k - 1] - lam[k] <= tol:
         raise DegenerateFitError(
-            f"threshold splits tied eigenvalues lambda_{d} = {float(lam[d - 1])!r} and "
-            f"lambda_{d + 1} = {float(lam[d])!r}: gap {lam[d - 1] - lam[d]:.3g} <= "
+            f"{bound} splits tied eigenvalues lambda_{k} = {float(lam[k - 1])!r} and "
+            f"lambda_{k + 1} = {float(lam[k])!r}: gap {lam[k - 1] - lam[k]:.3g} <= "
             f"cluster tolerance {tol:.3g}"
         )
-    return d
 
 
 @dataclass(frozen=True)
@@ -139,7 +156,7 @@ def eigendecompose(
     Without ``cn`` every held eigenvalue gets its vector. With ``cn``, the
     d_n pairs of ``retained_rank`` get one (which raises when there is
     none, or when cn splits a tie), or the first ``min_pairs`` positive
-    pairs when that is more.
+    pairs when that is more (which raises when that prefix splits a tie).
     """
     if not isinstance(sample, CurveMatrix):
         raise ValidationError("sample rows must be a CurveMatrix")
@@ -149,14 +166,16 @@ def eigendecompose(
     sqrt_w = np.sqrt(w)
     gram_route = n < len(w)
     if gram_route:
+        # ZZ' of one buffer is exactly symmetric: the sqrt(w) scaling
+        # comes before the product
         z = sample.values * sqrt_w
         sym = z @ z.T / n
     else:
+        # X'X of one buffer is exactly symmetric, but the sqrt(w) scaling
+        # rounds its two triangles differently
         kernel = sample.values.T @ sample.values / n
         sym = sqrt_w[:, None] * kernel * sqrt_w[None, :]
-    # X'X of one buffer is exactly symmetric, but the sqrt(w) scaling
-    # rounds its two triangles differently
-    sym = (sym + sym.T) / 2
+        sym = (sym + sym.T) / 2
     try:
         lam, vec = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
@@ -174,7 +193,10 @@ def eigendecompose(
     if cn is None:
         held = lam.size
     else:
-        held = max(retained_rank(lam, cn, len(w)), min(min_pairs, rank))
+        d = retained_rank(lam, cn, len(w))
+        held = max(d, min(min_pairs, rank))
+        if held > d:
+            _refuse_split(lam, held, len(w), f"min_pairs = {min_pairs}")
     vec = vec[:, order[:held]]
     if gram_route:
         vec = z.T @ vec / np.sqrt(n * lam[:held])

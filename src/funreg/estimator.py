@@ -126,7 +126,9 @@ def fit(
     curves and the responses before forming the moment equation; disable
     it for data that is centered by construction. The fit's decomposition
     holds every eigenvalue and the eigenvectors of the d_n retained pairs,
-    or of the first ``min_pairs`` positive pairs when that is more.
+    or of the first ``min_pairs`` positive pairs when that is more; a
+    threshold or a ``min_pairs`` that splits tied eigenvalues raises
+    DegenerateFitError (see ``covariance``).
     """
     sample = CurveMatrix.of(sample)
     n = len(sample)

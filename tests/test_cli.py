@@ -727,3 +727,80 @@ class TestFitPredictRoundTrip:
         loaded = load_curves_csv(curves_path)
         ft = fit_fn(loaded, y, FilterSpec("ridge", 0.001, alpha=0.05), center=False)
         assert printed == pytest.approx(predict_fn(ft, loaded[3]), abs=1e-12)
+
+
+class TestOneParserPerProcess:
+    """``main`` parses with one cached parser; no call's defaults or state
+    reach the next."""
+
+    @pytest.fixture
+    def calls(self, tmp_path):
+        from funreg.hilbert import Curve, make_trapezoid_grid, save_curves_csv
+
+        g = make_trapezoid_grid(0.0, 1.0, 9)
+        rng = np.random.default_rng(5)
+        save_curves_csv(tmp_path / "c.csv", [Curve(g, rng.standard_normal(9)) for _ in range(14)])
+        (tmp_path / "y.csv").write_text("\n".join(repr(float(v)) for v in rng.standard_normal(14)))
+        save_curves_csv(tmp_path / "x.csv", [Curve(g, rng.standard_normal(9))])
+        data = ["--curves", tmp_path / "c.csv", "--responses", tmp_path / "y.csv",
+                "--filter", "ridge", "--alpha", "0.05", "--cn", "0.001"]
+        on_fit = ["--fit", tmp_path / "centered.json", "--x", tmp_path / "x.csv"]
+        first_predict = ["predict", *on_fit, "--level", "0.9", "--normalizer", "t_hat"]
+        return [
+            ["fit", *data, "--out", tmp_path / "centered.json"],
+            ["fit", *data, "--no-center", "--out", tmp_path / "uncentered.json"],
+            first_predict,
+            ["predict", "--fit", tmp_path / "uncentered.json", "--x", tmp_path / "x.csv"],
+            ["predict", *on_fit, "--level", "0.9", "--normalizer", "z_hat"],
+            ["fit", "--help"],
+            first_predict,
+        ]
+
+    @staticmethod
+    def outcome(argv, capsys):
+        """(exit code, stdout, stderr) of one call, usage exits included."""
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    def test_the_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_no_call_leaks_into_the_next(self, calls, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        # both fit files exist before the first predict in either order,
+        # and each fit rewrites its file with the same bytes
+        for argv in calls[:2]:
+            assert run(argv) == 0
+        capsys.readouterr()
+        forward = [self.outcome(argv, capsys) for argv in calls]
+        backward = [self.outcome(argv, capsys) for argv in reversed(calls)][::-1]
+        assert forward == backward
+        assert [code for code, _, _ in forward] == [0, 0, 0, 0, 2, 0, 0]
+        assert forward[0][1].startswith("d_n=")
+        assert forward[0][1] != forward[1][1]
+        assert len(forward[2][1].split(",")) == 3
+        assert len(forward[3][1].split(",")) == 1
+        err = forward[4][2].splitlines()
+        assert len(err) == 1 and err[0].startswith("error: validation: argument --normalizer")
+        assert forward[5][1].startswith("usage: funreg fit")
+        assert forward[6] == forward[2]
+        # a parser built afresh for each call gives the same outcomes
+        fresh = []
+        for argv in calls:
+            cli.build_parser.cache_clear()
+            fresh.append(self.outcome(argv, capsys))
+        assert fresh == forward
+
+    def test_help_reads_the_terminal_width_when_asked(self, capsys, monkeypatch):
+        cli.build_parser()
+        widths = []
+        for columns in ("200", "40"):
+            monkeypatch.setenv("COLUMNS", columns)
+            code, out, _ = self.outcome(["fit", "--help"], capsys)
+            assert code == 0
+            widths.append(max(len(line) for line in out.splitlines()))
+        assert widths[1] < widths[0]

@@ -548,14 +548,15 @@ class TestHeldPrefix:
         assert not np.any(ft.x_mean.values)
 
 
-def tied_pair_problem(n, p=41, seed=0):
-    """Uncentered rows whose two leading eigenvalues tie: three curves
+def tied_pair_problem(n, p=41, seed=0, sds=(1.0, 1.0, 0.1)):
+    """Uncentered rows with a tied pair of eigenvalues: three curves
     orthonormal under the weights, orthogonal score columns with empirical
-    variances 1, 1 and 0.01, and noiseless responses."""
+    standard deviations ``sds`` (by default variances 1, 1 and 0.01, so
+    the two leading eigenvalues tie), and noiseless responses."""
     g = make_trapezoid_grid(0.0, 1.0, p)
     rng = np.random.default_rng(seed)
     curves = np.linalg.qr(rng.standard_normal((p, 3)))[0].T / np.sqrt(g.weights)
-    scores = np.sqrt(n) * np.linalg.qr(rng.standard_normal((n, 3)))[0] * [1.0, 1.0, 0.1]
+    scores = np.sqrt(n) * np.linalg.qr(rng.standard_normal((n, 3)))[0] * list(sds)
     return CurveMatrix(g, scores @ curves), scores @ np.array([1.0, 0.5, 0.25])
 
 
@@ -614,3 +615,50 @@ class TestTiedCutoff:
         assert len(err) == 1
         assert err[0].startswith("error: degenerate: threshold splits tied eigenvalues lambda_1")
         assert not (tmp_path / "fit.json").exists()
+
+    @pytest.mark.parametrize("n", TIED_ROUTES)
+    def test_min_pairs_inside_a_tie_is_degenerate(self, n):
+        # variances 1, 0.01 and 0.01: cn = 0.5 keeps lambda_1 alone, and
+        # min_pairs = 2 ends the held prefix inside the trailing tie
+        sample, _ = tied_pair_problem(n, sds=(1.0, 0.1, 0.1))
+        match = (r"^min_pairs = 2 splits tied eigenvalues lambda_2 = \S+ and lambda_3 = \S+: "
+                 r"gap \S+ <= cluster tolerance \S+$")
+        assert len(eigendecompose(sample, 0.5).eigenvectors) == 1
+        with pytest.raises(DegenerateFitError, match=match):
+            eigendecompose(sample, 0.5, min_pairs=2)
+        # a prefix past the tie, or up to the rank, splits nothing
+        assert len(eigendecompose(sample, 0.5, min_pairs=3).eigenvectors) == 3
+        assert len(eigendecompose(sample, 0.5, min_pairs=4).eigenvectors) == 3
+
+    @pytest.mark.parametrize("n", TIED_ROUTES)
+    def test_min_pairs_every_row_order_raises_or_agrees(self, n):
+        sample, y = tied_pair_problem(n, sds=(1.0, 0.1, 0.1))
+        held = []
+        for seed in range(4):
+            perm = np.random.default_rng(seed).permutation(n)
+            try:
+                ft = fit(CurveMatrix(sample.grid, sample.values[perm]), y[perm],
+                         FilterSpec("truncation", 0.5), center=False, min_pairs=2)
+            except DegenerateFitError:
+                continue
+            held.append(ft.decomposition.vectors_matrix)
+        for vectors in held[1:]:
+            assert np.max(np.abs(vectors - held[0])) <= 1e-12 * np.max(np.abs(held[0]))
+
+
+# (n, p) with n < p, from mc-fixed-x-wide's (300, 1001) down to the tests' sizes
+GRAM_SHAPES = [(300, 1001), (199, 1001), (40, 101), (12, 21), (8, 21)]
+
+
+@pytest.mark.parametrize("n, p", GRAM_SHAPES)
+def test_gram_matrix_is_solved_exactly_symmetric_as_computed(n, p):
+    """The Gram route solves z @ z.T / n without symmetrizing it: the
+    product of one buffer with its own transpose is symmetric bit for bit."""
+    g = make_trapezoid_grid(0.0, 1.0, p)
+    x = np.random.default_rng(n + p).standard_normal((n, p))
+    z = x * np.sqrt(g.weights)
+    s = z @ z.T / n
+    assert np.array_equal(s, s.T)
+    with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+        eigendecompose(CurveMatrix(g, x))
+    assert np.array_equal(eigh.call_args.args[0], s)
