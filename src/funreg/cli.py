@@ -6,6 +6,9 @@ freedom), 4 every replicate of an experiment failed. Errors print one
 machine-parsable line `error: <kind>: <message>` on stderr; a bad
 command line (unknown option, missing option, a value of the wrong type
 or outside its choices) is `error: validation: <argparse's message>`.
+The choices of ``--filter`` and ``--variant`` are ``filters.KINDS`` and
+``filters.VARIANTS``, and those of ``--normalizer`` are
+``estimator.NORMALIZERS``, the lists the library checks against.
 
 ``main`` may be called many times in one process: it parses with one
 parser, which ``build_parser`` builds on first use and then returns
@@ -35,8 +38,8 @@ import numpy as np
 
 from . import config, simlab
 from .errors import DegenerateFitError, ValidationError
-from .estimator import fit, load_fit, prediction_interval, predict, save_fit
-from .filters import FilterSpec
+from .estimator import NORMALIZERS, fit, load_fit, prediction_interval, predict, save_fit
+from .filters import KINDS, VARIANTS, FilterSpec
 from .hilbert import load_curves_csv
 
 EXIT_OK = 0
@@ -91,16 +94,6 @@ def _load_responses(path) -> np.ndarray:
         raise ValidationError(f"{path}: non-numeric response ({reason})") from None
 
 
-def _filter_from_args(args) -> FilterSpec:
-    return FilterSpec(
-        kind=args.filter,
-        cn=args.cn,
-        alpha=args.alpha,
-        p=args.p,
-        variant=args.variant,
-    )
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -112,7 +105,8 @@ def cmd_fit(args) -> int:
         raise ValidationError(
             f"{responses.size} responses for {len(curves)} curves"
         )
-    result = fit(curves, responses, _filter_from_args(args), center=args.center)
+    spec = FilterSpec(args.filter, args.cn, alpha=args.alpha, p=args.p, variant=args.variant)
+    result = fit(curves, responses, spec, center=args.center)
     save_fit(args.out, result)
     print(
         f"d_n={result.d_n} s_hat={result.s_hat!r} sigma_hat={result.sigma_hat!r}"
@@ -177,15 +171,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="fit a coefficient curve from CSV data")
     p_fit.add_argument("--curves", required=True, help="curve matrix CSV")
     p_fit.add_argument("--responses", required=True, help="one response per curve")
-    p_fit.add_argument(
-        "--filter",
-        required=True,
-        choices=["truncation", "ridge", "tikhonov", "generalized"],
-    )
+    p_fit.add_argument("--filter", required=True, choices=KINDS)
     p_fit.add_argument("--cn", required=True, type=float, help="spectral threshold")
     p_fit.add_argument("--alpha", type=float, default=None)
     p_fit.add_argument("--p", type=int, default=None)
-    p_fit.add_argument("--variant", choices=["A", "B"], default=None)
+    p_fit.add_argument("--variant", choices=VARIANTS, default=None)
     p_fit.add_argument(
         "--no-center",
         dest="center",
@@ -199,9 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pred.add_argument("--fit", required=True, help="fit JSON from `funreg fit`")
     p_pred.add_argument("--x", required=True, help="curve matrix CSV with one curve")
     p_pred.add_argument("--level", type=float, default=None)
-    p_pred.add_argument(
-        "--normalizer", choices=["s_hat", "t_hat"], default="s_hat"
-    )
+    p_pred.add_argument("--normalizer", choices=NORMALIZERS, default="s_hat")
     p_pred.set_defaults(func=cmd_predict)
 
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo experiment")

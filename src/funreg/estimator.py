@@ -18,6 +18,8 @@ one kernel ``normalizers``:
 Only two functions read them off a fit: ``fit`` keeps s_hat and the
 residual scale sigma_hat, and ``prediction_interval`` computes t_hat(x),
 with its zero floor, and reports the pivot it used as ``normalizer``.
+The interval's quantile is ``normal.ndtri``, a port of Cephes ``ndtri``
+that the tests check bit-equal to ``scipy.special.ndtri``.
 """
 
 from __future__ import annotations
@@ -39,6 +41,9 @@ from .normal import ndtri
 # Relative tolerance for the stored filtered values and s_hat of a fit
 # payload against the values recomputed from its eigenvalues and filter.
 PAYLOAD_RTOL = 1e-9
+
+# The pivots ``prediction_interval`` can scale by, random x first.
+NORMALIZERS = ("s_hat", "t_hat")
 
 
 class Normalizers(NamedTuple):
@@ -207,18 +212,6 @@ class PredictionInterval:
         return self.center + self.half_width
 
 
-def normal_quantile(prob: float) -> float:
-    """Standard normal quantile Phi^{-1}(prob), by Cephes ``ndtri``.
-
-    ``funreg.normal`` ports Moshier's Cephes ``ndtri``, the routine that
-    ``scipy.special.ndtri`` and ``scipy.stats.norm.ppf`` run; the tests
-    check the quantile bit-equal to both (x86_64 Linux, glibc). It is
-    evaluated on one Python float with ``math``, not numpy, whose SIMD
-    ``log`` need not round as the C library does.
-    """
-    return ndtri(float(prob))
-
-
 def prediction_interval(
     fit: EstimatorFit, x: Curve, level: float, normalizer: str = "s_hat"
 ) -> PredictionInterval:
@@ -231,7 +224,7 @@ def prediction_interval(
     """
     if not 0 < level < 1:
         raise ValidationError(f"confidence level must be in (0, 1), got {level}")
-    if normalizer not in ("s_hat", "t_hat"):
+    if normalizer not in NORMALIZERS:
         raise ValidationError(f"unknown normalizer {normalizer!r}")
     if not np.isfinite(fit.sigma_hat):
         raise DegenerateFitError(
@@ -251,7 +244,7 @@ def prediction_interval(
             raise DegenerateFitError(
                 "t_hat normalizer is zero: x is orthogonal to the retained eigenspace"
             )
-    q = normal_quantile((1 + level) / 2)
+    q = ndtri((1 + level) / 2)
     half = q * fit.sigma_hat * scale / np.sqrt(fit.n)
     return PredictionInterval(
         center=center,

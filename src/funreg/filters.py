@@ -29,7 +29,9 @@ RIDGE = "ridge"
 TIKHONOV = "tikhonov"
 GENERALIZED = "generalized"
 
-_KINDS = (TRUNCATION, RIDGE, TIKHONOV, GENERALIZED)
+KINDS = (TRUNCATION, RIDGE, TIKHONOV, GENERALIZED)
+# the two forms of the generalized filter, named in the module docstring
+VARIANTS = ("A", "B")
 
 
 @dataclass(frozen=True)
@@ -48,7 +50,7 @@ class FilterSpec:
     variant: str | None = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in KINDS:
             raise ValidationError(f"unknown filter kind {self.kind!r}")
         if not np.isfinite(self.cn) or self.cn < 0:
             raise ValidationError("threshold cn must be nonnegative and finite")
@@ -63,7 +65,7 @@ class FilterSpec:
         if self.kind == GENERALIZED:
             if self.p is None or int(self.p) != self.p or self.p < 1:
                 raise ValidationError("generalized filter requires integer p >= 1")
-            if self.variant not in ("A", "B"):
+            if self.variant not in VARIANTS:
                 raise ValidationError("generalized filter variant must be 'A' or 'B'")
             object.__setattr__(self, "p", int(self.p))
         elif self.kind in (RIDGE, TIKHONOV):

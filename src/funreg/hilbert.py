@@ -191,19 +191,14 @@ def make_trapezoid_grid(a: float, b: float, p: int) -> Grid:
     if not a < b:
         raise ValidationError(f"invalid interval [{a}, {b}]")
     points = np.linspace(a, b, p)
-    h = (b - a) / (p - 1)
-    weights = np.full(p, h)
-    weights[0] = h / 2
-    weights[-1] = h / 2
-    return Grid(points, weights)
+    return Grid(points, trapezoid_weights(points))
 
 
 def trapezoid_weights(points: np.ndarray) -> np.ndarray:
     """Trapezoid weights for strictly increasing abscissae.
 
-    Uniform spacing is detected and routed through the same arithmetic
-    as make_trapezoid_grid, so weights rebuilt from stored points match
-    the original grid bit for bit.
+    ``make_trapezoid_grid`` builds its weights with this function too, so
+    a grid saved with ``save_curves_csv`` loads back equal.
     """
     points = np.asarray(points, dtype=float)
     p = points.size

@@ -299,6 +299,8 @@ def generate_dataset(
     y = values @ weighted_rho
     if model.noise_sd > 0:
         y = y + model.noise_sd * rng.standard_normal(n)
+    # fresh rows, so the matrix holds them without a copy
+    values.flags.writeable = False
     return CurveMatrix(model.grid, values), y
 
 
@@ -539,9 +541,10 @@ def _interval_experiment(model, x, n, cn, filt, level, replicates, seed, threads
             row["bias"] = -float(np.sum(rho_tail * model.x_coefficients(x_new)[k_n:]))
             return row
         row["t_hat"] = iv.normalizer
-        # empirical-vs-true projection of rho at the nonrandom rank
-        kk = min(k_n, int(np.count_nonzero(ft.decomposition.eigenvalues > 0)))
-        ehat = ft.decomposition.vectors_matrix[:kk]
+        # empirical-vs-true projection of rho at the nonrandom rank; with
+        # min_pairs = k_n the fit holds the first k_n pairs, or every
+        # positive pair when the sample rank is below k_n
+        ehat = ft.decomposition.vectors_matrix[:k_n]
         rho_on_ehat = ehat @ (w * model.rho_curve.values)
         x_on_ehat = ehat @ (w * x.values)
         row["bias"] = float(np.sum(rho_on_ehat * x_on_ehat) - pop.projection)
@@ -698,8 +701,7 @@ def norm_divergence_demo(
         b / a if (a and b and a > 0) else float("nan")
         for a, b in zip(normalized, normalized[1:])
     ]
-    tail = ratios[-2:] if len(ratios) >= 2 else ratios
-    diverging = bool(tail) and all(np.isfinite(r) and r > 1 for r in tail)
+    diverging = all(np.isfinite(r) and r > 1 for r in ratios[-2:])
     if normalized[-1] is None or normalized[-1] < 1e-8:
         # roundoff-sized errors (exact recovery) are not divergence
         diverging = False

@@ -12,7 +12,6 @@ from funreg.estimator import (
     fit_from_dict,
     fit_to_dict,
     load_fit,
-    normal_quantile,
     normalizers,
     predict,
     prediction_interval,
@@ -28,6 +27,7 @@ from funreg.hilbert import (
     norm,
     save_curves_csv,
 )
+from funreg.normal import ndtri
 
 
 def unit_weight_grid(p=2):
@@ -405,21 +405,21 @@ class TestPredictionInterval:
 
     def test_half_width_formula(self):
         # q(0.975) * sigma * s / sqrt(n) with sigma=1, s=2, n=100
-        q = normal_quantile(0.975)
+        q = ndtri(0.975)
         assert q * 1.0 * 2.0 / 10.0 == pytest.approx(0.39199, abs=1e-5)
 
     def test_quantile_is_bit_equal_to_scipy_stats(self):
         from scipy.stats import norm as stdnorm
 
         probs = np.concatenate([np.linspace(0.5, 0.999999, 20001), [0.95, 0.975, 0.995]])
-        ours = np.array([normal_quantile(float(q)) for q in probs])
+        ours = np.array([ndtri(float(q)) for q in probs])
         assert np.array_equal(ours, stdnorm.ppf(probs))
 
     def test_interval_uses_the_formula(self):
         g, sample, ft = self.make_noisy_fit()
         x = sample[0]
         iv = prediction_interval(ft, x, 0.95, "s_hat")
-        expected = normal_quantile(0.975) * ft.sigma_hat * ft.s_hat / np.sqrt(ft.n)
+        expected = ndtri(0.975) * ft.sigma_hat * ft.s_hat / np.sqrt(ft.n)
         assert iv.half_width == pytest.approx(expected, rel=1e-12)
         assert iv.center == pytest.approx(predict(ft, x))
         assert iv.lo <= iv.center <= iv.hi
@@ -469,7 +469,7 @@ class TestPredictionInterval:
     def test_interval_duality(self):
         g, sample, ft = self.make_noisy_fit(seed=27)
         rho_true = Curve(g, np.linspace(0.5, -0.5, 8))
-        q = normal_quantile(0.975)
+        q = ndtri(0.975)
         for x in sample[:10]:
             iv = prediction_interval(ft, x, 0.95, "s_hat")
             target = inner_product(rho_true, x)

@@ -245,9 +245,12 @@ class TestCurveCsv:
         for orig, back in zip(curves, loaded):
             assert np.array_equal(orig.values, back.values)
 
-    def test_loads_one_matrix(self, tmp_path):
-        g = make_trapezoid_grid(0.0, 1.0, 4)
-        matrix = CurveMatrix(g, np.arange(8.0).reshape(2, 4))
+    # the two fine grids are ones whose spacing varies by more than the
+    # uniform-spacing tolerance of trapezoid_weights
+    @pytest.mark.parametrize("a, b, p", [(0.0, 1.0, 4), (2.0, 3.0, 3001), (0.0, 1.0, 7113)])
+    def test_loads_one_matrix(self, tmp_path, a, b, p):
+        g = make_trapezoid_grid(a, b, p)
+        matrix = CurveMatrix(g, np.arange(2.0 * p).reshape(2, p))
         path = tmp_path / "curves.csv"
         save_curves_csv(path, matrix)
         loaded = load_curves_csv(path)

@@ -60,6 +60,47 @@ def test_no_module_uses_a_private_name_of_another():
     assert offenders == {}
 
 
+def unused_imports(source: str) -> list[str]:
+    """Names bound by a module-level import that the module never reads;
+    ``from __future__`` imports are exempt."""
+    tree = ast.parse(source)
+    imported = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported += [(a.asname or a.name).split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [name for name in imported if name not in read]
+
+
+def test_unused_import_detector():
+    source = (
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import numpy as np\n"
+        "from .hilbert import Curve, norm as norm_of, trapezoid_weights\n"
+        "def f(c: Curve):\n"
+        "    return np.sqrt(norm_of(c))\n"
+    )
+    assert unused_imports(source) == ["os", "trapezoid_weights"]
+    assert unused_imports("import os.path\nos.path.join('a')\n") == []
+
+
+def test_no_module_has_an_unused_import():
+    offenders = {
+        path.name: names
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+        and (names := unused_imports(path.read_text(encoding="utf-8")))
+    }
+    assert offenders == {}
+
+
 def test_import_does_not_load_scipy_stats():
     # scipy.special alone is about 0.3 s of a cold start (it loads
     # numpy.f2py, numpy.testing and numpy.ma); the normal quantile and

@@ -1,5 +1,6 @@
 import functools
 import os
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -196,6 +197,20 @@ class TestGenerateDataset:
         assert np.array_equal(y1, y2)
         for a, b in zip(xs1, xs2):
             assert np.array_equal(a.values, b.values)
+
+    def test_holds_one_copy_of_the_rows(self):
+        # the scores and their scaled copy (each half the rows' bytes at
+        # L = 50, p = 101) live while the rows are formed, a peak of 2.0x
+        # the rows; a copy of the rows in the matrix peaks at about 2.6x
+        m = smooth_model(L=50, p=101)
+        rng = replicate_rng(6)
+        tracemalloc.start()
+        try:
+            sample, _ = generate_dataset(m, 20000, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.35 * sample.values.nbytes
 
 
 def truncated_at(model, k, x=None):
