@@ -255,6 +255,11 @@ def prediction_interval(
     )
 
 
+# the keys of a fit payload, every one written by ``fit_to_dict``
+_FIT_KEYS = ("n", "d_n", "s_hat", "sigma_hat", "filter", "grid", "rho_hat", "eigenvalues",
+            "filtered_values", "eigenvectors", "centered", "x_mean", "y_mean")
+
+
 def fit_to_dict(fit: EstimatorFit) -> dict:
     """JSON-ready representation with enough state to re-run predictions."""
     d = fit.d_n
@@ -288,9 +293,12 @@ def fit_from_dict(payload: dict) -> EstimatorFit:
     threshold by ``retained_rank`` (which raises DegenerateFitError when
     the threshold splits a tie), and the stored filtered values and s_hat
     must agree with the retained eigenvalues and filter. Scalar fields
-    are read with the config module's exact JSON types.
+    are read with the config module's exact JSON types, and the payload
+    and its grid must hold exactly the keys that ``fit_to_dict`` writes.
     """
     where = "fit payload"
+    config.section(payload, where, _FIT_KEYS)
+    config.section(payload["grid"], f"{where}.grid", ("points", "weights"))
     try:
         grid = Grid(payload["grid"]["points"], payload["grid"]["weights"])
         filt = filter_from_config(payload["filter"])
@@ -300,8 +308,7 @@ def fit_from_dict(payload: dict) -> EstimatorFit:
         vectors = np.asarray(payload["eigenvectors"], dtype=float)
         stored_filtered = np.asarray(payload["filtered_values"], dtype=float)
         stored_s_hat = config.value(payload, "s_hat", where, float)
-        sigma = payload["sigma_hat"]
-        sigma = None if sigma is None else config.value(payload, "sigma_hat", where, float)
+        sigma = config.value(payload, "sigma_hat", where, float, None)
         rho_hat = Curve(grid, payload["rho_hat"])
         x_mean = Curve(grid, payload["x_mean"])
         centered = config.value(payload, "centered", where, bool)

@@ -74,7 +74,12 @@ class FilterSpec:
 
 
 def filter_values(spec: FilterSpec, x) -> np.ndarray:
-    """Vectorized f_n over nonnegative arguments; zero strictly below cn."""
+    """Vectorized f_n over nonnegative arguments; zero strictly below cn.
+
+    Curves scaled by c scale the spectrum by c^2. With cn scaled by c^2 and
+    alpha by c^2 (ridge, generalized A), c^4 (tikhonov) or c^(2p+2)
+    (generalized B), the rescaled filter g has g(c^2 x) = f_n(x) / c^2.
+    """
     x = np.asarray(x, dtype=float)
     if np.any(x < 0) or not np.all(np.isfinite(x)):
         raise ValidationError("filter arguments must be finite and nonnegative")

@@ -45,6 +45,10 @@ carries it, last, as its ``population`` key:
 The block also holds, outside its JSON, ``x_rkhs_sup`` =
 max_l <x, e_l>^2 / lam_l (a top-level key of fixed-x reports) and the
 projection <Pi_{k_n} rho, x> that the fixed-x bias is measured from.
+Every Monte Carlo experiment runs its replicates through one driver,
+``_replicates``, which draws and fits each dataset, spreads the replicates
+over threads and records a failed fit as a failed row; an experiment only
+fills its row fields from a fit. Every report's JSON is ``_as_dict``.
 The ``*_from_config`` functions at the end read their fields through
 ``config``; ``experiment_from_config`` is the one reader of a whole
 ``simulate`` config, with each experiment's keys in ``EXPERIMENTS``.
@@ -54,7 +58,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -308,6 +312,18 @@ def generate_dataset(
 # the population block
 
 
+def _as_dict(report, skip=()) -> dict:
+    """The JSON form of every report: its dataclass fields in declaration
+    order, but those in ``skip``, with tuples and arrays as lists."""
+    out = {}
+    for f in fields(report):
+        if f.name not in skip:
+            v = getattr(report, f.name)
+            out[f.name] = v.tolist() if isinstance(v, np.ndarray) else (
+                list(v) if isinstance(v, tuple) else v)
+    return out
+
+
 @dataclass(frozen=True)
 class Population:
     """The population side of an experiment; see the module docstring.
@@ -327,9 +343,8 @@ class Population:
     projection: float | None
 
     def to_dict(self) -> dict:
-        keys = ("k_n", "s_n", "t_n_x", "tail_bias", "h3_sup",
-                "first_pairwise_violation", "first_tail_violation")
-        return {k: getattr(self, k) for k in keys if k != "t_n_x" or self.t_n_x is not None}
+        skip = ("x_rkhs_sup", "projection") + (("t_n_x",) if self.t_n_x is None else ())
+        return _as_dict(self, skip)
 
 
 def population(model: SpectralModel, filt: FilterSpec, x: Curve | None = None) -> Population:
@@ -401,17 +416,7 @@ class CoverageReport:
     rows: tuple[dict, ...]
 
     def to_dict(self) -> dict:
-        out = {
-            "nominal_level": self.nominal_level,
-            "n": self.n,
-            "replicates": self.replicates,
-            "empirical_coverage": self.empirical_coverage,
-            "mean_half_width": self.mean_half_width,
-            "ks_statistic": self.ks_statistic,
-            "bias_summary": self.bias_summary,
-            "seed": self.seed,
-            "n_failed": self.n_failed,
-        }
+        out = _as_dict(self, ("population", "rows"))
         if self.population.x_rkhs_sup is not None:
             out["x_rkhs_sup"] = self.population.x_rkhs_sup
         out["population"] = self.population.to_dict()
@@ -433,13 +438,38 @@ def _check_run(replicates: int, seed: int, threads: int, level: float | None = N
         raise ValidationError(f"threads must be >= 1, got {threads}")
 
 
-def _run_indexed(worker, count: int, threads: int) -> list:
+def _replicates(model, n, filt, key, count, threads, blank, read, min_pairs=0) -> list[dict]:
+    """One row per replicate ``rep``, fitted uncentered on n pairs drawn from
+    ``replicate_rng(*key, rep)``: ``replicate``, ``failed``, the fields of
+    ``blank`` (``d_n`` among them, set once the fit succeeds) and ``error``.
+    ``read(ft, rng, row)`` fills the rest; a DegenerateFitError or
+    ValidationError from the fit or ``read`` fails the row with its message.
+    """
+
+    def one(rep: int) -> dict:
+        rng = replicate_rng(*key, rep)
+        sample, y = generate_dataset(model, n, rng)
+        row = {"replicate": rep, "failed": False, **blank, "error": ""}
+        try:
+            ft = fit(sample, y, filt, center=False, min_pairs=min_pairs)
+            row["d_n"] = ft.d_n
+            read(ft, rng, row)
+        except (DegenerateFitError, ValidationError) as exc:
+            row["failed"] = True
+            row["error"] = str(exc)
+        return row
+
     # more workers than tasks or cores only adds threads that wait
     workers = min(threads, count, os.cpu_count() or 1)
     if workers <= 1:
-        return [worker(i) for i in range(count)]
+        return [one(rep) for rep in range(count)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, range(count)))
+        return list(pool.map(one, range(count)))
+
+
+def _mean(rows, key) -> float | None:
+    """The mean of ``key`` over ``rows``, or None when there are none."""
+    return float(np.mean([r[key] for r in rows])) if rows else None
 
 
 def _interval_hit(lo: float, hi: float, target: float, center: float) -> bool:
@@ -469,36 +499,10 @@ def normal_ks_statistic(sample: np.ndarray) -> float:
     return float(max((np.arange(1.0, n + 1) / n - c).max(), (c - np.arange(0.0, n) / n).max()))
 
 
-def _aggregate(rows, level, n, replicates, seed, pop: Population) -> CoverageReport:
-    ok = [r for r in rows if not r["failed"]]
-    n_failed = len(rows) - len(ok)
-    if ok:
-        coverage = float(np.mean([r["hit"] for r in ok]))
-        half = float(np.mean([r["half_width"] for r in ok]))
-        bias = float(np.mean([r["bias"] for r in ok]))
-        errs = np.array([r["std_error"] for r in ok])
-        ks = normal_ks_statistic(errs) if np.all(np.isfinite(errs)) else None
-    else:
-        coverage, half, bias, ks = 0.0, None, None, None
-    return CoverageReport(
-        nominal_level=level,
-        n=n,
-        replicates=replicates,
-        empirical_coverage=coverage,
-        mean_half_width=half,
-        ks_statistic=ks,
-        bias_summary=bias,
-        seed=seed,
-        n_failed=n_failed,
-        population=pop,
-        rows=tuple(rows),
-    )
-
-
 def _interval_experiment(model, x, n, cn, filt, level, replicates, seed, threads):
-    """The replicate loop of both interval experiments.
+    """Both interval experiments: each replicate's row, read off its fit.
 
-    With ``x`` None each replicate draws X_new after its dataset and uses
+    With ``x`` None each replicate draws X_new after its fit and uses
     the s_hat pivot; otherwise it targets <rho, x> with the t_hat pivot
     and records t_hat. Both scale the standardized error by the pivot the
     interval used.
@@ -507,31 +511,21 @@ def _interval_experiment(model, x, n, cn, filt, level, replicates, seed, threads
     filt = replace(filt, cn=cn)
     pop = population(model, filt, x)
     k_n = pop.k_n
-    # the row fields a failed replicate leaves None
-    blank = ["center", "half_width", "std_error", "bias", "d_n"] + ([] if x is None else ["t_hat"])
+    # the row fields a failed replicate leaves at these values
+    blank = {"hit": False, **dict.fromkeys(["center", "half_width", "std_error", "bias", "d_n"])}
     if x is None:
         pivot, min_pairs = "s_hat", 0
         rho_tail = model.rho_coeffs[k_n:]
     else:
+        blank["t_hat"] = None
         # the projection bias reads up to k_n eigenvectors
         pivot, min_pairs = "t_hat", k_n
         w = model.grid.weights
 
-    def worker(rep: int) -> dict:
-        rng = replicate_rng(seed, rep)
-        sample, y = generate_dataset(model, n, rng)
+    def read(ft, rng, row) -> None:
         x_new = kl_sample(model, rng) if x is None else x
         target = inner_product(model.rho_curve, x_new)
-        row = {"replicate": rep, "failed": False, "hit": False,
-               **dict.fromkeys(blank), "error": ""}
-        try:
-            ft = fit(sample, y, filt, center=False, min_pairs=min_pairs)
-            row["d_n"] = ft.d_n
-            iv = prediction_interval(ft, x_new, level, pivot)
-        except (DegenerateFitError, ValidationError) as exc:
-            row["failed"] = True
-            row["error"] = str(exc)
-            return row
+        iv = prediction_interval(ft, x_new, level, pivot)
         row["center"] = iv.center
         row["half_width"] = iv.half_width
         row["hit"] = _interval_hit(iv.lo, iv.hi, target, iv.center)
@@ -539,7 +533,7 @@ def _interval_experiment(model, x, n, cn, filt, level, replicates, seed, threads
         if x is None:
             # the deterministic truncation-bias component at the rank k_n
             row["bias"] = -float(np.sum(rho_tail * model.x_coefficients(x_new)[k_n:]))
-            return row
+            return
         row["t_hat"] = iv.normalizer
         # empirical-vs-true projection of rho at the nonrandom rank; with
         # min_pairs = k_n the fit holds the first k_n pairs, or every
@@ -548,10 +542,23 @@ def _interval_experiment(model, x, n, cn, filt, level, replicates, seed, threads
         rho_on_ehat = ehat @ (w * model.rho_curve.values)
         x_on_ehat = ehat @ (w * x.values)
         row["bias"] = float(np.sum(rho_on_ehat * x_on_ehat) - pop.projection)
-        return row
 
-    rows = _run_indexed(worker, replicates, threads)
-    return _aggregate(rows, level, n, replicates, seed, pop)
+    rows = _replicates(model, n, filt, (seed,), replicates, threads, blank, read, min_pairs)
+    ok = [r for r in rows if not r["failed"]]
+    errs = np.array([r["std_error"] for r in ok])
+    return CoverageReport(
+        nominal_level=level,
+        n=n,
+        replicates=replicates,
+        empirical_coverage=_mean(ok, "hit") if ok else 0.0,
+        mean_half_width=_mean(ok, "half_width"),
+        ks_statistic=normal_ks_statistic(errs) if ok and np.all(np.isfinite(errs)) else None,
+        bias_summary=_mean(ok, "bias"),
+        seed=seed,
+        n_failed=len(rows) - len(ok),
+        population=pop,
+        rows=tuple(rows),
+    )
 
 
 def coverage_experiment(
@@ -609,13 +616,7 @@ class NormDivergenceReport:
     replicates: int
     seed: int
 
-    def to_dict(self) -> dict:
-        return {
-            "rows": list(self.rows),
-            "diverging": self.diverging,
-            "replicates": self.replicates,
-            "seed": self.seed,
-        }
+    to_dict = _as_dict
 
     @property
     def all_failed(self) -> bool:
@@ -668,31 +669,26 @@ def norm_divergence_demo(
     _check_run(replicates, seed, threads)
 
     rho = model.rho_curve
+
+    def read(ft, rng, row) -> None:
+        row["norm_error"] = norm(ft.rho_hat - rho)
+        row["normalized"] = np.sqrt(ft.n) * row["norm_error"] / ft.s_hat
+
+    blank = dict.fromkeys(["norm_error", "normalized", "d_n"])
     rows = []
     for n in ns:
         cn = float(cn_rule(n))
-        filt_n = replace(filt, cn=cn)
-
-        def worker(rep: int, n=n, filt_n=filt_n) -> tuple:
-            rng = replicate_rng(seed, n, rep)
-            sample, y = generate_dataset(model, n, rng)
-            try:
-                ft = fit(sample, y, filt_n, center=False)
-            except (DegenerateFitError, ValidationError):
-                return (np.nan, np.nan, np.nan)
-            err = norm(ft.rho_hat - rho)
-            return (err, np.sqrt(n) * err / ft.s_hat, ft.d_n)
-
-        results = np.array(_run_indexed(worker, replicates, threads))
-        good = results[~np.isnan(results[:, 0])]
+        reps = _replicates(model, n, replace(filt, cn=cn), (seed, n), replicates, threads,
+                           blank, read)
+        ok = [r for r in reps if not r["failed"]]
         rows.append(
             {
                 "n": n,
                 "cn": cn,
-                "mean_norm_error": float(np.mean(good[:, 0])) if good.size else None,
-                "mean_normalized": float(np.mean(good[:, 1])) if good.size else None,
-                "mean_d_n": float(np.mean(good[:, 2])) if good.size else None,
-                "n_failed": int(len(results) - len(good)),
+                "mean_norm_error": _mean(ok, "norm_error"),
+                "mean_normalized": _mean(ok, "normalized"),
+                "mean_d_n": _mean(ok, "d_n"),
+                "n_failed": len(reps) - len(ok),
             }
         )
 
@@ -722,13 +718,7 @@ class VarianceBoundReport:
     values: tuple[float, ...]
     reference: tuple[float, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "k_grid": list(self.k_grid),
-            "values": list(self.values),
-            "reference": list(self.reference),
-        }
-
+    to_dict = _as_dict
     all_failed = False  # deterministic: no replicate to fail
 
     @property
@@ -790,14 +780,7 @@ class ConditionUReport:
     last_decade_fraction: float
     J: int
 
-    def to_dict(self) -> dict:
-        return {
-            "partial_sums": self.partial_sums.tolist(),
-            "convergent": self.convergent,
-            "last_decade_fraction": self.last_decade_fraction,
-            "J": self.J,
-        }
-
+    to_dict = _as_dict
     all_failed = False  # deterministic: no replicate to fail
 
     @property
@@ -880,7 +863,7 @@ def x_from_config(model: SpectralModel, cfg: dict) -> Curve:
     the power profile with squared coordinates j^-(1+beta)."""
     kind = config.kind(cfg, "x", {
         "basis": ((), ("index",)),
-        "coeffs": ((), ("values",)),
+        "coeffs": (("values",), ()),
         "power": (("beta",), ()),
     })
     if kind == "basis":
@@ -889,7 +872,10 @@ def x_from_config(model: SpectralModel, cfg: dict) -> Curve:
             raise ValidationError(f"x basis index must be in [1, {model.L}]")
         return model.basis_curves[index - 1]
     if kind == "coeffs":
-        return model.curve_from_coeffs(config.numbers(cfg, "values", "x", float, []))
+        values = config.numbers(cfg, "values", "x", float)
+        if not values:
+            raise ValidationError("x.values must be a nonempty list")
+        return model.curve_from_coeffs(values)
     beta = config.value(cfg, "beta", "x", float)
     return model.curve_from_coeffs(np.sqrt(power_squared_coeffs(beta, model.L)))
 
@@ -926,15 +912,9 @@ def _norm_divergence_from_config(cfg: dict, threads: int) -> NormDivergenceRepor
     rule = cn_rule_from_config(model, cfg["cn_rule"])
     # placeholder threshold; the rule supplies the real value per n
     filt = filter_from_config(cfg["filter"], cn=rule(n_grid[0]))
-    return norm_divergence_demo(
-        model,
-        n_grid,
-        rule,
-        filt,
-        replicates=config.value(cfg, "replicates", "config", int),
-        seed=config.value(cfg, "seed", "config", int),
-        threads=threads,
-    )
+    replicates = config.value(cfg, "replicates", "config", int)
+    seed = config.value(cfg, "seed", "config", int)
+    return norm_divergence_demo(model, n_grid, rule, filt, replicates, seed, threads)
 
 
 def _variance_bound_from_config(cfg: dict, threads: int) -> VarianceBoundReport:

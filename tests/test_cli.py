@@ -145,6 +145,21 @@ class TestFitCommand:
                         + "\t".join(cells[9:]) + ",\n")
         assert np.array_equal(cli._load_responses(path), [float(c) for c in cells])
 
+    @pytest.mark.parametrize("responses_text, options", [
+        ("", ["--filter", "truncation", "--cn", "0.1"]),
+        (TOY_RESPONSES, ["--filter", "truncation", "--cn", "nan"]),
+        (TOY_RESPONSES, ["--filter", "ridge", "--cn", "0.1", "--alpha", "0.1", "--p", "2"]),
+    ], ids=["empty-responses", "cn-nan", "ridge-with-p"])
+    def test_refused_input_exits_2_with_one_line(self, toy_inputs, tmp_path, capsys,
+                                                  responses_text, options):
+        curves, responses = toy_inputs
+        responses.write_text(responses_text)
+        out = tmp_path / "f.json"
+        code = run(["fit", "--curves", curves, "--responses", responses, *options,
+                    "--out", out])
+        assert_validation_exit(code, capsys)
+        assert not out.exists()
+
     def test_missing_curves_file_exits_2(self, tmp_path):
         code = run(["fit", "--curves", tmp_path / "none.csv",
                     "--responses", tmp_path / "none2.csv",
@@ -211,6 +226,14 @@ class TestPredictCommand:
         x_path = tmp_path / "x.csv"
         x_path.write_text("0.0,1.0\n1.0,1.0\n")
         assert run(["predict", "--fit", bad, "--x", x_path]) == 2
+
+    def test_two_curve_predictor_exits_2(self, toy_fit_path, tmp_path, capsys):
+        fit_path, _ = toy_fit_path
+        capsys.readouterr()
+        x = tmp_path / "x2.csv"
+        x.write_text("0.0,2.0\n2.0,0.0\n1.0,1.0\n")
+        code = run(["predict", "--fit", fit_path, "--x", x])
+        assert_validation_exit(code, capsys)
 
     def test_one_column_predictor_exits_2(self, toy_fit_path, tmp_path, capsys):
         fit_path, _ = toy_fit_path
@@ -326,6 +349,32 @@ class TestFitFileErrors:
         capsys.readouterr()
         code = run(["predict", "--fit", path, "--x", x_path, "--level", "0.9"])
         assert_validation_exit(code, capsys)
+
+    @pytest.mark.parametrize("edit, key", [
+        ({"bogus": 1}, "bogus"),
+        ({"grid": [1, 2]}, "grid"),
+        ({"grid": {"points": [0.0, 2.0], "weights": [1.0, 1.0], "step": 2.0}}, "step"),
+    ], ids=["unknown-key", "grid-not-an-object", "unknown-grid-key"])
+    def test_unknown_or_malformed_key_is_named(self, toy_fit, tmp_path, capsys, edit, key):
+        payload, x_path = toy_fit
+        capsys.readouterr()
+        code = self.predict_with(dict(payload, **edit), x_path, tmp_path)
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1
+        assert err[0].startswith("error: validation: ") and key in err[0]
+
+    def test_threshold_retaining_another_count_than_d_n(self, toy_fit, tmp_path, capsys):
+        payload, x_path = toy_fit
+        # the stored spectrum is (2, 0.5): cn = 1 retains one pair, not d_n = 2
+        assert (payload["eigenvalues"], payload["d_n"]) == ([2.0, 0.5], 2)
+        payload["filter"]["cn"] = 1.0
+        capsys.readouterr()
+        code = self.predict_with(payload, x_path, tmp_path)
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert err == ["error: validation: stored eigenvalues retain 1 pairs at the "
+                       "threshold, but d_n = 2"]
 
     def test_unedited_payload_still_predicts(self, toy_fit, tmp_path, capsys):
         payload, x_path = toy_fit
@@ -561,6 +610,10 @@ MALFORMED_CONFIGS = [
     ("fixed-x", FIXED_X_CONFIG, "level", 0),
     # the threshold rule sets cn per n, so a cn in the filter is refused
     ("norm-divergence", NORM_DIVERGENCE_CONFIG, "filter", {"kind": "truncation", "cn": 123.0}),
+    # without its values a coeffs x would be the zero predictor
+    ("fixed-x", FIXED_X_CONFIG, "x", {"kind": "coeffs"}),
+    ("fixed-x", FIXED_X_CONFIG, "x", {"kind": "coeffs", "values": []}),
+    ("norm-divergence", NORM_DIVERGENCE_CONFIG, "n_grid", []),
 ]
 
 COVERAGE_HEADER = "replicate,failed,hit,center,half_width,std_error,bias,d_n,error"

@@ -967,6 +967,28 @@ class TestConfigPlumbing:
         with pytest.raises(ValidationError):
             default(0)
 
+    def test_power_x_has_squared_coordinates_j_to_minus_one_plus_beta(self):
+        m = model_from_config({
+            "decay": {"kind": "power", "a": 1.0},
+            "rho": {"kind": "power", "exponent": 2.0},
+            "L": 10, "grid_points": 21,
+        })
+        x = x_from_config(m, {"kind": "power", "beta": 1.5})
+        np.testing.assert_allclose(m.x_coefficients(x) ** 2,
+                                   np.arange(1.0, 11.0) ** -2.5, rtol=1e-12, atol=0)
+
+    def test_x_squared_values_match_the_power_kind(self):
+        cfg = {
+            "decay": {"kind": "power", "a": 0.5},
+            "rho": {"kind": "power", "exponent": 1.0},
+            "k_grid": [2, 5, 9],
+            "x_squared": {"kind": "power", "beta": 2.0},
+        }
+        power = simlab.experiment_from_config("variance-bound", cfg)
+        values = {"kind": "values", "values": power_squared_coeffs(2.0, 9).tolist()}
+        by_values = simlab.experiment_from_config("variance-bound", dict(cfg, x_squared=values))
+        assert by_values.to_dict() == power.to_dict()
+
     def test_rank_power_rule_caps_huge_exponents(self):
         m = smooth_model(L=10, p=21)
         cap = rank_threshold(m.lambdas, 9)
