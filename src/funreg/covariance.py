@@ -22,8 +22,7 @@ the same order for entries (i, j) and (j, i)), so it is solved as it is.
 
 Every eigenvalue of the solve is kept, but given a threshold cn the
 eigenvectors are mapped back, renormalized and sign-fixed only for the
-leading pairs a fit reads: those at or above cn, or a caller's minimum
-count of leading pairs when that is more.
+d_n leading pairs a fit reads, those at or above cn.
 
 The one rule for how many pairs a threshold keeps, d_n, is
 ``retained_rank``: the positive eigenvalues at or above cn of a
@@ -43,10 +42,6 @@ sample rows. ``cluster_tolerance`` is CLUSTER_FACTOR times that scale,
 with p the grid size on both routes. When cn falls between two positive
 eigenvalues closer than it, ``retained_rank`` raises DegenerateFitError;
 widening d_n over the cluster instead would silently move the threshold.
-A caller's minimum count of pairs is a boundary too: when it holds more
-pairs than cn and its prefix ends inside such a cluster, ``eigendecompose``
-raises the same error by the same check, since the last vector it maps
-back would be an arbitrary mix of the tied pairs.
 
 Samples enter as a ``CurveMatrix``; ``fit`` stacks a list of curves once
 by ``CurveMatrix.of``, which also checks that they share one grid. The
@@ -88,21 +83,14 @@ def retained_rank(lam: np.ndarray, cn: float, p: int) -> int:
     d = int(np.count_nonzero(lam[:rank] >= cn))
     if d == 0:
         raise DegenerateFitError("threshold exceeds spectrum: no eigenvalue retained")
-    _refuse_split(lam, d, p, "threshold")
-    return d
-
-
-def _refuse_split(lam: np.ndarray, k: int, p: int, bound: str) -> None:
-    """Raise DegenerateFitError when a prefix of k >= 1 pairs of a descending
-    spectrum ends between two positive eigenvalues closer than
-    ``cluster_tolerance``; ``bound`` names what set k."""
     tol = cluster_tolerance(lam[0], p)
-    if k < lam.size and lam[k] > 0 and lam[k - 1] - lam[k] <= tol:
+    if d < rank and lam[d - 1] - lam[d] <= tol:
         raise DegenerateFitError(
-            f"{bound} splits tied eigenvalues lambda_{k} = {float(lam[k - 1])!r} and "
-            f"lambda_{k + 1} = {float(lam[k])!r}: gap {lam[k - 1] - lam[k]:.3g} <= "
+            f"threshold splits tied eigenvalues lambda_{d} = {float(lam[d - 1])!r} and "
+            f"lambda_{d + 1} = {float(lam[d])!r}: gap {lam[d - 1] - lam[d]:.3g} <= "
             f"cluster tolerance {tol:.3g}"
         )
+    return d
 
 
 @dataclass(frozen=True)
@@ -144,19 +132,16 @@ class SpectralDecomposition:
         return self.vectors_matrix @ (self.grid.weights * h.values)
 
 
-def eigendecompose(
-    sample: CurveMatrix, cn: float | None = None, *, min_pairs: int = 0
-) -> SpectralDecomposition:
+def eigendecompose(sample: CurveMatrix, cn: float | None = None) -> SpectralDecomposition:
     """Eigensystem of h -> sum_j w_j K(., t_j) h(t_j) under the weighted
     product, with K = X'X / n for the rows X of ``sample`` as given.
 
     Solved on the p x p matrix when n >= p and on the n x n Gram matrix
     when n < p (see the module docstring); the latter keeps only the
     positive eigenvalues and raises DegenerateFitError when there is none.
-    Without ``cn`` every held eigenvalue gets its vector. With ``cn``, the
-    d_n pairs of ``retained_rank`` get one (which raises when there is
-    none, or when cn splits a tie), or the first ``min_pairs`` positive
-    pairs when that is more (which raises when that prefix splits a tie).
+    Without ``cn`` every held eigenvalue gets its vector. With ``cn``, only
+    the d_n pairs of ``retained_rank`` get one (which raises when there is
+    none, or when cn splits a tie).
     """
     if not isinstance(sample, CurveMatrix):
         raise ValidationError("sample rows must be a CurveMatrix")
@@ -184,19 +169,13 @@ def eigendecompose(
     lam = lam[order]
     lam = np.where(lam < EIGENVALUE_CLAMP * max(lam[0], 0.0), 0.0, lam)
 
-    # descending and clamped, so the positive values are a prefix
-    rank = int(np.count_nonzero(lam > 0))
     if gram_route:
+        # descending and clamped, so the positive values are a prefix
+        rank = int(np.count_nonzero(lam > 0))
         if rank == 0:
             raise DegenerateFitError("threshold exceeds spectrum: the sample spectrum is zero")
         lam = lam[:rank]
-    if cn is None:
-        held = lam.size
-    else:
-        d = retained_rank(lam, cn, len(w))
-        held = max(d, min(min_pairs, rank))
-        if held > d:
-            _refuse_split(lam, held, len(w), f"min_pairs = {min_pairs}")
+    held = lam.size if cn is None else retained_rank(lam, cn, len(w))
     vec = vec[:, order[:held]]
     if gram_route:
         vec = z.T @ vec / np.sqrt(n * lam[:held])

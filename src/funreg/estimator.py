@@ -122,18 +122,15 @@ def fit(
     responses,
     filt: FilterSpec,
     center: bool = True,
-    *,
-    min_pairs: int = 0,
 ) -> EstimatorFit:
     """Fit the regularized functional regression on (sample, responses).
 
     Centering (the default) subtracts the empirical means from both the
     curves and the responses before forming the moment equation; disable
     it for data that is centered by construction. The fit's decomposition
-    holds every eigenvalue and the eigenvectors of the d_n retained pairs,
-    or of the first ``min_pairs`` positive pairs when that is more; a
-    threshold or a ``min_pairs`` that splits tied eigenvalues raises
-    DegenerateFitError (see ``covariance``).
+    holds every eigenvalue and the eigenvectors of the d_n retained pairs;
+    a threshold that splits tied eigenvalues raises DegenerateFitError
+    (see ``covariance``).
     """
     sample = CurveMatrix.of(sample)
     n = len(sample)
@@ -161,13 +158,12 @@ def fit(
     y_mean = float(y.mean()) if center else 0.0
     delta = Curve(grid, rows.T @ (y - y_mean) / n)
 
-    decomposition = eigendecompose(sample, filt.cn, min_pairs=min_pairs)
-    d = retained_rank(decomposition.eigenvalues, filt.cn, len(grid))
+    decomposition = eigendecompose(sample, filt.cn)
+    d = len(decomposition.eigenvectors)
     norms = normalizers(decomposition.eigenvalues[:d], filt)
     norms.filtered.flags.writeable = False
-    # coordinates over every held pair, then the retained ones
-    coeff = decomposition.coefficients(delta)[:d]
-    rho = Curve(grid, (norms.filtered * coeff) @ decomposition.vectors_matrix[:d])
+    coeff = decomposition.coefficients(delta)
+    rho = Curve(grid, (norms.filtered * coeff) @ decomposition.vectors_matrix)
 
     if n > d:
         sigma = _residual_sigma(rows, y, rho, y_mean, d)
@@ -236,7 +232,7 @@ def prediction_interval(
     else:
         d = fit.d_n
         norms = normalizers(fit.decomposition.eigenvalues[:d], fit.filter,
-                            fit.decomposition.coefficients(x)[:d], fit.filtered_values)
+                            fit.decomposition.coefficients(x), fit.filtered_values)
         scale = norms.t
         # relative floor: roundoff-sized projections of x onto the retained
         # eigenspace must not masquerade as information
@@ -276,7 +272,7 @@ def fit_to_dict(fit: EstimatorFit) -> dict:
         "rho_hat": fit.rho_hat.values.tolist(),
         "eigenvalues": fit.decomposition.eigenvalues.tolist(),
         "filtered_values": fit.filtered_values.tolist(),
-        "eigenvectors": fit.decomposition.vectors_matrix[:d].tolist(),
+        "eigenvectors": fit.decomposition.vectors_matrix.tolist(),
         "centered": fit.centered,
         "x_mean": fit.x_mean.values.tolist(),
         "y_mean": fit.y_mean,

@@ -43,8 +43,17 @@ carries it, last, as its ``population`` key:
   its inequality holds.
 
 The block also holds, outside its JSON, ``x_rkhs_sup`` =
-max_l <x, e_l>^2 / lam_l (a top-level key of fixed-x reports) and the
-projection <Pi_{k_n} rho, x> that the fixed-x bias is measured from.
+max_l <x, e_l>^2 / lam_l (a top-level key of fixed-x reports).
+
+Every interval row, on either pivot, records as ``bias`` the error that a
+noise-free refit of its sample would make at its target x (the drawn X_new
+or the fixed x). An uncentered fit has <Delta_0, e_j> = lam_j <rho, e_j>,
+so over its retained pairs (lam_j, e_j)
+
+    bias = sum_{j<=d_n} lam_j f(lam_j) <rho, e_j> <e_j, x> - <rho, x>:
+
+the truncation tail, the eigenprojection error and the filter's shrinkage.
+
 Every Monte Carlo experiment runs its replicates through one driver,
 ``_replicates``, which draws and fits each dataset, spreads the replicates
 over threads and records a failed fit as a failed row; an experiment only
@@ -328,8 +337,8 @@ def _as_dict(report, skip=()) -> dict:
 class Population:
     """The population side of an experiment; see the module docstring.
 
-    ``x_rkhs_sup`` and ``projection`` are None for a random x and are
-    left out of ``to_dict``, as is ``t_n_x`` when None.
+    ``x_rkhs_sup`` is None for a random x and is left out of ``to_dict``,
+    as is ``t_n_x`` when None.
     """
 
     k_n: int
@@ -340,10 +349,9 @@ class Population:
     first_pairwise_violation: tuple[int, int] | None
     first_tail_violation: int | None
     x_rkhs_sup: float | None
-    projection: float | None
 
     def to_dict(self) -> dict:
-        skip = ("x_rkhs_sup", "projection") + (("t_n_x",) if self.t_n_x is None else ())
+        skip = ("x_rkhs_sup",) + (("t_n_x",) if self.t_n_x is None else ())
         return _as_dict(self, skip)
 
 
@@ -353,13 +361,12 @@ def population(model: SpectralModel, filt: FilterSpec, x: Curve | None = None) -
     lam, rho = model.lambdas, model.rho_coeffs
     k_n = select_kn(lam, filt.cn)
     if x is None:
-        coeffs = rkhs_sup = projection = None
+        coeffs = rkhs_sup = None
         tail = float(np.sqrt(np.sum(lam[k_n:] * rho[k_n:] ** 2)))
     else:
         x_coeff = model.x_coefficients(x)
         coeffs = x_coeff[:k_n]
         rkhs_sup = float(np.max(x_coeff**2 / lam))
-        projection = float(np.sum(rho[:k_n] * coeffs))
         tail = float(np.sum(rho[k_n:] * x_coeff[k_n:]))
     norms = normalizers(lam[:k_n], filt, coeffs)
 
@@ -382,7 +389,6 @@ def population(model: SpectralModel, filt: FilterSpec, x: Curve | None = None) -
         first_pairwise_violation=pairwise,
         first_tail_violation=int(bad[0]) + 1 if bad.size else None,
         x_rkhs_sup=rkhs_sup,
-        projection=projection,
     )
 
 
@@ -397,6 +403,9 @@ class CoverageReport:
     ``ks_statistic`` is the two-sided Kolmogorov-Smirnov D of the
     standardized errors against N(0, 1) (``normal_ks_statistic``; no
     p-value), or None when no replicate succeeded or an error is not finite.
+
+    ``bias_summary`` is the mean of the successful rows' ``bias``,
+    sum_{j<=d_n} lam_j f(lam_j) <rho, e_j> <e_j, x> - <rho, x>.
 
     ``population`` is the run's ``Population``, written last by ``to_dict``;
     the module docstring lists its fields and what each probes. Its
@@ -438,7 +447,7 @@ def _check_run(replicates: int, seed: int, threads: int, level: float | None = N
         raise ValidationError(f"threads must be >= 1, got {threads}")
 
 
-def _replicates(model, n, filt, key, count, threads, blank, read, min_pairs=0) -> list[dict]:
+def _replicates(model, n, filt, key, count, threads, blank, read) -> list[dict]:
     """One row per replicate ``rep``, fitted uncentered on n pairs drawn from
     ``replicate_rng(*key, rep)``: ``replicate``, ``failed``, the fields of
     ``blank`` (``d_n`` among them, set once the fit succeeds) and ``error``.
@@ -451,7 +460,7 @@ def _replicates(model, n, filt, key, count, threads, blank, read, min_pairs=0) -
         sample, y = generate_dataset(model, n, rng)
         row = {"replicate": rep, "failed": False, **blank, "error": ""}
         try:
-            ft = fit(sample, y, filt, center=False, min_pairs=min_pairs)
+            ft = fit(sample, y, filt, center=False)
             row["d_n"] = ft.d_n
             read(ft, rng, row)
         except (DegenerateFitError, ValidationError) as exc:
@@ -505,22 +514,19 @@ def _interval_experiment(model, x, n, cn, filt, level, replicates, seed, threads
     With ``x`` None each replicate draws X_new after its fit and uses
     the s_hat pivot; otherwise it targets <rho, x> with the t_hat pivot
     and records t_hat. Both scale the standardized error by the pivot the
-    interval used.
+    interval used, and both record one ``bias`` (see the module docstring).
+    A zero fixed x, whose t_hat is zero, is refused before any replicate.
     """
     _check_run(replicates, seed, threads, level)
+    if x is not None and not np.any(x.values):
+        raise DegenerateFitError("x is the zero curve: its t_hat normalizer is zero")
     filt = replace(filt, cn=cn)
     pop = population(model, filt, x)
-    k_n = pop.k_n
+    pivot = "s_hat" if x is None else "t_hat"
     # the row fields a failed replicate leaves at these values
     blank = {"hit": False, **dict.fromkeys(["center", "half_width", "std_error", "bias", "d_n"])}
-    if x is None:
-        pivot, min_pairs = "s_hat", 0
-        rho_tail = model.rho_coeffs[k_n:]
-    else:
+    if x is not None:
         blank["t_hat"] = None
-        # the projection bias reads up to k_n eigenvectors
-        pivot, min_pairs = "t_hat", k_n
-        w = model.grid.weights
 
     def read(ft, rng, row) -> None:
         x_new = kl_sample(model, rng) if x is None else x
@@ -530,20 +536,15 @@ def _interval_experiment(model, x, n, cn, filt, level, replicates, seed, threads
         row["half_width"] = iv.half_width
         row["hit"] = _interval_hit(iv.lo, iv.hi, target, iv.center)
         row["std_error"] = _standardized(n, iv.center - target, ft.sigma_hat * iv.normalizer)
-        if x is None:
-            # the deterministic truncation-bias component at the rank k_n
-            row["bias"] = -float(np.sum(rho_tail * model.x_coefficients(x_new)[k_n:]))
-            return
-        row["t_hat"] = iv.normalizer
-        # empirical-vs-true projection of rho at the nonrandom rank; with
-        # min_pairs = k_n the fit holds the first k_n pairs, or every
-        # positive pair when the sample rank is below k_n
-        ehat = ft.decomposition.vectors_matrix[:k_n]
-        rho_on_ehat = ehat @ (w * model.rho_curve.values)
-        x_on_ehat = ehat @ (w * x.values)
-        row["bias"] = float(np.sum(rho_on_ehat * x_on_ehat) - pop.projection)
+        # what a noise-free refit would predict, less the target
+        dec = ft.decomposition
+        gain = dec.eigenvalues[: ft.d_n] * ft.filtered_values
+        refit = np.sum(gain * dec.coefficients(model.rho_curve) * dec.coefficients(x_new))
+        row["bias"] = float(refit - target)
+        if x is not None:
+            row["t_hat"] = iv.normalizer
 
-    rows = _replicates(model, n, filt, (seed,), replicates, threads, blank, read, min_pairs)
+    rows = _replicates(model, n, filt, (seed,), replicates, threads, blank, read)
     ok = [r for r in rows if not r["failed"]]
     errs = np.array([r["std_error"] for r in ok])
     return CoverageReport(
@@ -576,8 +577,8 @@ def coverage_experiment(
     Each replicate draws a fresh dataset and one extra predictor, fits
     with the supplied filter (threshold cn), and records the hit, the
     standardized error sqrt(n)(Yhat - <rho, X_new>)/(sigma_hat s_hat),
-    and the deterministic truncation-bias component at the nonrandom
-    rank k_n.
+    and the bias sum_{j<=d_n} lam_j f(lam_j) <rho, e_j> <e_j, X_new> -
+    <rho, X_new>: the error of a noise-free refit of the same sample.
     """
     return _interval_experiment(model, None, n, cn, filt, level, replicates, seed, threads)
 
@@ -595,10 +596,9 @@ def fixed_x_experiment(
 ) -> CoverageReport:
     """Interval coverage for the fixed target <rho, x> with the t_hat pivot.
 
-    Replicates with a zero normalizer (x orthogonal to the retained
-    eigenspace) count as failures. The random projection bias
-    <(Pi_hat - Pi) rho, x> at rank k_n is estimated per replicate
-    through the model's true eigenbasis.
+    A zero x raises DegenerateFitError before any replicate runs; a nonzero
+    x orthogonal to the retained eigenspace fails each replicate. Each row's
+    bias is sum_{j<=d_n} lam_j f(lam_j) <rho, e_j> <e_j, x> - <rho, x>.
     """
     return _interval_experiment(model, x, n, cn, filt, level, replicates, seed, threads)
 

@@ -495,6 +495,17 @@ class TestSimulateCommand:
         assert report["population"]["k_n"] == 1
         assert report["population"]["t_n_x"] == pytest.approx(np.sqrt(2.0), rel=1e-12)
 
+    def test_zero_fixed_x_exits_3_without_a_report(self, tmp_path, capsys):
+        cfg = base_coverage_config(noise_sd=0.3, x={"kind": "coeffs", "values": [0.0, 0.0]})
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "r.json"
+        assert run(["simulate", "fixed-x", "--config", cfg_path, "--out", out]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: degenerate: ")
+        assert not out.exists() and not (tmp_path / "r.csv").exists()
+
     def test_norm_divergence_roundtrip(self, tmp_path):
         cfg = {
             "decay": {"kind": "power", "a": 1.0},

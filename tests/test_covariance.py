@@ -493,27 +493,13 @@ class TestHeldPrefix:
         assert_rel(ft.decomposition.vectors_matrix, full.vectors_matrix[:4])
 
     @pytest.mark.parametrize("n, p", ROUTES)
-    def test_min_pairs_extends_the_prefix_up_to_the_rank(self, n, p):
-        sample, _ = self.problem(n, p)
-        full = eigendecompose(sample)
-        rank = int(np.count_nonzero(full.eigenvalues > 0))
-        cn = float(full.eigenvalues[1])
-        assert len(eigendecompose(sample, cn).eigenvectors) == 2
-        assert len(eigendecompose(sample, cn, min_pairs=1).eigenvectors) == 2
-        held = eigendecompose(sample, cn, min_pairs=5)
-        assert len(held.eigenvectors) == 5
-        assert_rel(held.vectors_matrix, full.vectors_matrix[:5])
-        assert len(eigendecompose(sample, cn, min_pairs=p + 1).eigenvectors) == rank
-
-    @pytest.mark.parametrize("n, p", ROUTES)
     def test_threshold_above_the_spectrum_is_degenerate(self, n, p):
         sample, y = self.problem(n, p)
         cn = 2 * float(eigendecompose(sample).eigenvalues[0])
         with pytest.raises(DegenerateFitError, match="no eigenvalue retained"):
             eigendecompose(sample, cn)
-        for min_pairs in (0, 3):
-            with pytest.raises(DegenerateFitError, match="no eigenvalue retained"):
-                fit(sample, y, FilterSpec("truncation", cn), center=False, min_pairs=min_pairs)
+        with pytest.raises(DegenerateFitError, match="no eigenvalue retained"):
+            fit(sample, y, FilterSpec("truncation", cn), center=False)
 
     @pytest.mark.parametrize("n, p", ROUTES)
     def test_a_threshold_tied_with_an_eigenvalue_holds_its_vector(self, n, p):
@@ -548,15 +534,15 @@ class TestHeldPrefix:
         assert not np.any(ft.x_mean.values)
 
 
-def tied_pair_problem(n, p=41, seed=0, sds=(1.0, 1.0, 0.1)):
+def tied_pair_problem(n, p=41, seed=0):
     """Uncentered rows with a tied pair of eigenvalues: three curves
     orthonormal under the weights, orthogonal score columns with empirical
-    standard deviations ``sds`` (by default variances 1, 1 and 0.01, so
-    the two leading eigenvalues tie), and noiseless responses."""
+    variances 1, 1 and 0.01 (so the two leading eigenvalues tie), and
+    noiseless responses."""
     g = make_trapezoid_grid(0.0, 1.0, p)
     rng = np.random.default_rng(seed)
     curves = np.linalg.qr(rng.standard_normal((p, 3)))[0].T / np.sqrt(g.weights)
-    scores = np.sqrt(n) * np.linalg.qr(rng.standard_normal((n, 3)))[0] * list(sds)
+    scores = np.sqrt(n) * np.linalg.qr(rng.standard_normal((n, 3)))[0] * [1.0, 1.0, 0.1]
     return CurveMatrix(g, scores @ curves), scores @ np.array([1.0, 0.5, 0.25])
 
 
@@ -615,35 +601,6 @@ class TestTiedCutoff:
         assert len(err) == 1
         assert err[0].startswith("error: degenerate: threshold splits tied eigenvalues lambda_1")
         assert not (tmp_path / "fit.json").exists()
-
-    @pytest.mark.parametrize("n", TIED_ROUTES)
-    def test_min_pairs_inside_a_tie_is_degenerate(self, n):
-        # variances 1, 0.01 and 0.01: cn = 0.5 keeps lambda_1 alone, and
-        # min_pairs = 2 ends the held prefix inside the trailing tie
-        sample, _ = tied_pair_problem(n, sds=(1.0, 0.1, 0.1))
-        match = (r"^min_pairs = 2 splits tied eigenvalues lambda_2 = \S+ and lambda_3 = \S+: "
-                 r"gap \S+ <= cluster tolerance \S+$")
-        assert len(eigendecompose(sample, 0.5).eigenvectors) == 1
-        with pytest.raises(DegenerateFitError, match=match):
-            eigendecompose(sample, 0.5, min_pairs=2)
-        # a prefix past the tie, or up to the rank, splits nothing
-        assert len(eigendecompose(sample, 0.5, min_pairs=3).eigenvectors) == 3
-        assert len(eigendecompose(sample, 0.5, min_pairs=4).eigenvectors) == 3
-
-    @pytest.mark.parametrize("n", TIED_ROUTES)
-    def test_min_pairs_every_row_order_raises_or_agrees(self, n):
-        sample, y = tied_pair_problem(n, sds=(1.0, 0.1, 0.1))
-        held = []
-        for seed in range(4):
-            perm = np.random.default_rng(seed).permutation(n)
-            try:
-                ft = fit(CurveMatrix(sample.grid, sample.values[perm]), y[perm],
-                         FilterSpec("truncation", 0.5), center=False, min_pairs=2)
-            except DegenerateFitError:
-                continue
-            held.append(ft.decomposition.vectors_matrix)
-        for vectors in held[1:]:
-            assert np.max(np.abs(vectors - held[0])) <= 1e-12 * np.max(np.abs(held[0]))
 
 
 # (n, p) with n < p, from mc-fixed-x-wide's (300, 1001) down to the tests' sizes

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from funreg.covariance import eigendecompose
-from funreg.errors import GridMismatchError, ValidationError
+from funreg.errors import DegenerateFitError, GridMismatchError, ValidationError
 from funreg import estimator, simlab
-from funreg.estimator import fit
-from funreg.filters import FilterSpec, select_kn
+from funreg.estimator import fit, predict
+from funreg.filters import FilterSpec
 from funreg.hilbert import Curve, CurveMatrix, inner_product, make_trapezoid_grid, norm
 from funreg.simlab import (
     CoeffRule,
@@ -583,6 +583,18 @@ class TestFixedXExperiment:
         assert rep.ks_statistic < 1.36 / np.sqrt(500)
         assert rep.population.x_rkhs_sup == pytest.approx(1 / m.lambdas[0], rel=1e-8)
 
+    def test_zero_x_is_refused_before_any_fit(self, monkeypatch):
+        m = smooth_model(L=10, p=31)
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit called for a zero x")
+
+        monkeypatch.setattr(simlab, "fit", no_fit)
+        with pytest.raises(DegenerateFitError, match="x is the zero curve"):
+            fixed_x_experiment(m, m.curve_from_coeffs([0.0, 0.0]), n=40,
+                               cn=rank_threshold(m.lambdas, 3), filt=TRUNC, level=0.9,
+                               replicates=3, seed=1)
+
     def test_orthogonal_x_fails_every_replicate(self):
         m = smooth_model(L=20, p=101)
         # orthogonalize a high-frequency curve against the full model basis
@@ -612,26 +624,6 @@ class TestFixedXExperiment:
         se = np.sqrt(level * (1 - level) / replicates)
         assert abs(rep.empirical_coverage - level) <= 3 * se
 
-    @pytest.mark.parametrize("n", [40, 12])  # the p x p route and the Gram route
-    def test_bias_matches_the_full_decomposition(self, n):
-        # the fit holds max(d_n, k_n) vectors, so the bias at rank k_n reads
-        # the same rows as from every eigenvector, also where d_n < k_n
-        m = TestSeededGoldenReports.model()
-        x = m.basis_curves[1]
-        cn, seed = 0.02, 2024
-        k_n = select_kn(m.lambdas, cn)
-        rep = fixed_x_experiment(m, x, n, cn, FilterSpec("tikhonov", cn, alpha=0.01), 0.9, 5, seed)
-        assert rep.n_failed == 0
-        assert any(row["d_n"] < k_n for row in rep.rows)
-        w = m.grid.weights
-        true_proj = np.sum(m.rho_coeffs[:k_n] * m.x_coefficients(x)[:k_n])
-        for row in rep.rows:
-            sample, _ = generate_dataset(m, n, replicate_rng(seed, row["replicate"]))
-            full = eigendecompose(sample)
-            e = full.vectors_matrix[: min(k_n, np.count_nonzero(full.eigenvalues > 0))]
-            bias = np.sum((e @ (w * m.rho_curve.values)) * (e @ (w * x.values))) - true_proj
-            assert row["bias"] == pytest.approx(bias, rel=1e-12, abs=0)
-
     def test_t_hat_stabilizes_for_smooth_x(self):
         m = SpectralModel(
             make_trapezoid_grid(0, 1, 101), EigenDecay.power(1.0),
@@ -646,6 +638,62 @@ class TestFixedXExperiment:
             means.append(np.mean([r["t_hat"] for r in rep.rows if not r["failed"]]))
         means = np.array(means)
         assert abs(means[-1] - means.mean()) / means.mean() < 0.05
+
+
+# (p, n): the first and last on the p x p route, the middle two on the Gram route
+BIAS_SHAPES = [(21, 60), (21, 12), (101, 40), (51, 500)]
+BIAS_CASES = [
+    pytest.param(p, n, variant, pivot, id=f"{p}x{n}-{variant}-{pivot}")
+    for p, n in BIAS_SHAPES
+    for variant in ("truncation", "ridge", "tikhonov", "generalized-A", "generalized-B")
+    for pivot in ("s_hat", "t_hat")
+]
+
+
+class TestOneBiasFormula:
+    """Each row's bias is the error of a noise-free refit of its sample at
+    its target, on either pivot, for every filter variant and both routes."""
+
+    SEED = 31
+
+    @classmethod
+    def run(cls, p, n, variant, pivot, noise_sd):
+        """The experiment's rows, each with its sample and its target x."""
+        m = SpectralModel(make_trapezoid_grid(0.0, 1.0, p), EigenDecay.power(1.0),
+                          CoeffRule.power(2.0), noise_sd=noise_sd, L=min(20, p - 1))
+        cn = rank_threshold(m.lambdas, 5)
+        filt = {
+            "truncation": FilterSpec("truncation", cn),
+            "ridge": FilterSpec("ridge", cn, alpha=cn),
+            "tikhonov": FilterSpec("tikhonov", cn, alpha=cn**2),
+            "generalized-A": FilterSpec("generalized", cn, alpha=cn, p=2, variant="A"),
+            "generalized-B": FilterSpec("generalized", cn, alpha=cn**3, p=2, variant="B"),
+        }[variant]
+        if pivot == "s_hat":
+            x = None
+            rep = coverage_experiment(m, n, cn, filt, 0.9, 8, cls.SEED)
+        else:
+            x = m.curve_from_coeffs(np.sqrt(power_squared_coeffs(1.0, m.L)))
+            rep = fixed_x_experiment(m, x, n, cn, filt, 0.9, 8, cls.SEED)
+        assert rep.n_failed == 0
+        for row in rep.rows:
+            rng = replicate_rng(cls.SEED, row["replicate"])
+            sample, _ = generate_dataset(m, n, rng)
+            yield m, filt, row, sample, kl_sample(m, rng) if x is None else x
+
+    @pytest.mark.parametrize("p, n, variant, pivot", BIAS_CASES)
+    def test_noiseless_bias_is_the_error(self, p, n, variant, pivot):
+        for m, _, row, _, x in self.run(p, n, variant, pivot, noise_sd=0.0):
+            target = inner_product(m.rho_curve, x)
+            assert abs(row["bias"] - (row["center"] - target)) <= 1e-12 * max(1.0, abs(target))
+
+    @pytest.mark.parametrize("p, n, variant, pivot", BIAS_CASES)
+    def test_bias_is_the_noise_free_refit_error(self, p, n, variant, pivot):
+        for m, filt, row, sample, x in self.run(p, n, variant, pivot, noise_sd=0.5):
+            y0 = sample.values @ (m.grid.weights * m.rho_curve.values)
+            target = inner_product(m.rho_curve, x)
+            error = predict(fit(sample, y0, filt, center=False), x) - target
+            assert abs(row["bias"] - error) <= 1e-12 * max(1.0, abs(target))
 
 
 def saturated_model():
@@ -711,54 +759,55 @@ class TestFixedXNormalizer:
 # discrete fields must match exactly, and every float to 1e-12 relative.
 # "fixed_x_wide" (n = 12 < p = 21) was recorded from the p x p eigensolve,
 # before n < p samples took the n x n Gram route: its floats must match to
-# 1e-10 relative.
+# 1e-10 relative. The ``bias`` values and ``bias_summary`` were recorded
+# again when every row's bias became the error of a noise-free refit.
 GOLDEN_ROW_KEYS = ("failed", "hit", "d_n", "center", "half_width", "std_error", "bias", "t_hat")
 GOLDEN = {
     "coverage": {
         "report": {
             "nominal_level": 0.9, "n": 40, "replicates": 3, "empirical_coverage": 1.0,
             "mean_half_width": 0.1534318264773056, "ks_statistic": 0.43359414323769685,
-            "bias_summary": 0.0017903201502043893, "seed": 2024, "n_failed": 0,
+            "bias_summary": -0.0001812515027375163, "seed": 2024, "n_failed": 0,
         },
         "rows": [
             (False, True, 4, -0.28627250783315356, 0.17936786800682644,
-             0.029070431366549306, -0.0013343434372719714),
+             0.029070431366549306, -2.716820851367263e-05),
             (False, True, 4, -0.3807790954432839, 0.15575448443006362,
-             -0.16723100879006358, 0.0011298343296719533),
+             -0.16723100879006358, -0.017115166367256296),
             (False, True, 4, 0.16587703343478424, 0.12517312699502678,
-             1.3241866481282105, 0.005575469558213185),
+             1.3241866481282105, 0.01659858006755742),
         ],
     },
     "fixed_x": {
         "report": {
             "nominal_level": 0.9, "n": 40, "replicates": 3, "empirical_coverage": 1.0,
             "mean_half_width": 0.1302365274225166, "ks_statistic": 0.6629263633764128,
-            "bias_summary": -0.00028598509704461095, "seed": 2024, "n_failed": 0,
+            "bias_summary": -0.03535384889234716, "seed": 2024, "n_failed": 0,
             "x_rkhs_sup": 4.000000000000002,
         },
         "rows": [
             (False, True, 6, 0.20958715149302135, 0.1580953014825488,
-             -0.42046297276887756, -2.3188355804365512e-05, 1.7362264038221982),
+             -0.42046297276887756, -0.017074448838619638, 1.7362264038221982),
             (False, True, 7, 0.21223662678714572, 0.1197920571088704,
-             -0.5185253755066043, -0.0003594943913903248, 1.46927426826188),
+             -0.5185253755066043, -0.04140836496756639, 1.46927426826188),
             (False, True, 5, 0.21594148914261713, 0.11282222367613055,
-             -0.4965445927847346, -0.00047527254393914253, 1.756938270974554),
+             -0.4965445927847346, -0.047578732870855456, 1.756938270974554),
         ],
     },
     "fixed_x_wide": {
         "report": {
             "nominal_level": 0.9, "n": 12, "replicates": 3, "empirical_coverage": 1.0,
             "mean_half_width": 0.3208387176266323, "ks_statistic": 0.5892315243879322,
-            "bias_summary": -0.0032584469481332277, "seed": 2024, "n_failed": 0,
+            "bias_summary": -0.07705162318016949, "seed": 2024, "n_failed": 0,
             "x_rkhs_sup": 4.000000000000002,
         },
         "rows": [
             (False, True, 5, 0.2352228174948501, 0.4482710120840339,
-             -0.05422233779230702, -2.570805872181836e-05, 1.7253300290211997),
+             -0.05422233779230702, -0.0243139944561733, 1.7253300290211997),
             (False, True, 5, 0.024257848325279906, 0.2438681904092545,
-             -1.522596269381683, -0.007706976766806095, 1.6628185540520655),
+             -1.522596269381683, -0.12102914515254262, 1.6628185540520655),
             (False, True, 4, 0.016166828350673526, 0.27037695038660847,
-             -1.4225374609004058, -0.002042656018871769, 1.3625063645995759),
+             -1.4225374609004058, -0.08581172993179254, 1.3625063645995759),
         ],
     },
 }
