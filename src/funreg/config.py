@@ -5,7 +5,8 @@ JSON integer, so 2.7, 2.0, "2" and true are all rejected. A number field
 takes a finite integer or float but not a boolean, and is returned as a
 float. A flag needs a JSON boolean, a string field a JSON string and a
 list field a JSON list. An optional field given as null reads as absent
-when its default is None.
+when its default is None. An ``array`` field is a JSON list of numbers,
+or of lists of numbers, and takes no string or boolean entry either.
 Objects are read by ``section`` (no missing and no unknown keys) and
 ``kind`` (the same, per value of the ``kind`` key). Every failure is a
 ``ValidationError`` that names the offending field.
@@ -15,6 +16,9 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -84,6 +88,28 @@ def numbers(cfg: dict, key: str, where: str, typ: type, default=_REQUIRED) -> li
     """The field ``cfg[key]`` as a JSON list of ``typ`` values."""
     items = value(cfg, key, where, list, default)
     return [_typed(item, f"{where}.{key}[{i}]", typ) for i, item in enumerate(items)]
+
+
+def array(cfg: dict, key: str, where: str, rows: bool = False) -> np.ndarray:
+    """The field ``cfg[key]`` as a read-only float array: a JSON list of
+    numbers, or with ``rows`` a list of such lists.
+
+    The entries are checked in one pass over their types rather than one
+    ``numbers`` call each, as a fit file holds thousands of them.
+    """
+    items = value(cfg, key, where, list)
+    if rows and not all(type(row) is list for row in items):
+        raise ValidationError(f"{where}.{key} must be a list of lists")
+    flat = list(chain.from_iterable(items)) if rows else items
+    if not set(map(type, flat)) <= {int, float}:
+        bad = next(x for x in flat if type(x) not in (int, float))
+        raise ValidationError(f"{where}.{key} must hold JSON numbers only, got {bad!r}")
+    try:
+        arr = np.array(items, dtype=float)
+    except (OverflowError, ValueError) as exc:
+        raise ValidationError(f"{where}.{key} is not a numeric array ({exc})") from None
+    arr.flags.writeable = False
+    return arr
 
 
 def read_json(path) -> dict:

@@ -15,9 +15,11 @@ one kernel ``normalizers``:
     s_hat    = sqrt(sum_j [lam_j f(lam_j)]^2)             (random x)
     t_hat(x) = sqrt(sum_j lam_j f(lam_j)^2 <x, e_j>^2)    (fixed x)
 
-Only two functions read them off a fit: ``fit`` keeps s_hat and the
-residual scale sigma_hat, and ``prediction_interval`` computes t_hat(x),
-with its zero floor, and reports the pivot it used as ``normalizer``.
+``fit`` keeps s_hat and the residual scale sigma_hat, and
+``prediction_interval`` computes t_hat(x), with its zero floor, and
+reports the pivot it used as ``normalizer``. A fit file stores no
+f(lam_j): ``fit_from_dict`` derives them and s_hat by the same
+``normalizers`` call as ``fit``, so a loaded fit equals the fresh one.
 The interval's quantile is ``normal.ndtri``, a port of Cephes ``ndtri``
 that the tests check bit-equal to ``scipy.special.ndtri``.
 """
@@ -38,8 +40,8 @@ from .hilbert import Curve, CurveMatrix, Grid, ensure_same_grid, inner_product
 from .hilbert import norm as norm_of
 from .normal import ndtri
 
-# Relative tolerance for the stored filtered values and s_hat of a fit
-# payload against the values recomputed from its eigenvalues and filter.
+# Relative tolerance for the stored s_hat of a fit payload against the one
+# recomputed from its eigenvalues and filter; the loaded fit holds the latter.
 PAYLOAD_RTOL = 1e-9
 
 # The pivots ``prediction_interval`` can scale by, random x first.
@@ -161,7 +163,6 @@ def fit(
     decomposition = eigendecompose(sample, filt.cn)
     d = len(decomposition.eigenvectors)
     norms = normalizers(decomposition.eigenvalues[:d], filt)
-    norms.filtered.flags.writeable = False
     coeff = decomposition.coefficients(delta)
     rho = Curve(grid, (norms.filtered * coeff) @ decomposition.vectors_matrix)
 
@@ -253,7 +254,7 @@ def prediction_interval(
 
 # the keys of a fit payload, every one written by ``fit_to_dict``
 _FIT_KEYS = ("n", "d_n", "s_hat", "sigma_hat", "filter", "grid", "rho_hat", "eigenvalues",
-            "filtered_values", "eigenvectors", "centered", "x_mean", "y_mean")
+             "eigenvectors", "centered", "x_mean", "y_mean")
 
 
 def fit_to_dict(fit: EstimatorFit) -> dict:
@@ -271,7 +272,6 @@ def fit_to_dict(fit: EstimatorFit) -> dict:
         },
         "rho_hat": fit.rho_hat.values.tolist(),
         "eigenvalues": fit.decomposition.eigenvalues.tolist(),
-        "filtered_values": fit.filtered_values.tolist(),
         "eigenvectors": fit.decomposition.vectors_matrix.tolist(),
         "centered": fit.centered,
         "x_mean": fit.x_mean.values.tolist(),
@@ -284,29 +284,29 @@ def fit_from_dict(payload: dict) -> EstimatorFit:
 
     The decomposition holds every stored eigenvalue and the d_n stored
     eigenvectors, the same form as a fresh fit's. The eigenvectors must
-    form a (d_n, p) matrix, the eigenvalues must be finite, nonnegative
+    form a (d_n, p) matrix, and the eigenvalues must be finite, nonnegative
     and nonincreasing and retain exactly d_n pairs at the filter's
     threshold by ``retained_rank`` (which raises DegenerateFitError when
-    the threshold splits a tie), and the stored filtered values and s_hat
-    must agree with the retained eigenvalues and filter. Scalar fields
-    are read with the config module's exact JSON types, and the payload
-    and its grid must hold exactly the keys that ``fit_to_dict`` writes.
+    the threshold splits a tie). f(lam_j) and s_hat come from ``normalizers``
+    as in ``fit``, and the stored s_hat must agree. Every field is read with
+    the config module's exact JSON types, and the payload and its grid must
+    hold exactly the keys that ``fit_to_dict`` writes.
     """
     where = "fit payload"
     config.section(payload, where, _FIT_KEYS)
     config.section(payload["grid"], f"{where}.grid", ("points", "weights"))
     try:
-        grid = Grid(payload["grid"]["points"], payload["grid"]["weights"])
+        grid = Grid(config.array(payload["grid"], "points", f"{where}.grid"),
+                    config.array(payload["grid"], "weights", f"{where}.grid"))
         filt = filter_from_config(payload["filter"])
         d = config.value(payload, "d_n", where, int)
         n = config.value(payload, "n", where, int)
-        lam_all = np.asarray(payload["eigenvalues"], dtype=float)
-        vectors = np.asarray(payload["eigenvectors"], dtype=float)
-        stored_filtered = np.asarray(payload["filtered_values"], dtype=float)
+        lam_all = config.array(payload, "eigenvalues", where)
+        vectors = config.array(payload, "eigenvectors", where, rows=True)
         stored_s_hat = config.value(payload, "s_hat", where, float)
         sigma = config.value(payload, "sigma_hat", where, float, None)
-        rho_hat = Curve(grid, payload["rho_hat"])
-        x_mean = Curve(grid, payload["x_mean"])
+        rho_hat = Curve(grid, config.array(payload, "rho_hat", where))
+        x_mean = Curve(grid, config.array(payload, "x_mean", where))
         centered = config.value(payload, "centered", where, bool)
         y_mean = config.value(payload, "y_mean", where, float)
     except (KeyError, TypeError, ValueError) as exc:
@@ -339,19 +339,14 @@ def fit_from_dict(payload: dict) -> EstimatorFit:
         raise ValidationError(
             f"stored eigenvalues retain {retained} pairs at the threshold, but d_n = {d}"
         )
-    # written as "<=" so that a NaN anywhere fails the comparison
-    expected = normalizers(lam_all[:d], filt)
-    if stored_filtered.shape != expected.filtered.shape or not np.all(
-        np.abs(stored_filtered - expected.filtered) <= PAYLOAD_RTOL * np.abs(expected.filtered)
-    ):
-        raise ValidationError("stored filtered values disagree with eigenvalues and filter")
-    if not abs(stored_s_hat - expected.s) <= PAYLOAD_RTOL * expected.s:
+    norms = normalizers(lam_all[:d], filt)
+    # written as "<=" so that a NaN fails the comparison
+    if not abs(stored_s_hat - norms.s) <= PAYLOAD_RTOL * norms.s:
         raise ValidationError("stored s_hat disagrees with eigenvalues and filter")
-    stored_filtered.flags.writeable = False
     return EstimatorFit(
         rho_hat=rho_hat,
-        filtered_values=stored_filtered,
-        s_hat=stored_s_hat,
+        filtered_values=norms.filtered,
+        s_hat=norms.s,
         sigma_hat=float("nan") if sigma is None else sigma,
         n=n,
         decomposition=decomposition,

@@ -74,7 +74,7 @@ class FilterSpec:
 
 
 def filter_values(spec: FilterSpec, x) -> np.ndarray:
-    """Vectorized f_n over nonnegative arguments; zero strictly below cn.
+    """Read-only vectorized f_n over nonnegative arguments; zero strictly below cn.
 
     Curves scaled by c scale the spectrum by c^2. With cn scaled by c^2 and
     alpha by c^2 (ridge, generalized A), c^4 (tikhonov) or c^(2p+2)
@@ -97,6 +97,7 @@ def filter_values(spec: FilterSpec, x) -> np.ndarray:
             out[on] = xs**spec.p / (xs + spec.alpha) ** (spec.p + 1)
         else:
             out[on] = xs**spec.p / (xs ** (spec.p + 1) + spec.alpha)
+    out.flags.writeable = False
     return out
 
 

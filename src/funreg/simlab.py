@@ -139,7 +139,6 @@ class CoeffRule:
     exponent: float | None = None
     coeffs: tuple | None = None
     normalize: bool = False
-    scale: float = 1.0
 
     def __post_init__(self):
         if self.kind == "power":
@@ -155,12 +154,11 @@ class CoeffRule:
     def values(self, count: int) -> np.ndarray:
         if self.kind == "power":
             j = np.arange(1, count + 1, dtype=float)
-            out = self.scale * j ** -float(self.exponent)
+            out = j ** -float(self.exponent)
         else:
             out = np.zeros(count)
             m = min(count, len(self.coeffs))
             out[:m] = self.coeffs[:m]
-            out *= self.scale
         if self.normalize:
             total = np.sqrt(np.sum(out**2))
             if total == 0:
@@ -169,8 +167,8 @@ class CoeffRule:
         return out
 
     @staticmethod
-    def power(exponent: float, normalize: bool = False, scale: float = 1.0) -> "CoeffRule":
-        return CoeffRule("power", exponent=exponent, normalize=normalize, scale=scale)
+    def power(exponent: float, normalize: bool = False) -> "CoeffRule":
+        return CoeffRule("power", exponent=exponent, normalize=normalize)
 
     @staticmethod
     def finite(coeffs, normalize: bool = False) -> "CoeffRule":
@@ -827,16 +825,12 @@ def decay_from_config(cfg: dict) -> EigenDecay:
 
 def rho_from_config(cfg: dict) -> CoeffRule:
     kind = config.kind(cfg, "rho", {
-        "power": (("exponent",), ("normalize", "scale")),
+        "power": (("exponent",), ("normalize",)),
         "finite": (("coeffs",), ("normalize",)),
     })
     normalize = config.value(cfg, "normalize", "rho", bool, False)
     if kind == "power":
-        return CoeffRule.power(
-            config.value(cfg, "exponent", "rho", float),
-            normalize=normalize,
-            scale=config.value(cfg, "scale", "rho", float, 1.0),
-        )
+        return CoeffRule.power(config.value(cfg, "exponent", "rho", float), normalize=normalize)
     return CoeffRule.finite(config.numbers(cfg, "coeffs", "rho", float), normalize=normalize)
 
 

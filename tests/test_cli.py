@@ -354,7 +354,22 @@ class TestFitFileErrors:
         ({"bogus": 1}, "bogus"),
         ({"grid": [1, 2]}, "grid"),
         ({"grid": {"points": [0.0, 2.0], "weights": [1.0, 1.0], "step": 2.0}}, "step"),
-    ], ids=["unknown-key", "grid-not-an-object", "unknown-grid-key"])
+        # a fit file no longer stores them: the loader derives them from the spectrum
+        ({"filtered_values": [0.5, 2.0]}, "filtered_values"),
+        # every array holds JSON numbers only; each of these used to load
+        ({"eigenvalues": [2.0, "0.5"]}, "payload.eigenvalues must hold JSON numbers only"),
+        ({"rho_hat": ["1.0", 1.0]}, "payload.rho_hat must hold JSON numbers only"),
+        ({"eigenvectors": [[1.0, 0.0], [0.0, "1.0"]]},
+         "payload.eigenvectors must hold JSON numbers only"),
+        ({"grid": {"points": [0.0, 2.0], "weights": ["1.0", 1.0]}},
+         "payload.grid.weights must hold JSON numbers only"),
+        ({"grid": {"points": [0.0, "2.0"], "weights": [1.0, 1.0]}},
+         "payload.grid.points must hold JSON numbers only"),
+        ({"x_mean": [True, True]}, "payload.x_mean must hold JSON numbers only"),
+        ({"rho_hat": [1.0, True]}, "payload.rho_hat must hold JSON numbers only"),
+    ], ids=["unknown-key", "grid-not-an-object", "unknown-grid-key", "filtered-values",
+            "string-eigenvalue", "string-rho", "string-eigenvector", "string-weight",
+            "string-point", "boolean-x-mean", "boolean-rho"])
     def test_unknown_or_malformed_key_is_named(self, toy_fit, tmp_path, capsys, edit, key):
         payload, x_path = toy_fit
         capsys.readouterr()
@@ -625,6 +640,8 @@ MALFORMED_CONFIGS = [
     ("fixed-x", FIXED_X_CONFIG, "x", {"kind": "coeffs"}),
     ("fixed-x", FIXED_X_CONFIG, "x", {"kind": "coeffs", "values": []}),
     ("norm-divergence", NORM_DIVERGENCE_CONFIG, "n_grid", []),
+    # a coefficient rule has no scale
+    ("coverage", COVERAGE_CONFIG, "rho", {"kind": "power", "exponent": 2.0, "scale": 2.0}),
 ]
 
 COVERAGE_HEADER = "replicate,failed,hit,center,half_width,std_error,bias,d_n,error"

@@ -48,6 +48,24 @@ class TestValue:
         with pytest.raises(ValidationError, match=r"cfg\.k\[1\] must be an integer"):
             config.numbers({"k": [1, 2.0]}, "k", "cfg", int)
 
+    def test_array(self):
+        got = config.array({"k": [[1, 2.5], [0, -1.0]]}, "k", "cfg", rows=True)
+        assert got.tolist() == [[1.0, 2.5], [0.0, -1.0]] and not got.flags.writeable
+        assert config.array({"k": [3, 0.5]}, "k", "cfg").tolist() == [3.0, 0.5]
+
+    @pytest.mark.parametrize("raw,rows,message", [
+        (5, False, r"cfg\.k must be a list"),
+        ([1.0, "2"], False, r"cfg\.k must hold JSON numbers only, got '2'"),
+        ([1.0, None], False, r"cfg\.k must hold JSON numbers only, got None"),
+        ([[1.0], [True]], True, r"cfg\.k must hold JSON numbers only, got True"),
+        ([[1.0], 2.0], True, r"cfg\.k must be a list of lists"),
+        ([[1.0, 2.0], [3.0]], True, r"cfg\.k is not a numeric array"),
+        ([10**400], False, r"cfg\.k is not a numeric array"),
+    ], ids=["scalar", "string", "null", "boolean-in-row", "bare-row", "ragged", "huge-int"])
+    def test_array_rejects(self, raw, rows, message):
+        with pytest.raises(ValidationError, match=message):
+            config.array({"k": raw}, "k", "cfg", rows=rows)
+
 
 class TestSectionAndKind:
     def test_section(self):

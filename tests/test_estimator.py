@@ -8,6 +8,7 @@ from funreg import cli, estimator
 from funreg.covariance import eigendecompose, retained_rank
 from funreg.errors import DegenerateFitError, GridMismatchError, ValidationError
 from funreg.estimator import (
+    NORMALIZERS,
     fit,
     fit_from_dict,
     fit_to_dict,
@@ -28,6 +29,7 @@ from funreg.hilbert import (
     save_curves_csv,
 )
 from funreg.normal import ndtri
+from test_symmetries import VARIANTS, make_filter
 
 
 def unit_weight_grid(p=2):
@@ -147,7 +149,6 @@ class TestFit:
         lam = ft.decomposition.eigenvalues[: ft.d_n]
         assert np.array_equal(ft.filtered_values, filter_values(spec, lam))
         assert not ft.filtered_values.flags.writeable
-        assert fit_to_dict(ft)["filtered_values"] == ft.filtered_values.tolist()
 
     def test_saturated_fit_has_undefined_sigma(self):
         _, ft = toy_fit()
@@ -582,20 +583,35 @@ class TestSerialization:
             assert b.center == pytest.approx(a.center, abs=1e-12)
             assert b.half_width == pytest.approx(a.half_width, abs=1e-12)
 
-    def test_dict_round_trip_is_lossless(self):
-        g, sample, rng = gaussian_sample(12, 5, seed=53)
-        ft = fit(sample, rng.standard_normal(12), FilterSpec("truncation", 1e-3),
-                 center=False)
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("center", [True, False], ids=["centered", "uncentered"])
+    @pytest.mark.parametrize("n", [60, 12], ids=["pxp", "gram"])
+    def test_dict_round_trip_is_lossless(self, n, center, variant):
+        # p = 21: n = 60 solves on the p x p matrix, n = 12 on the Gram matrix
+        g, sample, rng = gaussian_sample(n + 1, 21, seed=53)
+        rows, x = CurveMatrix.of(sample[:n]), sample[n]
+        lam = eigendecompose(centered_rows(rows) if center else rows).eigenvalues
+        spec = make_filter(variant, float(np.sqrt(lam[3] * lam[4])))
+        ft = fit(rows, rng.standard_normal(n), spec, center=center)
         payload = json.loads(json.dumps(fit_to_dict(ft)))
+        assert "filtered_values" not in payload
         back = fit_from_dict(payload)
-        assert np.array_equal(back.rho_hat.values, ft.rho_hat.values)
+        # f(lam) and s_hat are derived again, by the fresh fit's own call
+        assert back.d_n == ft.d_n == 4
+        assert np.array_equal(back.filtered_values, ft.filtered_values)
+        assert not back.filtered_values.flags.writeable
         assert back.s_hat == ft.s_hat
-        assert back.sigma_hat == ft.sigma_hat
-        assert back.filter == ft.filter
+        assert np.array_equal(back.rho_hat.values, ft.rho_hat.values)
+        assert np.array_equal(back.x_mean.values, ft.x_mean.values)
+        assert (back.sigma_hat, back.n, back.filter, back.centered, back.y_mean) == (
+            ft.sigma_hat, ft.n, ft.filter, ft.centered, ft.y_mean)
         # a loaded fit and a fresh one hold one form: every eigenvalue, d_n vectors
         for name in ("eigenvalues", "vectors_matrix"):
             assert np.array_equal(getattr(back.decomposition, name),
                                   getattr(ft.decomposition, name))
+        assert predict(back, x) == predict(ft, x)
+        for pivot in NORMALIZERS:
+            assert prediction_interval(back, x, 0.9, pivot) == prediction_interval(ft, x, 0.9, pivot)
 
     def test_malformed_payload(self):
         with pytest.raises(ValidationError):
@@ -606,10 +622,11 @@ class TestSerialization:
         ft = fit(sample, rng.standard_normal(12), FilterSpec("ridge", 1e-3, alpha=0.05))
         payload = json.loads(json.dumps(fit_to_dict(ft)))
         assert fit_from_dict(payload).s_hat == ft.s_hat
+        # a file no longer stores the filtered values, and one that does is refused
+        with pytest.raises(ValidationError, match="unknown config keys.*'filtered_values'"):
+            fit_from_dict(dict(payload, filtered_values=ft.filtered_values.tolist()))
         for key, value in (
             ("s_hat", ft.s_hat * 1.01),
-            ("filtered_values", [v * 2 for v in payload["filtered_values"]]),
-            ("filtered_values", payload["filtered_values"][:-1]),
             ("eigenvectors", [row[:-1] for row in payload["eigenvectors"]]),
             ("eigenvalues", payload["eigenvalues"][: ft.d_n - 1]),
             ("eigenvalues", payload["eigenvalues"] + [1.0]),
@@ -645,14 +662,13 @@ def run_predict(tmp_path, capsys, payload, x):
 
 
 def unsorted_spectrum(payload):
-    """Eigenvalues d_n and d_n + 1 swapped, with the stored filtered value
-    and s_hat that the swapped spectrum gives: a zero inside the retained
-    block, which a fit never writes."""
+    """Eigenvalues d_n and d_n + 1 swapped, with the stored s_hat that the
+    swapped spectrum gives: a zero inside the retained block, which a fit
+    never writes."""
     d = payload["d_n"]
     lam = list(payload["eigenvalues"])
     lam[d - 1], lam[d] = lam[d], lam[d - 1]
-    return dict(payload, eigenvalues=lam, filtered_values=payload["filtered_values"][:-1] + [0.0],
-                s_hat=float(np.sqrt(d - 1)))
+    return dict(payload, eigenvalues=lam, s_hat=float(np.sqrt(d - 1)))
 
 
 def edited_tail(payload, value):
