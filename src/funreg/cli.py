@@ -61,11 +61,7 @@ def _fmt(value) -> str:
 def _write_rows_csv(path, rows) -> None:
     """One CSV line per row dict; the header is the first row's keys."""
     fieldnames = list(rows[0])
-    try:
-        fh = open(path, "w", newline="", encoding="utf-8")
-    except OSError as exc:
-        raise ValidationError(f"cannot write {path}: {exc}") from None
-    with fh:
+    with config.open_text(path, "w") as fh:
         writer = csv.writer(fh)
         writer.writerow(fieldnames)
         for row in rows:
@@ -78,11 +74,8 @@ def _csv_path(out_path) -> Path:
 
 
 def _load_responses(path) -> np.ndarray:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            cells = [c for line in fh for c in line.replace(",", " ").split()]
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from None
+    with config.open_text(path) as fh:
+        cells = [c for line in fh for c in line.replace(",", " ").split()]
     if not cells:
         raise ValidationError(f"{path}: no responses found")
     # the curve file's number grammar, so a literal such as 1_0 is rejected

@@ -1,4 +1,4 @@
-"""Typed reader for JSON config objects, and the JSON file pair.
+"""Typed reader for JSON config objects, the JSON file pair and ``open_text``.
 
 Every field is read with its exact JSON type. An integer field needs a
 JSON integer, so 2.7, 2.0, "2" and true are all rejected. A number field
@@ -10,12 +10,17 @@ or of lists of numbers, and takes no string or boolean entry either.
 Objects are read by ``section`` (no missing and no unknown keys) and
 ``kind`` (the same, per value of the ``kind`` key). Every failure is a
 ``ValidationError`` that names the offending field.
+
+``open_text`` holds the package's one call of ``open``: every file read or
+written goes through it, so a path that fails reads ``cannot read|write
+{path}: <reason>``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from itertools import chain
 
 import numpy as np
@@ -112,13 +117,23 @@ def array(cfg: dict, key: str, where: str, rows: bool = False) -> np.ndarray:
     return arr
 
 
+@contextmanager
+def open_text(path, mode: str = "r"):
+    """``path`` as UTF-8 text to read ("r") or write ("w", with no newline
+    translation, as csv needs); an OSError in the block is a ValidationError."""
+    verb = "read" if mode == "r" else "write"
+    try:
+        with open(path, mode, encoding="utf-8", newline=None if mode == "r" else "") as fh:
+            yield fh
+    except OSError as exc:
+        raise ValidationError(f"cannot {verb} {path}: {exc}") from None
+
+
 def read_json(path) -> dict:
     """Load a JSON file whose top level is an object."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open_text(path) as fh:
             payload = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from None
     except ValueError as exc:
         raise ValidationError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(payload, dict):
@@ -128,10 +143,6 @@ def read_json(path) -> dict:
 
 def write_json(path, payload: dict) -> None:
     """Write ``payload`` as indented JSON with a trailing newline."""
-    try:
-        fh = open(path, "w", encoding="utf-8")
-    except OSError as exc:
-        raise ValidationError(f"cannot write {path}: {exc}") from None
-    with fh:
+    with open_text(path, "w") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")

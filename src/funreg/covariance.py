@@ -20,15 +20,14 @@ triangles differently. The Gram route scales the rows first, and Z Z' of
 one buffer is exactly symmetric as computed (the same products summed in
 the same order for entries (i, j) and (j, i)), so it is solved as it is.
 
-Every eigenvalue of the solve is kept, but given a threshold cn the
-eigenvectors are mapped back, renormalized and sign-fixed only for the
-d_n leading pairs a fit reads, those at or above cn.
+Every eigenvalue of the solve is kept, but the eigenvectors are mapped
+back, renormalized and sign-fixed only for the d_n leading pairs at or
+above the threshold cn, the pairs a fit reads.
 
 The one rule for how many pairs a threshold keeps, d_n, is
 ``retained_rank``: the positive eigenvalues at or above cn of a
-descending spectrum. ``eigendecompose``, ``estimator.fit`` and a loaded
-fit all count d_n with it, so "no eigenvalue retained" and a split tie
-are raised in one place.
+descending spectrum. ``eigendecompose`` and a loaded fit count d_n with
+it, and it alone refuses an empty spectrum, on both routes, or a split tie.
 
 A threshold must not split a cluster of eigenvalues that the solve cannot
 tell apart. ``eigh`` is backward stable: its spectrum is exact for S + E
@@ -102,9 +101,9 @@ class SpectralDecomposition:
     finite-rank tail clamped to exact zeros; when n < p only the positive
     ones are held (the sample rank, at most n) and the null space is
     omitted. Every caller reads only positive pairs, so the two forms
-    agree. ``eigenvectors`` holds the vectors of the first m pairs as the
-    rows of one matrix (1 <= m <= the number of eigenvalues), orthonormal
-    under the quadrature product with a deterministic sign convention.
+    agree. ``eigenvectors`` holds the vectors of the d_n retained pairs
+    (``retained_rank``) as the rows of one matrix, orthonormal under the
+    quadrature product with a deterministic sign convention.
     """
 
     eigenvalues: np.ndarray
@@ -132,16 +131,16 @@ class SpectralDecomposition:
         return self.vectors_matrix @ (self.grid.weights * h.values)
 
 
-def eigendecompose(sample: CurveMatrix, cn: float | None = None) -> SpectralDecomposition:
+def eigendecompose(sample: CurveMatrix, cn: float) -> SpectralDecomposition:
     """Eigensystem of h -> sum_j w_j K(., t_j) h(t_j) under the weighted
     product, with K = X'X / n for the rows X of ``sample`` as given.
 
     Solved on the p x p matrix when n >= p and on the n x n Gram matrix
     when n < p (see the module docstring); the latter keeps only the
-    positive eigenvalues and raises DegenerateFitError when there is none.
-    Without ``cn`` every held eigenvalue gets its vector. With ``cn``, only
-    the d_n pairs of ``retained_rank`` get one (which raises when there is
-    none, or when cn splits a tie).
+    positive eigenvalues. Only the d_n pairs that ``retained_rank`` keeps
+    at ``cn`` get their vector (cn = 0 keeps every positive pair);
+    ``retained_rank`` raises DegenerateFitError when there is none, on
+    either route, or when cn splits a tie.
     """
     if not isinstance(sample, CurveMatrix):
         raise ValidationError("sample rows must be a CurveMatrix")
@@ -171,11 +170,8 @@ def eigendecompose(sample: CurveMatrix, cn: float | None = None) -> SpectralDeco
 
     if gram_route:
         # descending and clamped, so the positive values are a prefix
-        rank = int(np.count_nonzero(lam > 0))
-        if rank == 0:
-            raise DegenerateFitError("threshold exceeds spectrum: the sample spectrum is zero")
-        lam = lam[:rank]
-    held = lam.size if cn is None else retained_rank(lam, cn, len(w))
+        lam = lam[:np.count_nonzero(lam > 0)]
+    held = retained_rank(lam, cn, len(w))
     vec = vec[:, order[:held]]
     if gram_route:
         vec = z.T @ vec / np.sqrt(n * lam[:held])

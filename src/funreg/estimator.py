@@ -288,9 +288,10 @@ def fit_from_dict(payload: dict) -> EstimatorFit:
     and nonincreasing and retain exactly d_n pairs at the filter's
     threshold by ``retained_rank`` (which raises DegenerateFitError when
     the threshold splits a tie). f(lam_j) and s_hat come from ``normalizers``
-    as in ``fit``, and the stored s_hat must agree. Every field is read with
-    the config module's exact JSON types, and the payload and its grid must
-    hold exactly the keys that ``fit_to_dict`` writes.
+    as in ``fit``, and the stored s_hat must agree. An uncentered fit must
+    store zero means. Every field is read with the config module's exact
+    JSON types, and the payload and its grid must hold exactly the keys
+    that ``fit_to_dict`` writes.
     """
     where = "fit payload"
     config.section(payload, where, _FIT_KEYS)
@@ -313,6 +314,9 @@ def fit_from_dict(payload: dict) -> EstimatorFit:
         raise ValidationError(f"malformed fit payload: {exc}") from None
     if n < 2:
         raise ValidationError(f"{where}.n must be at least 2, got {n}")
+    for key, mean in (("x_mean", x_mean.values), ("y_mean", y_mean)):
+        if not centered and np.any(mean != 0):
+            raise ValidationError(f"{where}.{key} must be zero in an uncentered fit")
     if sigma is not None and sigma < 0:
         raise ValidationError(f"{where}.sigma_hat must be null or nonnegative, got {sigma!r}")
     if (sigma is None) != (n <= d):

@@ -17,7 +17,7 @@ spectrum by ``covariance.retained_rank``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -174,11 +174,5 @@ def filter_from_config(cfg: dict, cn: float | None = None) -> FilterSpec:
 
 
 def filter_to_config(spec: FilterSpec) -> dict:
-    cfg = {"kind": spec.kind, "cn": spec.cn}
-    if spec.alpha is not None:
-        cfg["alpha"] = spec.alpha
-    if spec.p is not None:
-        cfg["p"] = spec.p
-    if spec.variant is not None:
-        cfg["variant"] = spec.variant
-    return cfg
+    """The spec's fields that are set, in declaration order."""
+    return {f.name: v for f in fields(spec) if (v := getattr(spec, f.name)) is not None}

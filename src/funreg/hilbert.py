@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import config
 from .errors import GridMismatchError, ValidationError
 
 
@@ -222,12 +223,10 @@ def load_curves_csv(path) -> CurveMatrix:
     stored in the file; trapezoid weights are rebuilt from the abscissae.
     """
     try:
-        with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+        with config.open_text(path) as fh, warnings.catch_warnings():
             # an empty file warns before it is rejected below
             warnings.simplefilter("ignore", UserWarning)
             rows = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None, quotechar='"')
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from None
     except ValueError as exc:
         raise ValidationError(f"{path}: not a numeric curve matrix ({exc})") from None
     if rows.shape[0] < 2:
@@ -259,7 +258,7 @@ def load_curves_csv(path) -> CurveMatrix:
 def save_curves_csv(path, curves: CurveMatrix | list[Curve]) -> None:
     """Write curves in the curve matrix CSV format (see load_curves_csv)."""
     matrix = CurveMatrix.of(curves)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with config.open_text(path, "w") as fh:
         writer = csv.writer(fh)
         writer.writerow([repr(float(x)) for x in matrix.grid.points])
         for row in matrix.values:

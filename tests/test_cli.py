@@ -367,9 +367,14 @@ class TestFitFileErrors:
          "payload.grid.points must hold JSON numbers only"),
         ({"x_mean": [True, True]}, "payload.x_mean must hold JSON numbers only"),
         ({"rho_hat": [1.0, True]}, "payload.rho_hat must hold JSON numbers only"),
+        # the toy fit is uncentered: predict reads neither mean, so both must be zero
+        ({"x_mean": [5.0, 5.0]}, "payload.x_mean must be zero in an uncentered fit"),
+        ({"x_mean": [0.0, -3.0]}, "payload.x_mean must be zero in an uncentered fit"),
+        ({"y_mean": 7.0}, "payload.y_mean must be zero in an uncentered fit"),
     ], ids=["unknown-key", "grid-not-an-object", "unknown-grid-key", "filtered-values",
             "string-eigenvalue", "string-rho", "string-eigenvector", "string-weight",
-            "string-point", "boolean-x-mean", "boolean-rho"])
+            "string-point", "boolean-x-mean", "boolean-rho", "uncentered-x-mean",
+            "uncentered-one-x-mean-entry", "uncentered-y-mean"])
     def test_unknown_or_malformed_key_is_named(self, toy_fit, tmp_path, capsys, edit, key):
         payload, x_path = toy_fit
         capsys.readouterr()

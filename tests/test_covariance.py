@@ -118,16 +118,16 @@ class TestEmpiricalCovariance:
     def test_single_curve_outer_product(self):
         g = unit_weight_grid()
         x = Curve(g, [3.0, -1.0])
-        dec = eigendecompose(CurveMatrix.of([x]))
+        dec = eigendecompose(CurveMatrix.of([x]), 0.0)
         assert np.allclose(held_kernel(dec), np.outer(x.values, x.values))
 
     def test_hand_example_diagonal(self):
         g, sample = toy_sample()
-        assert np.allclose(held_kernel(eigendecompose(CurveMatrix.of(sample))), np.diag([2.0, 0.5]))
+        assert np.allclose(held_kernel(eigendecompose(CurveMatrix.of(sample), 0.0)), np.diag([2.0, 0.5]))
 
     def test_positive_semidefinite_pairing(self):
         g, sample = random_sample(6, 9, seed=3)
-        dec = eigendecompose(centered_rows(sample))
+        dec = eigendecompose(centered_rows(sample), 0.0)
         assert np.all(dec.eigenvalues >= 0)
         rng = np.random.default_rng(7)
         for _ in range(5):
@@ -205,7 +205,7 @@ class TestEigendecompose:
         # rows (2, 0) and (0, 1) give the kernel diag(2, 0.5)
         rows = CurveMatrix(g, [[2.0, 0.0], [0.0, 1.0]])
         assert np.array_equal(kernel(rows), np.diag([2.0, 0.5]))
-        dec = eigendecompose(rows)
+        dec = eigendecompose(rows, 0.0)
         assert np.allclose(dec.eigenvalues, [2.0, 0.5])
         assert np.allclose(np.abs(dec.vectors_matrix), np.eye(2), atol=1e-12)
 
@@ -213,14 +213,14 @@ class TestEigendecompose:
         g = make_trapezoid_grid(0.0, 1.0, 21)
         u = Curve(g, np.sin(2 * np.pi * g.points))
         u = u * (1.0 / norm(u))
-        dec = eigendecompose(CurveMatrix.of([u]))
+        dec = eigendecompose(CurveMatrix.of([u]), 0.0)
         assert dec.eigenvalues[0] == pytest.approx(1.0, rel=1e-10)
         assert np.all(dec.eigenvalues[1:] <= 1e-12)
 
     def test_reconstruction_matches_operator_action(self):
         g, sample = random_sample(12, 6, seed=2)
         rows = centered_rows(sample)
-        dec = eigendecompose(rows)
+        dec = eigendecompose(rows, 0.0)
         rng = np.random.default_rng(4)
         for _ in range(4):
             h = Curve(g, rng.standard_normal(6))
@@ -229,7 +229,7 @@ class TestEigendecompose:
 
     def test_orthonormal_under_weighted_product(self):
         g, sample = random_sample(10, 7, seed=9)
-        dec = eigendecompose(centered_rows(sample))
+        dec = eigendecompose(centered_rows(sample), 0.0)
         gram = np.array(
             [
                 [inner_product(a, b) for b in dec.eigenvectors]
@@ -241,7 +241,7 @@ class TestEigendecompose:
     def test_eigenvector_equation(self):
         g, sample = random_sample(9, 5, seed=14)
         rows = centered_rows(sample)
-        dec = eigendecompose(rows)
+        dec = eigendecompose(rows, 0.0)
         for lam, e in zip(dec.eigenvalues, dec.eigenvectors):
             assert norm(operator_action(rows, e) - lam * e) < 1e-8
 
@@ -249,14 +249,14 @@ class TestEigendecompose:
         # oracle: eigenvalues of the non-symmetric matrix K W solved densely
         g, sample = random_sample(20, 8, seed=21)
         rows = centered_rows(sample)
-        dec = eigendecompose(rows)
+        dec = eigendecompose(rows, 0.0)
         raw = scipy.linalg.eig(kernel(rows) @ np.diag(g.weights))
         oracle = np.sort(raw[0].real)[::-1]
         assert np.allclose(dec.eigenvalues, oracle, rtol=1e-10, atol=1e-12)
 
     def test_trace_identity_after_centering(self):
         g, sample = random_sample(15, 9, seed=8)
-        dec = eigendecompose(centered_rows(sample))
+        dec = eigendecompose(centered_rows(sample), 0.0)
         mean = np.mean([c.values for c in sample], axis=0)
         centered = [Curve(g, c.values - mean) for c in sample]
         avg_sq = np.mean([norm(c) ** 2 for c in centered])
@@ -264,13 +264,13 @@ class TestEigendecompose:
 
     def test_rank_bounded_by_sample_size(self):
         g, sample = random_sample(3, 10, seed=6)
-        dec = eigendecompose(CurveMatrix.of(sample))
+        dec = eigendecompose(CurveMatrix.of(sample), 0.0)
         assert np.count_nonzero(dec.eigenvalues > 1e-12 * dec.eigenvalues[0]) <= 3
 
     def test_sign_convention_is_deterministic(self):
         _, sample = random_sample(10, 6, seed=13)
-        d1 = eigendecompose(centered_rows(sample))
-        d2 = eigendecompose(centered_rows(sample))
+        d1 = eigendecompose(centered_rows(sample), 0.0)
+        d2 = eigendecompose(centered_rows(sample), 0.0)
         for a, b in zip(d1.eigenvectors, d2.eigenvectors):
             assert np.array_equal(a.values, b.values)
         for e in d1.eigenvectors:
@@ -284,7 +284,7 @@ class TestEigendecompose:
         for n, p, seed in ((10, 6, 13), (40, 101, 2), (5, 150, 8)):
             g, sample = random_sample(n, p, seed=seed)
             rows = centered_rows(sample)
-            dec = eigendecompose(rows)
+            dec = eigendecompose(rows, 0.0)
             lam, vec = gram_solve(rows) if n < p else dense_solve(rows)
             assert isinstance(dec.eigenvectors, CurveMatrix)
             # n < p keeps the centered sample's rank, n - 1
@@ -307,7 +307,7 @@ class TestEigendecompose:
         # four rows 2 * sqrt(lambda_j) e_j give the kernel diag(4, 2, 1, 0.5)
         rows = CurveMatrix(g, 2 * np.diag(np.sqrt([4.0, 2.0, 1.0, 0.5])))
         assert np.allclose(kernel(rows), np.diag([4.0, 2.0, 1.0, 0.5]), rtol=1e-15, atol=0)
-        dec = eigendecompose(rows)
+        dec = eigendecompose(rows, 0.0)
         assert np.allclose(spectral_gaps(dec.eigenvalues), [2.0, 1.0, 0.5, 0.5])
 
     def test_malformed_rows_rejected(self):
@@ -318,22 +318,22 @@ class TestEigendecompose:
             np.array([[1.0, np.inf]]),
         ):
             with pytest.raises(ValidationError):
-                eigendecompose(CurveMatrix(g, rows))
+                eigendecompose(CurveMatrix(g, rows), 0.0)
             # a bare array is not a validated sample
             with pytest.raises(ValidationError):
-                eigendecompose(rows)
+                eigendecompose(rows, 0.0)
 
     def test_negative_noise_eigenvalues_clamped_to_zero(self):
         # n < p: only the positive pairs are kept, never a noise pair
         g, sample = random_sample(2, 6, seed=31)
-        dec = eigendecompose(CurveMatrix.of(sample))
+        dec = eigendecompose(CurveMatrix.of(sample), 0.0)
         assert 1 <= dec.eigenvalues.size <= 2
         assert np.all(dec.eigenvalues > 0)
         # n >= p: six curves in a two-dimensional span leave four noise
         # eigenvalues, clamped to exact zeros
         rng = np.random.default_rng(31)
         values = rng.standard_normal((6, 2)) @ np.stack([c.values for c in sample])
-        dec = eigendecompose(CurveMatrix(g, values))
+        dec = eigendecompose(CurveMatrix(g, values), 0.0)
         assert dec.eigenvalues.size == 6
         assert np.all(dec.eigenvalues[:2] > 0)
         assert np.all(dec.eigenvalues[2:] == 0.0)
@@ -401,7 +401,7 @@ class TestGramRoute:
         sample, y, x, filt, levels = problem
         n, grid = len(sample), sample.grid
         with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
-            gram = eigendecompose(sample)
+            gram = eigendecompose(sample, 0.0)
         assert eigh.call_args.args[0].shape == (n, n), "the n < p route solved the p x p kernel"
         # one eigenpair per positive eigenvalue: the sample rank
         assert gram.eigenvalues.size == levels.size
@@ -456,13 +456,31 @@ class TestGramRoute:
     def test_zero_sample_keeps_the_degenerate_error(self):
         g = make_trapezoid_grid(0.0, 1.0, 11)
         with pytest.raises(DegenerateFitError, match="threshold exceeds spectrum"):
-            eigendecompose(CurveMatrix(g, np.zeros((3, 11))))
+            eigendecompose(CurveMatrix(g, np.zeros((3, 11))), 0.0)
+
+    # n < p takes the Gram route, n >= p the p x p one
+    @pytest.mark.parametrize("n", [3, 20])
+    def test_zero_sample_is_refused_by_retained_rank_on_both_routes(self, n, tmp_path, capsys):
+        message = "threshold exceeds spectrum: no eigenvalue retained"
+        sample = CurveMatrix(make_trapezoid_grid(0.0, 1.0, 11), np.zeros((n, 11)))
+        with pytest.raises(DegenerateFitError) as raised:
+            eigendecompose(sample, 0.0)
+        assert str(raised.value) == message
+        save_curves_csv(tmp_path / "curves.csv", sample)
+        (tmp_path / "y.csv").write_text("1.0\n" * n)
+        capsys.readouterr()
+        code = cli.main(["fit", "--curves", str(tmp_path / "curves.csv"),
+                         "--responses", str(tmp_path / "y.csv"), "--filter", "truncation",
+                         "--cn", "0.1", "--out", str(tmp_path / "fit.json")])
+        assert code == 3
+        assert capsys.readouterr().err.splitlines() == [f"error: degenerate: {message}"]
+        assert not (tmp_path / "fit.json").exists()
 
     def test_route_is_chosen_by_shape(self):
         # n = p solves the p x p matrix and keeps every pair
         g, sample = random_sample(6, 6, seed=4)
         with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
-            dec = eigendecompose(centered_rows(sample))
+            dec = eigendecompose(centered_rows(sample), 0.0)
         assert eigh.call_args.args[0].shape == (6, 6)
         assert dec.eigenvalues.size == 6
         assert dec.eigenvalues[-1] == 0.0
@@ -483,7 +501,7 @@ class TestHeldPrefix:
     @pytest.mark.parametrize("n, p", ROUTES)
     def test_fit_holds_the_retained_vectors_and_the_full_spectrum(self, n, p):
         sample, y = self.problem(n, p)
-        full = eigendecompose(sample)
+        full = eigendecompose(sample, 0.0)
         cn = float(np.sqrt(full.eigenvalues[3] * full.eigenvalues[4]))
         filt = FilterSpec("ridge", cn, alpha=0.05)
         ft = fit(sample, y, filt, center=False)
@@ -495,7 +513,7 @@ class TestHeldPrefix:
     @pytest.mark.parametrize("n, p", ROUTES)
     def test_threshold_above_the_spectrum_is_degenerate(self, n, p):
         sample, y = self.problem(n, p)
-        cn = 2 * float(eigendecompose(sample).eigenvalues[0])
+        cn = 2 * float(eigendecompose(sample, 0.0).eigenvalues[0])
         with pytest.raises(DegenerateFitError, match="no eigenvalue retained"):
             eigendecompose(sample, cn)
         with pytest.raises(DegenerateFitError, match="no eigenvalue retained"):
@@ -504,7 +522,7 @@ class TestHeldPrefix:
     @pytest.mark.parametrize("n, p", ROUTES)
     def test_a_threshold_tied_with_an_eigenvalue_holds_its_vector(self, n, p):
         sample, y = self.problem(n, p)
-        full = eigendecompose(sample)
+        full = eigendecompose(sample, 0.0)
         cn = float(full.eigenvalues[2])
         assert full.eigenvalues[3] < cn
         assert len(eigendecompose(sample, cn).eigenvectors) == 3
@@ -553,7 +571,7 @@ class TestTiedCutoff:
     @staticmethod
     def split_threshold(sample):
         """The top eigenvalue, a threshold that keeps lambda_1 alone."""
-        lam = eigendecompose(sample).eigenvalues
+        lam = eigendecompose(sample, 0.0).eigenvalues
         # the tie is broken by roundoff alone, within the cluster tolerance
         assert 0 < lam[0] - lam[1] <= cluster_tolerance(lam[0], len(sample.grid))
         return float(lam[0])
@@ -617,5 +635,5 @@ def test_gram_matrix_is_solved_exactly_symmetric_as_computed(n, p):
     s = z @ z.T / n
     assert np.array_equal(s, s.T)
     with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
-        eigendecompose(CurveMatrix(g, x))
+        eigendecompose(CurveMatrix(g, x), 0.0)
     assert np.array_equal(eigh.call_args.args[0], s)

@@ -79,13 +79,13 @@ class TestRegularizedInverse:
 
     def test_rank_zero_is_an_error(self):
         g, sample, _ = gaussian_sample(5, 6, seed=4)
-        dec = eigendecompose(centered_rows(sample))
+        dec = eigendecompose(centered_rows(sample), 0.0)
         with pytest.raises(DegenerateFitError):
             fit(sample, np.ones(5), FilterSpec("truncation", dec.eigenvalues[0] * 2))
 
     def test_rank_matches_effective_rank(self):
         g, sample, _ = gaussian_sample(12, 6, seed=5)
-        dec = eigendecompose(centered_rows(sample))
+        dec = eigendecompose(centered_rows(sample), 0.0)
         spec = FilterSpec("truncation", dec.eigenvalues[2])
         ft = fit(sample, np.ones(12), spec)
         assert ft.d_n == retained_rank(dec.eigenvalues, spec.cn, len(g)) == 3
@@ -101,7 +101,7 @@ class TestFit:
 
     def test_noiseless_recovery_on_retained_span(self):
         g, sample, rng = gaussian_sample(40, 10, seed=7)
-        dec = eigendecompose(CurveMatrix.of(sample))
+        dec = eigendecompose(CurveMatrix.of(sample), 0.0)
         rho = dec.eigenvectors[0] * 0.8 + dec.eigenvectors[1] * (-0.3)
         y = [inner_product(rho, x) for x in sample]
         ft = fit(sample, y, FilterSpec("truncation", dec.eigenvalues[2]), center=False)
@@ -221,14 +221,14 @@ def pivots(dec, spec, x=None):
 class TestNormalizers:
     def test_s_hat_truncation_is_sqrt_rank(self):
         g, sample, rng = gaussian_sample(30, 8, seed=6)
-        dec = eigendecompose(centered_rows(sample))
+        dec = eigendecompose(centered_rows(sample), 0.0)
         spec = FilterSpec("truncation", dec.eigenvalues[3])
         assert fit(sample, rng.standard_normal(30), spec).s_hat == np.sqrt(4)
 
     def test_s_hat_ridge_example(self):
         sample = [Curve(unit_weight_grid(), [np.sqrt(2), 0.0]),
                   Curve(unit_weight_grid(), [0.0, 1.0])]
-        dec = eigendecompose(CurveMatrix.of(sample))
+        dec = eigendecompose(CurveMatrix.of(sample), 0.0)
         assert np.allclose(dec.eigenvalues, [1.0, 0.5])
         spec = FilterSpec("ridge", 0.1, alpha=0.5)
         expected = np.sqrt((1 / 1.5) ** 2 + 0.25)
@@ -238,7 +238,7 @@ class TestNormalizers:
 
     def test_s_hat_single_retained(self):
         g, sample, rng = gaussian_sample(25, 6, seed=8)
-        dec = eigendecompose(centered_rows(sample))
+        dec = eigendecompose(centered_rows(sample), 0.0)
         spec = FilterSpec("tikhonov", dec.eigenvalues[0] * 0.999, alpha=0.01)
         lam1 = dec.eigenvalues[0]
         s = fit(sample, rng.standard_normal(25), spec).s_hat
@@ -247,14 +247,14 @@ class TestNormalizers:
     def test_t_hat_on_leading_eigenvector(self):
         g = unit_weight_grid()
         u = Curve(g, [0.5, 0.0])  # eigenvalue 0.25 via outer product
-        dec = eigendecompose(CurveMatrix.of([u]))
+        dec = eigendecompose(CurveMatrix.of([u]), 0.0)
         assert dec.eigenvalues[0] == pytest.approx(0.25)
         spec = FilterSpec("truncation", 0.01)
         assert pivots(dec, spec, dec.eigenvectors[0]).t == pytest.approx(2.0, rel=1e-10)
 
     def test_t_hat_orthogonal_xestimate_zero(self):
         g, sample, _ = gaussian_sample(20, 6, seed=12)
-        dec = eigendecompose(centered_rows(sample))
+        dec = eigendecompose(centered_rows(sample), 0.0)
         spec = FilterSpec("truncation", dec.eigenvalues[2])
         x = dec.eigenvectors[4]
         assert pivots(dec, spec, x).t < 1e-10
@@ -262,7 +262,7 @@ class TestNormalizers:
     def test_t_hat_two_mode_example(self):
         g = Grid(np.arange(2.0), np.ones(2))
         sample = [Curve(g, [np.sqrt(2), 0.0]), Curve(g, [0.0, np.sqrt(0.5)])]
-        dec = eigendecompose(CurveMatrix.of(sample))
+        dec = eigendecompose(CurveMatrix.of(sample), 0.0)
         assert np.allclose(dec.eigenvalues, [1.0, 0.25])
         x = dec.eigenvectors[0] + dec.eigenvectors[1]
         spec = FilterSpec("truncation", 0.01)
@@ -325,7 +325,7 @@ class TestNormalizerKernel:
 class TestSigmaHat:
     def test_noiseless(self):
         g, sample, _ = gaussian_sample(30, 8, seed=13)
-        dec = eigendecompose(CurveMatrix.of(sample))
+        dec = eigendecompose(CurveMatrix.of(sample), 0.0)
         rho = dec.eigenvectors[0] * 1.5
         y = [inner_product(rho, x) for x in sample]
         ft = fit(sample, y, FilterSpec("truncation", dec.eigenvalues[1]), center=False)
@@ -444,7 +444,7 @@ class TestPredictionInterval:
 
     def test_noiseless_interval_degenerates(self):
         g, sample, _ = gaussian_sample(20, 6, seed=23)
-        dec = eigendecompose(CurveMatrix.of(sample))
+        dec = eigendecompose(CurveMatrix.of(sample), 0.0)
         rho = dec.eigenvectors[0]
         y = [inner_product(rho, x) for x in sample]
         ft = fit(sample, y, FilterSpec("truncation", dec.eigenvalues[1]), center=False)
@@ -459,7 +459,7 @@ class TestPredictionInterval:
 
     def test_degenerate_t_hat_is_an_error(self):
         g, sample, _ = gaussian_sample(20, 6, seed=25)
-        dec = eigendecompose(CurveMatrix.of(sample))
+        dec = eigendecompose(CurveMatrix.of(sample), 0.0)
         spec = FilterSpec("truncation", dec.eigenvalues[2])
         y = np.linspace(0, 1, 20)
         ft = fit(sample, y, spec, center=False)
@@ -486,7 +486,7 @@ class TestStructuralProperties:
         y = np.array(
             [inner_product(Curve(g, np.cos(np.pi * g.points)), x) for x in sample]
         ) + 0.2 * rng.standard_normal(50)
-        dec = eigendecompose(CurveMatrix.of(sample))
+        dec = eigendecompose(CurveMatrix.of(sample), 0.0)
         d = 4
         ft = fit(sample, y, FilterSpec("truncation", dec.eigenvalues[d] * 1.0001),
                  center=False)
@@ -527,7 +527,7 @@ class TestStructuralProperties:
 
     def test_s_hat_monotone_in_retained_rank(self):
         g, sample, _ = gaussian_sample(40, 10, seed=37)
-        dec = eigendecompose(centered_rows(sample))
+        dec = eigendecompose(centered_rows(sample), 0.0)
         values = [
             pivots(dec, FilterSpec("ridge", dec.eigenvalues[d] * 0.9999, alpha=0.01)).s
             for d in range(6)
@@ -590,7 +590,7 @@ class TestSerialization:
         # p = 21: n = 60 solves on the p x p matrix, n = 12 on the Gram matrix
         g, sample, rng = gaussian_sample(n + 1, 21, seed=53)
         rows, x = CurveMatrix.of(sample[:n]), sample[n]
-        lam = eigendecompose(centered_rows(rows) if center else rows).eigenvalues
+        lam = eigendecompose(centered_rows(rows) if center else rows, 0.0).eigenvalues
         spec = make_filter(variant, float(np.sqrt(lam[3] * lam[4])))
         ft = fit(rows, rng.standard_normal(n), spec, center=center)
         payload = json.loads(json.dumps(fit_to_dict(ft)))
@@ -645,7 +645,7 @@ class TestSerialization:
 def truncation_payload():
     """The JSON of an uncentered truncation fit that keeps 4 of 8 pairs."""
     g, sample, rng = gaussian_sample(40, 8, seed=61)
-    cn = float(eigendecompose(CurveMatrix.of(sample)).eigenvalues[3])
+    cn = float(eigendecompose(CurveMatrix.of(sample), 0.0).eigenvalues[3])
     ft = fit(sample, rng.standard_normal(40), FilterSpec("truncation", cn), center=False)
     assert ft.d_n == 4
     return json.loads(json.dumps(fit_to_dict(ft))), sample[0]

@@ -258,6 +258,12 @@ class TestCurveCsv:
         assert loaded.grid == g
         assert np.array_equal(loaded.values, matrix.values)
 
+    def test_save_into_a_missing_directory_is_a_validation_error(self, tmp_path):
+        g = make_trapezoid_grid(0.0, 1.0, 4)
+        path = tmp_path / "no-such-dir" / "curves.csv"
+        with pytest.raises(ValidationError, match="^cannot write "):
+            save_curves_csv(path, CurveMatrix(g, np.ones((1, 4))))
+
     def test_rejects_non_finite_cell(self, tmp_path):
         path = tmp_path / "nan.csv"
         path.write_text("0.0,1.0\n1.0,nan\n")

@@ -1,5 +1,5 @@
-"""Modules of the package use only each other's public names, and the
-package imports and runs without scipy."""
+"""Modules of the package use only each other's public names, only
+``config`` calls ``open``, and the package imports and runs without scipy."""
 
 import ast
 import json
@@ -99,6 +99,49 @@ def test_no_module_has_an_unused_import():
         and (names := unused_imports(path.read_text(encoding="utf-8")))
     }
     assert offenders == {}
+
+
+def open_calls(source: str) -> list[str]:
+    """Calls of the builtin ``open``: bare, or as ``builtins.open`` or ``io.open``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if (isinstance(func, ast.Name) and func.id == "open") or (
+            isinstance(func, ast.Attribute)
+            and func.attr == "open"
+            and isinstance(func.value, ast.Name)
+            and func.value.id in ("builtins", "io")
+        ):
+            found.append((node.lineno, ast.unparse(func)))
+    return [f"line {line}: {call}" for line, call in sorted(found)]
+
+
+def test_open_detector_flags_every_form():
+    source = (
+        "import builtins, io\n"
+        "with open(path) as fh:\n"
+        "    pass\n"
+        "builtins.open(path, 'w')\n"
+        "io.open(path)\n"
+        "config.open_text(path)\n"
+        "fh.open()\n"
+        "reopen(path)\n"
+    )
+    assert open_calls(source) == ["line 2: open", "line 4: builtins.open", "line 5: io.open"]
+    assert open_calls("opened = 1\nwith config.open_text(p, 'w') as fh:\n    pass\n") == []
+
+
+def test_only_config_opens_files():
+    offenders = {
+        path.name: calls
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "config.py"
+        and (calls := open_calls(path.read_text(encoding="utf-8")))
+    }
+    assert offenders == {}
+    assert open_calls((PACKAGE / "config.py").read_text(encoding="utf-8"))
 
 
 def test_import_does_not_load_scipy_stats():

@@ -540,7 +540,7 @@ class TestCoverageExperiment:
             CoeffRule.finite([1.0, 0.5, 0.25]), noise_sd=0.0, L=3,
         )
         sample, _ = generate_dataset(m, 50000, replicate_rng(123, 0))
-        dec = eigendecompose(CurveMatrix(sample.grid, sample.values - sample.values.mean(axis=0)))
+        dec = eigendecompose(CurveMatrix(sample.grid, sample.values - sample.values.mean(axis=0)), 0.0)
         rel = np.abs(dec.eigenvalues[:3] - m.lambdas) / m.lambdas
         assert rel.max() < 0.05
         for j in range(3):
