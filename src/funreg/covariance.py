@@ -45,7 +45,8 @@ widening d_n over the cluster instead would silently move the threshold.
 Samples enter as a ``CurveMatrix``; ``fit`` stacks a list of curves once
 by ``CurveMatrix.of``, which also checks that they share one grid. The
 eigenvectors of a decomposition are one ``CurveMatrix`` holding a
-leading prefix of the pairs, one row per pair.
+leading prefix of the pairs, one row per pair; the coordinates <h, e_j>
+of a curve are ``eigenvectors.inner_products(h)``.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFitError, ValidationError
-from .hilbert import Curve, CurveMatrix, Grid, ensure_same_grid
+from .hilbert import CurveMatrix, Grid
 
 # Relative cutoff below which empirical eigenvalues are treated as exact zeros.
 EIGENVALUE_CLAMP = 1e-12
@@ -124,11 +125,6 @@ class SpectralDecomposition:
     def vectors_matrix(self) -> np.ndarray:
         """Eigenvector values stacked as rows, shape (m, p)."""
         return self.eigenvectors.values
-
-    def coefficients(self, h: Curve) -> np.ndarray:
-        """Coordinates <h, e_j> of a curve on the m held eigenvectors."""
-        ensure_same_grid(self, h)
-        return self.vectors_matrix @ (self.grid.weights * h.values)
 
 
 def eigendecompose(sample: CurveMatrix, cn: float) -> SpectralDecomposition:

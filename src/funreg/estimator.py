@@ -8,7 +8,11 @@ estimate is rho_hat = sum_{j<=d_n} f(lam_j) <Delta_n, e_j> e_j, where
 d_n counts the empirical eigenvalues at or above the threshold by the one
 rule ``covariance.retained_rank``, on a fresh spectrum and on a loaded
 one alike; d_n and the filtered values f(lam_j) are worked out once and
-kept on the fit.
+kept on the fit. The residual scale is
+
+    sigma_hat = sqrt(sum_i (Y_i - Y_mean - <X_c,i, rho_hat>)^2 / (n - d_n)),
+
+with every <X_c,i, rho_hat> from one ``CurveMatrix.inner_products``.
 Both CLT pivots are sums over that retained spectrum, computed by the
 one kernel ``normalizers``:
 
@@ -107,18 +111,6 @@ def predict(fit: EstimatorFit, x: Curve) -> float:
     return inner_product(fit.rho_hat, x)
 
 
-def _residual_sigma(rows: np.ndarray, y: np.ndarray, rho_hat: Curve, y_mean, d_n) -> float:
-    """sqrt(sum_i (Y_i - Yhat_i)^2 / (n - d_n)) over rows centered as the fit's;
-    the caller ensures n > d_n."""
-    n = rows.shape[0]
-    # row-wise inner_product: same products and weights, same reduction;
-    # the weights multiply in place, so one (n, p) temporary is live
-    prod = rho_hat.values * rows
-    prod *= rho_hat.grid.weights
-    preds = y_mean + np.sum(prod, axis=1)
-    return float(np.sqrt(np.sum((y - preds) ** 2) / (n - d_n)))
-
-
 def fit(
     sample: CurveMatrix | list[Curve],
     responses,
@@ -155,19 +147,20 @@ def fit(
         x_mean = Curve(grid, mean)
     else:
         x_mean = Curve.zeros(grid)
-    # the rows of the covariance, the cross-covariance and the residuals
-    rows = sample.values
+    # ``sample`` now holds the rows of the covariance, cross-covariance and residuals
     y_mean = float(y.mean()) if center else 0.0
-    delta = Curve(grid, rows.T @ (y - y_mean) / n)
+    yc = y - y_mean
+    delta = Curve(grid, sample.values.T @ yc / n)
 
     decomposition = eigendecompose(sample, filt.cn)
     d = len(decomposition.eigenvectors)
     norms = normalizers(decomposition.eigenvalues[:d], filt)
-    coeff = decomposition.coefficients(delta)
+    coeff = decomposition.eigenvectors.inner_products(delta)
     rho = Curve(grid, (norms.filtered * coeff) @ decomposition.vectors_matrix)
 
     if n > d:
-        sigma = _residual_sigma(rows, y, rho, y_mean, d)
+        resid = yc - sample.inner_products(rho)
+        sigma = float(np.sqrt(np.sum(resid**2) / (n - d)))
     else:
         # retained rank saturates the sample: rho_hat is still defined but
         # the residual scale has no degrees of freedom left
@@ -231,9 +224,9 @@ def prediction_interval(
     if normalizer == "s_hat":
         scale = fit.s_hat
     else:
-        d = fit.d_n
-        norms = normalizers(fit.decomposition.eigenvalues[:d], fit.filter,
-                            fit.decomposition.coefficients(x), fit.filtered_values)
+        dec = fit.decomposition
+        norms = normalizers(dec.eigenvalues[:fit.d_n], fit.filter,
+                            dec.eigenvectors.inner_products(x), fit.filtered_values)
         scale = norms.t
         # relative floor: roundoff-sized projections of x onto the retained
         # eigenspace must not masquerade as information

@@ -3,8 +3,10 @@
 A curve is a vector of values on a shared grid; the inner product is the
 quadrature sum ``<f, g> = sum_i w_i f_i g_i``. A sample of curves on one
 grid is a ``CurveMatrix``: an ``(m, p)`` array of rows, validated once as
-a whole, that indexes and iterates as ``Curve``s. All cross-grid
-operations are rejected rather than silently resampled.
+a whole, that indexes and iterates as ``Curve``s. ``inner_product`` is the
+rule for one pair of curves, and ``CurveMatrix.inner_products`` the rule
+for a curve against every row of a matrix. All cross-grid operations are
+rejected rather than silently resampled.
 """
 
 from __future__ import annotations
@@ -146,6 +148,12 @@ class CurveMatrix:
         for row in self.values:
             yield Curve(self.grid, row)
 
+    def inner_products(self, h: Curve) -> np.ndarray:
+        """<row_i, h> for every row, shape (m,): one matrix-vector product
+        with the weighted values of h, so no (m, p) temporary is formed."""
+        ensure_same_grid(self, h)
+        return self.values @ (self.grid.weights * h.values)
+
     @staticmethod
     def of(curves) -> "CurveMatrix":
         """The matrix itself, or a sequence of same-grid curves stacked."""
@@ -228,7 +236,9 @@ def load_curves_csv(path) -> CurveMatrix:
             warnings.simplefilter("ignore", UserWarning)
             rows = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None, quotechar='"')
     except ValueError as exc:
-        raise ValidationError(f"{path}: not a numeric curve matrix ({exc})") from None
+        # numpy ends a ragged row's message with advice no caller can take
+        reason = str(exc).partition("; use `usecols`")[0]
+        raise ValidationError(f"{path}: not a numeric curve matrix ({reason})") from None
     if rows.shape[0] < 2:
         raise ValidationError(f"{path}: need a grid row and at least one curve row")
     points = rows[0].copy()

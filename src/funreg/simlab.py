@@ -80,7 +80,6 @@ from .hilbert import (
     Curve,
     CurveMatrix,
     Grid,
-    ensure_same_grid,
     inner_product,
     make_trapezoid_grid,
     norm,
@@ -253,8 +252,9 @@ class SpectralModel:
         return basis
 
     @cached_property
-    def basis_curves(self) -> tuple[Curve, ...]:
-        return tuple(Curve(self.grid, row) for row in self.basis)
+    def basis_curves(self) -> CurveMatrix:
+        """e_1..e_L as a ``CurveMatrix`` sharing the ``basis`` buffer."""
+        return CurveMatrix(self.grid, self.basis)
 
     @cached_property
     def rho_curve(self) -> Curve:
@@ -266,11 +266,6 @@ class SpectralModel:
         if c.size > self.L:
             raise ValidationError(f"at most L={self.L} coefficients supported")
         return Curve(self.grid, c @ self.basis[: c.size])
-
-    def x_coefficients(self, x: Curve) -> np.ndarray:
-        """True-basis coordinates <x, e_l> for l = 1..L."""
-        ensure_same_grid(self, x)
-        return self.basis @ (self.grid.weights * x.values)
 
 
 # ---------------------------------------------------------------------------
@@ -306,13 +301,13 @@ def generate_dataset(
         raise ValidationError("need n >= 1")
     xi = _draw_xi(rng, model.xi_law, (n, model.L))
     values = (xi * np.sqrt(model.lambdas)) @ model.basis
-    weighted_rho = model.grid.weights * model.rho_curve.values
-    y = values @ weighted_rho
-    if model.noise_sd > 0:
-        y = y + model.noise_sd * rng.standard_normal(n)
     # fresh rows, so the matrix holds them without a copy
     values.flags.writeable = False
-    return CurveMatrix(model.grid, values), y
+    sample = CurveMatrix(model.grid, values)
+    y = sample.inner_products(model.rho_curve)
+    if model.noise_sd > 0:
+        y = y + model.noise_sd * rng.standard_normal(n)
+    return sample, y
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +357,7 @@ def population(model: SpectralModel, filt: FilterSpec, x: Curve | None = None) -
         coeffs = rkhs_sup = None
         tail = float(np.sqrt(np.sum(lam[k_n:] * rho[k_n:] ** 2)))
     else:
-        x_coeff = model.x_coefficients(x)
+        x_coeff = model.basis_curves.inner_products(x)
         coeffs = x_coeff[:k_n]
         rkhs_sup = float(np.max(x_coeff**2 / lam))
         tail = float(np.sum(rho[k_n:] * x_coeff[k_n:]))
@@ -537,7 +532,8 @@ def _interval_experiment(model, x, n, cn, filt, level, replicates, seed, threads
         # what a noise-free refit would predict, less the target
         dec = ft.decomposition
         gain = dec.eigenvalues[: ft.d_n] * ft.filtered_values
-        refit = np.sum(gain * dec.coefficients(model.rho_curve) * dec.coefficients(x_new))
+        coords = dec.eigenvectors.inner_products
+        refit = np.sum(gain * coords(model.rho_curve) * coords(x_new))
         row["bias"] = float(refit - target)
         if x is not None:
             row["t_hat"] = iv.normalizer

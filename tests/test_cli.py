@@ -243,6 +243,19 @@ class TestPredictCommand:
         code = run(["predict", "--fit", fit_path, "--x", x])
         assert_validation_exit(code, capsys)
 
+    def test_ragged_predictor_names_the_row_and_no_usecols(self, toy_fit_path, tmp_path,
+                                                            capsys):
+        fit_path, _ = toy_fit_path
+        capsys.readouterr()
+        x = tmp_path / "ragged.csv"
+        x.write_text("0.0,1.0,2.0\n1,2,3\n4,5\n")
+        code = run(["predict", "--fit", fit_path, "--x", x])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: validation: ") and err.count("\n") == 1
+        assert "the number of columns changed from 3 to 2 at row 3" in err
+        assert "usecols" not in err
+
     def test_degenerate_t_hat_exits_3(self, tmp_path):
         # rank-one data along the first coordinate; x points the other way
         curves = tmp_path / "c.csv"

@@ -224,7 +224,7 @@ class TestEigendecompose:
         rng = np.random.default_rng(4)
         for _ in range(4):
             h = Curve(g, rng.standard_normal(6))
-            action = (dec.eigenvalues * dec.coefficients(h)) @ dec.vectors_matrix
+            action = (dec.eigenvalues * dec.eigenvectors.inner_products(h)) @ dec.vectors_matrix
             assert norm(Curve(g, action) - operator_action(rows, h)) < 1e-8
 
     def test_orthonormal_under_weighted_product(self):
@@ -430,7 +430,7 @@ class TestGramRoute:
         rho = []
         for dec in (gram, dense):
             f = normalizers(dec.eigenvalues[:d], filt).filtered
-            rho.append((f * dec.coefficients(delta)[:d]) @ dec.vectors_matrix[:d])
+            rho.append((f * dec.eigenvectors.inner_products(delta)[:d]) @ dec.vectors_matrix[:d])
         assert_rel(rho[0], rho[1])
 
         # a fit holds the vectors of the d retained pairs only, mapped back
@@ -440,7 +440,7 @@ class TestGramRoute:
         assert np.array_equal(held.eigenvalues, gram.eigenvalues)
         assert_rel(held.vectors_matrix, gram.vectors_matrix[:d])
         rho_held = (normalizers(held.eigenvalues[:d], filt).filtered
-                    * held.coefficients(delta)) @ held.vectors_matrix
+                    * held.eigenvectors.inner_products(delta)) @ held.vectors_matrix
         assert_rel(rho_held, rho[1])
         if n >= 2:
             # fit takes the Gram route to the same estimate
@@ -448,7 +448,7 @@ class TestGramRoute:
             assert len(ft.decomposition.eigenvectors) == ft.d_n == d
             assert np.array_equal(ft.decomposition.eigenvalues, gram.eigenvalues)
             assert np.array_equal(ft.rho_hat.values, rho_held)
-        pivots = [normalizers(dec.eigenvalues[:d], filt, dec.coefficients(x)[:d])
+        pivots = [normalizers(dec.eigenvalues[:d], filt, dec.eigenvectors.inner_products(x)[:d])
                   for dec in (gram, dense)]
         assert_rel(pivots[0].s, pivots[1].s)
         assert_rel(pivots[0].t, pivots[1].t)

@@ -181,6 +181,26 @@ class TestFit:
         assert sample.values is values and ft.centered
         assert peak <= 2.5 * values.nbytes
 
+    @pytest.mark.parametrize("center, bound", [(True, 1.25), (False, 0.25)])
+    def test_fit_builds_no_temporary_the_size_of_the_rows(self, center, bound):
+        # the p x p route at the cli-fit-predict shape: a centered fit holds
+        # one copy of the rows (1.0x) and its finiteness mask (0.125x); the
+        # residuals are inner products, with no (n, p) product beside them
+        g = make_trapezoid_grid(0.0, 1.0, 101)
+        rng = np.random.default_rng(4)
+        values = rng.standard_normal((5000, 101))
+        values.flags.writeable = False
+        sample = CurveMatrix(g, values)
+        y = rng.standard_normal(5000)
+        tracemalloc.start()
+        try:
+            ft = fit(sample, y, FilterSpec("ridge", 0.01, alpha=0.1), center=center)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(ft.sigma_hat)
+        assert peak <= bound * values.nbytes
+
 
 class TestPredict:
     def test_zero_curve(self):
@@ -215,7 +235,8 @@ class TestPredict:
 def pivots(dec, spec, x=None):
     """``normalizers`` over the pairs of ``dec`` that ``spec`` retains."""
     d = retained_rank(dec.eigenvalues, spec.cn, len(dec.grid))
-    return normalizers(dec.eigenvalues[:d], spec, None if x is None else dec.coefficients(x)[:d])
+    return normalizers(dec.eigenvalues[:d], spec,
+                       None if x is None else dec.eigenvectors.inner_products(x)[:d])
 
 
 class TestNormalizers:
@@ -364,6 +385,16 @@ def per_curve_sigma_hat(sample, y, ft):
     return float(np.sqrt(np.sum(res**2) / (len(sample) - ft.d_n)))
 
 
+def matrix_sigma_hat(sample, y, ft):
+    """The residual scale in plain numpy, all rows at once:
+    sqrt(sum((y - y_mean - X_c @ (w * rho_hat))**2) / (n - d_n))."""
+    x = np.stack([c.values for c in sample])
+    y = np.asarray(y, dtype=float)
+    x_c, y_mean = (x - x.mean(axis=0), y.mean()) if ft.centered else (x, 0.0)
+    res = y - y_mean - x_c @ (ft.grid.weights * ft.rho_hat.values)
+    return float(np.sqrt(np.sum(res**2) / (len(sample) - ft.d_n)))
+
+
 class TestMatrixSampleParity:
     SPECS = (FilterSpec("truncation", 1e-2), FilterSpec("ridge", 1e-3, alpha=0.05))
 
@@ -386,15 +417,18 @@ class TestMatrixSampleParity:
     @pytest.mark.parametrize("n, p", [(40, 9), (300, 101), (160, 150)])
     def test_sigma_hat_equals_per_curve_loop_bit_for_bit(self, n, p, center):
         # small noise keeps residuals far below the predictions, so any
-        # change in how a prediction is rounded shows in sigma_hat
+        # change in how a prediction is rounded shows in sigma_hat: it is
+        # pinned bit for bit to the matrix formula, and the per-curve loop,
+        # which rounds each prediction its own way, agrees to a few ulps
         g, sample, rng = gaussian_sample(n, p, seed=n + p)
         rho = Curve(g, np.cos(3 * g.points))
         y = np.array([inner_product(rho, x) for x in sample]) + 1e-3 * rng.standard_normal(n)
         spec = FilterSpec("ridge", 1e-3, alpha=0.05)
         ft = fit(sample, y, spec, center=center)
-        expected = per_curve_sigma_hat(sample, y, ft)
+        expected = matrix_sigma_hat(sample, y, ft)
         assert ft.sigma_hat == expected
         assert fit(CurveMatrix.of(sample), y, spec, center=center).sigma_hat == expected
+        assert ft.sigma_hat == pytest.approx(per_curve_sigma_hat(sample, y, ft), rel=1e-15, abs=0)
 
 
 class TestPredictionInterval:

@@ -135,6 +135,20 @@ class TestCurveMatrix:
         with pytest.raises(ValueError):
             m.values[0, 0] = 2.0
 
+    def test_inner_products_are_one_weighted_matrix_vector_product(self):
+        g = make_trapezoid_grid(0.0, 1.0, 33)
+        rng = np.random.default_rng(5)
+        m = CurveMatrix(g, rng.standard_normal((7, 33)))
+        h = Curve(make_trapezoid_grid(0.0, 1.0, 33), rng.standard_normal(33))
+        ips = m.inner_products(h)
+        assert np.array_equal(ips, m.values @ (g.weights * h.values))
+        assert ips == pytest.approx([inner_product(row, h) for row in m], rel=1e-12)
+
+    def test_inner_products_reject_a_foreign_grid(self):
+        m = CurveMatrix(unit_grid(5), np.ones((2, 5)))
+        with pytest.raises(GridMismatchError):
+            m.inner_products(Curve(make_trapezoid_grid(0.0, 2.0, 5), np.ones(5)))
+
 
 class TestInnerProduct:
     def test_constant_one_integrates_to_domain_length(self):
@@ -277,10 +291,15 @@ class TestCurveCsv:
             load_curves_csv(path)
 
     def test_rejects_ragged_rows(self, tmp_path):
+        # numpy's advice to pass ``usecols`` is cut: no caller can set it
         path = tmp_path / "ragged.csv"
-        path.write_text("0.0,0.5,1.0\n1.0,2.0\n")
-        with pytest.raises(ValidationError):
-            load_curves_csv(path)
+        for text, change in [("0.0,0.5,1.0\n1.0,2.0\n", "from 3 to 2 at row 2"),
+                             ("0.0,0.5,1.0\n1,2,3\n4,5\n", "from 3 to 2 at row 3"),
+                             ("0.0,0.5,1.0\n1,2,3\n4,5,6,7\n", "from 3 to 4 at row 3")]:
+            path.write_text(text)
+            with pytest.raises(ValidationError, match=change) as info:
+                load_curves_csv(path)
+            assert "usecols" not in str(info.value)
 
     @pytest.mark.parametrize("text, message", [
         ("0.0\n1.0\n", "at least 2 points"),

@@ -117,12 +117,18 @@ class TestModelCoordinates:
     def test_basis_coordinates_are_unit_vectors(self):
         m = smooth_model(L=12, p=41)
         for j, e_j in enumerate(m.basis_curves):
-            assert np.allclose(m.x_coefficients(e_j), np.eye(12)[j], atol=1e-12)
+            assert np.allclose(m.basis_curves.inner_products(e_j), np.eye(12)[j], atol=1e-12)
+
+    def test_basis_curves_share_the_basis_buffer(self):
+        m = smooth_model(L=12, p=41)
+        assert isinstance(m.basis_curves, CurveMatrix)
+        assert m.basis_curves.grid is m.grid
+        assert np.shares_memory(m.basis_curves.values, m.basis)
 
     def test_rejects_curve_on_other_grid(self):
         m = smooth_model(L=3, p=21)
         with pytest.raises(GridMismatchError):
-            m.x_coefficients(Curve(make_trapezoid_grid(0.0, 1.0, 11), np.ones(11)))
+            m.basis_curves.inner_products(Curve(make_trapezoid_grid(0.0, 1.0, 11), np.ones(11)))
 
     def test_moment_identity_monte_carlo(self):
         m = smooth_model(noise=0.3, L=6, p=41)
@@ -1007,7 +1013,9 @@ class TestConfigPlumbing:
         })
         x = x_from_config(m, {"kind": "coeffs", "values": [1.0, 0.5]})
         assert np.array_equal(x.values, m.curve_from_coeffs([1.0, 0.5]).values)
-        assert x_from_config(m, {"kind": "basis"}) is m.basis_curves[0]
+        basis_x = x_from_config(m, {"kind": "basis"})
+        assert basis_x.grid is m.grid
+        assert np.array_equal(basis_x.values, m.basis_curves[0].values)
         with pytest.raises(ValidationError):
             x_from_config(m, {"kind": "basis", "index": 11})
         assert cn_rule_from_config(m, {"kind": "fixed", "value": 0.02})(50) == 0.02
@@ -1023,7 +1031,7 @@ class TestConfigPlumbing:
             "L": 10, "grid_points": 21,
         })
         x = x_from_config(m, {"kind": "power", "beta": 1.5})
-        np.testing.assert_allclose(m.x_coefficients(x) ** 2,
+        np.testing.assert_allclose(m.basis_curves.inner_products(x) ** 2,
                                    np.arange(1.0, 11.0) ** -2.5, rtol=1e-12, atol=0)
 
     def test_x_squared_values_match_the_power_kind(self):
