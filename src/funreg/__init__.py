@@ -44,13 +44,12 @@ from .simlab import (
     CoverageReport,
     EigenDecay,
     SpectralModel,
-    condition_u_diagnostic,
     coverage_experiment,
     fixed_x_experiment,
     generate_dataset,
     kl_sample,
     norm_divergence_demo,
-    variance_lower_bound,
+    population_report,
 )
 
 __version__ = "0.1.0"

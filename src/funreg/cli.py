@@ -17,13 +17,20 @@ immutable, so the same argv gives the same namespace whatever ran
 before it; help is formatted only when asked for, so it still reads
 ``COLUMNS`` at that time.
 
+``funreg simulate`` runs one of the experiments of ``simlab.EXPERIMENTS``:
+``coverage`` and ``fixed-x`` (interval coverage for a random new predictor
+under the s_hat pivot, and at a fixed x under the t_hat pivot),
+``norm-divergence`` (the norm error over a grid of sample sizes) and
+``population`` (the deterministic population block at each rank of a grid;
+it has no replicates, so it takes no ``--threads``).
+
 Experiment configs are JSON objects that ``simlab.experiment_from_config``
 reads through ``funreg.config``: ``simlab.EXPERIMENTS`` names each
-experiment's required top-level keys besides the model's, and every
-field must have its exact JSON type (an integer field such as ``n`` or
-``replicates`` takes a JSON integer, never 2.7, 2.0 or "2"; a number
-field takes an integer or a float but not a boolean; a flag such as
-``normalize`` takes a JSON boolean). Any other value exits 2.
+experiment's required and optional top-level keys besides the model's,
+and every field must have its exact JSON type (an integer field such as
+``n`` or ``replicates`` takes a JSON integer, never 2.7, 2.0 or "2"; a
+number field takes an integer or a float but not a boolean; a flag such
+as ``normalize`` takes a JSON boolean). Any other value exits 2.
 """
 
 from __future__ import annotations
@@ -185,9 +192,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_pred.add_argument("--normalizer", choices=NORMALIZERS, default="s_hat")
     p_pred.set_defaults(func=cmd_predict)
 
-    p_sim = sub.add_parser("simulate", help="run a Monte Carlo experiment")
+    p_sim = sub.add_parser("simulate", help="run a simulation experiment")
     sim_sub = p_sim.add_subparsers(dest="experiment", required=True)
-    for name, (keys, _) in simlab.EXPERIMENTS.items():
+    for name, (keys, _, _) in simlab.EXPERIMENTS.items():
         p = sim_sub.add_parser(name)
         p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--out", required=True, help="report JSON path")

@@ -134,7 +134,12 @@ class CurveMatrix:
                 f"curve matrix rows have {values.shape[1]} values but grid has "
                 f"{len(self.grid)} points"
             )
-        if not np.all(np.isfinite(values)):
+        # a finite weighted row sum proves its row finite, with no (m, p)
+        # mask; only a row whose sum is not finite (a refusal, or an
+        # overflow of finite values) is checked entry by entry
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = values @ self.grid.weights
+        if not np.all(np.isfinite(sums)) and not np.all(np.isfinite(values)):
             raise ValidationError("curve values must be finite")
         object.__setattr__(self, "values", values)
 

@@ -15,7 +15,9 @@ glibc).
 ``population(model, filt, x)`` is what the model and the filter f (with
 its threshold cn) fix before any sample is drawn, for the true eigenpairs
 (lam_l, e_l) and rho_l = <rho, e_l>. Every coverage and fixed-x report
-carries it, last, as its ``population`` key:
+carries it, last, as its ``population`` key, and it is also a report of
+its own: ``population_report`` (``funreg simulate population``) gives the
+block at each rank of a grid, with no sample drawn. Its fields:
 
 * ``k_n``: the nonrandom rank, the largest p with lam_p + delta_p/2 >= cn
   (``filters.select_kn``), which d_n tracks in both CLTs.
@@ -43,7 +45,8 @@ carries it, last, as its ``population`` key:
   its inequality holds.
 
 The block also holds, outside its JSON, ``x_rkhs_sup`` =
-max_l <x, e_l>^2 / lam_l (a top-level key of fixed-x reports).
+max_l <x, e_l>^2 / lam_l (a top-level key of fixed-x and population
+reports).
 
 Every interval row, on either pivot, records as ``bias`` the error that a
 noise-free refit of its sample would make at its target x (the drawn X_new
@@ -701,112 +704,76 @@ def norm_divergence_demo(
 
 
 # ---------------------------------------------------------------------------
-# deterministic diagnostics
+# the population report
 
 
-@dataclass(frozen=True)
-class VarianceBoundReport:
-    """Growth diagnostic for the fixed-x projection-bias variance."""
+def condition_u(coeffs) -> tuple[np.ndarray, float, bool]:
+    """Identifiability diagnostic: the partial sums of the squared
+    coefficients, the share of their total that the last max(1, J // 10)
+    of the J terms add (the final term alone when J < 10), and whether
+    that share is at most 1%.
 
-    k_grid: tuple[int, ...]
-    values: tuple[float, ...]
-    reference: tuple[float, ...]
-
-    to_dict = _as_dict
-    all_failed = False  # deterministic: no replicate to fail
-
-    @property
-    def rows(self) -> list[dict]:
-        """One rows-CSV line per rank of ``k_grid``."""
-        return [
-            {"k": k, "value": v, "reference": r}
-            for k, v, r in zip(self.k_grid, self.values, self.reference)
-        ]
-
-
-def variance_lower_bound(model: SpectralModel, k_grid, x_squared) -> VarianceBoundReport:
-    """Evaluate sum_{j<=k} lam_j rho_j^2 sum_{l<j} lam_l x_l^2/(lam_j-lam_l)^2.
-
-    ``x_squared`` holds the squared coordinates x_j^2, at least max(k_grid)
-    of them (``power_squared_coeffs`` gives the power profile). Also
-    returns the comparison series sum_{j<=k} j^2 x_j^2 rho_j^2 (the
-    divergent reference when x follows a power law).
+    The 1% rule is a heuristic, since convergence is not decidable from
+    finitely many terms. An all-zero series has share 0 and is convergent.
+    Otherwise J = 1 makes the window the whole series, so the share is 1
+    and the result is never convergent: a consequence of the heuristic,
+    not a claim about the series.
     """
-    ks = [int(k) for k in k_grid]
-    if not ks or any(k < 1 for k in ks):
-        raise ValidationError("k_grid must contain positive ranks")
-    max_k = max(ks)
-    lam = model.decay.values(max_k)
-    if np.unique(lam).size != lam.size:
-        raise ValidationError("repeated eigenvalues make the inner sum singular")
-    rho = model.rho.values(max_k)
-    x2 = np.asarray(x_squared, dtype=float)
-    if x2.size < max_k:
-        raise ValidationError("x_squared shorter than max(k_grid)")
-    x2 = x2[:max_k]
-
-    inner = np.zeros(max_k)
-    for j in range(1, max_k):
-        diff = lam[j] - lam[:j]
-        inner[j] = float(np.sum(lam[:j] * x2[:j] / diff**2))
-    totals = np.cumsum(lam * rho**2 * inner)
-    j_idx = np.arange(1, max_k + 1, dtype=float)
-    reference = np.cumsum(j_idx**2 * x2 * rho**2)
-
-    return VarianceBoundReport(
-        k_grid=tuple(ks),
-        values=tuple(float(totals[k - 1]) for k in ks),
-        reference=tuple(float(reference[k - 1]) for k in ks),
-    )
-
-
-@dataclass(frozen=True)
-class ConditionUReport:
-    """Partial sums of sum_j rho_j^2 with a last-decade convergence flag.
-
-    last_decade_fraction is the share of the J-term total contributed by
-    the last max(1, J // 10) terms (the final term alone when J < 10);
-    convergent is set when that share is at most 1%.
-    """
-
-    partial_sums: np.ndarray
-    convergent: bool
-    last_decade_fraction: float
-    J: int
-
-    to_dict = _as_dict
-    all_failed = False  # deterministic: no replicate to fail
-
-    @property
-    def rows(self) -> list[dict]:
-        """One rows-CSV line per partial sum."""
-        return [{"j": j + 1, "partial_sum": float(s)} for j, s in enumerate(self.partial_sums)]
-
-
-def condition_u_diagnostic(model: SpectralModel, J: int) -> ConditionUReport:
-    """Identifiability diagnostic: partial sums of the squared coefficients.
-
-    The window is the last max(1, J // 10) of the J terms, so the final
-    term alone when J < 10. Convergence is flagged when the window adds
-    at most 1% of the J-term total; a heuristic, since convergence is not
-    decidable from finitely many terms. An all-zero series reports a
-    fraction of 0 and is convergent. Otherwise J = 1 makes the window the
-    whole series, so the fraction is 1 and the result is never convergent:
-    a consequence of the heuristic, not a claim about the series.
-    """
-    if not 1 <= J <= model.L:
-        raise ValidationError(f"J must satisfy 1 <= J <= L={model.L}")
-    rho = model.rho_coeffs[:J]
-    sums = np.cumsum(rho**2)
-    start = J - max(1, J // 10)
+    sums = np.cumsum(np.asarray(coeffs, dtype=float) ** 2)
+    start = sums.size - max(1, sums.size // 10)
     before = sums[start - 1] if start > 0 else 0.0
     total = sums[-1]
     fraction = float((total - before) / total) if total > 0 else 0.0
-    return ConditionUReport(
+    return sums, fraction, fraction <= 0.01
+
+
+@dataclass(frozen=True)
+class PopulationReport:
+    """The population block per rank of a grid; see ``population_report``.
+
+    ``x_rkhs_sup`` is None for a random x and is then left out of
+    ``to_dict``. ``partial_sums``, ``last_decade_fraction`` and
+    ``convergent`` are ``condition_u`` over the model's L coefficients.
+    """
+
+    x_rkhs_sup: float | None
+    partial_sums: np.ndarray
+    last_decade_fraction: float
+    convergent: bool
+    rows: tuple[dict, ...]
+
+    all_failed = False  # deterministic: no replicate to fail
+
+    def to_dict(self) -> dict:
+        return _as_dict(self, ("x_rkhs_sup",) if self.x_rkhs_sup is None else ())
+
+
+def population_report(
+    model: SpectralModel, filt: FilterSpec, k_grid, x: Curve | None = None
+) -> PopulationReport:
+    """The population block at each rank k of ``k_grid``, with no sample drawn.
+
+    Each row holds k, cn = ``rank_threshold(model.lambdas, k)`` and the
+    fields of ``population(model, replace(filt, cn=cn), x)``: the block a
+    coverage (x None) or fixed-x report run at that cn carries. The cn of
+    ``filt`` itself is not read. The report also holds ``x_rkhs_sup`` for a
+    fixed x, and condition U over the model's coefficients (``condition_u``).
+    """
+    ks = [int(k) for k in k_grid]
+    if not ks:
+        raise ValidationError("k_grid must be a nonempty list")
+    rows = []
+    for k in ks:
+        cn = rank_threshold(model.lambdas, k)
+        pop = population(model, replace(filt, cn=cn), x)
+        rows.append({"k": k, "cn": cn, **pop.to_dict()})
+    sums, fraction, convergent = condition_u(model.rho_coeffs)
+    return PopulationReport(
+        x_rkhs_sup=pop.x_rkhs_sup,
         partial_sums=sums,
-        convergent=fraction <= 0.01,
         last_decade_fraction=fraction,
-        J=J,
+        convergent=convergent,
+        rows=tuple(rows),
     )
 
 
@@ -907,35 +874,27 @@ def _norm_divergence_from_config(cfg: dict, threads: int) -> NormDivergenceRepor
     return norm_divergence_demo(model, n_grid, rule, filt, replicates, seed, threads)
 
 
-def _variance_bound_from_config(cfg: dict, threads: int) -> VarianceBoundReport:
+def _population_from_config(cfg: dict, threads: int) -> PopulationReport:
     model = model_from_config(cfg)
     k_grid = config.numbers(cfg, "k_grid", "config", int)
-    xcfg = cfg["x_squared"]
-    kinds = {"power": (("beta",), ()), "values": (("values",), ())}
-    if config.kind(xcfg, "x_squared", kinds) == "power":
-        beta = config.value(xcfg, "beta", "x_squared", float)
-        # an empty k_grid is rejected by variance_lower_bound
-        x_squared = power_squared_coeffs(beta, max(k_grid, default=0))
-    else:
-        x_squared = config.numbers(xcfg, "values", "x_squared", float)
-    return variance_lower_bound(model, k_grid, x_squared)
+    # placeholder threshold; population_report sets cn per rank
+    filt = filter_from_config(cfg["filter"], cn=model.lambdas[0])
+    x = x_from_config(model, cfg["x"]) if "x" in cfg else None
+    return population_report(model, filt, k_grid, x)
 
 
-def _condition_u_from_config(cfg: dict, threads: int) -> ConditionUReport:
-    return condition_u_diagnostic(model_from_config(cfg), config.value(cfg, "J", "config", int))
-
-
-# Each ``simulate`` experiment: its required config keys besides the model's,
-# and its reader. The ones with replicates are the Monte Carlo experiments.
+# Each ``simulate`` experiment: its required and its optional config keys
+# besides the model's, and its reader. The ones with replicates are the Monte
+# Carlo experiments.
 EXPERIMENTS = {
-    "coverage": (("filter", "n", "level", "replicates", "seed"), _interval_from_config),
-    "fixed-x": (("filter", "n", "level", "replicates", "seed", "x"), _interval_from_config),
+    "coverage": (("filter", "n", "level", "replicates", "seed"), (), _interval_from_config),
+    "fixed-x": (("filter", "n", "level", "replicates", "seed", "x"), (), _interval_from_config),
     "norm-divergence": (
         ("filter", "n_grid", "cn_rule", "replicates", "seed"),
+        (),
         _norm_divergence_from_config,
     ),
-    "variance-bound": (("x_squared", "k_grid"), _variance_bound_from_config),
-    "condition-u": (("J",), _condition_u_from_config),
+    "population": (("filter", "k_grid"), ("x",), _population_from_config),
 }
 
 
@@ -950,6 +909,6 @@ def experiment_from_config(name: str, cfg, threads: int = 1):
     """
     if name not in EXPERIMENTS:
         raise ValidationError(f"unknown experiment {name!r}")
-    keys, run = EXPERIMENTS[name]
-    config.section(cfg, "config", (*_MODEL_REQUIRED, *keys), _MODEL_OPTIONAL)
+    required, optional, run = EXPERIMENTS[name]
+    config.section(cfg, "config", (*_MODEL_REQUIRED, *required), (*_MODEL_OPTIONAL, *optional))
     return run(cfg, threads)

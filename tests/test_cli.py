@@ -474,7 +474,9 @@ class TestSimulateCommand:
         assert_validation_exit(code, capsys)
         assert not (tmp_path / "r.json").exists()
 
-    @pytest.mark.parametrize("command", ["variance-bound", "condition-u"])
+    @pytest.mark.parametrize("command", [
+        name for name, (keys, _, _) in simlab.EXPERIMENTS.items() if "replicates" not in keys
+    ])
     def test_deterministic_commands_take_no_threads(self, tmp_path, capsys, command):
         with pytest.raises(SystemExit) as exc:
             run(["simulate", command, "--config", tmp_path / "cfg.json",
@@ -561,41 +563,26 @@ class TestSimulateCommand:
         assert len(report["rows"]) == 2
         assert (tmp_path / "r.csv").exists()
 
-    def test_variance_bound_rows(self, tmp_path):
-        cfg = {
-            "decay": {"kind": "power", "a": 0.5},
-            "rho": {"kind": "power", "exponent": 1.0},
-            "x_squared": {"kind": "power", "beta": 2.0},
-            "k_grid": [5, 10, 20],
-        }
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(cfg))
-        out = tmp_path / "vb.json"
-        assert run(["simulate", "variance-bound", "--config", cfg_path,
-                    "--out", out]) == 0
-        report = json.loads(out.read_text())
-        assert report["k_grid"] == [5, 10, 20]
-        assert all(b >= a for a, b in zip(report["values"], report["values"][1:]))
-        lines = (tmp_path / "vb.csv").read_text().strip().splitlines()
-        assert lines[0] == "k,value,reference"
-        assert len(lines) == 4
-
     def test_condition_u_rows(self, tmp_path):
         cfg = {
             "decay": {"kind": "power", "a": 1.0},
             "rho": {"kind": "finite", "coeffs": [1.0, 0.5, 0.25]},
             "L": 10,
             "grid_points": 21,
-            "J": 10,
+            "filter": {"kind": "truncation"},
+            "k_grid": [1, 3],
         }
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
-        out = tmp_path / "cu.json"
-        assert run(["simulate", "condition-u", "--config", cfg_path,
+        out = tmp_path / "pop.json"
+        assert run(["simulate", "population", "--config", cfg_path,
                     "--out", out]) == 0
         report = json.loads(out.read_text())
+        assert list(report) == ["partial_sums", "last_decade_fraction", "convergent", "rows"]
         assert report["convergent"]
         assert report["partial_sums"][-1] == pytest.approx(1.3125)
+        assert [row["k"] for row in report["rows"]] == [1, 3]
+        assert len((tmp_path / "pop.csv").read_text().strip().splitlines()) == 3
 
 
 NORM_DIVERGENCE_CONFIG = {
@@ -609,19 +596,15 @@ NORM_DIVERGENCE_CONFIG = {
     "replicates": 2,
     "seed": 3,
 }
-VARIANCE_BOUND_CONFIG = {
-    "decay": {"kind": "power", "a": 0.5},
-    "rho": {"kind": "power", "exponent": 1.0},
-    "x_squared": {"kind": "power", "beta": 2.0},
-    "k_grid": [5, 10],
-}
-CONDITION_U_CONFIG = {
+POPULATION_CONFIG = {
     "decay": {"kind": "power", "a": 1.0},
     "rho": {"kind": "finite", "coeffs": [1.0, 0.5]},
     "L": 10,
     "grid_points": 21,
-    "J": 10,
+    "filter": {"kind": "truncation"},
+    "k_grid": [1, 3, 5],
 }
+POPULATION_X_CONFIG = dict(POPULATION_CONFIG, x={"kind": "basis", "index": 2})
 COVERAGE_CONFIG = base_coverage_config()
 FIXED_X_CONFIG = base_coverage_config(x={"kind": "basis", "index": 1})
 
@@ -646,9 +629,9 @@ MALFORMED_CONFIGS = [
      {"kind": "rank-power", "exponent": "third"}),
     ("norm-divergence", NORM_DIVERGENCE_CONFIG, "cn_rule", {"kind": "fixed"}),
     ("norm-divergence", NORM_DIVERGENCE_CONFIG, "n_grid", ["a", "b"]),
-    ("variance-bound", VARIANCE_BOUND_CONFIG, "x_squared", {"kind": "power", "beta": "two"}),
-    ("variance-bound", VARIANCE_BOUND_CONFIG, "x_squared", {"kind": "power"}),
-    ("condition-u", CONDITION_U_CONFIG, "J", "ten"),
+    ("population", POPULATION_X_CONFIG, "x", {"kind": "power", "beta": "two"}),
+    ("population", POPULATION_X_CONFIG, "x", {"kind": "power"}),
+    ("population", POPULATION_CONFIG, "k_grid", "ten"),
     ("coverage", COVERAGE_CONFIG, "level", 1.5),
     ("fixed-x", FIXED_X_CONFIG, "level", 1.5),
     ("fixed-x", FIXED_X_CONFIG, "level", 0),
@@ -660,6 +643,13 @@ MALFORMED_CONFIGS = [
     ("norm-divergence", NORM_DIVERGENCE_CONFIG, "n_grid", []),
     # a coefficient rule has no scale
     ("coverage", COVERAGE_CONFIG, "rho", {"kind": "power", "exponent": 2.0, "scale": 2.0}),
+    # every rank k needs 1 <= k < L, as its cn sits between lam_k and lam_{k+1}
+    ("population", POPULATION_CONFIG, "k_grid", []),
+    ("population", POPULATION_CONFIG, "k_grid", ["a"]),
+    ("population", POPULATION_CONFIG, "k_grid", [0]),
+    ("population", POPULATION_CONFIG, "k_grid", [POPULATION_CONFIG["L"]]),
+    # each rank sets cn, so a cn in the filter is refused
+    ("population", POPULATION_CONFIG, "filter", {"kind": "truncation", "cn": 0.1}),
 ]
 
 COVERAGE_HEADER = "replicate,failed,hit,center,half_width,std_error,bias,d_n,error"
@@ -676,8 +666,10 @@ ROWS_CSV_HEADERS = [
     ("fixed-x", dict(FIXED_X_CONFIG, **SATURATED), 4, FIXED_X_HEADER),
     ("norm-divergence", NORM_DIVERGENCE_CONFIG, 0,
      "n,cn,mean_norm_error,mean_normalized,mean_d_n,n_failed"),
-    ("variance-bound", VARIANCE_BOUND_CONFIG, 0, "k,value,reference"),
-    ("condition-u", CONDITION_U_CONFIG, 0, "j,partial_sum"),
+    ("population", POPULATION_CONFIG, 0,
+     "k,cn,k_n,s_n,tail_bias,h3_sup,first_pairwise_violation,first_tail_violation"),
+    ("population", POPULATION_X_CONFIG, 0,
+     "k,cn,k_n,s_n,t_n_x,tail_bias,h3_sup,first_pairwise_violation,first_tail_violation"),
     # a threshold above the whole spectrum fails every replicate at every n
     ("norm-divergence", dict(NORM_DIVERGENCE_CONFIG, n_grid=[1, 2],
                              cn_rule={"kind": "fixed", "value": 50.0}), 4,
@@ -744,6 +736,11 @@ class TestArgumentErrors:
             (["predict", "--fit", "f", "--x", "x", "--normalizer", "z_hat"],
              "argument --normalizer: invalid choice: 'z_hat'"),
             (["predict", "--fit", "f"], "the following arguments are required: --x"),
+            # the population report replaced these two experiments
+            (["simulate", "variance-bound", "--config", "c", "--out", "o"],
+             "argument experiment: invalid choice: 'variance-bound'"),
+            (["simulate", "condition-u", "--config", "c", "--out", "o"],
+             "argument experiment: invalid choice: 'condition-u'"),
         ],
     )
     def test_argument_errors_are_one_validation_line(self, capsys, argv, message):

@@ -181,11 +181,12 @@ class TestFit:
         assert sample.values is values and ft.centered
         assert peak <= 2.5 * values.nbytes
 
-    @pytest.mark.parametrize("center, bound", [(True, 1.25), (False, 0.25)])
+    @pytest.mark.parametrize("center, bound", [(True, 1.25), (False, 0.25), (True, 1.11)])
     def test_fit_builds_no_temporary_the_size_of_the_rows(self, center, bound):
         # the p x p route at the cli-fit-predict shape: a centered fit holds
-        # one copy of the rows (1.0x) and its finiteness mask (0.125x); the
-        # residuals are inner products, with no (n, p) product beside them
+        # one copy of the rows (1.0x) and the eigensolver's p x p arrays
+        # (about 0.1x), and no (n, p) finiteness mask (0.125x); the residuals
+        # are inner products, with no (n, p) product beside them
         g = make_trapezoid_grid(0.0, 1.0, 101)
         rng = np.random.default_rng(4)
         values = rng.standard_normal((5000, 101))

@@ -94,6 +94,16 @@ class TestCurveMatrix:
             values[1, 2] = bad
             with pytest.raises(ValidationError):
                 CurveMatrix(unit_grid(3), values)
+        # a row holding inf and -inf sums to nan, with no numpy warning
+        values = np.zeros((3, 3))
+        values[0, :2] = (np.inf, -np.inf)
+        with pytest.raises(ValidationError):
+            CurveMatrix(unit_grid(3), values)
+
+    def test_accepts_finite_rows_whose_weighted_sums_overflow(self):
+        values = np.full((2, 3), 1.5e308)
+        m = CurveMatrix(Grid(np.arange(3.0), np.ones(3)), values)
+        assert np.array_equal(m.values, values)
 
     def test_rejects_zero_rows(self):
         with pytest.raises(ValidationError):

@@ -18,7 +18,7 @@ from funreg.simlab import (
     EigenDecay,
     SpectralModel,
     cn_rule_from_config,
-    condition_u_diagnostic,
+    condition_u,
     coverage_experiment,
     fixed_x_experiment,
     generate_dataset,
@@ -27,11 +27,11 @@ from funreg.simlab import (
     normal_ks_statistic,
     norm_divergence_demo,
     population,
+    population_report,
     power_squared_coeffs,
     rank_power_cn_rule,
     rank_threshold,
     replicate_rng,
-    variance_lower_bound,
     x_from_config,
 )
 
@@ -349,52 +349,6 @@ class TestTRegimeProfile:
         assert np.allclose(t**2, np.arange(1.0, 501.0))
 
 
-class TestVarianceLowerBound:
-    def base_model(self):
-        return SpectralModel(
-            make_trapezoid_grid(0, 1, 31), EigenDecay.power(0.5),
-            CoeffRule.power(1.0), noise_sd=0.0, L=10,
-        )
-
-    def test_rho_on_first_coordinate_gives_zero(self):
-        m = SpectralModel(
-            make_trapezoid_grid(0, 1, 31), EigenDecay.power(0.5),
-            CoeffRule.finite([1.0]), noise_sd=0.0, L=10,
-        )
-        rep = variance_lower_bound(m, [1, 3, 5], power_squared_coeffs(2.0, 5))
-        assert rep.values == (0.0, 0.0, 0.0)
-
-    def test_hand_computed_two_mode_case(self):
-        # lam=(0.5, 0.25), rho=(0, 1), x^2=(1, 0):
-        # value at k=2 is lam_2 rho_2^2 * lam_1 x_1^2 / (lam_2 - lam_1)^2
-        m = SpectralModel(
-            make_trapezoid_grid(0, 1, 31), EigenDecay.geometric(0.5),
-            CoeffRule.finite([0.0, 1.0]), noise_sd=0.0, L=4,
-        )
-        rep = variance_lower_bound(m, [2], [1.0, 0.0])
-        assert rep.values[0] == pytest.approx(0.25 * 1.0 * (0.5 / 0.0625))
-        assert rep.values[0] == pytest.approx(2.0)
-
-    def test_growth_exponent_matches_prediction(self):
-        # inner sum ~ C j^(2+alpha-beta) for lam=j^-(1+alpha), x^2=j^-(1+beta)
-        # the inner sum at j is the step of the values from k = j - 1 to j
-        # over lam_j rho_j^2
-        m = self.base_model()
-        js = np.arange(50, 501)
-        rep = variance_lower_bound(m, range(49, 501), power_squared_coeffs(2.0, 500))
-        inner = np.diff(rep.values) / (m.decay.values(500) * m.rho.values(500) ** 2)[49:]
-        slope = np.polyfit(np.log(js), np.log(inner), 1)[0]
-        assert abs(slope - 0.5) <= 0.15
-
-    def test_reference_series_matches_power_form(self):
-        m = self.base_model()
-        beta = 2.0
-        rep = variance_lower_bound(m, [10], power_squared_coeffs(beta, 10))
-        j = np.arange(1.0, 11.0)
-        rho = CoeffRule.power(1.0).values(10)
-        assert rep.reference[0] == pytest.approx(np.sum(j ** (1 - beta) * rho**2))
-
-
 class TestConditionU:
     def model_with_rho(self, rule, L=1000, p=None):
         p = p or (L + 1)
@@ -405,44 +359,77 @@ class TestConditionU:
 
     def test_geometric_coefficients_converge(self):
         m = self.model_with_rho(CoeffRule.finite([2.0**-j for j in range(1, 61)]), L=60)
-        rep = condition_u_diagnostic(m, 60)
-        assert rep.partial_sums[-1] == pytest.approx(1 / 3, rel=1e-6)
-        assert rep.convergent
+        sums, _, convergent = condition_u(m.rho_coeffs[:60])
+        assert sums[-1] == pytest.approx(1 / 3, rel=1e-6)
+        assert convergent
 
     def test_slow_decay_flagged_divergent(self):
         m = self.model_with_rho(CoeffRule.power(0.5), L=1000)
-        rep = condition_u_diagnostic(m, 1000)
+        sums, _, convergent = condition_u(m.rho_coeffs[:1000])
         expected = np.sum(1.0 / np.arange(1.0, 1001.0))
-        assert rep.partial_sums[-1] == pytest.approx(expected, rel=1e-10)
-        assert not rep.convergent
+        assert sums[-1] == pytest.approx(expected, rel=1e-10)
+        assert not convergent
 
     def test_finite_support_reaches_exact_limit(self):
         m = self.model_with_rho(CoeffRule.finite([1.0, -0.5]), L=50, p=51)
-        rep = condition_u_diagnostic(m, 50)
-        assert rep.partial_sums[-1] == pytest.approx(1.25)
-        assert rep.convergent
+        sums, _, convergent = condition_u(m.rho_coeffs[:50])
+        assert sums[-1] == pytest.approx(1.25)
+        assert convergent
 
     def test_window_is_last_tenth_of_terms(self):
         # terms 4..10 are zero, so the last decade (term 10) adds nothing
         m = self.model_with_rho(CoeffRule.finite([1.0, 0.5, 0.25]), L=10, p=21)
-        rep = condition_u_diagnostic(m, 10)
-        assert rep.partial_sums[-1] == pytest.approx(1.3125)
-        assert rep.last_decade_fraction == 0.0
-        assert rep.convergent
+        sums, fraction, convergent = condition_u(m.rho_coeffs[:10])
+        assert sums[-1] == pytest.approx(1.3125)
+        assert fraction == 0.0
+        assert convergent
 
     def test_short_series_window_is_final_term(self):
         m = self.model_with_rho(CoeffRule.finite([1.0, 0.5, 0.25]), L=10, p=21)
-        rep = condition_u_diagnostic(m, 3)
-        assert rep.last_decade_fraction == pytest.approx(0.0625 / 1.3125)
-        assert not rep.convergent
-        rep = condition_u_diagnostic(m, 1)
-        assert rep.last_decade_fraction == 1.0
-        assert not rep.convergent
+        _, fraction, convergent = condition_u(m.rho_coeffs[:3])
+        assert fraction == pytest.approx(0.0625 / 1.3125)
+        assert not convergent
+        _, fraction, convergent = condition_u(m.rho_coeffs[:1])
+        assert fraction == 1.0
+        assert not convergent
 
-    def test_J_bounded_by_L(self):
-        m = self.model_with_rho(CoeffRule.power(1.0), L=20, p=31)
-        with pytest.raises(ValidationError):
-            condition_u_diagnostic(m, 21)
+
+class TestPopulationReport:
+    FILTERS = [
+        FilterSpec("truncation", 0.5),
+        FilterSpec("ridge", 0.5, alpha=0.01),
+        FilterSpec("tikhonov", 0.5, alpha=1e-3),
+    ]
+
+    @pytest.mark.parametrize("filt", FILTERS, ids=lambda f: f.kind)
+    def test_rows_are_the_blocks_of_reports_run_at_their_cn(self, filt):
+        m = smooth_model(L=10, p=31)
+        x = m.basis_curves[1]
+        for target in (x, None):
+            report = population_report(m, filt, [1, 3, 6], target)
+            for row in report.rows:
+                if target is None:
+                    run = coverage_experiment(m, 40, row["cn"], filt, 0.9, 1, 5)
+                else:
+                    run = fixed_x_experiment(m, target, 40, row["cn"], filt, 0.9, 1, 5)
+                block = run.to_dict()["population"]
+                assert list(row) == ["k", "cn", *block]
+                assert {k: v for k, v in row.items() if k not in ("k", "cn")} == block
+            if target is None:
+                assert "x_rkhs_sup" not in report.to_dict()
+            else:
+                assert report.to_dict()["x_rkhs_sup"] == run.to_dict()["x_rkhs_sup"]
+
+    def test_ranks_set_cn_and_condition_u_covers_the_model(self):
+        m = smooth_model(L=10, p=31)
+        report = population_report(m, FilterSpec("truncation", 123.0), [2, 5])
+        assert [row["cn"] for row in report.rows] == [rank_threshold(m.lambdas, k)
+                                                      for k in (2, 5)]
+        assert [row["k_n"] for row in report.rows] == [2, 5]
+        sums, fraction, convergent = condition_u(m.rho_coeffs)
+        assert np.array_equal(report.partial_sums, sums)
+        assert (report.last_decade_fraction, report.convergent) == (fraction, convergent)
+        assert report.partial_sums.size == m.L
 
 
 def spectrum_population(lambdas):
@@ -1033,18 +1020,6 @@ class TestConfigPlumbing:
         x = x_from_config(m, {"kind": "power", "beta": 1.5})
         np.testing.assert_allclose(m.basis_curves.inner_products(x) ** 2,
                                    np.arange(1.0, 11.0) ** -2.5, rtol=1e-12, atol=0)
-
-    def test_x_squared_values_match_the_power_kind(self):
-        cfg = {
-            "decay": {"kind": "power", "a": 0.5},
-            "rho": {"kind": "power", "exponent": 1.0},
-            "k_grid": [2, 5, 9],
-            "x_squared": {"kind": "power", "beta": 2.0},
-        }
-        power = simlab.experiment_from_config("variance-bound", cfg)
-        values = {"kind": "values", "values": power_squared_coeffs(2.0, 9).tolist()}
-        by_values = simlab.experiment_from_config("variance-bound", dict(cfg, x_squared=values))
-        assert by_values.to_dict() == power.to_dict()
 
     def test_rank_power_rule_caps_huge_exponents(self):
         m = smooth_model(L=10, p=21)
