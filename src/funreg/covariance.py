@@ -45,8 +45,9 @@ widening d_n over the cluster instead would silently move the threshold.
 Samples enter as a ``CurveMatrix``; ``fit`` stacks a list of curves once
 by ``CurveMatrix.of``, which also checks that they share one grid. The
 eigenvectors of a decomposition are one ``CurveMatrix`` holding a
-leading prefix of the pairs, one row per pair; the coordinates <h, e_j>
-of a curve are ``eigenvectors.inner_products(h)``.
+leading prefix of the pairs, one row per pair: its rows are
+``eigenvectors.values``, its grid ``eigenvectors.grid``, and the
+coordinates <h, e_j> of a curve are ``eigenvectors.inner_products(h)``.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFitError, ValidationError
-from .hilbert import CurveMatrix, Grid
+from .hilbert import CurveMatrix
 
 # Relative cutoff below which empirical eigenvalues are treated as exact zeros.
 EIGENVALUE_CLAMP = 1e-12
@@ -117,15 +118,6 @@ class SpectralDecomposition:
         if len(self.eigenvectors) > lam.size:
             raise ValidationError("more eigenvectors than eigenvalues")
 
-    @property
-    def grid(self) -> Grid:
-        return self.eigenvectors.grid
-
-    @property
-    def vectors_matrix(self) -> np.ndarray:
-        """Eigenvector values stacked as rows, shape (m, p)."""
-        return self.eigenvectors.values
-
 
 def eigendecompose(sample: CurveMatrix, cn: float) -> SpectralDecomposition:
     """Eigensystem of h -> sum_j w_j K(., t_j) h(t_j) under the weighted
@@ -145,17 +137,20 @@ def eigendecompose(sample: CurveMatrix, cn: float) -> SpectralDecomposition:
     w = grid.weights
     sqrt_w = np.sqrt(w)
     gram_route = n < len(w)
-    if gram_route:
-        # ZZ' of one buffer is exactly symmetric: the sqrt(w) scaling
-        # comes before the product
-        z = sample.values * sqrt_w
-        sym = z @ z.T / n
-    else:
-        # X'X of one buffer is exactly symmetric, but the sqrt(w) scaling
-        # rounds its two triangles differently
-        kernel = sample.values.T @ sample.values / n
-        sym = sqrt_w[:, None] * kernel * sqrt_w[None, :]
-        sym = (sym + sym.T) / 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        if gram_route:
+            # ZZ' of one buffer is exactly symmetric: the sqrt(w) scaling
+            # comes before the product
+            z = sample.values * sqrt_w
+            sym = z @ z.T / n
+        else:
+            # X'X of one buffer is exactly symmetric, but the sqrt(w) scaling
+            # rounds its two triangles differently
+            kernel = sample.values.T @ sample.values / n
+            sym = sqrt_w[:, None] * kernel * sqrt_w[None, :]
+            sym = (sym + sym.T) / 2
+    if not np.all(np.isfinite(sym)):
+        raise ValidationError("sample covariance overflows: the curve values are too large")
     try:
         lam, vec = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:

@@ -16,8 +16,10 @@ with every <X_c,i, rho_hat> from one ``CurveMatrix.inner_products``.
 Both CLT pivots are sums over that retained spectrum, computed by the
 one kernel ``normalizers``:
 
-    s_hat    = sqrt(sum_j [lam_j f(lam_j)]^2)             (random x)
+    s_hat    = sqrt(sum_j g(lam_j)^2)                     (random x)
     t_hat(x) = sqrt(sum_j lam_j f(lam_j)^2 <x, e_j>^2)    (fixed x)
+
+for the filter's gain g(lam) = lam f(lam) of ``filters.gain``.
 
 ``fit`` keeps s_hat and the residual scale sigma_hat, and
 ``prediction_interval`` computes t_hat(x), with its zero floor, and
@@ -38,8 +40,7 @@ import numpy as np
 from . import config
 from .covariance import SpectralDecomposition, eigendecompose, retained_rank
 from .errors import DegenerateFitError, ValidationError
-from .filters import TRUNCATION, FilterSpec, filter_from_config, filter_to_config
-from .filters import filter_values
+from .filters import FilterSpec, filter_from_config, filter_to_config, filter_values, gain
 from .hilbert import Curve, CurveMatrix, Grid, ensure_same_grid, inner_product
 from .hilbert import norm as norm_of
 from .normal import ndtri
@@ -65,17 +66,16 @@ def normalizers(lam, filt: FilterSpec, coeffs=None, filtered=None) -> Normalizer
     """The CLT pivot sums over the eigenvalues ``lam`` under ``filt``.
 
     Returns f(lam) (evaluated once, unless the caller passes the values
-    it holds as ``filtered``); s = sqrt(sum [lam f(lam)]^2), exactly
-    sqrt(d) for truncation; t = sqrt(sum lam f(lam)^2 c_j^2) for the
-    coordinates c_j = <x, e_j> in ``coeffs``, else None; and peak =
-    max sqrt(lam) f(lam), the largest per-mode weight of t.
+    it holds as ``filtered``); s = sqrt(sum g(lam)^2) for the gain g of
+    ``filters.gain``, exactly sqrt(d) for truncation; t = sqrt(sum lam
+    f(lam)^2 c_j^2) for the coordinates c_j = <x, e_j> in ``coeffs``, else
+    None; and peak = max sqrt(lam) f(lam), the largest per-mode weight of t.
     """
     lam = np.asarray(lam, dtype=float)
     f = filter_values(filt, lam) if filtered is None else filtered
-    # lam f(lam) is exactly 1 on the support of truncation, not lam * (1/lam)
-    xf = np.where(lam >= filt.cn, 1.0, 0.0) if filt.kind == TRUNCATION else lam * f
     t = None if coeffs is None else float(np.sqrt(np.sum(lam * f**2 * coeffs**2)))
-    return Normalizers(f, float(np.sqrt(np.sum(xf**2))), t, float(np.max(np.sqrt(lam) * f)))
+    s = float(np.sqrt(np.sum(gain(filt, lam, f) ** 2)))
+    return Normalizers(f, s, t, float(np.max(np.sqrt(lam) * f)))
 
 
 @dataclass(frozen=True)
@@ -97,10 +97,6 @@ class EstimatorFit:
     @property
     def d_n(self) -> int:
         return self.filtered_values.size
-
-    @property
-    def grid(self) -> Grid:
-        return self.rho_hat.grid
 
 
 def predict(fit: EstimatorFit, x: Curve) -> float:
@@ -137,34 +133,38 @@ def fit(
         raise ValidationError("responses must be finite")
 
     grid = sample.grid
-    if center:
-        mean = sample.values.mean(axis=0)
-        # a fresh read-only array is held by the matrix as it is, not
-        # copied, and the matrix checks the centered rows finite
-        centered = sample.values - mean
-        centered.flags.writeable = False
-        sample = CurveMatrix(grid, centered)
-        x_mean = Curve(grid, mean)
-    else:
-        x_mean = Curve.zeros(grid)
-    # ``sample`` now holds the rows of the covariance, cross-covariance and residuals
-    y_mean = float(y.mean()) if center else 0.0
-    yc = y - y_mean
-    delta = Curve(grid, sample.values.T @ yc / n)
+    # an overflow is refused where it lands (a curve, the covariance, sigma_hat)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if center:
+            mean = sample.values.mean(axis=0)
+            # a fresh read-only array is held by the matrix as it is, not
+            # copied, and the matrix checks the centered rows finite
+            centered = sample.values - mean
+            centered.flags.writeable = False
+            sample = CurveMatrix(grid, centered)
+            x_mean = Curve(grid, mean)
+        else:
+            x_mean = Curve.zeros(grid)
+        # ``sample`` now holds the rows of the covariance, cross-covariance and residuals
+        y_mean = float(y.mean()) if center else 0.0
+        yc = y - y_mean
+        delta = Curve(grid, sample.values.T @ yc / n)
 
-    decomposition = eigendecompose(sample, filt.cn)
-    d = len(decomposition.eigenvectors)
-    norms = normalizers(decomposition.eigenvalues[:d], filt)
-    coeff = decomposition.eigenvectors.inner_products(delta)
-    rho = Curve(grid, (norms.filtered * coeff) @ decomposition.vectors_matrix)
+        decomposition = eigendecompose(sample, filt.cn)
+        vectors = decomposition.eigenvectors
+        d = len(vectors)
+        norms = normalizers(decomposition.eigenvalues[:d], filt)
+        rho = Curve(grid, (norms.filtered * vectors.inner_products(delta)) @ vectors.values)
 
-    if n > d:
-        resid = yc - sample.inner_products(rho)
-        sigma = float(np.sqrt(np.sum(resid**2) / (n - d)))
-    else:
-        # retained rank saturates the sample: rho_hat is still defined but
-        # the residual scale has no degrees of freedom left
-        sigma = float("nan")
+        if n > d:
+            resid = yc - sample.inner_products(rho)
+            sigma = float(np.sqrt(np.sum(resid**2) / (n - d)))
+            if not np.isfinite(sigma):
+                raise ValidationError("residual scale sigma_hat overflows: rescale the responses")
+        else:
+            # retained rank saturates the sample: rho_hat is still defined but
+            # the residual scale has no degrees of freedom left
+            sigma = float("nan")
     return EstimatorFit(
         rho_hat=rho,
         filtered_values=norms.filtered,
@@ -260,12 +260,12 @@ def fit_to_dict(fit: EstimatorFit) -> dict:
         "sigma_hat": fit.sigma_hat if np.isfinite(fit.sigma_hat) else None,
         "filter": filter_to_config(fit.filter),
         "grid": {
-            "points": fit.grid.points.tolist(),
-            "weights": fit.grid.weights.tolist(),
+            "points": fit.rho_hat.grid.points.tolist(),
+            "weights": fit.rho_hat.grid.weights.tolist(),
         },
         "rho_hat": fit.rho_hat.values.tolist(),
         "eigenvalues": fit.decomposition.eigenvalues.tolist(),
-        "eigenvectors": fit.decomposition.vectors_matrix.tolist(),
+        "eigenvectors": fit.decomposition.eigenvectors.values.tolist(),
         "centered": fit.centered,
         "x_mean": fit.x_mean.values.tolist(),
         "y_mean": fit.y_mean,
@@ -289,24 +289,22 @@ def fit_from_dict(payload: dict) -> EstimatorFit:
     where = "fit payload"
     config.section(payload, where, _FIT_KEYS)
     config.section(payload["grid"], f"{where}.grid", ("points", "weights"))
-    try:
-        grid = Grid(config.array(payload["grid"], "points", f"{where}.grid"),
-                    config.array(payload["grid"], "weights", f"{where}.grid"))
-        filt = filter_from_config(payload["filter"])
-        d = config.value(payload, "d_n", where, int)
-        n = config.value(payload, "n", where, int)
-        lam_all = config.array(payload, "eigenvalues", where)
-        vectors = config.array(payload, "eigenvectors", where, rows=True)
-        stored_s_hat = config.value(payload, "s_hat", where, float)
-        sigma = config.value(payload, "sigma_hat", where, float, None)
-        rho_hat = Curve(grid, config.array(payload, "rho_hat", where))
-        x_mean = Curve(grid, config.array(payload, "x_mean", where))
-        centered = config.value(payload, "centered", where, bool)
-        y_mean = config.value(payload, "y_mean", where, float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed fit payload: {exc}") from None
-    if n < 2:
-        raise ValidationError(f"{where}.n must be at least 2, got {n}")
+    grid = Grid(config.array(payload["grid"], "points", f"{where}.grid"),
+                config.array(payload["grid"], "weights", f"{where}.grid"))
+    filt = filter_from_config(payload["filter"])
+    d = config.value(payload, "d_n", where, int)
+    n = config.value(payload, "n", where, int)
+    lam_all = config.array(payload, "eigenvalues", where)
+    vectors = config.array(payload, "eigenvectors", where, rows=True)
+    stored_s_hat = config.value(payload, "s_hat", where, float)
+    sigma = config.value(payload, "sigma_hat", where, float, None)
+    rho_hat = Curve(grid, config.array(payload, "rho_hat", where))
+    x_mean = Curve(grid, config.array(payload, "x_mean", where))
+    centered = config.value(payload, "centered", where, bool)
+    y_mean = config.value(payload, "y_mean", where, float)
+    # an interval divides by sqrt(n), which needs a machine integer
+    if not 2 <= n <= np.iinfo(np.int64).max:
+        raise ValidationError(f"{where}.n must be between 2 and 2**63 - 1, got {n}")
     for key, mean in (("x_mean", x_mean.values), ("y_mean", y_mean)):
         if not centered and np.any(mean != 0):
             raise ValidationError(f"{where}.{key} must be zero in an uncentered fit")
@@ -321,8 +319,6 @@ def fit_from_dict(payload: dict) -> EstimatorFit:
             f"stored eigenvectors have shape {vectors.shape}, expected "
             f"(d_n, p) = ({d}, {len(grid)})"
         )
-    if lam_all.ndim != 1 or lam_all.size < d:
-        raise ValidationError("stored eigenvalues do not cover the d_n retained pairs")
     # a fit writes its spectrum descending with the tail clamped to zeros,
     # the form that retained_rank reads
     if not (np.all(np.isfinite(lam_all)) and np.all(lam_all >= 0)

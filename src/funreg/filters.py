@@ -1,9 +1,9 @@
-"""Regularization filter family, the nonrandom rank k_n, and the attenuation
-probe of H3.
+"""Regularization filter family, its gain, the nonrandom rank k_n, and the
+attenuation probe of H3.
 
 A filter maps empirical eigenvalues to the coefficients of the
 regularized inverse. Every kind vanishes strictly below its threshold
-cn and satisfies f(x) > 0 for x >= cn:
+cn and satisfies f(x) > 0 for every positive x >= cn:
 
     truncation   f(x) = 1/x
     ridge        f(x) = 1/(x + alpha)
@@ -11,12 +11,17 @@ cn and satisfies f(x) > 0 for x >= cn:
     generalized  f(x) = x^p/(x + alpha)^(p+1)   (variant A)
                  f(x) = x^p/(x^(p+1) + alpha)   (variant B)
 
+The gain g(x) = x f(x) is what a filter keeps of a mode; s_hat, H3's
+``h3_sup_deviation`` and a noise-free refit read it from its one rule,
+``gain``, which is exactly 1.0 on truncation's support (not x * (1/x)).
+
 The empirical rank d_n a threshold keeps is counted on the sample
 spectrum by ``covariance.retained_rank``.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -63,8 +68,9 @@ class FilterSpec:
             if self.alpha is None or not np.isfinite(self.alpha) or self.alpha <= 0:
                 raise ValidationError(f"{self.kind} requires alpha > 0")
         if self.kind == GENERALIZED:
-            if self.p is None or int(self.p) != self.p or self.p < 1:
-                raise ValidationError("generalized filter requires integer p >= 1")
+            # x^p is a float power, so p must be a float too
+            if self.p is None or int(self.p) != self.p or not 1 <= self.p <= sys.float_info.max:
+                raise ValidationError("generalized filter requires integer p in [1, 1.8e308]")
             if self.variant not in VARIANTS:
                 raise ValidationError("generalized filter variant must be 'A' or 'B'")
             object.__setattr__(self, "p", int(self.p))
@@ -75,6 +81,7 @@ class FilterSpec:
 
 def filter_values(spec: FilterSpec, x) -> np.ndarray:
     """Read-only vectorized f_n over nonnegative arguments; zero strictly below cn.
+    A value that over- or underflows (as x^p may) is refused, not returned.
 
     Curves scaled by c scale the spectrum by c^2. With cn scaled by c^2 and
     alpha by c^2 (ridge, generalized A), c^4 (tikhonov) or c^(2p+2)
@@ -86,19 +93,31 @@ def filter_values(spec: FilterSpec, x) -> np.ndarray:
     on = x >= spec.cn
     out = np.zeros_like(x)
     xs = x[on]
-    if spec.kind == TRUNCATION:
-        out[on] = 1.0 / xs
-    elif spec.kind == RIDGE:
-        out[on] = 1.0 / (xs + spec.alpha)
-    elif spec.kind == TIKHONOV:
-        out[on] = xs / (xs**2 + spec.alpha)
-    else:
-        if spec.variant == "A":
-            out[on] = xs**spec.p / (xs + spec.alpha) ** (spec.p + 1)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if spec.kind == TRUNCATION:
+            out[on] = 1.0 / xs
+        elif spec.kind == RIDGE:
+            out[on] = 1.0 / (xs + spec.alpha)
+        elif spec.kind == TIKHONOV:
+            out[on] = xs / (xs**2 + spec.alpha)
         else:
-            out[on] = xs**spec.p / (xs ** (spec.p + 1) + spec.alpha)
+            if spec.variant == "A":
+                out[on] = xs**spec.p / (xs + spec.alpha) ** (spec.p + 1)
+            else:
+                out[on] = xs**spec.p / (xs ** (spec.p + 1) + spec.alpha)
+    bad = ~np.isfinite(out) | (on & (x > 0) & (out == 0))
+    if np.any(bad):
+        raise ValidationError(f"{spec.kind} filter over- or underflows at {float(x[bad][0])!r}")
     out.flags.writeable = False
     return out
+
+
+def gain(spec: FilterSpec, lam, f) -> np.ndarray:
+    """g(lam) = lam f(lam) for f = ``filter_values(spec, lam)``: 0 below cn, and
+    exactly 1.0 on truncation's support."""
+    if spec.kind == TRUNCATION:
+        return np.where(lam >= spec.cn, 1.0, 0.0)
+    return lam * f
 
 
 def spectral_gaps(lam: np.ndarray) -> np.ndarray:
@@ -139,19 +158,17 @@ def select_kn(true_eigenvalues, cn: float) -> int:
 
 
 def h3_sup_deviation(spec: FilterSpec) -> float:
-    """sup over s >= cn of |s f_n(s) - 1|, the attenuation of H3.
+    """sup over s >= cn of |1 - g(s)|, the attenuation of H3.
 
-    For every kind s f_n(s) rises with s from cn f_n(cn) toward 1, so the
-    sup sits at s = cn; truncation, ridge and tikhonov take the closed
-    form, which avoids the cancellation in 1 - cn f_n(cn).
+    The gain g rises with s for every kind, so the sup is 1 - g(cn): a
+    closed form for ridge and tikhonov, free of its cancellation, and
+    exactly 0 for truncation by ``gain``.
     """
-    if spec.kind == TRUNCATION:
-        return 0.0
     if spec.kind == RIDGE:
         return spec.alpha / (spec.cn + spec.alpha)
     if spec.kind == TIKHONOV:
         return spec.alpha / (spec.cn**2 + spec.alpha)
-    return float(1.0 - spec.cn * filter_values(spec, spec.cn))
+    return float(1.0 - gain(spec, spec.cn, filter_values(spec, spec.cn)))
 
 
 def filter_from_config(cfg: dict, cn: float | None = None) -> FilterSpec:

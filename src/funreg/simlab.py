@@ -31,10 +31,10 @@ block at each rank of a grid, with no sample drawn. Its fields:
   sum_{l>k_n} rho_l <x, e_l> at a fixed x. The CLTs centre at the
   projection, so it must be small against the half width; this is where
   the smoothness of rho enters the rate.
-* ``h3_sup`` = sup over [cn, lam_1] of |s f(s) - 1|: the filter's
-  attenuation, which hypothesis H3 asks to be o(1/sqrt(n)). s f(s) rises
-  with s for every kind, so it is 1 - cn f(cn): 0 for truncation,
-  alpha/(cn + alpha) for ridge, alpha/(cn^2 + alpha) for tikhonov.
+* ``h3_sup`` = sup over [cn, lam_1] of |1 - g(s)| for the gain g(s) = s f(s)
+  (``filters.gain``): the attenuation that hypothesis H3 asks to be
+  o(1/sqrt(n)). g rises with s for every kind, so it is 1 - g(cn): 0 for
+  truncation, alpha/(cn + alpha) for ridge, alpha/(cn^2 + alpha) for tikhonov.
 * ``first_pairwise_violation`` and ``first_tail_violation``: the
   eigenvalue inequalities j lam_j >= k lam_k (j < k) and
   sum_{j>=k} lam_j <= (k+1) lam_k that follow from the convexity of
@@ -53,9 +53,10 @@ noise-free refit of its sample would make at its target x (the drawn X_new
 or the fixed x). An uncentered fit has <Delta_0, e_j> = lam_j <rho, e_j>,
 so over its retained pairs (lam_j, e_j)
 
-    bias = sum_{j<=d_n} lam_j f(lam_j) <rho, e_j> <e_j, x> - <rho, x>:
+    bias = sum_{j<=d_n} g(lam_j) <rho, e_j> <e_j, x> - <rho, x>
 
-the truncation tail, the eigenprojection error and the filter's shrinkage.
+for the gain g of ``filters.gain``: the truncation tail, the
+eigenprojection error and the filter's shrinkage.
 
 Every Monte Carlo experiment runs its replicates through one driver,
 ``_replicates``, which draws and fits each dataset, spreads the replicates
@@ -78,7 +79,7 @@ import numpy as np
 from . import config
 from .errors import DegenerateFitError, ValidationError
 from .estimator import fit, normalizers, prediction_interval
-from .filters import FilterSpec, filter_from_config, h3_sup_deviation, select_kn
+from .filters import FilterSpec, filter_from_config, gain, h3_sup_deviation, select_kn
 from .hilbert import (
     Curve,
     CurveMatrix,
@@ -154,15 +155,19 @@ class CoeffRule:
             raise ValidationError(f"unknown coefficient kind {self.kind!r}")
 
     def values(self, count: int) -> np.ndarray:
-        if self.kind == "power":
-            j = np.arange(1, count + 1, dtype=float)
-            out = j ** -float(self.exponent)
-        else:
-            out = np.zeros(count)
-            m = min(count, len(self.coeffs))
-            out[:m] = self.coeffs[:m]
-        if self.normalize:
+        # the squared norm of the coefficients must be finite
+        with np.errstate(over="ignore"):
+            if self.kind == "power":
+                j = np.arange(1, count + 1, dtype=float)
+                out = j ** -float(self.exponent)
+            else:
+                out = np.zeros(count)
+                m = min(count, len(self.coeffs))
+                out[:m] = self.coeffs[:m]
             total = np.sqrt(np.sum(out**2))
+        if not np.isfinite(total):
+            raise ValidationError("rho coefficients overflow: their squared norm is not finite")
+        if self.normalize:
             if total == 0:
                 raise ValidationError("cannot normalize all-zero coefficients")
             out = out / total
@@ -178,9 +183,10 @@ class CoeffRule:
 
 
 def power_squared_coeffs(beta: float, count: int) -> np.ndarray:
-    """Squared coordinates x_j^2 = j^-(1+beta)."""
+    """Squared coordinates x_j^2 = j^-(1+beta); inf where they overflow."""
     j = np.arange(1, count + 1, dtype=float)
-    return j ** -(1.0 + beta)
+    with np.errstate(over="ignore"):
+        return j ** -(1.0 + beta)
 
 
 # ---------------------------------------------------------------------------
@@ -261,14 +267,16 @@ class SpectralModel:
 
     @cached_property
     def rho_curve(self) -> Curve:
-        return Curve(self.grid, self.rho_coeffs @ self.basis)
+        return self.curve_from_coeffs(self.rho_coeffs)
 
     def curve_from_coeffs(self, coeffs) -> Curve:
-        """Curve sum_l c_l e_l from leading basis coefficients."""
+        """Curve sum_l c_l e_l from leading basis coefficients: the one such map."""
         c = np.asarray(coeffs, dtype=float)
         if c.size > self.L:
             raise ValidationError(f"at most L={self.L} coefficients supported")
-        return Curve(self.grid, c @ self.basis[: c.size])
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = c @ self.basis[: c.size]
+        return Curve(self.grid, values)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +301,7 @@ def _draw_xi(rng: np.random.Generator, law: str, shape) -> np.ndarray:
 def kl_sample(model: SpectralModel, rng: np.random.Generator) -> Curve:
     """One draw X = sum_{l<=L} sqrt(lam_l) xi_l e_l."""
     xi = _draw_xi(rng, model.xi_law, model.L)
-    return Curve(model.grid, (np.sqrt(model.lambdas) * xi) @ model.basis)
+    return model.curve_from_coeffs(np.sqrt(model.lambdas) * xi)
 
 
 def generate_dataset(
@@ -309,7 +317,10 @@ def generate_dataset(
     sample = CurveMatrix(model.grid, values)
     y = sample.inner_products(model.rho_curve)
     if model.noise_sd > 0:
-        y = y + model.noise_sd * rng.standard_normal(n)
+        with np.errstate(over="ignore"):
+            y = y + model.noise_sd * rng.standard_normal(n)
+        if not np.all(np.isfinite(y)):
+            raise ValidationError("responses overflow: noise_sd is too large to simulate")
     return sample, y
 
 
@@ -401,7 +412,7 @@ class CoverageReport:
     p-value), or None when no replicate succeeded or an error is not finite.
 
     ``bias_summary`` is the mean of the successful rows' ``bias``,
-    sum_{j<=d_n} lam_j f(lam_j) <rho, e_j> <e_j, x> - <rho, x>.
+    sum_{j<=d_n} g(lam_j) <rho, e_j> <e_j, x> - <rho, x>.
 
     ``population`` is the run's ``Population``, written last by ``to_dict``;
     the module docstring lists its fields and what each probes. Its
@@ -534,9 +545,9 @@ def _interval_experiment(model, x, n, cn, filt, level, replicates, seed, threads
         row["std_error"] = _standardized(n, iv.center - target, ft.sigma_hat * iv.normalizer)
         # what a noise-free refit would predict, less the target
         dec = ft.decomposition
-        gain = dec.eigenvalues[: ft.d_n] * ft.filtered_values
+        g = gain(ft.filter, dec.eigenvalues[: ft.d_n], ft.filtered_values)
         coords = dec.eigenvectors.inner_products
-        refit = np.sum(gain * coords(model.rho_curve) * coords(x_new))
+        refit = np.sum(g * coords(model.rho_curve) * coords(x_new))
         row["bias"] = float(refit - target)
         if x is not None:
             row["t_hat"] = iv.normalizer
@@ -574,7 +585,7 @@ def coverage_experiment(
     Each replicate draws a fresh dataset and one extra predictor, fits
     with the supplied filter (threshold cn), and records the hit, the
     standardized error sqrt(n)(Yhat - <rho, X_new>)/(sigma_hat s_hat),
-    and the bias sum_{j<=d_n} lam_j f(lam_j) <rho, e_j> <e_j, X_new> -
+    and the bias sum_{j<=d_n} g(lam_j) <rho, e_j> <e_j, X_new> -
     <rho, X_new>: the error of a noise-free refit of the same sample.
     """
     return _interval_experiment(model, None, n, cn, filt, level, replicates, seed, threads)
@@ -595,7 +606,7 @@ def fixed_x_experiment(
 
     A zero x raises DegenerateFitError before any replicate runs; a nonzero
     x orthogonal to the retained eigenspace fails each replicate. Each row's
-    bias is sum_{j<=d_n} lam_j f(lam_j) <rho, e_j> <e_j, x> - <rho, x>.
+    bias is sum_{j<=d_n} g(lam_j) <rho, e_j> <e_j, x> - <rho, x>.
     """
     return _interval_experiment(model, x, n, cn, filt, level, replicates, seed, threads)
 
@@ -635,8 +646,8 @@ def rank_power_cn_rule(model: SpectralModel, exponent: float):
     def rule(n: int) -> float:
         if n < 1:
             raise ValidationError(f"sample size must be >= 1, got {n}")
-        if exponent * np.log(n) >= np.log(model.L):
-            # the rank is capped at L - 1; n**exponent may overflow
+        # the rank is capped at L - 1; n**exponent may overflow, a float product only to inf
+        if exponent * float(np.log(n)) >= np.log(model.L):
             k = model.L - 1
         else:
             k = min(max(1, int(round(n**exponent))), model.L - 1)

@@ -13,6 +13,11 @@ from funreg.cli import main
 # unit-weight arithmetic of the worked fit example
 TOY_CURVES = "0.0,2.0\n2.0,0.0\n0.0,1.0\n"
 TOY_RESPONSES = "2.0\n1.0\n"
+# four curves on three points
+THREE_POINT_CURVES = "0.0,0.5,1.0\n1.0,0.2,-0.3\n-0.4,0.9,0.3\n0.3,-0.5,1.1\n0.8,0.6,0.1\n"
+# a generalized filter exponent beyond the float range
+HUGE_P = 10**400
+GENERALIZED = ["--filter", "generalized", "--cn", "0.1", "--alpha", "0.1"]
 
 
 @pytest.fixture
@@ -149,7 +154,13 @@ class TestFitCommand:
         ("", ["--filter", "truncation", "--cn", "0.1"]),
         (TOY_RESPONSES, ["--filter", "truncation", "--cn", "nan"]),
         (TOY_RESPONSES, ["--filter", "ridge", "--cn", "0.1", "--alpha", "0.1", "--p", "2"]),
-    ], ids=["empty-responses", "cn-nan", "ridge-with-p"])
+        # a p beyond the float range, and x^p that over- or underflows on the
+        # uncentered spectrum (2, 0.5)
+        (TOY_RESPONSES, [*GENERALIZED, "--variant", "A", "--p", HUGE_P]),
+        (TOY_RESPONSES, [*GENERALIZED, "--variant", "A", "--p", "2000", "--no-center"]),
+        (TOY_RESPONSES, [*GENERALIZED, "--variant", "B", "--p", "5000", "--no-center"]),
+    ], ids=["empty-responses", "cn-nan", "ridge-with-p", "generalized-huge-p",
+            "generalized-A-p=2000", "generalized-B-p=5000"])
     def test_refused_input_exits_2_with_one_line(self, toy_inputs, tmp_path, capsys,
                                                   responses_text, options):
         curves, responses = toy_inputs
@@ -384,10 +395,13 @@ class TestFitFileErrors:
         ({"x_mean": [5.0, 5.0]}, "payload.x_mean must be zero in an uncentered fit"),
         ({"x_mean": [0.0, -3.0]}, "payload.x_mean must be zero in an uncentered fit"),
         ({"y_mean": 7.0}, "payload.y_mean must be zero in an uncentered fit"),
+        ({"filter": {"kind": "generalized", "cn": 0.1, "alpha": 0.1, "p": HUGE_P,
+                     "variant": "A"}}, "generalized filter requires integer p in [1, 1.8e308]"),
+        ({"n": HUGE_P}, "payload.n must be between 2 and 2**63 - 1"),
     ], ids=["unknown-key", "grid-not-an-object", "unknown-grid-key", "filtered-values",
             "string-eigenvalue", "string-rho", "string-eigenvector", "string-weight",
             "string-point", "boolean-x-mean", "boolean-rho", "uncentered-x-mean",
-            "uncentered-one-x-mean-entry", "uncentered-y-mean"])
+            "uncentered-one-x-mean-entry", "uncentered-y-mean", "huge-p", "huge-n"])
     def test_unknown_or_malformed_key_is_named(self, toy_fit, tmp_path, capsys, edit, key):
         payload, x_path = toy_fit
         capsys.readouterr()
@@ -650,6 +664,8 @@ MALFORMED_CONFIGS = [
     ("population", POPULATION_CONFIG, "k_grid", [POPULATION_CONFIG["L"]]),
     # each rank sets cn, so a cn in the filter is refused
     ("population", POPULATION_CONFIG, "filter", {"kind": "truncation", "cn": 0.1}),
+    ("fixed-x", FIXED_X_CONFIG, "filter",
+     {"kind": "generalized", "cn": 0.05, "alpha": 0.1, "p": HUGE_P, "variant": "A"}),
 ]
 
 COVERAGE_HEADER = "replicate,failed,hit,center,half_width,std_error,bias,d_n,error"
@@ -774,6 +790,67 @@ class TestMalformedConfigs:
         cfg_path.write_text(json.dumps(cfg))
         assert_validation_exit(run(["simulate", command, "--config", cfg_path,
                                     "--out", out]), capsys)
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"report holds the non-JSON constant {name}")
+
+
+def _scaled_curves(scale):
+    """THREE_POINT_CURVES with every curve value times ``scale``."""
+    grid, *rows = THREE_POINT_CURVES.splitlines()
+    return "\n".join([grid] + [",".join(repr(float(v) * scale) for v in row.split(","))
+                                for row in rows]) + "\n"
+
+
+# (argv after the input files are written, exit code); each input overflows a
+# float somewhere, and only the cn_rule one is a valid config
+OVERFLOW_CASES = [
+    (["fit", "--curves", "c.csv", "--responses", "big_y.csv", "--filter", "ridge",
+      "--cn", "0.01", "--alpha", "0.1", "--out", "out.json"], 2),
+    (["fit", "--curves", "big_c.csv", "--responses", "y.csv", "--filter", "ridge",
+      "--cn", "0.01", "--alpha", "0.1", "--out", "out.json"], 2),
+    (["simulate", "population", "--config",
+      dict(POPULATION_CONFIG, rho={"kind": "finite", "coeffs": [1e308, 1e308]}),
+      "--out", "out.json"], 2),
+    (["simulate", "norm-divergence", "--config",
+      dict(NORM_DIVERGENCE_CONFIG, cn_rule={"kind": "rank-power", "exponent": 1e308}),
+      "--out", "out.json"], 0),
+    (["simulate", "coverage", "--config", base_coverage_config(noise_sd=1e308),
+      "--out", "out.json"], 2),
+    (["simulate", "fixed-x", "--config",
+      base_coverage_config(noise_sd=0.1, x={"kind": "power", "beta": -1e308}),
+      "--out", "out.json"], 2),
+]
+
+
+@pytest.mark.parametrize("argv, code", OVERFLOW_CASES, ids=[
+    "fit-huge-responses", "fit-huge-curves", "population-huge-rho",
+    "norm-divergence-huge-cn-exponent", "coverage-huge-noise", "fixed-x-huge-power-x"])
+def test_overflow_ends_in_one_error_line_or_a_finite_report(tmp_path, capsys, monkeypatch,
+                                                            argv, code):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.csv").write_text(THREE_POINT_CURVES)
+    (tmp_path / "big_c.csv").write_text(_scaled_curves(1e200))
+    (tmp_path / "y.csv").write_text("1 2 3 4\n")
+    (tmp_path / "big_y.csv").write_text("1e300 2e300 -3e300 4e300\n")
+    argv = list(argv)
+    if "--config" in argv:
+        at = argv.index("--config") + 1
+        (tmp_path / "cfg.json").write_text(json.dumps(argv[at]))
+        argv[at] = "cfg.json"
+    # a numpy warning would reach stderr beside the error line; make it fail here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv) == code
+    err = capsys.readouterr().err.splitlines()
+    out = tmp_path / "out.json"
+    if code:
+        assert len(err) == 1 and err[0].startswith("error: validation: ")
+        assert not out.exists()
+    else:
+        assert err == []
+        json.loads(out.read_text(), parse_constant=_refuse_constant)
 
 
 class TestEmptyCurveFile:

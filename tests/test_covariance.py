@@ -66,7 +66,7 @@ def operator_action(sample, h):
 def held_kernel(dec):
     """sum_j lam_j e_j e_j' over the held pairs: K itself when every
     positive pair is held."""
-    e = dec.vectors_matrix
+    e = dec.eigenvectors.values
     return (e.T * dec.eigenvalues[: len(e)]) @ e
 
 
@@ -200,6 +200,19 @@ class TestCrossCovariance:
 
 
 class TestEigendecompose:
+    def test_more_eigenvectors_than_eigenvalues_is_refused(self):
+        vectors = CurveMatrix(unit_weight_grid(), [[1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValidationError, match="^more eigenvectors than eigenvalues$") as exc:
+            SpectralDecomposition(np.array([1.0]), vectors)
+        assert exc.type is ValidationError
+
+    def test_an_overflowing_covariance_is_refused_without_a_warning(self):
+        # each product of two entries near 1e200 overflows on both routes
+        for n in (4, 2):
+            rows = CurveMatrix(unit_weight_grid(3), np.full((n, 3), 1e200))
+            with pytest.raises(ValidationError, match="^sample covariance overflows"):
+                eigendecompose(rows, 0.0)
+
     def test_diagonal_kernel_unit_weights(self):
         g = unit_weight_grid()
         # rows (2, 0) and (0, 1) give the kernel diag(2, 0.5)
@@ -207,7 +220,7 @@ class TestEigendecompose:
         assert np.array_equal(kernel(rows), np.diag([2.0, 0.5]))
         dec = eigendecompose(rows, 0.0)
         assert np.allclose(dec.eigenvalues, [2.0, 0.5])
-        assert np.allclose(np.abs(dec.vectors_matrix), np.eye(2), atol=1e-12)
+        assert np.allclose(np.abs(dec.eigenvectors.values), np.eye(2), atol=1e-12)
 
     def test_rank_one_unit_norm_curve(self):
         g = make_trapezoid_grid(0.0, 1.0, 21)
@@ -224,7 +237,8 @@ class TestEigendecompose:
         rng = np.random.default_rng(4)
         for _ in range(4):
             h = Curve(g, rng.standard_normal(6))
-            action = (dec.eigenvalues * dec.eigenvectors.inner_products(h)) @ dec.vectors_matrix
+            action = ((dec.eigenvalues * dec.eigenvectors.inner_products(h))
+                      @ dec.eigenvectors.values)
             assert norm(Curve(g, action) - operator_action(rows, h)) < 1e-8
 
     def test_orthonormal_under_weighted_product(self):
@@ -290,7 +304,7 @@ class TestEigendecompose:
             # n < p keeps the centered sample's rank, n - 1
             assert len(dec.eigenvectors) == (n - 1 if n < p else p)
             assert np.array_equal(dec.eigenvalues, lam)
-            assert np.array_equal(dec.vectors_matrix, per_column_vectors(lam, vec, g.weights))
+            assert np.array_equal(dec.eigenvectors.values, per_column_vectors(lam, vec, g.weights))
 
     def test_list_and_matrix_samples_give_identical_operators(self):
         g, sample = random_sample(30, 11, seed=17)
@@ -421,8 +435,8 @@ class TestGramRoute:
         assert_rel(spectral_gaps(gram.eigenvalues),
                    spectral_gaps(dense.eigenvalues)[:levels.size], scale=levels[0])
 
-        e_gram = gram.vectors_matrix[:d]
-        e_dense = dense.vectors_matrix[:d]
+        e_gram = gram.eigenvectors.values[:d]
+        e_dense = dense.eigenvectors.values[:d]
         assert_rel(e_gram.T @ e_gram, e_dense.T @ e_dense)
 
         # the filtered inverse of each solve applied to Delta_n
@@ -430,7 +444,8 @@ class TestGramRoute:
         rho = []
         for dec in (gram, dense):
             f = normalizers(dec.eigenvalues[:d], filt).filtered
-            rho.append((f * dec.eigenvectors.inner_products(delta)[:d]) @ dec.vectors_matrix[:d])
+            rho.append((f * dec.eigenvectors.inner_products(delta)[:d])
+                       @ dec.eigenvectors.values[:d])
         assert_rel(rho[0], rho[1])
 
         # a fit holds the vectors of the d retained pairs only, mapped back
@@ -438,9 +453,9 @@ class TestGramRoute:
         held = eigendecompose(sample, filt.cn)
         assert len(held.eigenvectors) == d
         assert np.array_equal(held.eigenvalues, gram.eigenvalues)
-        assert_rel(held.vectors_matrix, gram.vectors_matrix[:d])
+        assert_rel(held.eigenvectors.values, gram.eigenvectors.values[:d])
         rho_held = (normalizers(held.eigenvalues[:d], filt).filtered
-                    * held.eigenvectors.inner_products(delta)) @ held.vectors_matrix
+                    * held.eigenvectors.inner_products(delta)) @ held.eigenvectors.values
         assert_rel(rho_held, rho[1])
         if n >= 2:
             # fit takes the Gram route to the same estimate
@@ -508,7 +523,7 @@ class TestHeldPrefix:
         assert ft.d_n == 4
         assert len(ft.decomposition.eigenvectors) == ft.d_n
         assert np.array_equal(ft.decomposition.eigenvalues, full.eigenvalues)
-        assert_rel(ft.decomposition.vectors_matrix, full.vectors_matrix[:4])
+        assert_rel(ft.decomposition.eigenvectors.values, full.eigenvectors.values[:4])
 
     @pytest.mark.parametrize("n, p", ROUTES)
     def test_threshold_above_the_spectrum_is_degenerate(self, n, p):
@@ -528,7 +543,7 @@ class TestHeldPrefix:
         assert len(eigendecompose(sample, cn).eigenvectors) == 3
         ft = fit(sample, y, FilterSpec("truncation", cn), center=False)
         assert ft.d_n == 3
-        assert_rel(ft.decomposition.vectors_matrix, full.vectors_matrix[:3])
+        assert_rel(ft.decomposition.eigenvectors.values, full.eigenvectors.values[:3])
 
     def test_centering_keeps_one_centered_array_and_the_mean(self, monkeypatch):
         g, sample = random_sample(7, 5, seed=3)

@@ -1,14 +1,17 @@
+import functools
 import json
+import operator
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from funreg import cli, estimator
-from funreg.covariance import eigendecompose, retained_rank
-from funreg.errors import DegenerateFitError, GridMismatchError, ValidationError
+from funreg.covariance import SpectralDecomposition, eigendecompose, retained_rank
+from funreg.errors import DegenerateFitError, FunregError, GridMismatchError, ValidationError
 from funreg.estimator import (
     NORMALIZERS,
+    EstimatorFit,
     fit,
     fit_from_dict,
     fit_to_dict,
@@ -64,7 +67,7 @@ class TestRegularizedInverse:
         dec = ft.decomposition
         assert np.allclose(ft.filtered_values, [0.5, 2.0])
         # Delta_n = (1/n) sum_i Y_i X_i = (2, 0.5)
-        delta = Curve(ft.grid, [2.0, 0.5])
+        delta = Curve(ft.rho_hat.grid, [2.0, 0.5])
         for f, e in zip(ft.filtered_values, dec.eigenvectors):
             assert inner_product(ft.rho_hat, e) == pytest.approx(f * inner_product(delta, e))
 
@@ -150,6 +153,23 @@ class TestFit:
         assert np.array_equal(ft.filtered_values, filter_values(spec, lam))
         assert not ft.filtered_values.flags.writeable
 
+    @pytest.mark.parametrize("scale, message", [
+        (1e300, "residual scale sigma_hat overflows"),
+        (1e308, "curve values must be finite"),
+    ], ids=["residuals", "cross-covariance"])
+    def test_overflowing_responses_are_refused_without_a_warning(self, scale, message):
+        g, sample, rng = gaussian_sample(12, 5, seed=3)
+        with pytest.raises(ValidationError, match=f"^{message}"):
+            fit(sample, scale * np.sign(rng.standard_normal(12)), FilterSpec("ridge", 0.0,
+                                                                            alpha=0.1))
+
+    def test_one_name_per_quantity(self):
+        # the decomposition's rows and grid are its eigenvectors' own, and a
+        # fit's grid is rho_hat's
+        for cls, name in ((SpectralDecomposition, "grid"),
+                          (SpectralDecomposition, "vectors_matrix"), (EstimatorFit, "grid")):
+            assert not hasattr(cls, name)
+
     def test_saturated_fit_has_undefined_sigma(self):
         _, ft = toy_fit()
         assert np.isnan(ft.sigma_hat)
@@ -158,7 +178,7 @@ class TestFit:
         g, sample, _ = gaussian_sample(15, 8, seed=3)
         y = np.linspace(-1, 1, 15)
         ft = fit(sample, y, FilterSpec("truncation", 1e-3), center=False)
-        vm = ft.decomposition.vectors_matrix[: ft.d_n]
+        vm = ft.decomposition.eigenvectors.values[: ft.d_n]
         coeff = vm @ (g.weights * ft.rho_hat.values)
         residual = ft.rho_hat.values - coeff @ vm
         assert np.sqrt(np.sum(residual**2 * g.weights)) < 1e-8
@@ -206,7 +226,7 @@ class TestFit:
 class TestPredict:
     def test_zero_curve(self):
         _, ft = toy_fit()
-        assert predict(ft, Curve.zeros(ft.grid)) == 0.0
+        assert predict(ft, Curve.zeros(ft.rho_hat.grid)) == 0.0
 
     def test_hand_value(self):
         sample, ft = toy_fit()
@@ -235,7 +255,7 @@ class TestPredict:
 
 def pivots(dec, spec, x=None):
     """``normalizers`` over the pairs of ``dec`` that ``spec`` retains."""
-    d = retained_rank(dec.eigenvalues, spec.cn, len(dec.grid))
+    d = retained_rank(dec.eigenvalues, spec.cn, len(dec.eigenvectors.grid))
     return normalizers(dec.eigenvalues[:d], spec,
                        None if x is None else dec.eigenvectors.inner_products(x)[:d])
 
@@ -392,7 +412,7 @@ def matrix_sigma_hat(sample, y, ft):
     x = np.stack([c.values for c in sample])
     y = np.asarray(y, dtype=float)
     x_c, y_mean = (x - x.mean(axis=0), y.mean()) if ft.centered else (x, 0.0)
-    res = y - y_mean - x_c @ (ft.grid.weights * ft.rho_hat.values)
+    res = y - y_mean - x_c @ (ft.rho_hat.grid.weights * ft.rho_hat.values)
     return float(np.sqrt(np.sum(res**2) / (len(sample) - ft.d_n)))
 
 
@@ -408,7 +428,8 @@ class TestMatrixSampleParity:
         b = fit(CurveMatrix.of(sample), y, spec, center=center)
         assert np.array_equal(a.rho_hat.values, b.rho_hat.values)
         assert np.array_equal(a.decomposition.eigenvalues, b.decomposition.eigenvalues)
-        assert np.array_equal(a.decomposition.vectors_matrix, b.decomposition.vectors_matrix)
+        assert np.array_equal(a.decomposition.eigenvectors.values,
+                              b.decomposition.eigenvectors.values)
         assert np.array_equal(a.x_mean.values, b.x_mean.values)
         assert a.d_n == b.d_n
         assert a.s_hat == b.s_hat
@@ -492,6 +513,12 @@ class TestPredictionInterval:
             with pytest.raises(ValidationError):
                 prediction_interval(ft, ft.x_mean, lvl)
 
+    def test_unknown_normalizer(self):
+        _, sample, ft = self.make_noisy_fit()
+        with pytest.raises(ValidationError, match="^unknown normalizer 'z_hat'$") as exc:
+            prediction_interval(ft, sample[0], 0.9, "z_hat")
+        assert exc.type is ValidationError
+
     def test_degenerate_t_hat_is_an_error(self):
         g, sample, _ = gaussian_sample(20, 6, seed=25)
         dec = eigendecompose(CurveMatrix.of(sample), 0.0)
@@ -530,7 +557,7 @@ class TestStructuralProperties:
             [[inner_product(x, dec.eigenvectors[j]) for j in range(d)] for x in sample]
         )
         coef, *_ = np.linalg.lstsq(scores, y, rcond=None)
-        rho_pcr = coef @ dec.vectors_matrix[:d]
+        rho_pcr = coef @ dec.eigenvectors.values[:d]
         assert np.abs(ft.rho_hat.values - rho_pcr).max() < 1e-8
 
     def test_ridge_shrinks_relative_to_truncation(self):
@@ -641,9 +668,9 @@ class TestSerialization:
         assert (back.sigma_hat, back.n, back.filter, back.centered, back.y_mean) == (
             ft.sigma_hat, ft.n, ft.filter, ft.centered, ft.y_mean)
         # a loaded fit and a fresh one hold one form: every eigenvalue, d_n vectors
-        for name in ("eigenvalues", "vectors_matrix"):
-            assert np.array_equal(getattr(back.decomposition, name),
-                                  getattr(ft.decomposition, name))
+        assert np.array_equal(back.decomposition.eigenvalues, ft.decomposition.eigenvalues)
+        assert np.array_equal(back.decomposition.eigenvectors.values,
+                              ft.decomposition.eigenvectors.values)
         assert predict(back, x) == predict(ft, x)
         for pivot in NORMALIZERS:
             assert prediction_interval(back, x, 0.9, pivot) == prediction_interval(ft, x, 0.9, pivot)
@@ -675,6 +702,59 @@ class TestSerialization:
             edited = dict(payload, **{key: value})
             with pytest.raises(ValidationError):
                 fit_from_dict(edited)
+
+
+# one field's replacement: each JSON kind, an integer beyond the float range,
+# and NaN, which no JSON file holds but a payload dict may
+FIELD_EDITS = (None, True, 3, 10**400, float("nan"), "x", [1.0], [[1.0]], {"a": 1})
+DELETE = object()
+
+
+def field_paths(payload):
+    """Each key of a payload, of its grid and of its filter, and the first
+    entry of each array (of the eigenvectors: the first row and its entry)."""
+    paths = [(key,) for key in payload]
+    paths += [(part, key) for part in ("grid", "filter") for key in payload[part]]
+    paths += [(key, 0) for key in ("rho_hat", "eigenvalues", "eigenvectors", "x_mean")]
+    paths += [("grid", "points", 0), ("grid", "weights", 0), ("eigenvectors", 0, 0)]
+    return paths
+
+
+def edited_payload(payload, path, value):
+    out = json.loads(json.dumps(payload))
+    *head, last = path
+    parent = functools.reduce(operator.getitem, head, out)
+    if value is DELETE:
+        del parent[last]
+    else:
+        parent[last] = value
+    return out
+
+
+@pytest.mark.parametrize("center", [True, False], ids=["centered", "uncentered"])
+@pytest.mark.parametrize("spec", [
+    FilterSpec("truncation", 0.05),
+    FilterSpec("ridge", 0.05, alpha=0.1),
+    FilterSpec("generalized", 0.05, alpha=0.01, p=2, variant="B"),
+], ids=lambda s: s.kind)
+def test_every_single_field_edit_loads_or_is_refused(spec, center):
+    # fit_from_dict reads every field through config and the validated
+    # types, so an edit either loads or raises a FunregError, never another
+    # exception (a warning would be an error here too)
+    g, sample, rng = gaussian_sample(12, 5, seed=71)
+    payload = json.loads(json.dumps(fit_to_dict(
+        fit(sample, rng.standard_normal(12), spec, center=center))))
+    fit_from_dict(payload)
+    refused = 0
+    for path in field_paths(payload):
+        for value in (DELETE, *FIELD_EDITS):
+            try:
+                fit_from_dict(edited_payload(payload, path, value))
+            except FunregError:
+                refused += 1
+            except Exception as exc:
+                pytest.fail(f"{path} set to {str(value)[:20]}: {exc!r}")
+    assert refused >= 0.9 * len(field_paths(payload)) * (1 + len(FIELD_EDITS))
 
 
 def truncation_payload():

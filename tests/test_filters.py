@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,8 @@ from funreg.filters import (
     filter_from_config,
     filter_to_config,
     filter_values,
+    gain,
+    h3_sup_deviation,
     select_kn,
     spectral_gaps,
 )
@@ -59,6 +63,12 @@ class TestFilterSpecValidation:
         with pytest.raises(ValidationError):
             FilterSpec("truncation", 0.1, alpha=0.5)
 
+    def test_generalized_p_must_be_a_float_exponent(self):
+        # x^p is a float power; 10**400 has no float
+        with pytest.raises(ValidationError, match=r"requires integer p in \[1, 1.8e308\]$"):
+            FilterSpec("generalized", 0.1, alpha=0.5, p=10**400, variant="A")
+        assert FilterSpec("generalized", 0.1, alpha=0.5, p=10**300, variant="A").p == 10**300
+
 
 class TestFilterValue:
     def test_truncation_above_threshold(self):
@@ -88,6 +98,32 @@ class TestFilterValue:
     def test_negative_argument_rejected(self):
         with pytest.raises(ValidationError):
             filter_at(FilterSpec("truncation", 0.3), -0.1)
+
+    @pytest.mark.parametrize("spec, x", [
+        # 0.17^2000 underflows and 10.17^2001 overflows: 0 / inf
+        (FilterSpec("generalized", 0.01, alpha=10.0, p=2000, variant="A"), 0.17),
+        # 0.1^2000 and 0.2^2001 underflow: 0 / 0
+        (FilterSpec("generalized", 0.01, alpha=0.1, p=2000, variant="A"), 0.1),
+        # x^p underflows: 0 / alpha, a zero where f is positive
+        (FilterSpec("generalized", 0.01, alpha=0.1, p=5000, variant="B"), 0.17),
+        (FilterSpec("generalized", 0.01, alpha=0.1, p=10**300, variant="B"), 0.5),
+        # 1 / x overflows
+        (FilterSpec("ridge", 0.0, alpha=5e-324), 1e-320),
+        (FilterSpec("truncation", 1e-320), 1e-320),
+        # x^2 overflows: x / inf
+        (FilterSpec("tikhonov", 0.01, alpha=0.1), 1e200),
+    ], ids=["A-zero-over-inf", "A-zero-over-zero", "B-underflow", "B-p=1e300", "ridge-inf",
+            "truncation-inf", "tikhonov-zero"])
+    def test_over_or_underflow_is_refused_without_a_warning(self, spec, x):
+        message = f"{spec.kind} filter over- or underflows at {x!r}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            filter_values(spec, [x])
+
+    def test_zero_argument_of_a_zero_threshold_may_vanish(self):
+        # tikhonov and generalized vanish at 0 itself, which cn = 0 keeps
+        for spec in (FilterSpec("tikhonov", 0.0, alpha=0.1),
+                     FilterSpec("generalized", 0.0, alpha=0.1, p=2, variant="B")):
+            assert filter_values(spec, [0.0, 0.5])[0] == 0.0
 
 
 class TestFilterProperties:
@@ -138,6 +174,39 @@ class TestFilterProperties:
         assert abs(filter_at(ridge, x) - 1.0 / x) <= alpha / x**2 + 1e-15
 
 
+class TestGain:
+    SPECS = TestFilterProperties.SPECS
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-{s.variant}")
+    def test_gain_is_lam_f_and_zero_below_cn(self, spec):
+        lam = np.array([2.0, 0.9, 0.5, 0.3, 0.29, 0.1, 0.0])
+        f = filter_values(spec, lam)
+        g = gain(spec, lam, f)
+        on = lam >= spec.cn
+        assert np.all(g[~on] == 0.0)
+        if spec.kind == "truncation":
+            assert np.all(g[on] == 1.0)
+        else:
+            assert np.array_equal(g[on], lam[on] * f[on])
+
+    def test_truncation_gain_is_exactly_one(self):
+        # 49 (1/49) rounds below 1; the gain does not
+        lam = np.array([49.0, 2.0])
+        spec = FilterSpec("truncation", 1.0)
+        assert lam[0] * (1.0 / lam[0]) != 1.0
+        assert np.array_equal(gain(spec, lam, filter_values(spec, lam)), [1.0, 1.0])
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-{s.variant}")
+    def test_h3_is_one_less_the_gain_at_cn(self, spec):
+        at_cn = float(gain(spec, spec.cn, filter_values(spec, spec.cn)))
+        if spec.kind in ("ridge", "tikhonov"):
+            # closed forms, free of the cancellation in 1 - g(cn)
+            assert h3_sup_deviation(spec) == pytest.approx(1.0 - at_cn, rel=1e-12)
+        else:
+            assert h3_sup_deviation(spec) == 1.0 - at_cn
+        assert h3_sup_deviation(self.SPECS[0]) == 0.0
+
+
 class TestSelectKn:
     def test_hand_example(self):
         lam = [1.0, 0.5, 0.25, 0.125, 0.0625]
@@ -164,6 +233,17 @@ class TestSelectKn:
     def test_non_monotone_rejected(self):
         with pytest.raises(ValidationError):
             select_kn([1.0, 1.2, 0.5], 0.3)
+
+    @pytest.mark.parametrize("lam, message", [
+        ([[1.0, 0.5]], "need a 1-d eigenvalue sequence"),
+        ([], "need a 1-d eigenvalue sequence"),
+        ([1.0, -0.5], "eigenvalues must be positive and finite"),
+        ([np.inf, 0.5], "eigenvalues must be positive and finite"),
+    ], ids=["2-d", "empty", "negative", "infinite"])
+    def test_refusal_names_its_cause(self, lam, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$") as exc:
+            select_kn(lam, 0.3)
+        assert exc.type is ValidationError
 
     def test_single_eigenvalue(self):
         assert select_kn([1.0], 0.4) == 1

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -69,6 +70,17 @@ class TestGridAndCurveValidation:
     def test_curve_values_must_be_finite(self):
         with pytest.raises(ValidationError):
             Curve(unit_grid(3), [0.0, np.nan, 1.0])
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Grid([[0.0, 1.0]], [[1.0, 1.0]]), "grid points and weights must be 1-d"),
+        (lambda: Grid([0.0], [1.0]), "a grid needs at least 2 points"),
+        (lambda: Grid([0.0, np.inf], [1.0, 1.0]), "grid points and weights must be finite"),
+        (lambda: Curve(unit_grid(3), [[0.0, 1.0, 2.0]]), "curve values must be 1-d"),
+    ], ids=["2-d-grid", "one-point-grid", "infinite-point", "2-d-curve"])
+    def test_refusal_names_its_cause(self, make, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$") as exc:
+            make()
+        assert exc.type is ValidationError
 
     def test_immutability(self):
         g = unit_grid(5)

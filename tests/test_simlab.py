@@ -1,5 +1,6 @@
 import functools
 import os
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -12,7 +13,15 @@ from funreg.errors import DegenerateFitError, GridMismatchError, ValidationError
 from funreg import estimator, simlab
 from funreg.estimator import fit, predict
 from funreg.filters import FilterSpec
-from funreg.hilbert import Curve, CurveMatrix, inner_product, make_trapezoid_grid, norm
+from funreg.hilbert import (
+    Curve,
+    CurveMatrix,
+    Grid,
+    inner_product,
+    make_trapezoid_grid,
+    norm,
+    trapezoid_weights,
+)
 from funreg.simlab import (
     CoeffRule,
     EigenDecay,
@@ -20,6 +29,7 @@ from funreg.simlab import (
     cn_rule_from_config,
     condition_u,
     coverage_experiment,
+    experiment_from_config,
     fixed_x_experiment,
     generate_dataset,
     kl_sample,
@@ -113,7 +123,80 @@ class TestModelConstruction:
             assert np.mean((draws / np.sqrt(m.lambdas[0])) ** 4) < 10
 
 
+def clustered_grid():
+    """Three of four points within 2e-7: the cosines barely differ on them."""
+    points = np.array([0.0, 1e-7, 2e-7, 1.0])
+    return Grid(points, trapezoid_weights(points))
+
+
+def model_with(**fields):
+    """A small model with some of its fields replaced."""
+    args = dict(grid=make_trapezoid_grid(0.0, 1.0, 11), decay=EigenDecay.power(1.0),
+                rho=CoeffRule.finite([1.0]), noise_sd=0.0, L=3)
+    args.update(fields)
+    return SpectralModel(**args)
+
+
+# (call, message): each refusal of the lab's model and runner, by its message
+LAB_REFUSALS = [
+    (lambda: EigenDecay("linear", 1.0), "unknown decay kind 'linear'"),
+    (lambda: CoeffRule("power"), "power coefficients need an exponent"),
+    (lambda: CoeffRule("finite"), "finite coefficients need explicit values"),
+    (lambda: CoeffRule("spline"), "unknown coefficient kind 'spline'"),
+    (lambda: CoeffRule.finite([0.0, 0.0], normalize=True).values(2),
+     "cannot normalize all-zero coefficients"),
+    (lambda: CoeffRule.finite([1e308, 1e308]).values(2),
+     "rho coefficients overflow: their squared norm is not finite"),
+    (lambda: CoeffRule.power(-1e308).values(3),
+     "rho coefficients overflow: their squared norm is not finite"),
+    (lambda: model_with(L=0), "need at least one expansion term"),
+    # 3^-2001 underflows to zero
+    (lambda: model_with(decay=EigenDecay.power(2000.0)).lambdas,
+     "eigenvalue rule must be strictly decreasing, positive"),
+    (lambda: model_with(grid=clustered_grid()).basis,
+     "basis degenerated; reduce L or refine the grid"),
+    (lambda: model_with().curve_from_coeffs([1.0] * 4), "at most L=3 coefficients supported"),
+    (lambda: model_with().curve_from_coeffs([np.inf]), "curve values must be finite"),
+    # x_j^2 = j^(1e308) overflows
+    (lambda: x_from_config(model_with(), {"kind": "power", "beta": -1e308}),
+     "curve values must be finite"),
+    (lambda: generate_dataset(model_with(), 0, replicate_rng(1)), "need n >= 1"),
+    (lambda: generate_dataset(model_with(noise_sd=1e308), 50, replicate_rng(1)),
+     "responses overflow: noise_sd is too large to simulate"),
+    (lambda: experiment_from_config("variance-bound", {}), "unknown experiment 'variance-bound'"),
+]
+
+
+@pytest.mark.parametrize("call, message", LAB_REFUSALS, ids=[
+    "decay-kind", "power-no-exponent", "finite-no-coeffs", "coefficient-kind",
+    "normalize-zeros", "rho-overflow", "power-rho-overflow", "L=0", "decay-underflow",
+    "clustered-grid", "too-many-coefficients", "infinite-coefficient", "power-x-overflow", "n=0",
+    "noise-overflow", "unknown-experiment"])
+def test_lab_refusal_names_its_cause(call, message):
+    # a warning would be an error here: each refusal is the one signal
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$") as exc:
+        call()
+    assert exc.type is ValidationError
+
+
 class TestModelCoordinates:
+    def test_model_curves_come_from_curve_from_coeffs(self, monkeypatch):
+        m = smooth_model(L=12, p=41)
+        calls = []
+        one_map = SpectralModel.curve_from_coeffs
+
+        def spy(model, coeffs):
+            calls.append(np.array(coeffs))
+            return one_map(model, coeffs)
+
+        monkeypatch.setattr(SpectralModel, "curve_from_coeffs", spy)
+        # the same values, bit for bit, as the products they replaced
+        assert np.array_equal(m.rho_curve.values, m.rho_coeffs @ m.basis)
+        x = kl_sample(m, replicate_rng(3))
+        xi = replicate_rng(3).standard_normal(12)
+        assert np.array_equal(x.values, (np.sqrt(m.lambdas) * xi) @ m.basis)
+        assert len(calls) == 2 and np.array_equal(calls[0], m.rho_coeffs)
+
     def test_basis_coordinates_are_unit_vectors(self):
         m = smooth_model(L=12, p=41)
         for j, e_j in enumerate(m.basis_curves):
@@ -1024,7 +1107,8 @@ class TestConfigPlumbing:
     def test_rank_power_rule_caps_huge_exponents(self):
         m = smooth_model(L=10, p=21)
         cap = rank_threshold(m.lambdas, 9)
-        for exponent in (1.0, 2.5, 1e300):
+        # 1e308 log(50) overflows to inf, with no warning
+        for exponent in (1.0, 2.5, 1e300, 1e308):
             assert rank_power_cn_rule(m, exponent)(50) == cap
         assert rank_power_cn_rule(m, 0.5)(16) == rank_threshold(m.lambdas, 4)
         assert rank_power_cn_rule(m, -1e300)(50) == rank_threshold(m.lambdas, 1)
