@@ -22,7 +22,11 @@ before it; help is formatted only when asked for, so it still reads
 under the s_hat pivot, and at a fixed x under the t_hat pivot),
 ``norm-divergence`` (the norm error over a grid of sample sizes) and
 ``population`` (the deterministic population block at each rank of a grid;
-it has no replicates, so it takes no ``--threads``).
+it has no replicates, so it takes no ``--threads``). ``--threads`` spreads
+the replicates over worker threads, but each replicate's linear algebra
+also runs on the BLAS library's own threads: more than one worker pays
+only when BLAS runs one thread (``OPENBLAS_NUM_THREADS=1`` for OpenBLAS),
+and otherwise it can halve the replicates per second.
 
 Experiment configs are JSON objects that ``simlab.experiment_from_config``
 reads through ``funreg.config``: ``simlab.EXPERIMENTS`` names each
@@ -200,7 +204,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="report JSON path")
         # only the Monte Carlo experiments have replicates to spread over threads
         if "replicates" in keys:
-            p.add_argument("--threads", type=int)
+            p.add_argument(
+                "--threads", type=int,
+                help="worker threads for the replicates (default 1); more than 1 pays only "
+                "when BLAS runs one thread (e.g. OPENBLAS_NUM_THREADS=1), and can halve "
+                "throughput otherwise",
+            )
         p.set_defaults(func=cmd_simulate, threads=1)
 
     return parser

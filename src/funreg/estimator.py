@@ -49,6 +49,16 @@ from .normal import ndtri
 # recomputed from its eigenvalues and filter; the loaded fit holds the latter.
 PAYLOAD_RTOL = 1e-9
 
+# Bound on |<e_i, e_j> - delta_ij| for a fit payload's eigenvectors under
+# its grid weights, in units of sqrt(lam_1 / lam_i) sqrt(lam_1 / lam_j).
+# The p x p route's vectors are orthonormal to a few eps. The Gram route
+# maps its vectors back through the sample, which divides the solve's
+# backward error, about eps lam_1, by sqrt(lam_i lam_j). JSON round trips
+# of fresh fits on both routes (p from 21 to 1001, lam_d / lam_1 down to
+# the 1e-12 clamp) deviated by up to 6.4e-5 unscaled but at most 9.7e-16 in
+# these units; an edited vector entry or weight moves one by order 1.
+ORTHONORMALITY_TOL = 1e-9
+
 # The pivots ``prediction_interval`` can scale by, random x first.
 NORMALIZERS = ("s_hat", "t_hat")
 
@@ -210,7 +220,8 @@ def prediction_interval(
     N is s_hat for the random-predictor pivot or t_hat(x) for the
     fixed-point pivot; a zero t_hat means x carries no information from
     the retained eigenspace and is an error rather than an infinite
-    interval.
+    interval, and an x too large for t_hat or its floor to be finite is
+    refused.
     """
     if not 0 < level < 1:
         raise ValidationError(f"confidence level must be in (0, 1), got {level}")
@@ -225,12 +236,16 @@ def prediction_interval(
         scale = fit.s_hat
     else:
         dec = fit.decomposition
-        norms = normalizers(dec.eigenvalues[:fit.d_n], fit.filter,
-                            dec.eigenvectors.inner_products(x), fit.filtered_values)
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = normalizers(dec.eigenvalues[:fit.d_n], fit.filter,
+                                dec.eigenvectors.inner_products(x), fit.filtered_values)
+            # relative floor: roundoff-sized projections of x onto the
+            # retained eigenspace must not masquerade as information
+            floor = 1e-12 * norm_of(x) * norms.peak
         scale = norms.t
-        # relative floor: roundoff-sized projections of x onto the retained
-        # eigenspace must not masquerade as information
-        if scale <= 1e-12 * norm_of(x) * norms.peak:
+        if not (np.isfinite(scale) and np.isfinite(floor)):
+            raise ValidationError("t_hat normalizer overflows: the predictor x is too large")
+        if scale <= floor:
             raise DegenerateFitError(
                 "t_hat normalizer is zero: x is orthogonal to the retained eigenspace"
             )
@@ -280,11 +295,12 @@ def fit_from_dict(payload: dict) -> EstimatorFit:
     form a (d_n, p) matrix, and the eigenvalues must be finite, nonnegative
     and nonincreasing and retain exactly d_n pairs at the filter's
     threshold by ``retained_rank`` (which raises DegenerateFitError when
-    the threshold splits a tie). f(lam_j) and s_hat come from ``normalizers``
-    as in ``fit``, and the stored s_hat must agree. An uncentered fit must
-    store zero means. Every field is read with the config module's exact
-    JSON types, and the payload and its grid must hold exactly the keys
-    that ``fit_to_dict`` writes.
+    the threshold splits a tie). The eigenvectors must be orthonormal
+    under the grid weights, to ORTHONORMALITY_TOL. f(lam_j) and s_hat come
+    from ``normalizers`` as in ``fit``, and the stored s_hat must agree. An
+    uncentered fit must store zero means. Every field is read with the
+    config module's exact JSON types, and the payload and its grid must
+    hold exactly the keys that ``fit_to_dict`` writes.
     """
     where = "fit payload"
     config.section(payload, where, _FIT_KEYS)
@@ -332,6 +348,13 @@ def fit_from_dict(payload: dict) -> EstimatorFit:
         raise ValidationError(
             f"stored eigenvalues retain {retained} pairs at the threshold, but d_n = {d}"
         )
+    # written as "<=" so that a NaN, from an overflowing edited entry, fails
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.sqrt(lam_all[0] / lam_all[:d])
+        deviation = np.abs((vectors * grid.weights) @ vectors.T - np.eye(d))
+        orthonormal = np.all(deviation <= ORTHONORMALITY_TOL * np.outer(scale, scale))
+    if not orthonormal:
+        raise ValidationError(f"{where}.eigenvectors are not orthonormal under the grid weights")
     norms = normalizers(lam_all[:d], filt)
     # written as "<=" so that a NaN fails the comparison
     if not abs(stored_s_hat - norms.s) <= PAYLOAD_RTOL * norms.s:

@@ -33,9 +33,13 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Grid:
-    """Ordered abscissae with strictly positive quadrature weights."""
+    """Ordered abscissae with strictly positive quadrature weights.
+
+    Two grids are equal when their points and weights are; like the arrays
+    they hold, grids are not hashable.
+    """
 
     points: np.ndarray
     weights: np.ndarray
@@ -62,16 +66,11 @@ class Grid:
         return self.points.size
 
     def __eq__(self, other) -> bool:
-        if self is other:
-            return True
         if not isinstance(other, Grid):
             return NotImplemented
         return np.array_equal(self.points, other.points) and np.array_equal(
             self.weights, other.weights
         )
-
-    def __hash__(self):
-        return hash((self.points.tobytes(), self.weights.tobytes()))
 
 
 @dataclass(frozen=True)

@@ -364,18 +364,24 @@ class Population:
 
 def population(model: SpectralModel, filt: FilterSpec, x: Curve | None = None) -> Population:
     """The population block of ``model`` under ``filt`` (threshold filt.cn),
-    for a random new predictor or, given ``x``, at that fixed point."""
+    for a random new predictor or, given ``x``, at that fixed point. An x
+    whose ``x_rkhs_sup``, ``t_n_x`` or ``tail_bias`` overflows raises
+    ValidationError."""
     lam, rho = model.lambdas, model.rho_coeffs
     k_n = select_kn(lam, filt.cn)
-    if x is None:
-        coeffs = rkhs_sup = None
-        tail = float(np.sqrt(np.sum(lam[k_n:] * rho[k_n:] ** 2)))
-    else:
-        x_coeff = model.basis_curves.inner_products(x)
-        coeffs = x_coeff[:k_n]
-        rkhs_sup = float(np.max(x_coeff**2 / lam))
-        tail = float(np.sum(rho[k_n:] * x_coeff[k_n:]))
-    norms = normalizers(lam[:k_n], filt, coeffs)
+    # a fixed x too large for its sums is refused, not reported as Infinity
+    with np.errstate(over="ignore", invalid="ignore"):
+        if x is None:
+            coeffs = rkhs_sup = None
+            tail = float(np.sqrt(np.sum(lam[k_n:] * rho[k_n:] ** 2)))
+        else:
+            x_coeff = model.basis_curves.inner_products(x)
+            coeffs = x_coeff[:k_n]
+            rkhs_sup = float(np.max(x_coeff**2 / lam))
+            tail = float(np.sum(rho[k_n:] * x_coeff[k_n:]))
+        norms = normalizers(lam[:k_n], filt, coeffs)
+    if x is not None and not np.all(np.isfinite([rkhs_sup, norms.t, tail])):
+        raise ValidationError("fixed x is too large: x_rkhs_sup, t_n_x or tail_bias overflows")
 
     slack = 1.0 + 1e-9
     idx = np.arange(1, lam.size + 1, dtype=float)
@@ -475,7 +481,10 @@ def _replicates(model, n, filt, key, count, threads, blank, read) -> list[dict]:
             row["error"] = str(exc)
         return row
 
-    # more workers than tasks or cores only adds threads that wait
+    # more workers than tasks or cores only adds threads that wait; and each
+    # worker's eigensolve also runs on BLAS's own threads, so a pool pays only
+    # when BLAS runs one thread (OPENBLAS_NUM_THREADS=1): with BLAS at its
+    # default on 2 cores, 2 workers gave about half the replicates/s of 1
     workers = min(threads, count, os.cpu_count() or 1)
     if workers <= 1:
         return [one(rep) for rep in range(count)]
@@ -522,7 +531,8 @@ def _interval_experiment(model, x, n, cn, filt, level, replicates, seed, threads
     the s_hat pivot; otherwise it targets <rho, x> with the t_hat pivot
     and records t_hat. Both scale the standardized error by the pivot the
     interval used, and both record one ``bias`` (see the module docstring).
-    A zero fixed x, whose t_hat is zero, is refused before any replicate.
+    A zero fixed x, whose t_hat is zero, is refused before any replicate,
+    and so is one too large for the population block (``population``).
     """
     _check_run(replicates, seed, threads, level)
     if x is not None and not np.any(x.values):
@@ -604,7 +614,8 @@ def fixed_x_experiment(
 ) -> CoverageReport:
     """Interval coverage for the fixed target <rho, x> with the t_hat pivot.
 
-    A zero x raises DegenerateFitError before any replicate runs; a nonzero
+    A zero x raises DegenerateFitError, and an x too large for the
+    population block ValidationError, before any replicate runs; a nonzero
     x orthogonal to the retained eigenspace fails each replicate. Each row's
     bias is sum_{j<=d_n} g(lam_j) <rho, e_j> <e_j, x> - <rho, x>.
     """

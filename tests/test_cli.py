@@ -411,6 +411,20 @@ class TestFitFileErrors:
         assert len(err) == 1
         assert err[0].startswith("error: validation: ") and key in err[0]
 
+    @pytest.mark.parametrize("part, key", [("eigenvectors", 0), ("grid", "weights")],
+                             ids=["eigenvector-entry", "grid-weight"])
+    def test_eigenvectors_not_orthonormal_under_the_weights(self, toy_fit, tmp_path, capsys,
+                                                            part, key):
+        # each edit used to load, and t_hat then read the edited vectors
+        payload, x_path = toy_fit
+        payload[part][key][0] = 3.0
+        capsys.readouterr()
+        code = self.predict_with(payload, x_path, tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: validation: fit payload.eigenvectors are not orthonormal under the grid "
+            "weights"]
+
     def test_threshold_retaining_another_count_than_d_n(self, toy_fit, tmp_path, capsys):
         payload, x_path = toy_fit
         # the stored spectrum is (2, 0.5): cn = 1 retains one pair, not d_n = 2
@@ -803,6 +817,14 @@ def _scaled_curves(scale):
                                 for row in rows]) + "\n"
 
 
+# a fixed x, and a predictor on the three-point grid, whose coordinates are
+# finite but whose squares are not
+HUGE_X = {"kind": "coeffs", "values": [1e200, 0.0]}
+HUGE_X_CSV = "0.0,0.5,1.0\n1e200,1e200,1e200\n"
+RIDGE_FIT = ["fit", "--curves", "c.csv", "--responses", "y.csv", "--filter", "ridge",
+             "--cn", "0.01", "--alpha", "0.1", "--out", "fit.json"]
+
+
 # (argv after the input files are written, exit code); each input overflows a
 # float somewhere, and only the cn_rule one is a valid config
 OVERFLOW_CASES = [
@@ -821,19 +843,36 @@ OVERFLOW_CASES = [
     (["simulate", "fixed-x", "--config",
       base_coverage_config(noise_sd=0.1, x={"kind": "power", "beta": -1e308}),
       "--out", "out.json"], 2),
+    # a finite predictor whose squared coordinates overflow
+    (["predict", "--fit", "fit.json", "--x", "big_x.csv", "--level", "0.9",
+      "--normalizer", "t_hat"], 2),
+    (["simulate", "fixed-x", "--config",
+      {"decay": {"kind": "power", "a": 1.0}, "rho": {"kind": "finite", "coeffs": [1.0, 0.5]},
+       "noise_sd": 0.3, "L": 4, "grid_points": 21, "filter": {"kind": "truncation", "cn": 0.2},
+       "x": HUGE_X, "n": 30, "level": 0.9, "replicates": 3, "seed": 1},
+      "--out", "out.json"], 2),
+    (["simulate", "population", "--config",
+      dict(POPULATION_CONFIG, L=4, filter={"kind": "ridge", "alpha": 0.01}, k_grid=[1, 2],
+           x=HUGE_X),
+      "--out", "out.json"], 2),
 ]
 
 
 @pytest.mark.parametrize("argv, code", OVERFLOW_CASES, ids=[
     "fit-huge-responses", "fit-huge-curves", "population-huge-rho",
-    "norm-divergence-huge-cn-exponent", "coverage-huge-noise", "fixed-x-huge-power-x"])
+    "norm-divergence-huge-cn-exponent", "coverage-huge-noise", "fixed-x-huge-power-x",
+    "predict-t_hat-huge-x", "fixed-x-huge-x", "population-huge-x"])
 def test_overflow_ends_in_one_error_line_or_a_finite_report(tmp_path, capsys, monkeypatch,
                                                             argv, code):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "c.csv").write_text(THREE_POINT_CURVES)
     (tmp_path / "big_c.csv").write_text(_scaled_curves(1e200))
+    (tmp_path / "big_x.csv").write_text(HUGE_X_CSV)
     (tmp_path / "y.csv").write_text("1 2 3 4\n")
     (tmp_path / "big_y.csv").write_text("1e300 2e300 -3e300 4e300\n")
+    if argv[0] == "predict":
+        assert run(RIDGE_FIT) == 0
+        capsys.readouterr()
     argv = list(argv)
     if "--config" in argv:
         at = argv.index("--config") + 1
@@ -851,6 +890,25 @@ def test_overflow_ends_in_one_error_line_or_a_finite_report(tmp_path, capsys, mo
     else:
         assert err == []
         json.loads(out.read_text(), parse_constant=_refuse_constant)
+
+
+@pytest.mark.parametrize("interval", [[], ["--level", "0.9"]], ids=["point", "s_hat"])
+def test_huge_predictor_keeps_a_finite_point_and_s_hat_output(tmp_path, capsys, monkeypatch,
+                                                              interval):
+    # only t_hat squares the coordinates of x, so only it refuses a 1e200 curve
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.csv").write_text(THREE_POINT_CURVES)
+    (tmp_path / "y.csv").write_text("1 2 3 4\n")
+    (tmp_path / "big_x.csv").write_text(HUGE_X_CSV)
+    assert run(RIDGE_FIT) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["predict", "--fit", "fit.json", "--x", "big_x.csv", *interval]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    values = [float(v) for v in captured.out.strip().split(",")]
+    assert len(values) == 1 + 2 * bool(interval) and np.all(np.isfinite(values))
 
 
 class TestEmptyCurveFile:

@@ -82,6 +82,13 @@ class TestGridAndCurveValidation:
             make()
         assert exc.type is ValidationError
 
+    def test_grids_equal_by_value_and_never_equal_another_type(self):
+        g = unit_grid(5)
+        assert g == unit_grid(5) and g != unit_grid(6)
+        # __eq__ defers to the other operand, so the comparison is False
+        assert g.__eq__(g.points) is NotImplemented
+        assert g != "grid" and g != None  # noqa: E711
+
     def test_immutability(self):
         g = unit_grid(5)
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Modules of the package use only each other's public names, only
-``config`` calls ``open``, and the package imports and runs without scipy."""
+``config`` calls ``open``, and the package imports and runs every command
+without scipy, pytest or hypothesis, its test-only dependencies."""
 
 import ast
 import json
@@ -160,20 +161,26 @@ def test_import_does_not_load_scipy_stats():
     assert out.stdout.strip() == "[]"
 
 
+# The test-only dependencies (see pyproject.toml's test extra); an install
+# without extras has none of them.
+TEST_EXTRAS = ("scipy", "pytest", "hypothesis")
+
 # Runs funreg.cli.main on each argv of sys.argv[1] (a JSON list) in the
-# working directory, with every import of scipy made to fail, and prints
-# the exit codes, the standard output and error, and the scipy modules
-# loaded.
-BLOCKED_SCIPY_RUN = """
+# working directory, with every import of a TEST_EXTRAS package made to
+# fail, and prints the exit codes, the standard output and error, and the
+# modules of those packages that were loaded.
+BLOCKED_RUN = """
 import contextlib, io, json, sys
 
-class BlockScipy:
+BLOCKED = %r
+
+class BlockTestExtras:
     def find_spec(self, name, path=None, target=None):
-        if name == "scipy" or name.startswith("scipy."):
+        if name.split(".")[0] in BLOCKED:
             raise ImportError(f"{name} is blocked")
         return None
 
-sys.meta_path.insert(0, BlockScipy())
+sys.meta_path.insert(0, BlockTestExtras())
 from funreg import cli
 
 runs = []
@@ -182,15 +189,16 @@ for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     runs.append([code, out.getvalue(), err.getvalue()])
-loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-print(json.dumps({"runs": runs, "scipy": loaded}))
-"""
+loaded = sorted(m for m in sys.modules if m.split(".")[0] in BLOCKED)
+print(json.dumps({"runs": runs, "loaded": loaded}))
+""" % (TEST_EXTRAS,)
 
 
-def scipy_free_inputs(root: Path) -> list[list[str]]:
-    """Inputs for fit, predict (point, s_hat, t_hat) and simulate
-    coverage under ``root``, and the argv of each command; the commands
-    write their outputs to the working directory."""
+def scipy_free_inputs(root: Path) -> list[tuple[list[str], int]]:
+    """Inputs under ``root`` for fit, predict (point, s_hat, t_hat), each
+    simulate kind, and one refusal per exit code, with the argv of each
+    command and the exit code it must give; the commands write their
+    outputs to the working directory."""
     rng = np.random.default_rng(11)
     g = make_trapezoid_grid(0.0, 1.0, 9)
     values = rng.standard_normal((40, 9))
@@ -198,38 +206,57 @@ def scipy_free_inputs(root: Path) -> list[list[str]]:
     responses = values @ np.linspace(1.0, -1.0, 9) / 9 + 0.3 * rng.standard_normal(40)
     (root / "responses.csv").write_text("\n".join(repr(float(y)) for y in responses) + "\n")
     save_curves_csv(root / "x.csv", CurveMatrix(g, rng.standard_normal((1, 9))))
-    (root / "coverage_config.json").write_text(json.dumps({
+    model = {
         "decay": {"kind": "geometric", "r": 0.5},
         "rho": {"kind": "finite", "coeffs": [1.0, 0.4]},
         "noise_sd": 0.5,
         "xi": "gaussian",
         "L": 2,
         "grid_points": 21,
-        "filter": {"kind": "truncation", "cn": 0.05},
-        "n": 25,
-        "level": 0.95,
-        "replicates": 6,
-        "seed": 7,
-    }))
+    }
+    coverage = dict(model, filter={"kind": "truncation", "cn": 0.05}, n=25, level=0.95,
+                    replicates=6, seed=7)
+    configs = {
+        "coverage": ("coverage", coverage, 0),
+        "fixed_x": ("fixed-x", dict(coverage, x={"kind": "basis", "index": 1}), 0),
+        "norm_divergence": ("norm-divergence", dict(
+            model, L=10, filter={"kind": "truncation"}, n_grid=[20, 40],
+            cn_rule={"kind": "rank-power", "exponent": 0.3}, replicates=2, seed=3), 0),
+        "population": ("population", dict(
+            model, L=10, filter={"kind": "ridge", "alpha": 0.01}, k_grid=[1, 3, 5],
+            x={"kind": "basis", "index": 2}), 0),
+        # a zero fixed x is refused before any replicate, with no report
+        "zero_x": ("fixed-x", dict(coverage, x={"kind": "coeffs", "values": [0.0, 0.0]}), 3),
+        # cn below both eigenvalues of a two-curve sample leaves no residual
+        # degrees of freedom, so every replicate fails
+        "saturated": ("coverage", dict(coverage, n=2, replicates=2,
+                                       filter={"kind": "truncation", "cn": 1e-8}), 4),
+    }
     fit = ["fit", "--curves", str(root / "curves.csv"), "--responses",
            str(root / "responses.csv"), "--filter", "truncation", "--cn", "0.05", "--out", "fit.json"]
     predict = ["predict", "--fit", "fit.json", "--x", str(root / "x.csv")]
-    return [
-        fit,
-        predict,
-        predict + ["--level", "0.9", "--normalizer", "s_hat"],
-        predict + ["--level", "0.9", "--normalizer", "t_hat"],
-        ["simulate", "coverage", "--config", str(root / "coverage_config.json"), "--out", "coverage.json"],
+    commands = [
+        (fit, 0),
+        (predict, 0),
+        (predict + ["--level", "0.9", "--normalizer", "s_hat"], 0),
+        (predict + ["--level", "0.9", "--normalizer", "t_hat"], 0),
+        (predict + ["--level", "2.0"], 2),
     ]
+    for name, (kind, cfg, code) in configs.items():
+        (root / f"{name}_config.json").write_text(json.dumps(cfg))
+        commands.append((["simulate", kind, "--config", str(root / f"{name}_config.json"),
+                          "--out", f"{name}.json"], code))
+    return commands
 
 
 def test_cli_runs_with_scipy_unimportable(tmp_path, monkeypatch, capsys):
-    commands = scipy_free_inputs(tmp_path)
+    inputs = scipy_free_inputs(tmp_path)
+    commands = [argv for argv, _ in inputs]
     blocked, normal = tmp_path / "blocked", tmp_path / "normal"
     blocked.mkdir()
     normal.mkdir()
     out = subprocess.run(
-        [sys.executable, "-c", BLOCKED_SCIPY_RUN, json.dumps(commands)],
+        [sys.executable, "-c", BLOCKED_RUN, json.dumps(commands)],
         cwd=blocked,
         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
         capture_output=True,
@@ -237,7 +264,7 @@ def test_cli_runs_with_scipy_unimportable(tmp_path, monkeypatch, capsys):
         check=True,
     )
     result = json.loads(out.stdout)
-    assert result["scipy"] == []
+    assert result["loaded"] == []
 
     monkeypatch.chdir(normal)
     expected = []
@@ -246,9 +273,20 @@ def test_cli_runs_with_scipy_unimportable(tmp_path, monkeypatch, capsys):
         captured = capsys.readouterr()
         expected.append([code, captured.out, captured.err])
     assert result["runs"] == expected
-    assert [code for code, _, _ in expected] == [0] * len(commands)
+    assert [code for code, _, _ in expected] == [code for _, code in inputs]
+    # a success writes nothing to stderr, and a refusal one line of its kind
+    kinds = {2: "validation", 3: "degenerate", 4: "all-replicates-failed"}
+    for code, _, err in expected:
+        if code:
+            assert err.startswith(f"error: {kinds[code]}: ") and err.count("\n") == 1, err
+        else:
+            assert err == ""
     files = sorted(p.name for p in normal.iterdir())
-    assert files == ["coverage.csv", "coverage.json", "fit.json"]
+    assert files == [
+        "coverage.csv", "coverage.json", "fit.json", "fixed_x.csv", "fixed_x.json",
+        "norm_divergence.csv", "norm_divergence.json", "population.csv", "population.json",
+        "saturated.csv", "saturated.json",
+    ]
     assert sorted(p.name for p in blocked.iterdir()) == files
     for name in files:
         assert (blocked / name).read_bytes() == (normal / name).read_bytes(), name

@@ -578,6 +578,18 @@ class TestCoverageExperiment:
         assert rep.empirical_coverage == 1.0
         assert rep.mean_half_width < 1e-8
 
+    def test_zero_model_standardizes_its_zero_errors_to_zero(self):
+        # rho = 0 and no noise: rho_hat, sigma_hat and every error are exactly
+        # 0, so each standardized error is 0 / 0, which a row reads as 0
+        m = SpectralModel(
+            make_trapezoid_grid(0, 1, 41), EigenDecay.geometric(0.5),
+            CoeffRule.finite([0.0, 0.0]), noise_sd=0.0, L=2,
+        )
+        rep = coverage_experiment(m, n=30, cn=0.05, filt=TRUNC, level=0.95,
+                                  replicates=3, seed=1)
+        assert [r["std_error"] for r in rep.rows] == [0.0, 0.0, 0.0]
+        assert rep.empirical_coverage == 1.0 and rep.mean_half_width == 0.0
+
     def test_single_replicate_coverage_is_binary(self):
         m = smooth_model()
         cn = rank_threshold(m.lambdas, 3)
