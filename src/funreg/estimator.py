@@ -80,11 +80,15 @@ def normalizers(lam, filt: FilterSpec, coeffs=None, filtered=None) -> Normalizer
     ``filters.gain``, exactly sqrt(d) for truncation; t = sqrt(sum lam
     f(lam)^2 c_j^2) for the coordinates c_j = <x, e_j> in ``coeffs``, else
     None; and peak = max sqrt(lam) f(lam), the largest per-mode weight of t.
+    An s that underflows to zero, as every retained gain is below about
+    1.5e-154, is refused: it would give zero-width intervals.
     """
     lam = np.asarray(lam, dtype=float)
     f = filter_values(filt, lam) if filtered is None else filtered
     t = None if coeffs is None else float(np.sqrt(np.sum(lam * f**2 * coeffs**2)))
     s = float(np.sqrt(np.sum(gain(filt, lam, f) ** 2)))
+    if s == 0:
+        raise ValidationError("s_hat underflows to zero: rescale the curves")
     return Normalizers(f, s, t, float(np.max(np.sqrt(lam) * f)))
 
 

@@ -12,6 +12,7 @@ rejected rather than silently resampled.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -31,6 +32,13 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.flags.writeable = False
     return arr
+
+
+def _span_is_finite(points: np.ndarray) -> bool:
+    """Whether max - min of the finite ``points`` is finite, so that no
+    difference of two of them overflows. Python floats overflow to inf
+    without the warning a numpy subtraction gives."""
+    return math.isfinite(float(points.max()) - float(points.min()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,6 +63,8 @@ class Grid:
             raise ValidationError("a grid needs at least 2 points")
         if not np.all(np.isfinite(points)) or not np.all(np.isfinite(weights)):
             raise ValidationError("grid points and weights must be finite")
+        if not _span_is_finite(points):
+            raise ValidationError("grid points must span a finite range")
         if not np.all(np.diff(points) > 0):
             raise ValidationError("grid points must be strictly increasing")
         if not np.all(weights > 0):
@@ -203,6 +213,8 @@ def make_trapezoid_grid(a: float, b: float, p: int) -> Grid:
         raise ValidationError(f"need at least 2 grid points, got {p}")
     if not a < b:
         raise ValidationError(f"invalid interval [{a}, {b}]")
+    if not math.isfinite(float(b) - float(a)):
+        raise ValidationError(f"interval [{a}, {b}] must span a finite range")
     points = np.linspace(a, b, p)
     return Grid(points, trapezoid_weights(points))
 
@@ -251,6 +263,8 @@ def load_curves_csv(path) -> CurveMatrix:
         raise ValidationError(f"{path}: grid row needs at least 2 points, got {points.size}")
     if not np.all(np.isfinite(points)):
         raise ValidationError(f"{path}: grid points must be finite")
+    if not _span_is_finite(points):
+        raise ValidationError(f"{path}: grid points must span a finite range")
     if not np.all(np.diff(points) > 0):
         raise ValidationError(f"{path}: grid row must be strictly increasing")
     grid = Grid(points, trapezoid_weights(points))

@@ -1,17 +1,17 @@
-"""Standard normal quantile and distribution function, Cephes-style.
+"""Standard normal quantile and distribution function.
 
-``ndtri`` and ``ndtr`` (with the ``erf``/``erfc`` it calls) follow
-Stephen L. Moshier's Cephes routines, the ones ``scipy.special`` runs,
-step for step: the same branch points, the same rational approximations
-and their coefficient tables, evaluated by the ``polevl``/``p1evl``
-Horner recurrences in the C operation order. The tests check both
-functions bit-equal to ``scipy.special`` (x86_64 Linux, glibc).
+``ndtri`` follows Stephen L. Moshier's Cephes routine, the one
+``scipy.special.ndtri`` runs, step for step: the same branch points and
+rational approximations, evaluated by the ``polevl``/``p1evl`` Horner
+recurrences in the C operation order, on one Python float (which never
+fuses a multiply-add) with the C library's ``math.log`` and ``math.sqrt``;
+numpy's SIMD ``log`` need not round as the C library does. The tests
+check it bit-equal to ``scipy.special.ndtri`` (x86_64 Linux, glibc).
 
-Each value is computed on one Python float with ``math.log``,
-``math.exp`` and ``math.sqrt``, which call the C library as the compiled
-routines do, and Python float arithmetic never fuses a multiply-add.
-numpy's vectorized ``exp``/``log`` are not used: their SIMD kernels need
-not round as the C library does, which would break bit equality.
+``ndtr`` is 1/2 erfc(-a * SQRT1_2), Cephes's argument rounding, by the C
+library's ``erfc``. Its one reader is the Kolmogorov-Smirnov D of
+``simlab.normal_ks_statistic``, whose resolution is 1/n; the tests check
+it within 2**-51 of ``scipy.special.ndtr``.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ import math
 _S2PI = 2.50662827463100050242e0
 # exp(-2): ndtri's central interval is exp(-2) < y < 1 - exp(-2)
 _EXP_M2 = 0.13533528323661269189
-# log(2**1024): erfc is 0 where x^2 > MAXLOG, as exp(-x^2) underflows
-_MAXLOG = 7.09782712893383996843e2
 _SQRT1_2 = 0.70710678118654752440
 
 # ndtri's central interval, in u = y - 1/2: u + u^3 P0(u^2) / Q0(u^2)
@@ -60,38 +58,6 @@ _Q2 = (
     6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
     2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
     2.89247864745380683936e-6, 6.79019408009981274425e-9,
-)
-# erfc, 1 <= x < 8: exp(-x^2) P(x) / Q(x)
-_ERFC_P = (
-    2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
-    4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
-    9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2,
-)
-_ERFC_Q = (
-    1.0,
-    1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
-    9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
-    1.65666309194161350182e3, 5.57535340817727675546e2,
-)
-# erfc, x >= 8: exp(-x^2) R(x) / S(x)
-_ERFC_R = (
-    5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
-    6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0,
-)
-_ERFC_S = (
-    1.0,
-    2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
-    1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0,
-)
-# erf, |x| <= 1: x T(x^2) / U(x^2)
-_ERF_T = (
-    9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
-    7.00332514112805075473e3, 5.55923013010394962768e4,
-)
-_ERF_U = (
-    1.0,
-    3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
-    2.26290000613890934246e4, 4.92673942608635921086e4,
 )
 
 
@@ -136,35 +102,4 @@ def ndtri(y0: float) -> float:
 
 def ndtr(a: float) -> float:
     """Phi(a), the standard normal distribution function; NaN at NaN."""
-    if math.isnan(a):
-        return math.nan
-    x = a * _SQRT1_2
-    z = abs(x)
-    if z < _SQRT1_2:
-        return 0.5 + 0.5 * _erf(x)
-    y = 0.5 * _erfc(z)
-    return 1.0 - y if x > 0 else y
-
-
-def _erfc(x: float) -> float:
-    """Cephes erfc for x >= 1/sqrt(2), the only arguments ndtr passes, so
-    its branches for a negative argument are left out. Where exp(-x^2)
-    underflows, or the quotient does, the result is 0."""
-    if x < 1.0:
-        return 1.0 - _erf(x)
-    z = -x * x
-    if z < -_MAXLOG:
-        return 0.0
-    z = math.exp(z)
-    if x < 8.0:
-        return (z * _polevl(x, _ERFC_P)) / _polevl(x, _ERFC_Q)
-    return (z * _polevl(x, _ERFC_R)) / _polevl(x, _ERFC_S)
-
-
-def _erf(x: float) -> float:
-    """Cephes erf for |x| < 1, the only arguments ndtr and _erfc pass.
-    Cephes computes -erf(-x) for x < 0; each step is odd in x and
-    round-to-nearest is symmetric in sign, so x T(x^2) / U(x^2) is the
-    same double."""
-    z = x * x
-    return x * _polevl(z, _ERF_T) / _polevl(z, _ERF_U)
+    return 0.5 * math.erfc(-a * _SQRT1_2)

@@ -6,11 +6,10 @@ xi_l e_l with unit-variance scores, responses Y = <rho, X> + eps. All
 randomness flows from per-replicate generators derived from (seed,
 replicate index), so serial and threaded runs agree byte for byte.
 The near-normality check on the standardized errors is the two-sided
-Kolmogorov-Smirnov statistic D against N(0, 1), with no p-value. Phi is
-``funreg.normal.ndtr``, a port of Cephes ``ndtr``, and D is computed with
-``kstest``'s arithmetic, so it is bit-equal to
-``scipy.stats.kstest(errors, "norm").statistic`` (tested on x86_64 Linux,
-glibc).
+Kolmogorov-Smirnov statistic D against N(0, 1), with no p-value, computed
+with ``kstest``'s arithmetic. Phi is ``funreg.normal.ndtr``, within 2**-51
+of ``scipy.special.ndtr``; D has resolution 1/n, so it agrees with
+``scipy.stats.kstest(errors, "norm").statistic`` to about an ulp.
 
 ``population(model, filt, x)`` is what the model and the filter f (with
 its threshold cn) fix before any sample is drawn, for the true eigenpairs
@@ -512,11 +511,9 @@ def normal_ks_statistic(sample: np.ndarray) -> float:
     """Two-sided Kolmogorov-Smirnov D of ``sample`` against N(0, 1).
 
     Same arithmetic, in the same order, as ``scipy.stats.kstest(sample,
-    "norm").statistic``; no p-value is computed. Phi is Cephes ``ndtr``
-    (``funreg.normal``), the routine ``kstest`` calls through
-    ``scipy.special``, evaluated per value with ``math`` rather than with
-    numpy's SIMD ``exp``, which need not round as the C library does. The
-    tests check the two bit-equal (x86_64 Linux, glibc).
+    "norm").statistic``; no p-value is computed. Phi is ``funreg.normal.ndtr``,
+    within 2**-51 of the ``scipy.special.ndtr`` that ``kstest`` calls; the
+    tests check D bit-equal to ``kstest`` run with this Phi.
     """
     x = np.sort(sample)
     n = x.size
@@ -685,6 +682,9 @@ def norm_divergence_demo(
     ns = [int(v) for v in n_grid]
     if len(ns) < 2 or any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValidationError("n_grid must be strictly increasing with >= 2 entries")
+    # each n seeds its replicates' streams, which take no negative entropy
+    if ns[0] < 1:
+        raise ValidationError(f"n_grid entries must be >= 1, got {ns[0]}")
     _check_run(replicates, seed, threads)
 
     rho = model.rho_curve

@@ -624,6 +624,8 @@ NORM_DIVERGENCE_CONFIG = {
     "replicates": 2,
     "seed": 3,
 }
+NORM_DIVERGENCE_FIXED_CONFIG = dict(NORM_DIVERGENCE_CONFIG,
+                                    cn_rule={"kind": "fixed", "value": 0.05})
 POPULATION_CONFIG = {
     "decay": {"kind": "power", "a": 1.0},
     "rho": {"kind": "finite", "coeffs": [1.0, 0.5]},
@@ -680,6 +682,8 @@ MALFORMED_CONFIGS = [
     ("population", POPULATION_CONFIG, "filter", {"kind": "truncation", "cn": 0.1}),
     ("fixed-x", FIXED_X_CONFIG, "filter",
      {"kind": "generalized", "cn": 0.05, "alpha": 0.1, "p": HUGE_P, "variant": "A"}),
+    # each n seeds its replicates; the rank-power rule refuses n < 1 itself
+    ("norm-divergence", NORM_DIVERGENCE_FIXED_CONFIG, "n_grid", [-2, 5]),
 ]
 
 COVERAGE_HEADER = "replicate,failed,hit,center,half_width,std_error,bias,d_n,error"
@@ -826,11 +830,20 @@ RIDGE_FIT = ["fit", "--curves", "c.csv", "--responses", "y.csv", "--filter", "ri
 
 
 # (argv after the input files are written, exit code); each input overflows a
-# float somewhere, and only the cn_rule one is a valid config
+# float somewhere, or underflows s_hat, and only the cn_rule one is a valid config
 OVERFLOW_CASES = [
     (["fit", "--curves", "c.csv", "--responses", "big_y.csv", "--filter", "ridge",
       "--cn", "0.01", "--alpha", "0.1", "--out", "out.json"], 2),
     (["fit", "--curves", "big_c.csv", "--responses", "y.csv", "--filter", "ridge",
+      "--cn", "0.01", "--alpha", "0.1", "--out", "out.json"], 2),
+    # every gain of 1e-160 curves is below 1.5e-154, so s_hat = sqrt(sum g^2)
+    # underflows to zero and would give zero-width intervals
+    (["fit", "--curves", "tiny_c.csv", "--responses", "y.csv", "--filter", "ridge",
+      "--cn", "0", "--alpha", "0.1", "--out", "out.json"], 2),
+    (["fit", "--curves", "tiny_c.csv", "--responses", "y.csv", "--filter", "tikhonov",
+      "--cn", "0", "--alpha", "0.1", "--out", "out.json"], 2),
+    # grid points whose span, and so every weight, overflows
+    (["fit", "--curves", "wide_c.csv", "--responses", "y.csv", "--filter", "ridge",
       "--cn", "0.01", "--alpha", "0.1", "--out", "out.json"], 2),
     (["simulate", "population", "--config",
       dict(POPULATION_CONFIG, rho={"kind": "finite", "coeffs": [1e308, 1e308]}),
@@ -859,7 +872,8 @@ OVERFLOW_CASES = [
 
 
 @pytest.mark.parametrize("argv, code", OVERFLOW_CASES, ids=[
-    "fit-huge-responses", "fit-huge-curves", "population-huge-rho",
+    "fit-huge-responses", "fit-huge-curves", "fit-ridge-tiny-curves", "fit-tikhonov-tiny-curves",
+    "fit-huge-grid-span", "population-huge-rho",
     "norm-divergence-huge-cn-exponent", "coverage-huge-noise", "fixed-x-huge-power-x",
     "predict-t_hat-huge-x", "fixed-x-huge-x", "population-huge-x"])
 def test_overflow_ends_in_one_error_line_or_a_finite_report(tmp_path, capsys, monkeypatch,
@@ -867,6 +881,8 @@ def test_overflow_ends_in_one_error_line_or_a_finite_report(tmp_path, capsys, mo
     monkeypatch.chdir(tmp_path)
     (tmp_path / "c.csv").write_text(THREE_POINT_CURVES)
     (tmp_path / "big_c.csv").write_text(_scaled_curves(1e200))
+    (tmp_path / "tiny_c.csv").write_text(_scaled_curves(1e-160))
+    (tmp_path / "wide_c.csv").write_text("-1.7e308,1.7e308\n1,2\n3,4\n5,6\n7,8\n")
     (tmp_path / "big_x.csv").write_text(HUGE_X_CSV)
     (tmp_path / "y.csv").write_text("1 2 3 4\n")
     (tmp_path / "big_y.csv").write_text("1e300 2e300 -3e300 4e300\n")

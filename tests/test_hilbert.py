@@ -49,6 +49,11 @@ class TestMakeTrapezoidGrid:
         with pytest.raises(ValidationError):
             make_trapezoid_grid(1, 1, 5)
 
+    def test_rejects_a_span_beyond_the_float_range(self):
+        # refused before np.linspace, whose step would overflow with a warning
+        with pytest.raises(ValidationError, match="must span a finite range"):
+            make_trapezoid_grid(-1.7e308, 1.7e308, 5)
+
 
 class TestGridAndCurveValidation:
     def test_points_must_increase(self):
@@ -75,8 +80,9 @@ class TestGridAndCurveValidation:
         (lambda: Grid([[0.0, 1.0]], [[1.0, 1.0]]), "grid points and weights must be 1-d"),
         (lambda: Grid([0.0], [1.0]), "a grid needs at least 2 points"),
         (lambda: Grid([0.0, np.inf], [1.0, 1.0]), "grid points and weights must be finite"),
+        (lambda: Grid([-1.7e308, 1.7e308], [1.0, 1.0]), "grid points must span a finite range"),
         (lambda: Curve(unit_grid(3), [[0.0, 1.0, 2.0]]), "curve values must be 1-d"),
-    ], ids=["2-d-grid", "one-point-grid", "infinite-point", "2-d-curve"])
+    ], ids=["2-d-grid", "one-point-grid", "infinite-point", "overflowing-span", "2-d-curve"])
     def test_refusal_names_its_cause(self, make, message):
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$") as exc:
             make()

@@ -147,8 +147,9 @@ def test_only_config_opens_files():
 
 def test_import_does_not_load_scipy_stats():
     # scipy.special alone is about 0.3 s of a cold start (it loads
-    # numpy.f2py, numpy.testing and numpy.ma); the normal quantile and
-    # distribution function come from funreg.normal instead
+    # numpy.f2py, numpy.testing and numpy.ma); funreg.normal gives the
+    # normal quantile (a Cephes ndtri port) and distribution function
+    # (math.erfc) instead
     code = ("import sys, funreg, funreg.cli; "
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
     out = subprocess.run(
