@@ -82,17 +82,30 @@ NDTR_POINTS = sorted({
 UNDERFLOW = [s * (37.5 + k * 1.1 / 2000) for k in range(2001) for s in (1.0, -1.0)]
 
 
+def close(a: float) -> bool:
+    """ndtr(a) within 2**-51 of scipy's: the Kolmogorov-Smirnov D that reads
+    ndtr has resolution 1/n, so absolute accuracy is what counts; the largest
+    gap seen is 2**-52."""
+    return abs(ndtr(a) - special.ndtr(a)) <= 2.0**-51
+
+
 class TestNdtr:
-    def test_within_two_to_the_minus_51_of_scipy(self):
-        # the Kolmogorov-Smirnov D that reads ndtr has resolution 1/n, so
-        # absolute accuracy is what counts; the largest gap seen is 2**-52
-        rng = np.random.default_rng(2005)
-        sweep = np.concatenate([rng.uniform(-40, 40, 20000), rng.standard_normal(20000)])
-        values = NDTR_POINTS + UNDERFLOW + sweep.tolist()
-        assert [a for a in values if not abs(ndtr(a) - special.ndtr(a)) <= 2.0**-51] == []
+    @pytest.mark.parametrize("points", [NDTR_POINTS, UNDERFLOW], ids=["switches", "underflow"])
+    def test_branch_points(self, points):
+        assert [a for a in points if not close(a)] == []
 
     def test_ends(self):
         assert ndtr(math.inf) == 1.0
         assert ndtr(-math.inf) == 0.0
         for a in (math.inf, -math.inf, math.nan):
             assert same(ndtr(a), special.ndtr(a))
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(-40.0, 40.0))
+    def test_every_value(self, a):
+        assert close(a)
+
+    def test_seeded_sweep(self):
+        rng = np.random.default_rng(2005)
+        values = np.concatenate([rng.uniform(-40, 40, 20000), rng.standard_normal(20000)]).tolist()
+        assert [a for a in values if not close(a)] == []
