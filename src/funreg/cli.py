@@ -105,10 +105,6 @@ def _load_responses(path) -> np.ndarray:
 def cmd_fit(args) -> int:
     curves = load_curves_csv(args.curves)
     responses = _load_responses(args.responses)
-    if responses.size != len(curves):
-        raise ValidationError(
-            f"{responses.size} responses for {len(curves)} curves"
-        )
     spec = FilterSpec(args.filter, args.cn, alpha=args.alpha, p=args.p, variant=args.variant)
     result = fit(curves, responses, spec, center=args.center)
     save_fit(args.out, result)

@@ -118,6 +118,15 @@ def array(cfg: dict, key: str, where: str, rows: bool = False) -> np.ndarray:
 
 
 @contextmanager
+def naming(where):
+    """Prefix ``where: ``, a file or field read, to a ValidationError raised in the block."""
+    try:
+        yield
+    except ValidationError as exc:
+        raise type(exc)(f"{where}: {exc}") from None
+
+
+@contextmanager
 def open_text(path, mode: str = "r"):
     """``path`` as UTF-8 text to read ("r") or write ("w", with no newline
     translation, as csv needs); an OSError in the block is a ValidationError."""

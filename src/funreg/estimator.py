@@ -304,13 +304,22 @@ def fit_from_dict(payload: dict) -> EstimatorFit:
     from ``normalizers`` as in ``fit``, and the stored s_hat must agree. An
     uncentered fit must store zero means. Every field is read with the
     config module's exact JSON types, and the payload and its grid must
-    hold exactly the keys that ``fit_to_dict`` writes.
+    hold exactly the keys that ``fit_to_dict`` writes. A refusal of the
+    grid, a curve or the eigenvector matrix by its type names its key.
     """
     where = "fit payload"
     config.section(payload, where, _FIT_KEYS)
     config.section(payload["grid"], f"{where}.grid", ("points", "weights"))
-    grid = Grid(config.array(payload["grid"], "points", f"{where}.grid"),
-                config.array(payload["grid"], "weights", f"{where}.grid"))
+    points = config.array(payload["grid"], "points", f"{where}.grid")
+    weights = config.array(payload["grid"], "weights", f"{where}.grid")
+    with config.naming(f"{where}.grid"):
+        grid = Grid(points, weights)
+
+    def curve(key: str) -> Curve:
+        values = config.array(payload, key, where)
+        with config.naming(f"{where}.{key}"):
+            return Curve(grid, values)
+
     filt = filter_from_config(payload["filter"])
     d = config.value(payload, "d_n", where, int)
     n = config.value(payload, "n", where, int)
@@ -318,8 +327,8 @@ def fit_from_dict(payload: dict) -> EstimatorFit:
     vectors = config.array(payload, "eigenvectors", where, rows=True)
     stored_s_hat = config.value(payload, "s_hat", where, float)
     sigma = config.value(payload, "sigma_hat", where, float, None)
-    rho_hat = Curve(grid, config.array(payload, "rho_hat", where))
-    x_mean = Curve(grid, config.array(payload, "x_mean", where))
+    rho_hat = curve("rho_hat")
+    x_mean = curve("x_mean")
     centered = config.value(payload, "centered", where, bool)
     y_mean = config.value(payload, "y_mean", where, float)
     # an interval divides by sqrt(n), which needs a machine integer
@@ -346,7 +355,8 @@ def fit_from_dict(payload: dict) -> EstimatorFit:
         raise ValidationError(
             f"{where}.eigenvalues must be finite, nonnegative and nonincreasing"
         )
-    decomposition = SpectralDecomposition(lam_all, CurveMatrix(grid, vectors))
+    with config.naming(f"{where}.eigenvectors"):
+        decomposition = SpectralDecomposition(lam_all, CurveMatrix(grid, vectors))
     retained = retained_rank(lam_all, filt.cn, len(grid))
     if retained != d:
         raise ValidationError(

@@ -34,11 +34,17 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return arr
 
 
-def _span_is_finite(points: np.ndarray) -> bool:
-    """Whether max - min of the finite ``points`` is finite, so that no
-    difference of two of them overflows. Python floats overflow to inf
-    without the warning a numpy subtraction gives."""
-    return math.isfinite(float(points.max()) - float(points.min()))
+def _check_abscissae(points: np.ndarray) -> None:
+    """Refuse points that are not a grid's abscissae, before any numpy difference of
+    them: a Python float span overflows to inf without numpy's warning."""
+    if points.size < 2:
+        raise ValidationError("a grid needs at least 2 points")
+    if not np.all(np.isfinite(points)):
+        raise ValidationError("grid points and weights must be finite")
+    if not math.isfinite(float(points.max()) - float(points.min())):
+        raise ValidationError("grid points must span a finite range")
+    if not np.all(np.diff(points) > 0):
+        raise ValidationError("grid points must be strictly increasing")
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,14 +65,9 @@ class Grid:
             raise ValidationError("grid points and weights must be 1-d")
         if points.size != weights.size:
             raise ValidationError("grid points and weights must have equal length")
-        if points.size < 2:
-            raise ValidationError("a grid needs at least 2 points")
-        if not np.all(np.isfinite(points)) or not np.all(np.isfinite(weights)):
+        _check_abscissae(points)
+        if not np.all(np.isfinite(weights)):
             raise ValidationError("grid points and weights must be finite")
-        if not _span_is_finite(points):
-            raise ValidationError("grid points must span a finite range")
-        if not np.all(np.diff(points) > 0):
-            raise ValidationError("grid points must be strictly increasing")
         if not np.all(weights > 0):
             raise ValidationError("quadrature weights must be strictly positive")
         object.__setattr__(self, "points", points)
@@ -220,12 +221,13 @@ def make_trapezoid_grid(a: float, b: float, p: int) -> Grid:
 
 
 def trapezoid_weights(points: np.ndarray) -> np.ndarray:
-    """Trapezoid weights for strictly increasing abscissae.
+    """Trapezoid weights for abscissae that ``Grid`` accepts; others are refused.
 
     ``make_trapezoid_grid`` builds its weights with this function too, so
     a grid saved with ``save_curves_csv`` loads back equal.
     """
     points = np.asarray(points, dtype=float)
+    _check_abscissae(points)
     p = points.size
     h = (points[-1] - points[0]) / (p - 1)
     if np.abs(np.diff(points) - h).max() <= 1e-12 * h:
@@ -243,8 +245,9 @@ def trapezoid_weights(points: np.ndarray) -> np.ndarray:
 def load_curves_csv(path) -> CurveMatrix:
     """Read a curve matrix CSV: first row grid points, one curve per row.
 
-    Blank lines are skipped and cells may be quoted. Weights are not
-    stored in the file; trapezoid weights are rebuilt from the abscissae.
+    Blank lines are skipped and cells may be quoted. Trapezoid weights are
+    rebuilt from the abscissae. The grid and curve rows are checked as a
+    ``Grid`` and a ``CurveMatrix`` are, and a refusal names the file.
     """
     try:
         with config.open_text(path) as fh, warnings.catch_warnings():
@@ -257,30 +260,22 @@ def load_curves_csv(path) -> CurveMatrix:
         raise ValidationError(f"{path}: not a numeric curve matrix ({reason})") from None
     if rows.shape[0] < 2:
         raise ValidationError(f"{path}: need a grid row and at least one curve row")
-    points = rows[0].copy()
-    # checked before the weights, which divide by p - 1 and by the span
-    if points.size < 2:
-        raise ValidationError(f"{path}: grid row needs at least 2 points, got {points.size}")
-    if not np.all(np.isfinite(points)):
-        raise ValidationError(f"{path}: grid points must be finite")
-    if not _span_is_finite(points):
-        raise ValidationError(f"{path}: grid points must span a finite range")
-    if not np.all(np.diff(points) > 0):
-        raise ValidationError(f"{path}: grid row must be strictly increasing")
-    grid = Grid(points, trapezoid_weights(points))
-    # The matrix keeps the parsed buffer, so the file is held once, not
-    # twice as with a copy of rows[1:]: the curve rows move up over the
-    # grid row (a 1-d overlapping assignment is a memmove, with no
-    # temporary) and the last row is cut off. ``rows`` is a fresh
-    # C-contiguous array from loadtxt and no view of it is left, so the
-    # resize needs no reference check.
-    p = rows.shape[1]
-    flat = rows.reshape(-1)
-    flat[:-p] = flat[p:]
-    del flat
-    rows.resize((rows.shape[0] - 1, p), refcheck=False)
-    rows.flags.writeable = False
-    return CurveMatrix(grid, rows)
+    with config.naming(path):
+        points = rows[0].copy()
+        grid = Grid(points, trapezoid_weights(points))
+        # The matrix keeps the parsed buffer, so the file is held once, not
+        # twice as with a copy of rows[1:]: the curve rows move up over the
+        # grid row (a 1-d overlapping assignment is a memmove, with no
+        # temporary) and the last row is cut off. ``rows`` is a fresh
+        # C-contiguous array from loadtxt and no view of it is left, so the
+        # resize needs no reference check.
+        p = rows.shape[1]
+        flat = rows.reshape(-1)
+        flat[:-p] = flat[p:]
+        del flat
+        rows.resize((rows.shape[0] - 1, p), refcheck=False)
+        rows.flags.writeable = False
+        return CurveMatrix(grid, rows)
 
 
 def save_curves_csv(path, curves: CurveMatrix | list[Curve]) -> None:

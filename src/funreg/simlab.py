@@ -160,9 +160,12 @@ class CoeffRule:
                 j = np.arange(1, count + 1, dtype=float)
                 out = j ** -float(self.exponent)
             else:
+                if len(self.coeffs) > count:
+                    raise ValidationError(
+                        f"rho: at most L={count} coefficients supported, got {len(self.coeffs)}"
+                    )
                 out = np.zeros(count)
-                m = min(count, len(self.coeffs))
-                out[:m] = self.coeffs[:m]
+                out[:len(self.coeffs)] = self.coeffs
             total = np.sqrt(np.sum(out**2))
         if not np.isfinite(total):
             raise ValidationError("rho coefficients overflow: their squared norm is not finite")
@@ -885,12 +888,10 @@ def _interval_from_config(cfg: dict, threads: int) -> CoverageReport:
 
 def _norm_divergence_from_config(cfg: dict, threads: int) -> NormDivergenceReport:
     n_grid = config.numbers(cfg, "n_grid", "config", int)
-    if not n_grid:
-        raise ValidationError("n_grid must be a nonempty list")
     model = model_from_config(cfg)
     rule = cn_rule_from_config(model, cfg["cn_rule"])
     # placeholder threshold; the rule supplies the real value per n
-    filt = filter_from_config(cfg["filter"], cn=rule(n_grid[0]))
+    filt = filter_from_config(cfg["filter"], cn=model.lambdas[0])
     replicates = config.value(cfg, "replicates", "config", int)
     seed = config.value(cfg, "seed", "config", int)
     return norm_divergence_demo(model, n_grid, rule, filt, replicates, seed, threads)

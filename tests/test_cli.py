@@ -398,10 +398,22 @@ class TestFitFileErrors:
         ({"filter": {"kind": "generalized", "cn": 0.1, "alpha": 0.1, "p": HUGE_P,
                      "variant": "A"}}, "generalized filter requires integer p in [1, 1.8e308]"),
         ({"n": HUGE_P}, "payload.n must be between 2 and 2**63 - 1"),
+        # a refusal of Grid, Curve or CurveMatrix names the key it was built from
+        ({"rho_hat": [1.0]}, "fit payload.rho_hat: curve has 1 values but grid has 2 points"),
+        ({"x_mean": [0.0]}, "fit payload.x_mean: curve has 1 values but grid has 2 points"),
+        ({"grid": {"points": [2.0, 0.0], "weights": [1.0, 1.0]}},
+         "fit payload.grid: grid points must be strictly increasing"),
+        ({"grid": {"points": [0.0], "weights": [1.0]}},
+         "fit payload.grid: a grid needs at least 2 points"),
+        # JSON's Infinity reads as a float
+        ({"eigenvectors": [[float("inf"), 0.0], [0.0, 1.0]]},
+         "fit payload.eigenvectors: curve values must be finite"),
     ], ids=["unknown-key", "grid-not-an-object", "unknown-grid-key", "filtered-values",
             "string-eigenvalue", "string-rho", "string-eigenvector", "string-weight",
             "string-point", "boolean-x-mean", "boolean-rho", "uncentered-x-mean",
-            "uncentered-one-x-mean-entry", "uncentered-y-mean", "huge-p", "huge-n"])
+            "uncentered-one-x-mean-entry", "uncentered-y-mean", "huge-p", "huge-n",
+            "short-rho", "short-x-mean", "decreasing-grid", "one-point-grid",
+            "infinite-eigenvector-entry"])
     def test_unknown_or_malformed_key_is_named(self, toy_fit, tmp_path, capsys, edit, key):
         payload, x_path = toy_fit
         capsys.readouterr()
@@ -682,8 +694,27 @@ MALFORMED_CONFIGS = [
     ("population", POPULATION_CONFIG, "filter", {"kind": "truncation", "cn": 0.1}),
     ("fixed-x", FIXED_X_CONFIG, "filter",
      {"kind": "generalized", "cn": 0.05, "alpha": 0.1, "p": HUGE_P, "variant": "A"}),
-    # each n seeds its replicates; the rank-power rule refuses n < 1 itself
+    # each n seeds its replicates, so norm_divergence_demo refuses an n below 1
+    # under either threshold rule
     ("norm-divergence", NORM_DIVERGENCE_FIXED_CONFIG, "n_grid", [-2, 5]),
+    ("norm-divergence", NORM_DIVERGENCE_CONFIG, "n_grid", [0, 5]),
+    # COVERAGE_CONFIG has L = 2, and a coefficient beyond L is refused, not cut
+    ("coverage", COVERAGE_CONFIG, "rho", {"kind": "finite", "coeffs": [1.0, 0.4, 0.2]}),
+]
+# The first 35 ids are the ones these cases had when ids were built from their
+# index, kept so that no test id moves; each later case is named by its content.
+MALFORMED_CONFIG_IDS = [
+    "coverage-n-0", "coverage-replicates-1", "coverage-level-2", "coverage-L-3",
+    "coverage-grid_points-4", "coverage-noise_sd-5", "coverage-rho-6", "coverage-rho-7",
+    "coverage-rho-8", "coverage-decay-9", "coverage-decay-10", "coverage-filter-11",
+    "fixed-x-x-12", "fixed-x-x-13", "norm-divergence-cn_rule-14", "norm-divergence-cn_rule-15",
+    "norm-divergence-n_grid-16", "population-x-17", "population-x-18", "population-k_grid-19",
+    "coverage-level-20", "fixed-x-level-21", "fixed-x-level-22", "norm-divergence-filter-23",
+    "fixed-x-x-24", "fixed-x-x-25", "norm-divergence-n_grid-26", "coverage-rho-27",
+    "population-k_grid-28", "population-k_grid-29", "population-k_grid-30",
+    "population-k_grid-31", "population-filter-32", "fixed-x-filter-33",
+    "norm-divergence-n_grid-34",
+    "norm-divergence-rank-power-n_grid-below-1", "coverage-rho-longer-than-L",
 ]
 
 COVERAGE_HEADER = "replicate,failed,hit,center,half_width,std_error,bias,d_n,error"
@@ -793,10 +824,7 @@ class TestArgumentErrors:
 
 
 class TestMalformedConfigs:
-    @pytest.mark.parametrize(
-        "command,base,key,bad", MALFORMED_CONFIGS,
-        ids=[f"{c}-{k}-{i}" for i, (c, _, k, _) in enumerate(MALFORMED_CONFIGS)],
-    )
+    @pytest.mark.parametrize("command,base,key,bad", MALFORMED_CONFIGS, ids=MALFORMED_CONFIG_IDS)
     def test_exits_2_with_one_line(self, tmp_path, capsys, command, base, key, bad):
         cfg = dict(base)
         cfg_path = tmp_path / "cfg.json"
@@ -925,6 +953,65 @@ def test_huge_predictor_keeps_a_finite_point_and_s_hat_output(tmp_path, capsys, 
     assert captured.err == ""
     values = [float(v) for v in captured.out.strip().split(",")]
     assert len(values) == 1 + 2 * bool(interval) and np.all(np.isfinite(values))
+
+
+# (argv, input files beside c.csv and y.csv, the message of the one error line):
+# each check has one owner (Grid, CurveMatrix, fit, norm_divergence_demo,
+# CoeffRule), and a file reader adds only the file's name to its message
+FIT_ARGS = ["--filter", "ridge", "--cn", "0.01", "--alpha", "0.1", "--out", "out.json"]
+NAN_CURVE = "0.0,0.5,1.0\n1.0,nan,-0.3\n"
+REFUSAL_LINES = [
+    (["fit", "--curves", "c.csv", "--responses", "y3.csv", *FIT_ARGS], {"y3.csv": "1 2 3\n"},
+     "got 3 responses for 4 curves"),
+    (["fit", "--curves", "g.csv", "--responses", "y.csv", *FIT_ARGS],
+     {"g.csv": "0.0\n1.0\n2.0\n"}, "g.csv: a grid needs at least 2 points"),
+    (["fit", "--curves", "g.csv", "--responses", "y.csv", *FIT_ARGS],
+     {"g.csv": "1.0,0.5,0.0\n1.0,0.2,-0.3\n"}, "g.csv: grid points must be strictly increasing"),
+    (["fit", "--curves", "g.csv", "--responses", "y.csv", *FIT_ARGS],
+     {"g.csv": "0.0,0.5,inf\n1.0,0.2,-0.3\n"}, "g.csv: grid points and weights must be finite"),
+    (["fit", "--curves", "nan.csv", "--responses", "y.csv", *FIT_ARGS],
+     {"nan.csv": NAN_CURVE}, "nan.csv: curve values must be finite"),
+    (["predict", "--fit", "fit.json", "--x", "x.csv"], {"x.csv": NAN_CURVE},
+     "x.csv: curve values must be finite"),
+    (["simulate", "norm-divergence", "--config", "cfg.json", "--out", "out.json"],
+     {"cfg.json": dict(NORM_DIVERGENCE_CONFIG, n_grid=[])},
+     "n_grid must be strictly increasing with >= 2 entries"),
+    (["simulate", "norm-divergence", "--config", "cfg.json", "--out", "out.json"],
+     {"cfg.json": dict(NORM_DIVERGENCE_CONFIG, n_grid=[0, 5])}, "n_grid entries must be >= 1, got 0"),
+    (["simulate", "norm-divergence", "--config", "cfg.json", "--out", "out.json"],
+     {"cfg.json": dict(NORM_DIVERGENCE_FIXED_CONFIG, n_grid=[0, 5])},
+     "n_grid entries must be >= 1, got 0"),
+    (["simulate", "population", "--config", "cfg.json", "--out", "out.json"],
+     {"cfg.json": dict(POPULATION_CONFIG, L=2, k_grid=[1],
+                       rho={"kind": "finite", "coeffs": [1.0, 0.5, 0.25, 7.0]})},
+     "rho: at most L=2 coefficients supported, got 4"),
+]
+
+
+@pytest.mark.parametrize("argv, files, message", REFUSAL_LINES, ids=[
+    "fit-3-responses-for-4-curves", "csv-one-point-grid", "csv-decreasing-grid",
+    "csv-infinite-grid-point", "csv-nan-curve", "predict-nan-x", "norm-divergence-empty-n_grid",
+    "norm-divergence-rank-power-n_grid-0", "norm-divergence-fixed-n_grid-0",
+    "population-rho-longer-than-L"])
+def test_refusal_is_one_line_from_the_check_owner(tmp_path, capsys, monkeypatch, argv, files,
+                                                  message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.csv").write_text(THREE_POINT_CURVES)
+    (tmp_path / "y.csv").write_text("1 2 3 4\n")
+    for name, content in files.items():
+        (tmp_path / name).write_text(content if isinstance(content, str) else json.dumps(content))
+    if argv[0] == "predict":
+        assert run(RIDGE_FIT) == 0
+        capsys.readouterr()
+    # a numpy warning would reach stderr beside the error line; make it fail here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.splitlines() == [f"error: validation: {message}"]
+    assert captured.out == ""
+    assert not (tmp_path / "out.json").exists() and not (tmp_path / "out.csv").exists()
 
 
 class TestEmptyCurveFile:

@@ -15,6 +15,7 @@ from funreg.hilbert import (
     make_trapezoid_grid,
     norm,
     save_curves_csv,
+    trapezoid_weights,
 )
 
 
@@ -82,7 +83,11 @@ class TestGridAndCurveValidation:
         (lambda: Grid([0.0, np.inf], [1.0, 1.0]), "grid points and weights must be finite"),
         (lambda: Grid([-1.7e308, 1.7e308], [1.0, 1.0]), "grid points must span a finite range"),
         (lambda: Curve(unit_grid(3), [[0.0, 1.0, 2.0]]), "curve values must be 1-d"),
-    ], ids=["2-d-grid", "one-point-grid", "infinite-point", "overflowing-span", "2-d-curve"])
+        # the weights are refused with the grid's messages, before they divide by p - 1
+        (lambda: trapezoid_weights([0.0]), "a grid needs at least 2 points"),
+        (lambda: trapezoid_weights([1.0, 0.5, 0.0]), "grid points must be strictly increasing"),
+    ], ids=["2-d-grid", "one-point-grid", "infinite-point", "overflowing-span", "2-d-curve",
+            "one-point-weights", "decreasing-weights"])
     def test_refusal_names_its_cause(self, make, message):
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$") as exc:
             make()

@@ -1,6 +1,7 @@
 """Modules of the package use only each other's public names, only
-``config`` calls ``open``, and the package imports and runs every command
-without scipy, pytest or hypothesis, its test-only dependencies."""
+``config`` calls ``open``, every source and test file is Python 3.10
+grammar, and the package imports and runs every command without scipy,
+pytest or hypothesis, its test-only dependencies."""
 
 import ast
 import json
@@ -10,6 +11,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import funreg
 from funreg import cli
@@ -100,6 +102,20 @@ def test_no_module_has_an_unused_import():
         and (names := unused_imports(path.read_text(encoding="utf-8")))
     }
     assert offenders == {}
+
+
+def test_every_file_parses_as_python_3_10():
+    """pyproject.toml supports Python 3.10, which the tests here do not run
+    on. Parsing with ``feature_version=(3, 10)`` catches grammar that only
+    3.11 accepts, such as ``except*``; it does not catch a call of a library
+    function or module that only 3.11 has."""
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
+    root = Path(__file__).resolve().parent.parent
+    paths = sorted([*(root / "src").rglob("*.py"), *(root / "tests").rglob("*.py")])
+    assert len(paths) > 10
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
 
 
 def open_calls(source: str) -> list[str]:

@@ -165,6 +165,11 @@ LAB_REFUSALS = [
     (lambda: generate_dataset(model_with(noise_sd=1e308), 50, replicate_rng(1)),
      "responses overflow: noise_sd is too large to simulate"),
     (lambda: experiment_from_config("variance-bound", {}), "unknown experiment 'variance-bound'"),
+    # a coefficient beyond L is refused, not cut, as curve_from_coeffs refuses it
+    (lambda: CoeffRule.finite([1.0, 0.5, 0.25, 7.0]).values(2),
+     "rho: at most L=2 coefficients supported, got 4"),
+    # norm_divergence_demo refuses such an n first; the rule refuses it for other callers
+    (lambda: rank_power_cn_rule(model_with(), 1 / 3)(0), "sample size must be >= 1, got 0"),
 ]
 
 
@@ -172,7 +177,7 @@ LAB_REFUSALS = [
     "decay-kind", "power-no-exponent", "finite-no-coeffs", "coefficient-kind",
     "normalize-zeros", "rho-overflow", "power-rho-overflow", "L=0", "decay-underflow",
     "clustered-grid", "too-many-coefficients", "infinite-coefficient", "power-x-overflow", "n=0",
-    "noise-overflow", "unknown-experiment"])
+    "noise-overflow", "unknown-experiment", "rho-longer-than-L", "rank-power-n=0"])
 def test_lab_refusal_names_its_cause(call, message):
     # a warning would be an error here: each refusal is the one signal
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$") as exc:
