@@ -320,7 +320,7 @@ def fit_from_dict(payload: dict) -> EstimatorFit:
         with config.naming(f"{where}.{key}"):
             return Curve(grid, values)
 
-    filt = filter_from_config(payload["filter"])
+    filt = filter_from_config(payload["filter"], where=f"{where}.filter")
     d = config.value(payload, "d_n", where, int)
     n = config.value(payload, "n", where, int)
     lam_all = config.array(payload, "eigenvalues", where)

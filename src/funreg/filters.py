@@ -171,23 +171,25 @@ def h3_sup_deviation(spec: FilterSpec) -> float:
     return float(1.0 - gain(spec, spec.cn, filter_values(spec, spec.cn)))
 
 
-def filter_from_config(cfg: dict, cn: float | None = None) -> FilterSpec:
+def filter_from_config(cfg: dict, cn: float | None = None, where: str = "filter") -> FilterSpec:
     """Build a FilterSpec from its JSON fragment, rejecting unknown keys.
 
     An explicit ``cn`` argument supplies the threshold (used when a
     threshold rule gives the cutoff per sample size), and the fragment may
-    then not hold a ``cn`` of its own.
+    then not hold a ``cn`` of its own. Every refusal names ``where``, the
+    fragment's dotted path, once.
     """
-    where = "filter"
     required = ("kind", "cn") if cn is None else ("kind",)
     config.section(cfg, where, required, ("alpha", "p", "variant"))
-    return FilterSpec(
+    args = dict(
         kind=config.value(cfg, "kind", where, str),
         cn=config.value(cfg, "cn", where, float) if cn is None else float(cn),
         alpha=config.value(cfg, "alpha", where, float, None),
         p=config.value(cfg, "p", where, int, None),
         variant=config.value(cfg, "variant", where, str, None),
     )
+    with config.naming(where):
+        return FilterSpec(**args)
 
 
 def filter_to_config(spec: FilterSpec) -> dict:

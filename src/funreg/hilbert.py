@@ -209,14 +209,16 @@ def norm(f: Curve) -> float:
 
 
 def make_trapezoid_grid(a: float, b: float, p: int) -> Grid:
-    """Uniform grid on [a, b] with trapezoid-rule weights."""
-    if p < 2:
-        raise ValidationError(f"need at least 2 grid points, got {p}")
-    if not a < b:
-        raise ValidationError(f"invalid interval [{a}, {b}]")
+    """Uniform grid on [a, b] with trapezoid-rule weights; ``Grid`` refuses
+    fewer than 2 points and a >= b."""
     if not math.isfinite(float(b) - float(a)):
-        raise ValidationError(f"interval [{a}, {b}] must span a finite range")
-    points = np.linspace(a, b, p)
+        raise ValidationError("grid points must span a finite range")
+    try:
+        points = np.linspace(a, b, max(p, 0))
+    except (MemoryError, ValueError, IndexError):
+        # numpy's refusals of a size it cannot allocate; from 2**63 - 1 to
+        # 2**64 - 1 points linspace fails with an IndexError
+        raise ValidationError(f"cannot allocate a grid of {p} points") from None
     return Grid(points, trapezoid_weights(points))
 
 

@@ -312,7 +312,11 @@ def generate_dataset(
     """n i.i.d. pairs (X_i, Y_i) with Y = <rho, X> + Normal(0, noise_sd^2)."""
     if n < 1:
         raise ValidationError("need n >= 1")
-    xi = _draw_xi(rng, model.xi_law, (n, model.L))
+    try:
+        xi = _draw_xi(rng, model.xi_law, (n, model.L))
+    except (MemoryError, ValueError):
+        # numpy's refusals of a size it cannot allocate
+        raise ValidationError(f"cannot allocate a sample of {n} curves") from None
     values = (xi * np.sqrt(model.lambdas)) @ model.basis
     # fresh rows, so the matrix holds them without a copy
     values.flags.writeable = False

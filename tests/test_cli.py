@@ -395,8 +395,10 @@ class TestFitFileErrors:
         ({"x_mean": [5.0, 5.0]}, "payload.x_mean must be zero in an uncentered fit"),
         ({"x_mean": [0.0, -3.0]}, "payload.x_mean must be zero in an uncentered fit"),
         ({"y_mean": 7.0}, "payload.y_mean must be zero in an uncentered fit"),
+        # a refusal of the filter names it by its dotted path, once
         ({"filter": {"kind": "generalized", "cn": 0.1, "alpha": 0.1, "p": HUGE_P,
-                     "variant": "A"}}, "generalized filter requires integer p in [1, 1.8e308]"),
+                     "variant": "A"}},
+         "fit payload.filter: generalized filter requires integer p in [1, 1.8e308]"),
         ({"n": HUGE_P}, "payload.n must be between 2 and 2**63 - 1"),
         # a refusal of Grid, Curve or CurveMatrix names the key it was built from
         ({"rho_hat": [1.0]}, "fit payload.rho_hat: curve has 1 values but grid has 2 points"),
@@ -408,12 +410,19 @@ class TestFitFileErrors:
         # JSON's Infinity reads as a float
         ({"eigenvectors": [[float("inf"), 0.0], [0.0, 1.0]]},
          "fit payload.eigenvectors: curve values must be finite"),
+        ({"filter": {"kind": "bogus", "cn": 0.1}},
+         "fit payload.filter: unknown filter kind 'bogus'"),
+        ({"filter": {"kind": "truncation", "cn": 0.1, "extra": 1}},
+         "fit payload.filter: unknown config keys ['extra']"),
+        ({"filter": {"kind": "ridge", "cn": 0.1, "alpha": "x"}},
+         "fit payload.filter.alpha must be a finite number, got 'x'"),
     ], ids=["unknown-key", "grid-not-an-object", "unknown-grid-key", "filtered-values",
             "string-eigenvalue", "string-rho", "string-eigenvector", "string-weight",
             "string-point", "boolean-x-mean", "boolean-rho", "uncentered-x-mean",
             "uncentered-one-x-mean-entry", "uncentered-y-mean", "huge-p", "huge-n",
             "short-rho", "short-x-mean", "decreasing-grid", "one-point-grid",
-            "infinite-eigenvector-entry"])
+            "infinite-eigenvector-entry", "unknown-filter-kind", "unknown-filter-key",
+            "string-filter-alpha"])
     def test_unknown_or_malformed_key_is_named(self, toy_fit, tmp_path, capsys, edit, key):
         payload, x_path = toy_fit
         capsys.readouterr()
@@ -700,6 +709,13 @@ MALFORMED_CONFIGS = [
     ("norm-divergence", NORM_DIVERGENCE_CONFIG, "n_grid", [0, 5]),
     # COVERAGE_CONFIG has L = 2, and a coefficient beyond L is refused, not cut
     ("coverage", COVERAGE_CONFIG, "rho", {"kind": "finite", "coeffs": [1.0, 0.4, 0.2]}),
+    # sizes whose first array is beyond the 2**47-byte user address space, so
+    # numpy refuses each before it touches a page
+    ("population", POPULATION_CONFIG, "grid_points", 10**15),
+    ("population", POPULATION_CONFIG, "grid_points", 10**30),
+    ("fixed-x", FIXED_X_CONFIG, "n", 10**14),
+    ("fixed-x", FIXED_X_CONFIG, "n", 10**30),
+    ("norm-divergence", NORM_DIVERGENCE_CONFIG, "n_grid", [20, 10**14]),
 ]
 # The first 35 ids are the ones these cases had when ids were built from their
 # index, kept so that no test id moves; each later case is named by its content.
@@ -715,6 +731,8 @@ MALFORMED_CONFIG_IDS = [
     "population-k_grid-31", "population-filter-32", "fixed-x-filter-33",
     "norm-divergence-n_grid-34",
     "norm-divergence-rank-power-n_grid-below-1", "coverage-rho-longer-than-L",
+    "population-grid_points-1e15", "population-grid_points-1e30", "fixed-x-n-1e14",
+    "fixed-x-n-1e30", "norm-divergence-n_grid-1e14",
 ]
 
 COVERAGE_HEADER = "replicate,failed,hit,center,half_width,std_error,bias,d_n,error"
@@ -985,6 +1003,20 @@ REFUSAL_LINES = [
      {"cfg.json": dict(POPULATION_CONFIG, L=2, k_grid=[1],
                        rho={"kind": "finite", "coeffs": [1.0, 0.5, 0.25, 7.0]})},
      "rho: at most L=2 coefficients supported, got 4"),
+    # a grid_points fault reads as the CSV grid row above, without a file name
+    *[(["simulate", "population", "--config", "cfg.json", "--out", "out.json"],
+       {"cfg.json": dict(POPULATION_CONFIG, grid_points=points)}, "a grid needs at least 2 points")
+      for points in (1, 0, -3)],
+    # a refusal of the filter names it once
+    (["simulate", "coverage", "--config", "cfg.json", "--out", "out.json"],
+     {"cfg.json": dict(COVERAGE_CONFIG, filter={"kind": "ridge", "cn": 0.05})},
+     "filter: ridge requires alpha > 0"),
+    (["simulate", "coverage", "--config", "cfg.json", "--out", "out.json"],
+     {"cfg.json": dict(COVERAGE_CONFIG, filter={"kind": "bogus", "cn": 0.05})},
+     "filter: unknown filter kind 'bogus'"),
+    (["simulate", "coverage", "--config", "cfg.json", "--out", "out.json"],
+     {"cfg.json": dict(COVERAGE_CONFIG, filter={"kind": "ridge", "cn": 0.05, "alpha": "x"})},
+     "filter.alpha must be a finite number, got 'x'"),
 ]
 
 
@@ -992,7 +1024,8 @@ REFUSAL_LINES = [
     "fit-3-responses-for-4-curves", "csv-one-point-grid", "csv-decreasing-grid",
     "csv-infinite-grid-point", "csv-nan-curve", "predict-nan-x", "norm-divergence-empty-n_grid",
     "norm-divergence-rank-power-n_grid-0", "norm-divergence-fixed-n_grid-0",
-    "population-rho-longer-than-L"])
+    "population-rho-longer-than-L", "grid_points-1", "grid_points-0", "grid_points-negative",
+    "ridge-without-alpha", "unknown-filter-kind", "string-filter-alpha"])
 def test_refusal_is_one_line_from_the_check_owner(tmp_path, capsys, monkeypatch, argv, files,
                                                   message):
     monkeypatch.chdir(tmp_path)

@@ -42,12 +42,13 @@ class TestMakeTrapezoidGrid:
         g = make_trapezoid_grid(0, 2, 5)
         assert g.weights.sum() == pytest.approx(2.0, rel=1e-12)
 
+    # Grid's rule refuses these, in the words of a grid row read from a CSV
     def test_rejects_single_point(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^a grid needs at least 2 points$"):
             make_trapezoid_grid(0, 1, 1)
 
     def test_rejects_empty_interval(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^grid points must be strictly increasing$"):
             make_trapezoid_grid(1, 1, 5)
 
     def test_rejects_a_span_beyond_the_float_range(self):

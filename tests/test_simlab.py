@@ -170,6 +170,17 @@ LAB_REFUSALS = [
      "rho: at most L=2 coefficients supported, got 4"),
     # norm_divergence_demo refuses such an n first; the rule refuses it for other callers
     (lambda: rank_power_cn_rule(model_with(), 1 / 3)(0), "sample size must be >= 1, got 0"),
+    # Grid's rule refuses a >= b for make_trapezoid_grid too
+    (lambda: make_trapezoid_grid(1.0, 0.0, 5), "grid points must be strictly increasing"),
+    # sizes whose first array is beyond the 2**47-byte user address space, so
+    # numpy refuses each before it touches a page; np.linspace fails with an
+    # IndexError from 2**63 - 1 points
+    (lambda: make_trapezoid_grid(0.0, 1.0, 10**15),
+     "cannot allocate a grid of 1000000000000000 points"),
+    (lambda: make_trapezoid_grid(0.0, 1.0, 2**63 - 1),
+     "cannot allocate a grid of 9223372036854775807 points"),
+    (lambda: generate_dataset(model_with(), 10**14, replicate_rng(1)),
+     "cannot allocate a sample of 100000000000000 curves"),
 ]
 
 
@@ -177,7 +188,9 @@ LAB_REFUSALS = [
     "decay-kind", "power-no-exponent", "finite-no-coeffs", "coefficient-kind",
     "normalize-zeros", "rho-overflow", "power-rho-overflow", "L=0", "decay-underflow",
     "clustered-grid", "too-many-coefficients", "infinite-coefficient", "power-x-overflow", "n=0",
-    "noise-overflow", "unknown-experiment", "rho-longer-than-L", "rank-power-n=0"])
+    "noise-overflow", "unknown-experiment", "rho-longer-than-L", "rank-power-n=0",
+    "decreasing-interval", "grid-of-1e15-points", "grid-of-2**63-1-points",
+    "sample-of-1e14-curves"])
 def test_lab_refusal_names_its_cause(call, message):
     # a warning would be an error here: each refusal is the one signal
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$") as exc:
@@ -1043,6 +1056,23 @@ class TestNormDivergence:
                                        replicates=30, seed=13)
             errors.append(rep.rows[0]["mean_norm_error"])
         assert errors[0] < errors[1] < errors[2]
+
+    @pytest.mark.parametrize("a, exponent, seed", [
+        (2.0, 2.0, 1), (2.0, 2.0, 2), (1.0, 3.0, 1), (1.0, 3.0, 2),
+    ], ids=["lambda-j^-3-seed-1", "lambda-j^-3-seed-2", "lambda-j^-2-seed-1",
+            "lambda-j^-2-seed-2"])
+    def test_norm_error_diverges_as_the_rank_grows(self, a, exponent, seed):
+        # the abstract's negative result: no CLT in norm. With k_n ~ n^(1/3),
+        # sqrt(n) ||rho_hat - rho|| / s_hat grows with n, as the mean of
+        # 1 / lambda_j over the retained ranks does
+        m = SpectralModel(make_trapezoid_grid(0.0, 1.0, 101), EigenDecay.power(a),
+                          CoeffRule.power(exponent, normalize=True), noise_sd=0.5, L=50)
+        rep = norm_divergence_demo(m, [200, 800, 3200], rank_power_cn_rule(m, 1 / 3), TRUNC,
+                                   replicates=60, seed=seed)
+        means = [row["mean_normalized"] for row in rep.rows]
+        assert [row["n_failed"] for row in rep.rows] == [0, 0, 0]
+        assert means[0] < means[1] < means[2]
+        assert rep.diverging
 
     def test_requires_increasing_grid(self):
         m = smooth_model()
