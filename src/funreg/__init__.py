@@ -20,10 +20,7 @@ from .hilbert import (
     norm,
     save_curves_csv,
 )
-from .covariance import (
-    SpectralDecomposition,
-    eigendecompose,
-)
+from .covariance import eigendecompose
 from .filters import (
     FilterSpec,
     filter_values,

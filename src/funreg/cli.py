@@ -136,7 +136,7 @@ def cmd_simulate(args) -> int:
     _write_rows_csv(_csv_path(args.out), report.rows)
     if report.all_failed:
         print(
-            f"error: all-replicates-failed: all {report.replicates} replicates failed;"
+            f"error: all-replicates-failed: all {report.attempted} replicates failed;"
             f" see {args.out}",
             file=sys.stderr,
         )

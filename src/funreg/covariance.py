@@ -44,15 +44,13 @@ widening d_n over the cluster instead would silently move the threshold.
 
 Samples enter as a ``CurveMatrix``; ``fit`` stacks a list of curves once
 by ``CurveMatrix.of``, which also checks that they share one grid. The
-eigenvectors of a decomposition are one ``CurveMatrix`` holding a
-leading prefix of the pairs, one row per pair: its rows are
+eigenvectors ``eigendecompose`` returns are one ``CurveMatrix`` holding
+a leading prefix of the pairs, one row per pair: its rows are
 ``eigenvectors.values``, its grid ``eigenvectors.grid``, and the
 coordinates <h, e_j> of a curve are ``eigenvectors.inner_products(h)``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,39 +92,20 @@ def retained_rank(lam: np.ndarray, cn: float, p: int) -> int:
     return d
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """The full spectrum of the weighted covariance operator and a leading
-    prefix of its eigenvectors.
-
-    Eigenvalues are descending. When n >= p there are p of them, with the
-    finite-rank tail clamped to exact zeros; when n < p only the positive
-    ones are held (the sample rank, at most n) and the null space is
-    omitted. Every caller reads only positive pairs, so the two forms
-    agree. ``eigenvectors`` holds the vectors of the d_n retained pairs
-    (``retained_rank``) as the rows of one matrix, orthonormal under the
-    quadrature product with a deterministic sign convention.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: CurveMatrix
-
-    def __post_init__(self):
-        lam = np.array(self.eigenvalues, dtype=float)
-        lam.flags.writeable = False
-        object.__setattr__(self, "eigenvalues", lam)
-        if len(self.eigenvectors) > lam.size:
-            raise ValidationError("more eigenvectors than eigenvalues")
-
-
-def eigendecompose(sample: CurveMatrix, cn: float) -> SpectralDecomposition:
+def eigendecompose(sample: CurveMatrix, cn: float) -> tuple[np.ndarray, CurveMatrix]:
     """Eigensystem of h -> sum_j w_j K(., t_j) h(t_j) under the weighted
     product, with K = X'X / n for the rows X of ``sample`` as given.
 
-    Solved on the p x p matrix when n >= p and on the n x n Gram matrix
-    when n < p (see the module docstring); the latter keeps only the
-    positive eigenvalues. Only the d_n pairs that ``retained_rank`` keeps
-    at ``cn`` get their vector (cn = 0 keeps every positive pair);
+    Returns ``(eigenvalues, eigenvectors)``, both read-only. The
+    eigenvalues are descending. Solved on the p x p matrix when n >= p,
+    there are p of them, with the finite-rank tail clamped to exact
+    zeros; solved on the n x n Gram matrix when n < p (see the module
+    docstring), only the positive ones are held (the sample rank, at most
+    n) and the null space is omitted. Every caller reads only positive
+    pairs, so the two forms agree. ``eigenvectors`` holds the vectors of
+    the d_n pairs that ``retained_rank`` keeps at ``cn`` (cn = 0 keeps
+    every positive pair) as the rows of one matrix, orthonormal under the
+    quadrature product with a deterministic sign convention;
     ``retained_rank`` raises DegenerateFitError when there is none, on
     either route, or when cn splits a tie.
     """
@@ -176,5 +155,5 @@ def eigendecompose(sample: CurveMatrix, cn: float) -> SpectralDecomposition:
     peak = u[np.arange(held), np.argmax(np.abs(u), axis=1)]
     u[peak < 0] *= -1
     u.flags.writeable = False
-
-    return SpectralDecomposition(eigenvalues=lam, eigenvectors=CurveMatrix(grid, u))
+    lam.flags.writeable = False
+    return lam, CurveMatrix(grid, u)

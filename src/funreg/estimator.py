@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import config
-from .covariance import SpectralDecomposition, eigendecompose, retained_rank
+from .covariance import eigendecompose, retained_rank
 from .errors import DegenerateFitError, ValidationError
 from .filters import FilterSpec, filter_from_config, filter_to_config, filter_values, gain
 from .hilbert import Curve, CurveMatrix, Grid, ensure_same_grid, inner_product
@@ -95,14 +95,16 @@ def normalizers(lam, filt: FilterSpec, coeffs=None, filtered=None) -> Normalizer
 @dataclass(frozen=True)
 class EstimatorFit:
     """Fitted coefficient curve, f(lam_j) of its d_n retained eigenvalues,
-    normalizers and provenance."""
+    normalizers, the spectrum that ``eigendecompose`` returns (every
+    eigenvalue, and the vectors of the d_n retained pairs) and provenance."""
 
     rho_hat: Curve
     filtered_values: np.ndarray
     s_hat: float
     sigma_hat: float
     n: int
-    decomposition: SpectralDecomposition
+    eigenvalues: np.ndarray
+    eigenvectors: CurveMatrix
     filter: FilterSpec
     centered: bool
     x_mean: Curve
@@ -121,6 +123,12 @@ def predict(fit: EstimatorFit, x: Curve) -> float:
     return inner_product(fit.rho_hat, x)
 
 
+def check_sample_size(n: int) -> None:
+    """Refuse a sample of fewer than 2 curves, the fewest ``fit`` takes."""
+    if n < 2:
+        raise ValidationError("need at least 2 observations to fit")
+
+
 def fit(
     sample: CurveMatrix | list[Curve],
     responses,
@@ -131,15 +139,14 @@ def fit(
 
     Centering (the default) subtracts the empirical means from both the
     curves and the responses before forming the moment equation; disable
-    it for data that is centered by construction. The fit's decomposition
-    holds every eigenvalue and the eigenvectors of the d_n retained pairs;
-    a threshold that splits tied eigenvalues raises DegenerateFitError
-    (see ``covariance``).
+    it for data that is centered by construction. The fit holds every
+    eigenvalue and the eigenvectors of the d_n retained pairs; a threshold
+    that splits tied eigenvalues raises DegenerateFitError (see
+    ``covariance``).
     """
     sample = CurveMatrix.of(sample)
     n = len(sample)
-    if n < 2:
-        raise ValidationError("need at least 2 observations to fit")
+    check_sample_size(n)
     y = np.asarray(responses, dtype=float)
     if y.ndim != 1 or y.size != n:
         raise ValidationError(f"got {y.size} responses for {n} curves")
@@ -164,10 +171,9 @@ def fit(
         yc = y - y_mean
         delta = Curve(grid, sample.values.T @ yc / n)
 
-        decomposition = eigendecompose(sample, filt.cn)
-        vectors = decomposition.eigenvectors
+        lam, vectors = eigendecompose(sample, filt.cn)
         d = len(vectors)
-        norms = normalizers(decomposition.eigenvalues[:d], filt)
+        norms = normalizers(lam[:d], filt)
         rho = Curve(grid, (norms.filtered * vectors.inner_products(delta)) @ vectors.values)
 
         if n > d:
@@ -185,7 +191,8 @@ def fit(
         s_hat=norms.s,
         sigma_hat=sigma,
         n=n,
-        decomposition=decomposition,
+        eigenvalues=lam,
+        eigenvectors=vectors,
         filter=filt,
         centered=center,
         x_mean=x_mean,
@@ -239,10 +246,9 @@ def prediction_interval(
     if normalizer == "s_hat":
         scale = fit.s_hat
     else:
-        dec = fit.decomposition
         with np.errstate(over="ignore", invalid="ignore"):
-            norms = normalizers(dec.eigenvalues[:fit.d_n], fit.filter,
-                                dec.eigenvectors.inner_products(x), fit.filtered_values)
+            norms = normalizers(fit.eigenvalues[:fit.d_n], fit.filter,
+                                fit.eigenvectors.inner_products(x), fit.filtered_values)
             # relative floor: roundoff-sized projections of x onto the
             # retained eigenspace must not masquerade as information
             floor = 1e-12 * norm_of(x) * norms.peak
@@ -283,8 +289,8 @@ def fit_to_dict(fit: EstimatorFit) -> dict:
             "weights": fit.rho_hat.grid.weights.tolist(),
         },
         "rho_hat": fit.rho_hat.values.tolist(),
-        "eigenvalues": fit.decomposition.eigenvalues.tolist(),
-        "eigenvectors": fit.decomposition.eigenvectors.values.tolist(),
+        "eigenvalues": fit.eigenvalues.tolist(),
+        "eigenvectors": fit.eigenvectors.values.tolist(),
         "centered": fit.centered,
         "x_mean": fit.x_mean.values.tolist(),
         "y_mean": fit.y_mean,
@@ -294,8 +300,8 @@ def fit_to_dict(fit: EstimatorFit) -> dict:
 def fit_from_dict(payload: dict) -> EstimatorFit:
     """Rebuild a fit from fit_to_dict output.
 
-    The decomposition holds every stored eigenvalue and the d_n stored
-    eigenvectors, the same form as a fresh fit's. The eigenvectors must
+    The fit holds every stored eigenvalue and the d_n stored eigenvectors,
+    the same form as a fresh fit's. The eigenvectors must
     form a (d_n, p) matrix, and the eigenvalues must be finite, nonnegative
     and nonincreasing and retain exactly d_n pairs at the filter's
     threshold by ``retained_rank`` (which raises DegenerateFitError when
@@ -356,7 +362,7 @@ def fit_from_dict(payload: dict) -> EstimatorFit:
             f"{where}.eigenvalues must be finite, nonnegative and nonincreasing"
         )
     with config.naming(f"{where}.eigenvectors"):
-        decomposition = SpectralDecomposition(lam_all, CurveMatrix(grid, vectors))
+        eigenvectors = CurveMatrix(grid, vectors)
     retained = retained_rank(lam_all, filt.cn, len(grid))
     if retained != d:
         raise ValidationError(
@@ -379,7 +385,8 @@ def fit_from_dict(payload: dict) -> EstimatorFit:
         s_hat=norms.s,
         sigma_hat=float("nan") if sigma is None else sigma,
         n=n,
-        decomposition=decomposition,
+        eigenvalues=lam_all,
+        eigenvectors=eigenvectors,
         filter=filt,
         centered=centered,
         x_mean=x_mean,

@@ -77,7 +77,7 @@ import numpy as np
 
 from . import config
 from .errors import DegenerateFitError, ValidationError
-from .estimator import fit, normalizers, prediction_interval
+from .estimator import check_sample_size, fit, normalizers, prediction_interval
 from .filters import FilterSpec, filter_from_config, gain, h3_sup_deviation, select_kn
 from .hilbert import (
     Curve,
@@ -451,11 +451,19 @@ class CoverageReport:
         return out
 
     @property
+    def attempted(self) -> int:
+        """The replicates the run fitted."""
+        return self.replicates
+
+    @property
     def all_failed(self) -> bool:
         return self.n_failed == self.replicates
 
 
-def _check_run(replicates: int, seed: int, threads: int, level: float | None = None) -> None:
+def _check_run(n: int, replicates: int, seed: int, threads: int,
+               level: float | None = None) -> None:
+    """Refuse a run before its first replicate; ``n`` is its smallest sample."""
+    check_sample_size(n)
     if level is not None and not 0 < level < 1:
         raise ValidationError(f"confidence level must be in (0, 1), got {level}")
     if replicates < 1:
@@ -538,7 +546,7 @@ def _interval_experiment(model, x, n, cn, filt, level, replicates, seed, threads
     A zero fixed x, whose t_hat is zero, is refused before any replicate,
     and so is one too large for the population block (``population``).
     """
-    _check_run(replicates, seed, threads, level)
+    _check_run(n, replicates, seed, threads, level)
     if x is not None and not np.any(x.values):
         raise DegenerateFitError("x is the zero curve: its t_hat normalizer is zero")
     filt = replace(filt, cn=cn)
@@ -558,9 +566,8 @@ def _interval_experiment(model, x, n, cn, filt, level, replicates, seed, threads
         row["hit"] = _interval_hit(iv.lo, iv.hi, target, iv.center)
         row["std_error"] = _standardized(n, iv.center - target, ft.sigma_hat * iv.normalizer)
         # what a noise-free refit would predict, less the target
-        dec = ft.decomposition
-        g = gain(ft.filter, dec.eigenvalues[: ft.d_n], ft.filtered_values)
-        coords = dec.eigenvectors.inner_products
+        g = gain(ft.filter, ft.eigenvalues[: ft.d_n], ft.filtered_values)
+        coords = ft.eigenvectors.inner_products
         refit = np.sum(g * coords(model.rho_curve) * coords(x_new))
         row["bias"] = float(refit - target)
         if x is not None:
@@ -642,6 +649,11 @@ class NormDivergenceReport:
     to_dict = _as_dict
 
     @property
+    def attempted(self) -> int:
+        """The replicates the run fitted: ``replicates`` at each sample size."""
+        return self.replicates * len(self.rows)
+
+    @property
     def all_failed(self) -> bool:
         """Every replicate failed at every sample size."""
         return all(row["n_failed"] == self.replicates for row in self.rows)
@@ -689,10 +701,7 @@ def norm_divergence_demo(
     ns = [int(v) for v in n_grid]
     if len(ns) < 2 or any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValidationError("n_grid must be strictly increasing with >= 2 entries")
-    # each n seeds its replicates' streams, which take no negative entropy
-    if ns[0] < 1:
-        raise ValidationError(f"n_grid entries must be >= 1, got {ns[0]}")
-    _check_run(replicates, seed, threads)
+    _check_run(ns[0], replicates, seed, threads)
 
     rho = model.rho_curve
 
@@ -932,7 +941,8 @@ def experiment_from_config(name: str, cfg, threads: int = 1):
     are then read in a fixed order, so a config with several faults always
     reports the same first one. ``threads`` spreads the replicates of a
     Monte Carlo experiment. Every report gives ``to_dict()``, its rows-CSV
-    ``rows`` and ``all_failed``.
+    ``rows`` and ``all_failed``, and a Monte Carlo one the count of
+    replicates it ``attempted``.
     """
     if name not in EXPERIMENTS:
         raise ValidationError(f"unknown experiment {name!r}")

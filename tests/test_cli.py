@@ -458,6 +458,22 @@ class TestFitFileErrors:
         assert err == ["error: validation: stored eigenvalues retain 1 pairs at the "
                        "threshold, but d_n = 2"]
 
+    @pytest.mark.parametrize("eigenvalues, line", [
+        ([2.0], "validation: stored eigenvalues retain 1 pairs at the threshold, but d_n = 2"),
+        ([0.05], "degenerate: threshold exceeds spectrum: no eigenvalue retained"),
+    ], ids=["retained-at-the-threshold", "below-the-threshold"])
+    def test_fewer_eigenvalues_than_eigenvector_rows(self, toy_fit, tmp_path, capsys,
+                                                      eigenvalues, line):
+        # the pairs the stored eigenvalues retain at cn = 0.1 are counted
+        # against d_n, the number of eigenvector rows
+        payload, x_path = toy_fit
+        assert (len(payload["eigenvectors"]), payload["filter"]["cn"]) == (2, 0.1)
+        payload["eigenvalues"] = eigenvalues
+        capsys.readouterr()
+        code = self.predict_with(payload, x_path, tmp_path)
+        assert code == (2 if line.startswith("validation") else 3)
+        assert capsys.readouterr().err.splitlines() == [f"error: {line}"]
+
     def test_unedited_payload_still_predicts(self, toy_fit, tmp_path, capsys):
         payload, x_path = toy_fit
         capsys.readouterr()
@@ -703,8 +719,8 @@ MALFORMED_CONFIGS = [
     ("population", POPULATION_CONFIG, "filter", {"kind": "truncation", "cn": 0.1}),
     ("fixed-x", FIXED_X_CONFIG, "filter",
      {"kind": "generalized", "cn": 0.05, "alpha": 0.1, "p": HUGE_P, "variant": "A"}),
-    # each n seeds its replicates, so norm_divergence_demo refuses an n below 1
-    # under either threshold rule
+    # a sample of fewer than 2 curves cannot be fitted, so the lab refuses it
+    # before the first replicate, under either threshold rule
     ("norm-divergence", NORM_DIVERGENCE_FIXED_CONFIG, "n_grid", [-2, 5]),
     ("norm-divergence", NORM_DIVERGENCE_CONFIG, "n_grid", [0, 5]),
     # COVERAGE_CONFIG has L = 2, and a coefficient beyond L is refused, not cut
@@ -716,6 +732,10 @@ MALFORMED_CONFIGS = [
     ("fixed-x", FIXED_X_CONFIG, "n", 10**14),
     ("fixed-x", FIXED_X_CONFIG, "n", 10**30),
     ("norm-divergence", NORM_DIVERGENCE_CONFIG, "n_grid", [20, 10**14]),
+    # one curve per sample, which every replicate's fit would refuse
+    ("coverage", COVERAGE_CONFIG, "n", 1),
+    ("fixed-x", FIXED_X_CONFIG, "n", 1),
+    ("norm-divergence", NORM_DIVERGENCE_CONFIG, "n_grid", [1, 40]),
 ]
 # The first 35 ids are the ones these cases had when ids were built from their
 # index, kept so that no test id moves; each later case is named by its content.
@@ -732,7 +752,8 @@ MALFORMED_CONFIG_IDS = [
     "norm-divergence-n_grid-34",
     "norm-divergence-rank-power-n_grid-below-1", "coverage-rho-longer-than-L",
     "population-grid_points-1e15", "population-grid_points-1e30", "fixed-x-n-1e14",
-    "fixed-x-n-1e30", "norm-divergence-n_grid-1e14",
+    "fixed-x-n-1e30", "norm-divergence-n_grid-1e14", "coverage-n-1", "fixed-x-n-1",
+    "norm-divergence-n_grid-1",
 ]
 
 COVERAGE_HEADER = "replicate,failed,hit,center,half_width,std_error,bias,d_n,error"
@@ -754,7 +775,7 @@ ROWS_CSV_HEADERS = [
     ("population", POPULATION_X_CONFIG, 0,
      "k,cn,k_n,s_n,t_n_x,tail_bias,h3_sup,first_pairwise_violation,first_tail_violation"),
     # a threshold above the whole spectrum fails every replicate at every n
-    ("norm-divergence", dict(NORM_DIVERGENCE_CONFIG, n_grid=[1, 2],
+    ("norm-divergence", dict(NORM_DIVERGENCE_CONFIG, n_grid=[2, 3],
                              cn_rule={"kind": "fixed", "value": 50.0}), 4,
      "n,cn,mean_norm_error,mean_normalized,mean_d_n,n_failed"),
 ]
@@ -779,8 +800,10 @@ def test_all_failed_run_prints_one_error_line(tmp_path, capsys, command, cfg):
     out = tmp_path / "r.json"
     assert run(["simulate", command, "--config", cfg_path, "--out", out]) == 4
     replicates = json.loads(out.read_text())["replicates"]
+    # norm-divergence fits its replicates at each n of its grid
+    attempted = replicates * len(cfg["n_grid"]) if command == "norm-divergence" else replicates
     assert capsys.readouterr().err.splitlines() == [
-        f"error: all-replicates-failed: all {replicates} replicates failed; see {out}"
+        f"error: all-replicates-failed: all {attempted} replicates failed; see {out}"
     ]
 
 
@@ -995,10 +1018,11 @@ REFUSAL_LINES = [
      {"cfg.json": dict(NORM_DIVERGENCE_CONFIG, n_grid=[])},
      "n_grid must be strictly increasing with >= 2 entries"),
     (["simulate", "norm-divergence", "--config", "cfg.json", "--out", "out.json"],
-     {"cfg.json": dict(NORM_DIVERGENCE_CONFIG, n_grid=[0, 5])}, "n_grid entries must be >= 1, got 0"),
+     {"cfg.json": dict(NORM_DIVERGENCE_CONFIG, n_grid=[0, 5])},
+     "need at least 2 observations to fit"),
     (["simulate", "norm-divergence", "--config", "cfg.json", "--out", "out.json"],
      {"cfg.json": dict(NORM_DIVERGENCE_FIXED_CONFIG, n_grid=[0, 5])},
-     "n_grid entries must be >= 1, got 0"),
+     "need at least 2 observations to fit"),
     (["simulate", "population", "--config", "cfg.json", "--out", "out.json"],
      {"cfg.json": dict(POPULATION_CONFIG, L=2, k_grid=[1],
                        rho={"kind": "finite", "coeffs": [1.0, 0.5, 0.25, 7.0]})},

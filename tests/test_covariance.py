@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -9,7 +11,6 @@ from unittest import mock
 from funreg import estimator
 from funreg.covariance import (
     EIGENVALUE_CLAMP,
-    SpectralDecomposition,
     cluster_tolerance,
     eigendecompose,
     retained_rank,
@@ -63,11 +64,11 @@ def operator_action(sample, h):
     return Curve(h.grid, kernel(sample) @ (h.grid.weights * h.values))
 
 
-def held_kernel(dec):
+def held_kernel(lam, vectors):
     """sum_j lam_j e_j e_j' over the held pairs: K itself when every
     positive pair is held."""
-    e = dec.eigenvectors.values
-    return (e.T * dec.eigenvalues[: len(e)]) @ e
+    e = vectors.values
+    return (e.T * lam[: len(e)]) @ e
 
 
 def sorted_clamped_eigh(sym):
@@ -113,26 +114,27 @@ def per_column_vectors(lam, vec, w):
 
 class TestEmpiricalCovariance:
     """The kernel K = X'X / n that ``eigendecompose`` solves for, read back
-    from the decomposition as sum_j lam_j e_j e_j'."""
+    from the spectrum as sum_j lam_j e_j e_j'."""
 
     def test_single_curve_outer_product(self):
         g = unit_weight_grid()
         x = Curve(g, [3.0, -1.0])
-        dec = eigendecompose(CurveMatrix.of([x]), 0.0)
-        assert np.allclose(held_kernel(dec), np.outer(x.values, x.values))
+        spectrum = eigendecompose(CurveMatrix.of([x]), 0.0)
+        assert np.allclose(held_kernel(*spectrum), np.outer(x.values, x.values))
 
     def test_hand_example_diagonal(self):
         g, sample = toy_sample()
-        assert np.allclose(held_kernel(eigendecompose(CurveMatrix.of(sample), 0.0)), np.diag([2.0, 0.5]))
+        spectrum = eigendecompose(CurveMatrix.of(sample), 0.0)
+        assert np.allclose(held_kernel(*spectrum), np.diag([2.0, 0.5]))
 
     def test_positive_semidefinite_pairing(self):
         g, sample = random_sample(6, 9, seed=3)
-        dec = eigendecompose(centered_rows(sample), 0.0)
-        assert np.all(dec.eigenvalues >= 0)
+        lam, vectors = eigendecompose(centered_rows(sample), 0.0)
+        assert np.all(lam >= 0)
         rng = np.random.default_rng(7)
         for _ in range(5):
             h = Curve(g, rng.standard_normal(9))
-            action = Curve(g, held_kernel(dec) @ (g.weights * h.values))
+            action = Curve(g, held_kernel(lam, vectors) @ (g.weights * h.values))
             assert inner_product(action, h) >= -1e-12
 
     def test_empty_sample_rejected(self):
@@ -149,12 +151,12 @@ class TestEmpiricalCovariance:
         _, sample = toy_sample()
         y = [2.0, 1.0]
         filt = FilterSpec("truncation", 1e-9)
-        raw = fit(sample, y, filt, center=False).decomposition
-        cen = fit(sample, y, filt, center=True).decomposition
-        assert not np.allclose(held_kernel(raw), held_kernel(cen))
+        raw, cen = (fit(sample, y, filt, center=center) for center in (False, True))
+        assert not np.allclose(held_kernel(raw.eigenvalues, raw.eigenvectors),
+                               held_kernel(cen.eigenvalues, cen.eigenvectors))
         vals = np.stack([c.values for c in sample])
         vals = vals - vals.mean(axis=0)
-        assert np.allclose(held_kernel(cen), vals.T @ vals / 2)
+        assert np.allclose(held_kernel(cen.eigenvalues, cen.eigenvectors), vals.T @ vals / 2)
         # the fit solves on (X'X/n + its transpose)/2 of the centered rows,
         # bit for bit
         lam, _ = dense_solve(CurveMatrix(sample[0].grid, vals))
@@ -200,12 +202,6 @@ class TestCrossCovariance:
 
 
 class TestEigendecompose:
-    def test_more_eigenvectors_than_eigenvalues_is_refused(self):
-        vectors = CurveMatrix(unit_weight_grid(), [[1.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(ValidationError, match="^more eigenvectors than eigenvalues$") as exc:
-            SpectralDecomposition(np.array([1.0]), vectors)
-        assert exc.type is ValidationError
-
     def test_an_overflowing_covariance_is_refused_without_a_warning(self):
         # each product of two entries near 1e200 overflows on both routes
         for n in (4, 2):
@@ -213,81 +209,94 @@ class TestEigendecompose:
             with pytest.raises(ValidationError, match="^sample covariance overflows"):
                 eigendecompose(rows, 0.0)
 
+    def test_an_eigensolver_failure_is_one_validation_line(self, tmp_path, capsys):
+        def fail(matrix):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        message = "eigensolver failed: Eigenvalues did not converge"
+        g, sample = random_sample(6, 4, seed=1)
+        save_curves_csv(tmp_path / "curves.csv", CurveMatrix.of(sample))
+        (tmp_path / "y.csv").write_text("1.0\n" * 6)
+        capsys.readouterr()
+        with mock.patch.object(np.linalg, "eigh", fail):
+            with pytest.raises(ValidationError) as raised:
+                eigendecompose(CurveMatrix.of(sample), 0.0)
+            code = cli.main(["fit", "--curves", str(tmp_path / "curves.csv"),
+                             "--responses", str(tmp_path / "y.csv"), "--filter", "truncation",
+                             "--cn", "0.1", "--out", str(tmp_path / "fit.json")])
+        assert raised.type is ValidationError and str(raised.value) == message
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: validation: {message}"]
+        assert not (tmp_path / "fit.json").exists()
+
     def test_diagonal_kernel_unit_weights(self):
         g = unit_weight_grid()
         # rows (2, 0) and (0, 1) give the kernel diag(2, 0.5)
         rows = CurveMatrix(g, [[2.0, 0.0], [0.0, 1.0]])
         assert np.array_equal(kernel(rows), np.diag([2.0, 0.5]))
-        dec = eigendecompose(rows, 0.0)
-        assert np.allclose(dec.eigenvalues, [2.0, 0.5])
-        assert np.allclose(np.abs(dec.eigenvectors.values), np.eye(2), atol=1e-12)
+        lam, vectors = eigendecompose(rows, 0.0)
+        assert np.allclose(lam, [2.0, 0.5])
+        assert np.allclose(np.abs(vectors.values), np.eye(2), atol=1e-12)
 
     def test_rank_one_unit_norm_curve(self):
         g = make_trapezoid_grid(0.0, 1.0, 21)
         u = Curve(g, np.sin(2 * np.pi * g.points))
         u = u * (1.0 / norm(u))
-        dec = eigendecompose(CurveMatrix.of([u]), 0.0)
-        assert dec.eigenvalues[0] == pytest.approx(1.0, rel=1e-10)
-        assert np.all(dec.eigenvalues[1:] <= 1e-12)
+        lam, _ = eigendecompose(CurveMatrix.of([u]), 0.0)
+        assert lam[0] == pytest.approx(1.0, rel=1e-10)
+        assert np.all(lam[1:] <= 1e-12)
 
     def test_reconstruction_matches_operator_action(self):
         g, sample = random_sample(12, 6, seed=2)
         rows = centered_rows(sample)
-        dec = eigendecompose(rows, 0.0)
+        lam, vectors = eigendecompose(rows, 0.0)
         rng = np.random.default_rng(4)
         for _ in range(4):
             h = Curve(g, rng.standard_normal(6))
-            action = ((dec.eigenvalues * dec.eigenvectors.inner_products(h))
-                      @ dec.eigenvectors.values)
+            action = (lam * vectors.inner_products(h)) @ vectors.values
             assert norm(Curve(g, action) - operator_action(rows, h)) < 1e-8
 
     def test_orthonormal_under_weighted_product(self):
         g, sample = random_sample(10, 7, seed=9)
-        dec = eigendecompose(centered_rows(sample), 0.0)
-        gram = np.array(
-            [
-                [inner_product(a, b) for b in dec.eigenvectors]
-                for a in dec.eigenvectors
-            ]
-        )
+        _, vectors = eigendecompose(centered_rows(sample), 0.0)
+        gram = np.array([[inner_product(a, b) for b in vectors] for a in vectors])
         assert np.abs(gram - np.eye(7)).max() < 1e-8
 
     def test_eigenvector_equation(self):
         g, sample = random_sample(9, 5, seed=14)
         rows = centered_rows(sample)
-        dec = eigendecompose(rows, 0.0)
-        for lam, e in zip(dec.eigenvalues, dec.eigenvectors):
+        for lam, e in zip(*eigendecompose(rows, 0.0)):
             assert norm(operator_action(rows, e) - lam * e) < 1e-8
 
     def test_matches_dense_generalized_solve(self):
         # oracle: eigenvalues of the non-symmetric matrix K W solved densely
         g, sample = random_sample(20, 8, seed=21)
         rows = centered_rows(sample)
-        dec = eigendecompose(rows, 0.0)
+        lam, _ = eigendecompose(rows, 0.0)
         raw = scipy.linalg.eig(kernel(rows) @ np.diag(g.weights))
         oracle = np.sort(raw[0].real)[::-1]
-        assert np.allclose(dec.eigenvalues, oracle, rtol=1e-10, atol=1e-12)
+        assert np.allclose(lam, oracle, rtol=1e-10, atol=1e-12)
 
     def test_trace_identity_after_centering(self):
         g, sample = random_sample(15, 9, seed=8)
-        dec = eigendecompose(centered_rows(sample), 0.0)
+        lam, _ = eigendecompose(centered_rows(sample), 0.0)
         mean = np.mean([c.values for c in sample], axis=0)
         centered = [Curve(g, c.values - mean) for c in sample]
         avg_sq = np.mean([norm(c) ** 2 for c in centered])
-        assert dec.eigenvalues.sum() == pytest.approx(avg_sq, rel=1e-8)
+        assert lam.sum() == pytest.approx(avg_sq, rel=1e-8)
 
     def test_rank_bounded_by_sample_size(self):
         g, sample = random_sample(3, 10, seed=6)
-        dec = eigendecompose(CurveMatrix.of(sample), 0.0)
-        assert np.count_nonzero(dec.eigenvalues > 1e-12 * dec.eigenvalues[0]) <= 3
+        lam, _ = eigendecompose(CurveMatrix.of(sample), 0.0)
+        assert np.count_nonzero(lam > 1e-12 * lam[0]) <= 3
 
     def test_sign_convention_is_deterministic(self):
         _, sample = random_sample(10, 6, seed=13)
-        d1 = eigendecompose(centered_rows(sample), 0.0)
-        d2 = eigendecompose(centered_rows(sample), 0.0)
-        for a, b in zip(d1.eigenvectors, d2.eigenvectors):
+        _, v1 = eigendecompose(centered_rows(sample), 0.0)
+        _, v2 = eigendecompose(centered_rows(sample), 0.0)
+        for a, b in zip(v1, v2):
             assert np.array_equal(a.values, b.values)
-        for e in d1.eigenvectors:
+        for e in v1:
             k = np.argmax(np.abs(e.values))
             assert e.values[k] > 0
 
@@ -298,13 +307,13 @@ class TestEigendecompose:
         for n, p, seed in ((10, 6, 13), (40, 101, 2), (5, 150, 8)):
             g, sample = random_sample(n, p, seed=seed)
             rows = centered_rows(sample)
-            dec = eigendecompose(rows, 0.0)
+            held, vectors = eigendecompose(rows, 0.0)
             lam, vec = gram_solve(rows) if n < p else dense_solve(rows)
-            assert isinstance(dec.eigenvectors, CurveMatrix)
+            assert isinstance(vectors, CurveMatrix)
             # n < p keeps the centered sample's rank, n - 1
-            assert len(dec.eigenvectors) == (n - 1 if n < p else p)
-            assert np.array_equal(dec.eigenvalues, lam)
-            assert np.array_equal(dec.eigenvectors.values, per_column_vectors(lam, vec, g.weights))
+            assert len(vectors) == (n - 1 if n < p else p)
+            assert np.array_equal(held, lam)
+            assert np.array_equal(vectors.values, per_column_vectors(lam, vec, g.weights))
 
     def test_list_and_matrix_samples_give_identical_operators(self):
         g, sample = random_sample(30, 11, seed=17)
@@ -313,7 +322,7 @@ class TestEigendecompose:
         for center in (False, True):
             a, b = (fit(s, y, FilterSpec("truncation", 1e-9), center=center)
                     for s in (sample, matrix))
-            assert np.array_equal(a.decomposition.eigenvalues, b.decomposition.eigenvalues)
+            assert np.array_equal(a.eigenvalues, b.eigenvalues)
             assert np.array_equal(a.rho_hat.values, b.rho_hat.values)
 
     def test_gaps_follow_min_of_neighbors(self):
@@ -321,8 +330,8 @@ class TestEigendecompose:
         # four rows 2 * sqrt(lambda_j) e_j give the kernel diag(4, 2, 1, 0.5)
         rows = CurveMatrix(g, 2 * np.diag(np.sqrt([4.0, 2.0, 1.0, 0.5])))
         assert np.allclose(kernel(rows), np.diag([4.0, 2.0, 1.0, 0.5]), rtol=1e-15, atol=0)
-        dec = eigendecompose(rows, 0.0)
-        assert np.allclose(spectral_gaps(dec.eigenvalues), [2.0, 1.0, 0.5, 0.5])
+        lam, _ = eigendecompose(rows, 0.0)
+        assert np.allclose(spectral_gaps(lam), [2.0, 1.0, 0.5, 0.5])
 
     def test_malformed_rows_rejected(self):
         g = unit_weight_grid()
@@ -340,17 +349,17 @@ class TestEigendecompose:
     def test_negative_noise_eigenvalues_clamped_to_zero(self):
         # n < p: only the positive pairs are kept, never a noise pair
         g, sample = random_sample(2, 6, seed=31)
-        dec = eigendecompose(CurveMatrix.of(sample), 0.0)
-        assert 1 <= dec.eigenvalues.size <= 2
-        assert np.all(dec.eigenvalues > 0)
+        lam, _ = eigendecompose(CurveMatrix.of(sample), 0.0)
+        assert 1 <= lam.size <= 2
+        assert np.all(lam > 0)
         # n >= p: six curves in a two-dimensional span leave four noise
         # eigenvalues, clamped to exact zeros
         rng = np.random.default_rng(31)
         values = rng.standard_normal((6, 2)) @ np.stack([c.values for c in sample])
-        dec = eigendecompose(CurveMatrix(g, values), 0.0)
-        assert dec.eigenvalues.size == 6
-        assert np.all(dec.eigenvalues[:2] > 0)
-        assert np.all(dec.eigenvalues[2:] == 0.0)
+        lam, _ = eigendecompose(CurveMatrix(g, values), 0.0)
+        assert lam.size == 6
+        assert np.all(lam[:2] > 0)
+        assert np.all(lam[2:] == 0.0)
 
 
 # eigenvalue pool for the cross-route property test: repeated draws give
@@ -417,54 +426,52 @@ class TestGramRoute:
         with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
             gram = eigendecompose(sample, 0.0)
         assert eigh.call_args.args[0].shape == (n, n), "the n < p route solved the p x p kernel"
+        gram_lam, gram_vectors = gram
         # one eigenpair per positive eigenvalue: the sample rank
-        assert gram.eigenvalues.size == levels.size
-        assert np.all(gram.eigenvalues > 0)
-        np.testing.assert_allclose(gram.eigenvalues, levels, rtol=1e-10, atol=0)
+        assert gram_lam.size == levels.size
+        assert np.all(gram_lam > 0)
+        np.testing.assert_allclose(gram_lam, levels, rtol=1e-10, atol=0)
 
         lam, vec = dense_solve(sample)
-        dense = SpectralDecomposition(lam, CurveMatrix(grid, per_column_vectors(
-            lam, vec, grid.weights)))
-        assert np.count_nonzero(dense.eigenvalues > 0) == levels.size
-        for dec in (gram, dense):
-            d = retained_rank(dec.eigenvalues, filt.cn, len(grid))
+        dense_vectors = CurveMatrix(grid, per_column_vectors(lam, vec, grid.weights))
+        dense = (lam, dense_vectors)
+        assert np.count_nonzero(lam > 0) == levels.size
+        for spectrum, _ in (gram, dense):
+            d = retained_rank(spectrum, filt.cn, len(grid))
             assert d == np.count_nonzero(levels >= filt.cn)
-        np.testing.assert_allclose(gram.eigenvalues, dense.eigenvalues[:levels.size],
-                                   rtol=1e-10, atol=0)
+        np.testing.assert_allclose(gram_lam, lam[:levels.size], rtol=1e-10, atol=0)
         # gaps inside a tie are roundoff: compare on the scale of lambda_1
-        assert_rel(spectral_gaps(gram.eigenvalues),
-                   spectral_gaps(dense.eigenvalues)[:levels.size], scale=levels[0])
+        assert_rel(spectral_gaps(gram_lam), spectral_gaps(lam)[:levels.size], scale=levels[0])
 
-        e_gram = gram.eigenvectors.values[:d]
-        e_dense = dense.eigenvectors.values[:d]
+        e_gram = gram_vectors.values[:d]
+        e_dense = dense_vectors.values[:d]
         assert_rel(e_gram.T @ e_gram, e_dense.T @ e_dense)
 
         # the filtered inverse of each solve applied to Delta_n
         delta = Curve(grid, sample.values.T @ y / n)
         rho = []
-        for dec in (gram, dense):
-            f = normalizers(dec.eigenvalues[:d], filt).filtered
-            rho.append((f * dec.eigenvectors.inner_products(delta)[:d])
-                       @ dec.eigenvectors.values[:d])
+        for spectrum, vectors in (gram, dense):
+            f = normalizers(spectrum[:d], filt).filtered
+            rho.append((f * vectors.inner_products(delta)[:d]) @ vectors.values[:d])
         assert_rel(rho[0], rho[1])
 
         # a fit holds the vectors of the d retained pairs only, mapped back
-        # from the same Gram solve as the full decomposition's
-        held = eigendecompose(sample, filt.cn)
-        assert len(held.eigenvectors) == d
-        assert np.array_equal(held.eigenvalues, gram.eigenvalues)
-        assert_rel(held.eigenvectors.values, gram.eigenvectors.values[:d])
-        rho_held = (normalizers(held.eigenvalues[:d], filt).filtered
-                    * held.eigenvectors.inner_products(delta)) @ held.eigenvectors.values
+        # from the same Gram solve as the full spectrum's
+        held_lam, held = eigendecompose(sample, filt.cn)
+        assert len(held) == d
+        assert np.array_equal(held_lam, gram_lam)
+        assert_rel(held.values, gram_vectors.values[:d])
+        rho_held = (normalizers(held_lam[:d], filt).filtered
+                    * held.inner_products(delta)) @ held.values
         assert_rel(rho_held, rho[1])
         if n >= 2:
             # fit takes the Gram route to the same estimate
             ft = fit(sample, y, filt, center=False)
-            assert len(ft.decomposition.eigenvectors) == ft.d_n == d
-            assert np.array_equal(ft.decomposition.eigenvalues, gram.eigenvalues)
+            assert len(ft.eigenvectors) == ft.d_n == d
+            assert np.array_equal(ft.eigenvalues, gram_lam)
             assert np.array_equal(ft.rho_hat.values, rho_held)
-        pivots = [normalizers(dec.eigenvalues[:d], filt, dec.eigenvectors.inner_products(x)[:d])
-                  for dec in (gram, dense)]
+        pivots = [normalizers(spectrum[:d], filt, vectors.inner_products(x)[:d])
+                  for spectrum, vectors in (gram, dense)]
         assert_rel(pivots[0].s, pivots[1].s)
         assert_rel(pivots[0].t, pivots[1].t)
 
@@ -495,10 +502,10 @@ class TestGramRoute:
         # n = p solves the p x p matrix and keeps every pair
         g, sample = random_sample(6, 6, seed=4)
         with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
-            dec = eigendecompose(centered_rows(sample), 0.0)
+            lam, _ = eigendecompose(centered_rows(sample), 0.0)
         assert eigh.call_args.args[0].shape == (6, 6)
-        assert dec.eigenvalues.size == 6
-        assert dec.eigenvalues[-1] == 0.0
+        assert lam.size == 6
+        assert lam[-1] == 0.0
 
 
 # (n, p) on each side of the route choice: p x p when n >= p, Gram when n < p
@@ -516,19 +523,30 @@ class TestHeldPrefix:
     @pytest.mark.parametrize("n, p", ROUTES)
     def test_fit_holds_the_retained_vectors_and_the_full_spectrum(self, n, p):
         sample, y = self.problem(n, p)
-        full = eigendecompose(sample, 0.0)
-        cn = float(np.sqrt(full.eigenvalues[3] * full.eigenvalues[4]))
+        lam, vectors = eigendecompose(sample, 0.0)
+        cn = float(np.sqrt(lam[3] * lam[4]))
         filt = FilterSpec("ridge", cn, alpha=0.05)
         ft = fit(sample, y, filt, center=False)
         assert ft.d_n == 4
-        assert len(ft.decomposition.eigenvectors) == ft.d_n
-        assert np.array_equal(ft.decomposition.eigenvalues, full.eigenvalues)
-        assert_rel(ft.decomposition.eigenvectors.values, full.eigenvectors.values[:4])
+        assert len(ft.eigenvectors) == ft.d_n
+        assert np.array_equal(ft.eigenvalues, lam)
+        assert_rel(ft.eigenvectors.values, vectors.values[:4])
+
+    @pytest.mark.parametrize("n, p", ROUTES)
+    def test_the_spectrum_is_read_only_fresh_and_loaded(self, n, p):
+        sample, y = self.problem(n, p)
+        lam, vectors = eigendecompose(sample, 0.0)
+        ft = fit(sample, y, FilterSpec("ridge", float(lam[3]), alpha=0.05), center=False)
+        back = estimator.fit_from_dict(json.loads(json.dumps(estimator.fit_to_dict(ft))))
+        for held in (lam, vectors, ft.eigenvalues, ft.eigenvectors, back.eigenvalues,
+                     back.eigenvectors):
+            values = held.values if isinstance(held, CurveMatrix) else held
+            assert not values.flags.writeable
 
     @pytest.mark.parametrize("n, p", ROUTES)
     def test_threshold_above_the_spectrum_is_degenerate(self, n, p):
         sample, y = self.problem(n, p)
-        cn = 2 * float(eigendecompose(sample, 0.0).eigenvalues[0])
+        cn = 2 * float(eigendecompose(sample, 0.0)[0][0])
         with pytest.raises(DegenerateFitError, match="no eigenvalue retained"):
             eigendecompose(sample, cn)
         with pytest.raises(DegenerateFitError, match="no eigenvalue retained"):
@@ -537,13 +555,13 @@ class TestHeldPrefix:
     @pytest.mark.parametrize("n, p", ROUTES)
     def test_a_threshold_tied_with_an_eigenvalue_holds_its_vector(self, n, p):
         sample, y = self.problem(n, p)
-        full = eigendecompose(sample, 0.0)
-        cn = float(full.eigenvalues[2])
-        assert full.eigenvalues[3] < cn
-        assert len(eigendecompose(sample, cn).eigenvectors) == 3
+        lam, vectors = eigendecompose(sample, 0.0)
+        cn = float(lam[2])
+        assert lam[3] < cn
+        assert len(eigendecompose(sample, cn)[1]) == 3
         ft = fit(sample, y, FilterSpec("truncation", cn), center=False)
         assert ft.d_n == 3
-        assert_rel(ft.decomposition.eigenvectors.values, full.eigenvectors.values[:3])
+        assert_rel(ft.eigenvectors.values, vectors.values[:3])
 
     def test_centering_keeps_one_centered_array_and_the_mean(self, monkeypatch):
         g, sample = random_sample(7, 5, seed=3)
@@ -586,7 +604,7 @@ class TestTiedCutoff:
     @staticmethod
     def split_threshold(sample):
         """The top eigenvalue, a threshold that keeps lambda_1 alone."""
-        lam = eigendecompose(sample, 0.0).eigenvalues
+        lam, _ = eigendecompose(sample, 0.0)
         # the tie is broken by roundoff alone, within the cluster tolerance
         assert 0 < lam[0] - lam[1] <= cluster_tolerance(lam[0], len(sample.grid))
         return float(lam[0])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from funreg import cli, estimator
-from funreg.covariance import SpectralDecomposition, eigendecompose, retained_rank
+from funreg.covariance import eigendecompose, retained_rank
 from funreg.errors import DegenerateFitError, FunregError, GridMismatchError, ValidationError
 from funreg.estimator import (
     NORMALIZERS,
@@ -65,11 +65,10 @@ class TestRegularizedInverse:
 
     def test_truncation_reciprocals_on_diagonal_spectrum(self):
         sample, ft = toy_fit()
-        dec = ft.decomposition
         assert np.allclose(ft.filtered_values, [0.5, 2.0])
         # Delta_n = (1/n) sum_i Y_i X_i = (2, 0.5)
         delta = Curve(ft.rho_hat.grid, [2.0, 0.5])
-        for f, e in zip(ft.filtered_values, dec.eigenvectors):
+        for f, e in zip(ft.filtered_values, ft.eigenvectors):
             assert inner_product(ft.rho_hat, e) == pytest.approx(f * inner_product(delta, e))
 
     def test_ridge_coefficient(self):
@@ -83,16 +82,16 @@ class TestRegularizedInverse:
 
     def test_rank_zero_is_an_error(self):
         g, sample, _ = gaussian_sample(5, 6, seed=4)
-        dec = eigendecompose(centered_rows(sample), 0.0)
+        lam, _ = eigendecompose(centered_rows(sample), 0.0)
         with pytest.raises(DegenerateFitError):
-            fit(sample, np.ones(5), FilterSpec("truncation", dec.eigenvalues[0] * 2))
+            fit(sample, np.ones(5), FilterSpec("truncation", lam[0] * 2))
 
     def test_rank_matches_effective_rank(self):
         g, sample, _ = gaussian_sample(12, 6, seed=5)
-        dec = eigendecompose(centered_rows(sample), 0.0)
-        spec = FilterSpec("truncation", dec.eigenvalues[2])
+        lam, _ = eigendecompose(centered_rows(sample), 0.0)
+        spec = FilterSpec("truncation", lam[2])
         ft = fit(sample, np.ones(12), spec)
-        assert ft.d_n == retained_rank(dec.eigenvalues, spec.cn, len(g)) == 3
+        assert ft.d_n == retained_rank(lam, spec.cn, len(g)) == 3
         assert ft.filtered_values.size == 3
 
 
@@ -105,12 +104,12 @@ class TestFit:
 
     def test_noiseless_recovery_on_retained_span(self):
         g, sample, rng = gaussian_sample(40, 10, seed=7)
-        dec = eigendecompose(CurveMatrix.of(sample), 0.0)
-        rho = dec.eigenvectors[0] * 0.8 + dec.eigenvectors[1] * (-0.3)
+        lam, vectors = eigendecompose(CurveMatrix.of(sample), 0.0)
+        rho = vectors[0] * 0.8 + vectors[1] * (-0.3)
         y = [inner_product(rho, x) for x in sample]
-        ft = fit(sample, y, FilterSpec("truncation", dec.eigenvalues[2]), center=False)
+        ft = fit(sample, y, FilterSpec("truncation", lam[2]), center=False)
         for j in range(ft.d_n):
-            err = inner_product(ft.rho_hat - rho, dec.eigenvectors[j])
+            err = inner_product(ft.rho_hat - rho, vectors[j])
             assert abs(err) < 1e-8
 
     def test_zero_responses(self):
@@ -150,7 +149,7 @@ class TestFit:
         g, sample, rng = gaussian_sample(30, 8, seed=6)
         spec = FilterSpec("tikhonov", 1e-3, alpha=0.01)
         ft = fit(sample, rng.standard_normal(30), spec)
-        lam = ft.decomposition.eigenvalues[: ft.d_n]
+        lam = ft.eigenvalues[: ft.d_n]
         assert np.array_equal(ft.filtered_values, filter_values(spec, lam))
         assert not ft.filtered_values.flags.writeable
 
@@ -165,11 +164,11 @@ class TestFit:
                                                                             alpha=0.1))
 
     def test_one_name_per_quantity(self):
-        # the decomposition's rows and grid are its eigenvectors' own, and a
-        # fit's grid is rho_hat's
-        for cls, name in ((SpectralDecomposition, "grid"),
-                          (SpectralDecomposition, "vectors_matrix"), (EstimatorFit, "grid")):
-            assert not hasattr(cls, name)
+        # a fit's grid is rho_hat's, and its spectrum is its own two fields
+        _, ft = toy_fit()
+        for obj, name in ((EstimatorFit, "grid"), (EstimatorFit, "decomposition"),
+                          (ft, "grid"), (ft, "decomposition")):
+            assert not hasattr(obj, name)
 
     def test_saturated_fit_has_undefined_sigma(self):
         _, ft = toy_fit()
@@ -179,7 +178,7 @@ class TestFit:
         g, sample, _ = gaussian_sample(15, 8, seed=3)
         y = np.linspace(-1, 1, 15)
         ft = fit(sample, y, FilterSpec("truncation", 1e-3), center=False)
-        vm = ft.decomposition.eigenvectors.values[: ft.d_n]
+        vm = ft.eigenvectors.values[: ft.d_n]
         coeff = vm @ (g.weights * ft.rho_hat.values)
         residual = ft.rho_hat.values - coeff @ vm
         assert np.sqrt(np.sum(residual**2 * g.weights)) < 1e-8
@@ -254,25 +253,24 @@ class TestPredict:
         assert predict(ft, x_mean) == pytest.approx(y.mean(), rel=1e-10)
 
 
-def pivots(dec, spec, x=None):
-    """``normalizers`` over the pairs of ``dec`` that ``spec`` retains."""
-    d = retained_rank(dec.eigenvalues, spec.cn, len(dec.eigenvectors.grid))
-    return normalizers(dec.eigenvalues[:d], spec,
-                       None if x is None else dec.eigenvectors.inner_products(x)[:d])
+def pivots(lam, vectors, spec, x=None):
+    """``normalizers`` over the pairs of a spectrum that ``spec`` retains."""
+    d = retained_rank(lam, spec.cn, len(vectors.grid))
+    return normalizers(lam[:d], spec, None if x is None else vectors.inner_products(x)[:d])
 
 
 class TestNormalizers:
     def test_s_hat_truncation_is_sqrt_rank(self):
         g, sample, rng = gaussian_sample(30, 8, seed=6)
-        dec = eigendecompose(centered_rows(sample), 0.0)
-        spec = FilterSpec("truncation", dec.eigenvalues[3])
+        lam, _ = eigendecompose(centered_rows(sample), 0.0)
+        spec = FilterSpec("truncation", lam[3])
         assert fit(sample, rng.standard_normal(30), spec).s_hat == np.sqrt(4)
 
     def test_s_hat_ridge_example(self):
         sample = [Curve(unit_weight_grid(), [np.sqrt(2), 0.0]),
                   Curve(unit_weight_grid(), [0.0, 1.0])]
-        dec = eigendecompose(CurveMatrix.of(sample), 0.0)
-        assert np.allclose(dec.eigenvalues, [1.0, 0.5])
+        lam, _ = eigendecompose(CurveMatrix.of(sample), 0.0)
+        assert np.allclose(lam, [1.0, 0.5])
         spec = FilterSpec("ridge", 0.1, alpha=0.5)
         expected = np.sqrt((1 / 1.5) ** 2 + 0.25)
         s = fit(sample, [1.0, 1.0], spec, center=False).s_hat
@@ -281,35 +279,35 @@ class TestNormalizers:
 
     def test_s_hat_single_retained(self):
         g, sample, rng = gaussian_sample(25, 6, seed=8)
-        dec = eigendecompose(centered_rows(sample), 0.0)
-        spec = FilterSpec("tikhonov", dec.eigenvalues[0] * 0.999, alpha=0.01)
-        lam1 = dec.eigenvalues[0]
+        lam, _ = eigendecompose(centered_rows(sample), 0.0)
+        spec = FilterSpec("tikhonov", lam[0] * 0.999, alpha=0.01)
+        lam1 = lam[0]
         s = fit(sample, rng.standard_normal(25), spec).s_hat
         assert s == pytest.approx(lam1 * lam1 / (lam1**2 + 0.01))
 
     def test_t_hat_on_leading_eigenvector(self):
         g = unit_weight_grid()
         u = Curve(g, [0.5, 0.0])  # eigenvalue 0.25 via outer product
-        dec = eigendecompose(CurveMatrix.of([u]), 0.0)
-        assert dec.eigenvalues[0] == pytest.approx(0.25)
+        lam, vectors = eigendecompose(CurveMatrix.of([u]), 0.0)
+        assert lam[0] == pytest.approx(0.25)
         spec = FilterSpec("truncation", 0.01)
-        assert pivots(dec, spec, dec.eigenvectors[0]).t == pytest.approx(2.0, rel=1e-10)
+        assert pivots(lam, vectors, spec, vectors[0]).t == pytest.approx(2.0, rel=1e-10)
 
     def test_t_hat_orthogonal_xestimate_zero(self):
         g, sample, _ = gaussian_sample(20, 6, seed=12)
-        dec = eigendecompose(centered_rows(sample), 0.0)
-        spec = FilterSpec("truncation", dec.eigenvalues[2])
-        x = dec.eigenvectors[4]
-        assert pivots(dec, spec, x).t < 1e-10
+        lam, vectors = eigendecompose(centered_rows(sample), 0.0)
+        spec = FilterSpec("truncation", lam[2])
+        x = vectors[4]
+        assert pivots(lam, vectors, spec, x).t < 1e-10
 
     def test_t_hat_two_mode_example(self):
         g = Grid(np.arange(2.0), np.ones(2))
         sample = [Curve(g, [np.sqrt(2), 0.0]), Curve(g, [0.0, np.sqrt(0.5)])]
-        dec = eigendecompose(CurveMatrix.of(sample), 0.0)
-        assert np.allclose(dec.eigenvalues, [1.0, 0.25])
-        x = dec.eigenvectors[0] + dec.eigenvectors[1]
+        lam, vectors = eigendecompose(CurveMatrix.of(sample), 0.0)
+        assert np.allclose(lam, [1.0, 0.25])
+        x = vectors[0] + vectors[1]
         spec = FilterSpec("truncation", 0.01)
-        assert pivots(dec, spec, x).t == pytest.approx(2.2360, abs=1e-4)
+        assert pivots(lam, vectors, spec, x).t == pytest.approx(2.2360, abs=1e-4)
 
 
 class TestNormalizerKernel:
@@ -368,10 +366,10 @@ class TestNormalizerKernel:
 class TestSigmaHat:
     def test_noiseless(self):
         g, sample, _ = gaussian_sample(30, 8, seed=13)
-        dec = eigendecompose(CurveMatrix.of(sample), 0.0)
-        rho = dec.eigenvectors[0] * 1.5
+        lam, vectors = eigendecompose(CurveMatrix.of(sample), 0.0)
+        rho = vectors[0] * 1.5
         y = [inner_product(rho, x) for x in sample]
-        ft = fit(sample, y, FilterSpec("truncation", dec.eigenvalues[1]), center=False)
+        ft = fit(sample, y, FilterSpec("truncation", lam[1]), center=False)
         assert ft.sigma_hat < 1e-6
 
     def test_explicit_error_when_saturated(self):
@@ -428,9 +426,8 @@ class TestMatrixSampleParity:
         a = fit(sample, y, spec, center=center)
         b = fit(CurveMatrix.of(sample), y, spec, center=center)
         assert np.array_equal(a.rho_hat.values, b.rho_hat.values)
-        assert np.array_equal(a.decomposition.eigenvalues, b.decomposition.eigenvalues)
-        assert np.array_equal(a.decomposition.eigenvectors.values,
-                              b.decomposition.eigenvectors.values)
+        assert np.array_equal(a.eigenvalues, b.eigenvalues)
+        assert np.array_equal(a.eigenvectors.values, b.eigenvectors.values)
         assert np.array_equal(a.x_mean.values, b.x_mean.values)
         assert a.d_n == b.d_n
         assert a.s_hat == b.s_hat
@@ -487,7 +484,7 @@ class TestPredictionInterval:
         x = sample[2]
         assert prediction_interval(ft, x, 0.9, "s_hat").normalizer == ft.s_hat
         iv = prediction_interval(ft, x, 0.9, "t_hat")
-        assert iv.normalizer == pivots(ft.decomposition, ft.filter, x).t
+        assert iv.normalizer == pivots(ft.eigenvalues, ft.eigenvectors, ft.filter, x).t
 
     def test_width_vanishes_as_level_drops(self):
         g, sample, ft = self.make_noisy_fit()
@@ -501,10 +498,10 @@ class TestPredictionInterval:
 
     def test_noiseless_interval_degenerates(self):
         g, sample, _ = gaussian_sample(20, 6, seed=23)
-        dec = eigendecompose(CurveMatrix.of(sample), 0.0)
-        rho = dec.eigenvectors[0]
+        lam, vectors = eigendecompose(CurveMatrix.of(sample), 0.0)
+        rho = vectors[0]
         y = [inner_product(rho, x) for x in sample]
-        ft = fit(sample, y, FilterSpec("truncation", dec.eigenvalues[1]), center=False)
+        ft = fit(sample, y, FilterSpec("truncation", lam[1]), center=False)
         iv = prediction_interval(ft, sample[0], 0.95, "s_hat")
         assert iv.half_width == pytest.approx(0.0, abs=1e-10)
 
@@ -522,11 +519,11 @@ class TestPredictionInterval:
 
     def test_degenerate_t_hat_is_an_error(self):
         g, sample, _ = gaussian_sample(20, 6, seed=25)
-        dec = eigendecompose(CurveMatrix.of(sample), 0.0)
-        spec = FilterSpec("truncation", dec.eigenvalues[2])
+        lam, vectors = eigendecompose(CurveMatrix.of(sample), 0.0)
+        spec = FilterSpec("truncation", lam[2])
         y = np.linspace(0, 1, 20)
         ft = fit(sample, y, spec, center=False)
-        x = dec.eigenvectors[5]
+        x = vectors[5]
         with pytest.raises(DegenerateFitError):
             prediction_interval(ft, x, 0.95, "t_hat")
 
@@ -549,16 +546,16 @@ class TestStructuralProperties:
         y = np.array(
             [inner_product(Curve(g, np.cos(np.pi * g.points)), x) for x in sample]
         ) + 0.2 * rng.standard_normal(50)
-        dec = eigendecompose(CurveMatrix.of(sample), 0.0)
+        lam, vectors = eigendecompose(CurveMatrix.of(sample), 0.0)
         d = 4
-        ft = fit(sample, y, FilterSpec("truncation", dec.eigenvalues[d] * 1.0001),
+        ft = fit(sample, y, FilterSpec("truncation", lam[d] * 1.0001),
                  center=False)
         assert ft.d_n == d
         scores = np.array(
-            [[inner_product(x, dec.eigenvectors[j]) for j in range(d)] for x in sample]
+            [[inner_product(x, vectors[j]) for j in range(d)] for x in sample]
         )
         coef, *_ = np.linalg.lstsq(scores, y, rcond=None)
-        rho_pcr = coef @ dec.eigenvectors.values[:d]
+        rho_pcr = coef @ vectors.values[:d]
         assert np.abs(ft.rho_hat.values - rho_pcr).max() < 1e-8
 
     def test_ridge_shrinks_relative_to_truncation(self):
@@ -590,9 +587,9 @@ class TestStructuralProperties:
 
     def test_s_hat_monotone_in_retained_rank(self):
         g, sample, _ = gaussian_sample(40, 10, seed=37)
-        dec = eigendecompose(centered_rows(sample), 0.0)
+        lam, vectors = eigendecompose(centered_rows(sample), 0.0)
         values = [
-            pivots(dec, FilterSpec("ridge", dec.eigenvalues[d] * 0.9999, alpha=0.01)).s
+            pivots(lam, vectors, FilterSpec("ridge", lam[d] * 0.9999, alpha=0.01)).s
             for d in range(6)
         ]
         assert all(b >= a for a, b in zip(values, values[1:]))
@@ -653,7 +650,7 @@ class TestSerialization:
         # p = 21: n = 60 solves on the p x p matrix, n = 12 on the Gram matrix
         g, sample, rng = gaussian_sample(n + 1, 21, seed=53)
         rows, x = CurveMatrix.of(sample[:n]), sample[n]
-        lam = eigendecompose(centered_rows(rows) if center else rows, 0.0).eigenvalues
+        lam, _ = eigendecompose(centered_rows(rows) if center else rows, 0.0)
         spec = make_filter(variant, float(np.sqrt(lam[3] * lam[4])))
         ft = fit(rows, rng.standard_normal(n), spec, center=center)
         payload = json.loads(json.dumps(fit_to_dict(ft)))
@@ -669,9 +666,8 @@ class TestSerialization:
         assert (back.sigma_hat, back.n, back.filter, back.centered, back.y_mean) == (
             ft.sigma_hat, ft.n, ft.filter, ft.centered, ft.y_mean)
         # a loaded fit and a fresh one hold one form: every eigenvalue, d_n vectors
-        assert np.array_equal(back.decomposition.eigenvalues, ft.decomposition.eigenvalues)
-        assert np.array_equal(back.decomposition.eigenvectors.values,
-                              ft.decomposition.eigenvectors.values)
+        assert np.array_equal(back.eigenvalues, ft.eigenvalues)
+        assert np.array_equal(back.eigenvectors.values, ft.eigenvectors.values)
         assert predict(back, x) == predict(ft, x)
         for pivot in NORMALIZERS:
             assert prediction_interval(back, x, 0.9, pivot) == prediction_interval(ft, x, 0.9, pivot)
@@ -692,8 +688,7 @@ class TestSerialization:
         v = np.array(payload["eigenvectors"])
         assert np.abs((v * g.weights) @ v.T - np.eye(ft.d_n)).max() > 1e3 * ORTHONORMALITY_TOL
         back = fit_from_dict(payload)
-        assert np.array_equal(back.decomposition.eigenvectors.values,
-                              ft.decomposition.eigenvectors.values)
+        assert np.array_equal(back.eigenvectors.values, ft.eigenvectors.values)
 
     def test_malformed_payload(self):
         with pytest.raises(ValidationError):
@@ -784,7 +779,7 @@ def test_every_single_field_edit_loads_or_is_refused(spec, center):
 def truncation_payload():
     """The JSON of an uncentered truncation fit that keeps 4 of 8 pairs."""
     g, sample, rng = gaussian_sample(40, 8, seed=61)
-    cn = float(eigendecompose(CurveMatrix.of(sample), 0.0).eigenvalues[3])
+    cn = float(eigendecompose(CurveMatrix.of(sample), 0.0)[0][3])
     ft = fit(sample, rng.standard_normal(40), FilterSpec("truncation", cn), center=False)
     assert ft.d_n == 4
     return json.loads(json.dumps(fit_to_dict(ft))), sample[0]

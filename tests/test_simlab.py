@@ -168,7 +168,7 @@ LAB_REFUSALS = [
     # a coefficient beyond L is refused, not cut, as curve_from_coeffs refuses it
     (lambda: CoeffRule.finite([1.0, 0.5, 0.25, 7.0]).values(2),
      "rho: at most L=2 coefficients supported, got 4"),
-    # norm_divergence_demo refuses such an n first; the rule refuses it for other callers
+    # the lab refuses such an n before the rule runs; the rule refuses it for other callers
     (lambda: rank_power_cn_rule(model_with(), 1 / 3)(0), "sample size must be >= 1, got 0"),
     # Grid's rule refuses a >= b for make_trapezoid_grid too
     (lambda: make_trapezoid_grid(1.0, 0.0, 5), "grid points must be strictly increasing"),
@@ -647,11 +647,12 @@ class TestCoverageExperiment:
             CoeffRule.finite([1.0, 0.5, 0.25]), noise_sd=0.0, L=3,
         )
         sample, _ = generate_dataset(m, 50000, replicate_rng(123, 0))
-        dec = eigendecompose(CurveMatrix(sample.grid, sample.values - sample.values.mean(axis=0)), 0.0)
-        rel = np.abs(dec.eigenvalues[:3] - m.lambdas) / m.lambdas
+        lam, vectors = eigendecompose(
+            CurveMatrix(sample.grid, sample.values - sample.values.mean(axis=0)), 0.0)
+        rel = np.abs(lam[:3] - m.lambdas) / m.lambdas
         assert rel.max() < 0.05
         for j in range(3):
-            overlap = abs(inner_product(dec.eigenvectors[j], m.basis_curves[j]))
+            overlap = abs(inner_product(vectors[j], m.basis_curves[j]))
             assert overlap >= 0.99
 
 
@@ -728,6 +729,48 @@ class TestFixedXExperiment:
         level, replicates = 0.95, 1000
         rep = fixed_x_experiment(m, x, n=200, cn=cn, filt=FilterSpec("truncation", cn),
                                  level=level, replicates=replicates, seed=1)
+        assert rep.n_failed == 0
+        se = np.sqrt(level * (1 - level) / replicates)
+        assert abs(rep.empirical_coverage - level) <= 3 * se
+
+    # the abstract's "large class of regularizing methods": the design above,
+    # with each parametric filter at an alpha whose sqrt(n) h3_sup is 0.02-0.24
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("kind, params", [
+        ("ridge", {"alpha": 1e-3}),
+        ("tikhonov", {"alpha": 1e-5}),
+        ("generalized", {"alpha": 4e-4, "p": 2, "variant": "A"}),
+        ("generalized", {"alpha": 1e-5, "p": 2, "variant": "B"}),
+    ], ids=["ridge", "tikhonov", "generalized-A", "generalized-B"])
+    def test_t_hat_coverage_is_near_nominal_across_the_filter_class(self, kind, params, seed):
+        m = SpectralModel(
+            make_trapezoid_grid(0, 1, 21), EigenDecay.power(1.0),
+            CoeffRule.finite([1.0, 0.5, 0.25]), noise_sd=0.5, L=10,
+        )
+        cn = rank_threshold(m.lambdas, 3)
+        level, replicates = 0.95, 1000
+        rep = fixed_x_experiment(m, m.basis_curves[1], n=200, cn=cn,
+                                 filt=FilterSpec(kind, cn, **params), level=level,
+                                 replicates=replicates, seed=seed)
+        assert rep.n_failed == 0
+        se = np.sqrt(level * (1 - level) / replicates)
+        assert abs(rep.empirical_coverage - level) <= 3 * se
+
+    # the weak CLT without strong decay assumptions: geometric decay 0.5^j
+    # and lambda_j = j^-1.1, slower than every other claim test's j^-2
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("decay", [EigenDecay.geometric(0.5), EigenDecay.power(0.1)],
+                             ids=["geometric-0.5", "power-j^-1.1"])
+    def test_t_hat_coverage_is_near_nominal_under_slow_decay(self, decay, seed):
+        m = SpectralModel(
+            make_trapezoid_grid(0, 1, 41), decay, CoeffRule.finite([1.0, 0.5, 0.25]),
+            noise_sd=0.5, L=20,
+        )
+        cn = rank_threshold(m.lambdas, 8)
+        level, replicates = 0.95, 1000
+        rep = fixed_x_experiment(m, m.basis_curves[1], n=200, cn=cn,
+                                 filt=FilterSpec("truncation", cn), level=level,
+                                 replicates=replicates, seed=seed)
         assert rep.n_failed == 0
         se = np.sqrt(level * (1 - level) / replicates)
         assert abs(rep.empirical_coverage - level) <= 3 * se
@@ -833,13 +876,45 @@ class TestFailedRowsKeepRank:
         assert [row["d_n"] for row in rep.rows] == [2, 2, 2]
 
     def test_rows_failing_in_fit_leave_d_n_empty(self):
-        rep = coverage_experiment(saturated_model(), n=1, cn=1e-8,
-                                  filt=FilterSpec("truncation", 1e-8), level=0.95,
-                                  replicates=2, seed=7)
-        assert rep.n_failed == 2
+        # cn just below lambda_1 = 0.5: a two-curve sample whose top empirical
+        # eigenvalue falls below it fails in fit, the others keep one pair
+        rep = coverage_experiment(saturated_model(), n=2, cn=0.49,
+                                  filt=FilterSpec("truncation", 0.49), level=0.95,
+                                  replicates=6, seed=7)
+        assert 0 < rep.n_failed < 6
         for row in rep.rows:
-            assert "at least 2 observations" in row["error"]
-            assert row["d_n"] is None
+            if row["failed"]:
+                assert row["error"] == "threshold exceeds spectrum: no eigenvalue retained"
+                assert row["d_n"] is None
+            else:
+                assert row["d_n"] == 1
+
+
+# each Monte Carlo experiment with a sample size below fit's minimum of 2
+TOO_SMALL_RUNS = [
+    lambda m, filt: coverage_experiment(m, n=1, cn=filt.cn, filt=filt, level=0.95,
+                                        replicates=3, seed=7),
+    lambda m, filt: fixed_x_experiment(m, m.basis_curves[0], n=0, cn=filt.cn, filt=filt,
+                                       level=0.95, replicates=3, seed=7),
+    lambda m, filt: norm_divergence_demo(m, [1, 40], lambda n: filt.cn, filt,
+                                         replicates=3, seed=7),
+]
+
+
+@pytest.mark.parametrize("run", TOO_SMALL_RUNS, ids=["coverage", "fixed-x", "norm-divergence"])
+def test_a_sample_too_small_to_fit_is_refused_before_any_replicate(monkeypatch, run):
+    m, filt = saturated_model(), FilterSpec("truncation", 0.05)
+    with pytest.raises(ValidationError) as own:
+        fit(generate_dataset(m, 1, replicate_rng(7))[0], [1.0], filt)
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit called for a sample too small to fit")
+
+    monkeypatch.setattr(simlab, "fit", no_fit)
+    with pytest.raises(ValidationError) as raised:
+        run(m, filt)
+    # the lab refuses in fit's own words
+    assert str(raised.value) == str(own.value) == "need at least 2 observations to fit"
 
 
 class TestFixedXNormalizer:

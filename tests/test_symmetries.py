@@ -68,7 +68,7 @@ def dataset(p: int, n: int, center: bool):
     sample, y = generate_dataset(model, n + 1, np.random.default_rng(p * n))
     rows = sample.values + (1.0 + 2.0 * grid.points)
     solved = rows[:n] - rows[:n].mean(axis=0) if center else rows[:n]
-    lam = eigendecompose(CurveMatrix(grid, solved), 0.0).eigenvalues
+    lam, _ = eigendecompose(CurveMatrix(grid, solved), 0.0)
     cn = float(np.sqrt(lam[4] * lam[5]))
     return grid, rows[:n], y[:n] + 0.5, Curve(grid, rows[n]), cn
 
