@@ -8,7 +8,6 @@ CLT prediction intervals, and a seeded Monte Carlo simulation lab.
 from .errors import (
     DegenerateFitError,
     FunregError,
-    GridMismatchError,
     ValidationError,
 )
 from .hilbert import (

@@ -123,7 +123,7 @@ def naming(where):
     try:
         yield
     except ValidationError as exc:
-        raise type(exc)(f"{where}: {exc}") from None
+        raise ValidationError(f"{where}: {exc}") from None
 
 
 @contextmanager

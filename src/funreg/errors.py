@@ -1,8 +1,16 @@
 """Exception taxonomy shared across the package.
 
-The CLI maps these onto exit codes: validation problems exit with 2,
-degenerate numerical situations (empty retained spectrum, exhausted
-degrees of freedom, zero normalizer) with 3.
+The package raises one exception type per kind of ``error: <kind>:``
+line that the CLI prints:
+
+    ValidationError     validation   exit 2   bad input: shapes, ranges,
+                                              grids, malformed files or configs
+    DegenerateFitError  degenerate   exit 3   empty retained spectrum,
+                                              exhausted degrees of freedom,
+                                              zero normalizer
+
+A finer failure kind, should one be needed, is an attribute of the one
+type, not a subclass.
 """
 
 
@@ -11,11 +19,7 @@ class FunregError(Exception):
 
 
 class ValidationError(FunregError):
-    """Bad user input: shapes, ranges, malformed files or configs."""
-
-
-class GridMismatchError(ValidationError):
-    """Two curves (or a curve and a fit) do not live on the same grid."""
+    """Bad user input: shapes, ranges, grids, malformed files or configs."""
 
 
 class DegenerateFitError(FunregError):

@@ -41,7 +41,7 @@ from . import config
 from .covariance import eigendecompose, retained_rank
 from .errors import DegenerateFitError, ValidationError
 from .filters import FilterSpec, filter_from_config, filter_to_config, filter_values, gain
-from .hilbert import Curve, CurveMatrix, Grid, ensure_same_grid, inner_product
+from .hilbert import Curve, CurveMatrix, Grid, ensure_same_grid
 from .hilbert import norm as norm_of
 from .normal import ndtri
 
@@ -116,11 +116,21 @@ class EstimatorFit:
 
 
 def predict(fit: EstimatorFit, x: Curve) -> float:
-    """Point prediction <rho_hat, x>, plus the intercept for centered fits."""
+    """Point prediction <rho_hat, x - x_mean>, plus the intercept y_mean
+    for centered fits (an uncentered fit's means are zero).
+
+    The sum has ``inner_product``'s products in its order; a prediction
+    that overflows, in x - x_mean, the sum or the intercept, is refused.
+    """
     ensure_same_grid(fit.rho_hat, x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dx = x.values - fit.x_mean.values
+        value = float(np.sum((fit.rho_hat.values * dx) * fit.rho_hat.grid.weights))
     if fit.centered:
-        return fit.y_mean + inner_product(fit.rho_hat, x - fit.x_mean)
-    return inner_product(fit.rho_hat, x)
+        value = fit.y_mean + value
+    if not np.isfinite(value):
+        raise ValidationError("point prediction overflows: the predictor x is too large")
+    return value
 
 
 def check_sample_size(n: int) -> None:
@@ -232,7 +242,7 @@ def prediction_interval(
     fixed-point pivot; a zero t_hat means x carries no information from
     the retained eigenspace and is an error rather than an infinite
     interval, and an x too large for t_hat or its floor to be finite is
-    refused.
+    refused, as is a half width that overflows.
     """
     if not 0 < level < 1:
         raise ValidationError(f"confidence level must be in (0, 1), got {level}")
@@ -261,6 +271,10 @@ def prediction_interval(
             )
     q = ndtri((1 + level) / 2)
     half = q * fit.sigma_hat * scale / np.sqrt(fit.n)
+    if not np.isfinite(half):
+        raise ValidationError(
+            "interval half width overflows: sigma_hat times the pivot is too large"
+        )
     return PredictionInterval(
         center=center,
         half_width=float(half),

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .errors import GridMismatchError, ValidationError
+from .errors import ValidationError
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -183,14 +183,14 @@ class CurveMatrix:
 
 
 def ensure_same_grid(f, g) -> None:
-    """Raise GridMismatchError unless f.grid and g.grid are one grid.
+    """Raise ValidationError unless f.grid and g.grid are one grid.
 
     Operands are curves, curve matrices, or anything else with a grid.
     """
     if f.grid is g.grid:
         return
     if f.grid != g.grid:
-        raise GridMismatchError("curves live on different grids")
+        raise ValidationError("curves live on different grids")
 
 
 def inner_product(f: Curve, g: Curve) -> float:

@@ -348,15 +348,9 @@ class TestFitFileErrors:
         capsys.readouterr()
         assert_validation_exit(self.predict_with(payload, x_path, tmp_path), capsys)
 
-    @pytest.mark.parametrize("edit", [
-        {"n": 0},
-        {"n": -3},
-        {"sigma_hat": -1.0},
-        # n = 3 > d_n = 2 needs a noise scale, n = 2 = d_n must not have one
-        {"sigma_hat": None},
-        {"n": 2},
-    ], ids=["n=0", "n=-3", "negative-sigma", "null-sigma", "sigma-without-dof"])
-    def test_out_of_range_fields(self, toy_inputs, tmp_path, capsys, edit):
+    @pytest.fixture
+    def dof_fit(self, toy_inputs, tmp_path):
+        """The toy fit with a third curve, so that sigma_hat has a degree of freedom."""
         curves, responses = toy_inputs
         curves.write_text(TOY_CURVES + "1.0,1.0\n")
         responses.write_text(TOY_RESPONSES + "3.0\n")
@@ -368,11 +362,37 @@ class TestFitFileErrors:
         assert (payload["n"], payload["d_n"]) == (3, 2) and payload["sigma_hat"] > 0
         x_path = tmp_path / "x.csv"
         x_path.write_text("0.0,2.0\n2.0,0.0\n")
+        return payload, x_path
+
+    @pytest.mark.parametrize("edit", [
+        {"n": 0},
+        {"n": -3},
+        {"sigma_hat": -1.0},
+        # n = 3 > d_n = 2 needs a noise scale, n = 2 = d_n must not have one
+        {"sigma_hat": None},
+        {"n": 2},
+    ], ids=["n=0", "n=-3", "negative-sigma", "null-sigma", "sigma-without-dof"])
+    def test_out_of_range_fields(self, dof_fit, tmp_path, capsys, edit):
+        payload, x_path = dof_fit
         path = tmp_path / "edited.json"
         path.write_text(json.dumps(dict(payload, **edit)))
         capsys.readouterr()
         code = run(["predict", "--fit", path, "--x", x_path, "--level", "0.9"])
         assert_validation_exit(code, capsys)
+
+    @pytest.mark.parametrize("normalizer", ["s_hat", "t_hat"])
+    def test_sigma_hat_too_large_for_a_finite_interval(self, dof_fit, tmp_path, capsys,
+                                                       normalizer):
+        # a finite sigma_hat times q and either pivot overflows
+        payload, x_path = dof_fit
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(dict(payload, sigma_hat=1e308)))
+        capsys.readouterr()
+        code = run(["predict", "--fit", path, "--x", x_path, "--level", "0.9",
+                    "--normalizer", normalizer])
+        assert code == 2
+        assert capsys.readouterr() == ("", "error: validation: interval half width overflows: "
+                                           "sigma_hat times the pivot is too large\n")
 
     @pytest.mark.parametrize("edit, key", [
         ({"bogus": 1}, "bogus"),
@@ -896,6 +916,12 @@ HUGE_X = {"kind": "coeffs", "values": [1e200, 0.0]}
 HUGE_X_CSV = "0.0,0.5,1.0\n1e200,1e200,1e200\n"
 RIDGE_FIT = ["fit", "--curves", "c.csv", "--responses", "y.csv", "--filter", "ridge",
              "--cn", "0.01", "--alpha", "0.1", "--out", "fit.json"]
+# RIDGE_FIT's rho_hat values lie below 1 in size, so no finite predictor
+# overflows <rho_hat, x>; against responses 1000 times larger rho_hat is 1000
+# times larger, and the predictor 1.5e308 overflows it
+STEEP_FIT = ["fit", "--curves", "c.csv", "--responses", "steep_y.csv", "--filter", "ridge",
+             "--cn", "0.01", "--alpha", "0.1", "--out", "steep.json"]
+STEEP_X_CSV = "0.0,0.5,1.0\n-1.5e308,-1.5e308,1.5e308\n"
 
 
 # (argv after the input files are written, exit code); each input overflows a
@@ -928,6 +954,11 @@ OVERFLOW_CASES = [
     # a finite predictor whose squared coordinates overflow
     (["predict", "--fit", "fit.json", "--x", "big_x.csv", "--level", "0.9",
       "--normalizer", "t_hat"], 2),
+    # a predictor whose point prediction overflows, with no interval and on either pivot
+    (["predict", "--fit", "steep.json", "--x", "steep_x.csv"], 2),
+    (["predict", "--fit", "steep.json", "--x", "steep_x.csv", "--level", "0.9"], 2),
+    (["predict", "--fit", "steep.json", "--x", "steep_x.csv", "--level", "0.9",
+      "--normalizer", "t_hat"], 2),
     (["simulate", "fixed-x", "--config",
       {"decay": {"kind": "power", "a": 1.0}, "rho": {"kind": "finite", "coeffs": [1.0, 0.5]},
        "noise_sd": 0.3, "L": 4, "grid_points": 21, "filter": {"kind": "truncation", "cn": 0.2},
@@ -944,7 +975,8 @@ OVERFLOW_CASES = [
     "fit-huge-responses", "fit-huge-curves", "fit-ridge-tiny-curves", "fit-tikhonov-tiny-curves",
     "fit-huge-grid-span", "population-huge-rho",
     "norm-divergence-huge-cn-exponent", "coverage-huge-noise", "fixed-x-huge-power-x",
-    "predict-t_hat-huge-x", "fixed-x-huge-x", "population-huge-x"])
+    "predict-t_hat-huge-x", "predict-point-overflows", "predict-s_hat-point-overflows",
+    "predict-t_hat-point-overflows", "fixed-x-huge-x", "population-huge-x"])
 def test_overflow_ends_in_one_error_line_or_a_finite_report(tmp_path, capsys, monkeypatch,
                                                             argv, code):
     monkeypatch.chdir(tmp_path)
@@ -955,8 +987,11 @@ def test_overflow_ends_in_one_error_line_or_a_finite_report(tmp_path, capsys, mo
     (tmp_path / "big_x.csv").write_text(HUGE_X_CSV)
     (tmp_path / "y.csv").write_text("1 2 3 4\n")
     (tmp_path / "big_y.csv").write_text("1e300 2e300 -3e300 4e300\n")
+    (tmp_path / "steep_y.csv").write_text("1e3 2e3 3e3 4e3\n")
+    (tmp_path / "steep_x.csv").write_text(STEEP_X_CSV)
     if argv[0] == "predict":
         assert run(RIDGE_FIT) == 0
+        assert run(STEEP_FIT) == 0
         capsys.readouterr()
     argv = list(argv)
     if "--config" in argv:
@@ -972,6 +1007,9 @@ def test_overflow_ends_in_one_error_line_or_a_finite_report(tmp_path, capsys, mo
     if code:
         assert len(err) == 1 and err[0].startswith("error: validation: ")
         assert not out.exists()
+        if "steep.json" in argv:
+            assert err[0] == ("error: validation: point prediction overflows: "
+                              "the predictor x is too large")
     else:
         assert err == []
         json.loads(out.read_text(), parse_constant=_refuse_constant)

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import operator
@@ -8,7 +9,7 @@ import pytest
 
 from funreg import cli, estimator
 from funreg.covariance import eigendecompose, retained_rank
-from funreg.errors import DegenerateFitError, FunregError, GridMismatchError, ValidationError
+from funreg.errors import DegenerateFitError, FunregError, ValidationError
 from funreg.estimator import (
     NORMALIZERS,
     ORTHONORMALITY_TOL,
@@ -242,7 +243,7 @@ class TestPredict:
     def test_grid_mismatch(self):
         _, ft = toy_fit()
         other = Curve(make_trapezoid_grid(0, 1, 2), [1.0, 1.0])
-        with pytest.raises(GridMismatchError):
+        with pytest.raises(ValidationError, match="^curves live on different grids$"):
             predict(ft, other)
 
     def test_centered_fit_reproduces_training_mean(self):
@@ -251,6 +252,27 @@ class TestPredict:
         ft = fit(sample, y, FilterSpec("truncation", 1e-4), center=True)
         x_mean = Curve(g, np.mean([c.values for c in sample], axis=0))
         assert predict(ft, x_mean) == pytest.approx(y.mean(), rel=1e-10)
+
+    @pytest.mark.parametrize("center", [False, True], ids=["uncentered", "centered"])
+    def test_equals_the_inner_product_bit_for_bit(self, center):
+        g, sample, rng = gaussian_sample(20, 6, seed=13)
+        ft = fit(sample, rng.standard_normal(20) + 4.0, FilterSpec("ridge", 1e-4, alpha=1e-3),
+                 center=center)
+        for values in rng.standard_normal((5, 6)) * [[1e-3], [1.0], [1e3], [1e150], [-1e300]]:
+            x = Curve(g, values)
+            expected = inner_product(ft.rho_hat, x - ft.x_mean)
+            assert predict(ft, x) == (ft.y_mean + expected if center else expected)
+
+    def test_overflow_is_refused(self):
+        g, sample, rng = gaussian_sample(20, 6, seed=13)
+        ft = fit(sample, rng.standard_normal(20), FilterSpec("ridge", 1e-4, alpha=1e-3))
+        assert np.max(np.abs(ft.rho_hat.values)) > 1
+        big = Curve(g, np.sign(ft.rho_hat.values) * 1.5e308)
+        far = dataclasses.replace(ft, x_mean=Curve(g, np.full(6, -1.5e308)))
+        # rho_hat times x, and x - x_mean, each overflow
+        for f, x in [(ft, big), (far, Curve(g, np.full(6, 1.5e308)))]:
+            with pytest.raises(ValidationError, match="^point prediction overflows: "):
+                predict(f, x)
 
 
 def pivots(lam, vectors, spec, x=None):

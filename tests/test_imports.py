@@ -1,5 +1,6 @@
 """Modules of the package use only each other's public names, only
-``config`` calls ``open``, every source and test file is Python 3.10
+``config`` calls ``open``, the package raises one exception type per kind
+of CLI error line, every source and test file is Python 3.10
 grammar, and the package imports and runs every command without scipy,
 pytest or hypothesis, its test-only dependencies."""
 
@@ -159,6 +160,58 @@ def test_only_config_opens_files():
     }
     assert offenders == {}
     assert open_calls((PACKAGE / "config.py").read_text(encoding="utf-8"))
+
+
+# The exception types of errors.py, and those of them the package raises:
+# one per kind of the CLI's ``error: <kind>:`` line, validation and degenerate.
+ERROR_TYPES = ["FunregError", "ValidationError", "DegenerateFitError"]
+RAISED_TYPES = ("ValidationError", "DegenerateFitError")
+
+
+def foreign_raises(source: str) -> list[str]:
+    """``raise`` statements that raise anything but a call of one of
+    RAISED_TYPES; a bare ``raise`` re-raises what was caught and passes."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            continue
+        exc = node.exc
+        if not (isinstance(exc, ast.Call) and isinstance(exc.func, ast.Name)
+                and exc.func.id in RAISED_TYPES):
+            found.append((node.lineno, ast.unparse(exc)))
+    return [f"line {line}: {exc}" for line, exc in sorted(found)]
+
+
+def test_raise_detector_flags_every_other_type():
+    source = (
+        "try:\n"
+        "    pass\n"
+        "except ValidationError as exc:\n"
+        "    raise type(exc)(f'{where}: {exc}') from None\n"
+        "raise GridMismatchError('curves live on different grids')\n"
+        "raise errors.ValidationError('dotted')\n"
+        "raise ValueError\n"
+    )
+    assert foreign_raises(source) == [
+        "line 4: type(exc)(f'{where}: {exc}')",
+        "line 5: GridMismatchError('curves live on different grids')",
+        "line 6: errors.ValidationError('dotted')",
+        "line 7: ValueError",
+    ]
+    assert foreign_raises(
+        "raise ValidationError('a')\nraise DegenerateFitError('b') from None\nraise\n"
+    ) == []
+
+
+def test_one_exception_type_per_error_kind():
+    tree = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    assert [node.name for node in tree.body if isinstance(node, ast.ClassDef)] == ERROR_TYPES
+    offenders = {
+        path.name: raises
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (raises := foreign_raises(path.read_text(encoding="utf-8")))
+    }
+    assert offenders == {}
 
 
 def test_import_does_not_load_scipy_stats():
