@@ -40,7 +40,6 @@ as ``normalize`` takes a JSON boolean). Any other value exits 2.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import sys
 from pathlib import Path
@@ -71,6 +70,8 @@ def _fmt(value) -> str:
 
 def _write_rows_csv(path, rows) -> None:
     """One CSV line per row dict; the header is the first row's keys."""
+    import csv  # loaded here: only simulate writes rows
+
     fieldnames = list(rows[0])
     with config.open_text(path, "w") as fh:
         writer = csv.writer(fh)

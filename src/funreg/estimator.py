@@ -272,6 +272,12 @@ def prediction_interval(
     q = ndtri((1 + level) / 2)
     half = q * fit.sigma_hat * scale / np.sqrt(fit.n)
     if not np.isfinite(half):
+        # the product overflowed before the division: dividing sigma_hat
+        # first keeps a finite half width, and only such overflows take
+        # this order, so every other half width keeps its last bit
+        with np.errstate(over="ignore"):
+            half = q * scale * (fit.sigma_hat / np.sqrt(fit.n))
+    if not np.isfinite(half):
         raise ValidationError(
             "interval half width overflows: sigma_hat times the pivot is too large"
         )

@@ -11,7 +11,6 @@ rejected rather than silently resampled.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -282,6 +281,8 @@ def load_curves_csv(path) -> CurveMatrix:
 
 def save_curves_csv(path, curves: CurveMatrix | list[Curve]) -> None:
     """Write curves in the curve matrix CSV format (see load_curves_csv)."""
+    import csv  # loaded here: fit, predict and the lab never write curves
+
     matrix = CurveMatrix.of(curves)
     with config.open_text(path, "w") as fh:
         writer = csv.writer(fh)

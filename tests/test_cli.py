@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import json
 import os
@@ -383,16 +384,35 @@ class TestFitFileErrors:
     @pytest.mark.parametrize("normalizer", ["s_hat", "t_hat"])
     def test_sigma_hat_too_large_for_a_finite_interval(self, dof_fit, tmp_path, capsys,
                                                        normalizer):
-        # a finite sigma_hat times q and either pivot overflows
+        # at level 0.9 the half widths are 2.28e308 (s_hat) and 2.64e308
+        # (t_hat): beyond the float range in either order of the product
         payload, x_path = dof_fit
         path = tmp_path / "edited.json"
-        path.write_text(json.dumps(dict(payload, sigma_hat=1e308)))
+        path.write_text(json.dumps(dict(payload, sigma_hat=1.7e308)))
         capsys.readouterr()
         code = run(["predict", "--fit", path, "--x", x_path, "--level", "0.9",
                     "--normalizer", normalizer])
         assert code == 2
         assert capsys.readouterr() == ("", "error: validation: interval half width overflows: "
                                            "sigma_hat times the pivot is too large\n")
+
+    @pytest.mark.parametrize("normalizer, half", [("s_hat", 1.343e308), ("t_hat", 1.551e308)],
+                             ids=["s_hat", "t_hat"])
+    def test_finite_half_width_of_a_huge_sigma_hat(self, dof_fit, tmp_path, capsys,
+                                                   normalizer, half):
+        # q * sigma_hat * pivot overflows, yet the half width is finite
+        payload, x_path = dof_fit
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(dict(payload, sigma_hat=1e308)))
+        capsys.readouterr()
+        code = run(["predict", "--fit", path, "--x", x_path, "--level", "0.9",
+                    "--normalizer", normalizer])
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        center, lo, hi = (float(v) for v in out.strip().split(","))
+        assert np.isfinite([center, lo, hi]).all()
+        assert (hi - center) == pytest.approx(half, rel=1e-3)
+        assert (center - lo) == pytest.approx(half, rel=1e-3)
 
     @pytest.mark.parametrize("edit, key", [
         ({"bogus": 1}, "bogus"),
@@ -531,13 +551,13 @@ class TestSimulateCommand:
         # pretend to have 4 cores so that a 1-core runner still uses the pool
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         pools = []
-        real_pool = simlab.ThreadPoolExecutor
+        real_pool = concurrent.futures.ThreadPoolExecutor
 
         def recording_pool(max_workers):
             pools.append(max_workers)
             return real_pool(max_workers=max_workers)
 
-        monkeypatch.setattr(simlab, "ThreadPoolExecutor", recording_pool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording_pool)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(base_coverage_config(noise_sd=0.4,
                                                             replicates=8)))

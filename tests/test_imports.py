@@ -214,13 +214,9 @@ def test_one_exception_type_per_error_kind():
     assert offenders == {}
 
 
-def test_import_does_not_load_scipy_stats():
-    # scipy.special alone is about 0.3 s of a cold start (it loads
-    # numpy.f2py, numpy.testing and numpy.ma); funreg.normal gives the
-    # normal quantile (a Cephes ndtri port) and distribution function
-    # (math.erfc) instead
-    code = ("import sys, funreg, funreg.cli; "
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+def cold_start_modules() -> set[str]:
+    """The modules a fresh interpreter holds after ``import funreg, funreg.cli``."""
+    code = "import sys, funreg, funreg.cli; print(*sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code],
         cwd=PACKAGE.parent,
@@ -228,7 +224,23 @@ def test_import_does_not_load_scipy_stats():
         text=True,
         check=True,
     )
-    assert out.stdout.strip() == "[]"
+    return set(out.stdout.split())
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.special alone is about 0.3 s of a cold start (it loads
+    # numpy.f2py, numpy.testing and numpy.ma); funreg.normal gives the
+    # normal quantile (a Cephes ndtri port) and distribution function
+    # (math.erfc) instead
+    assert sorted(m for m in cold_start_modules() if m == "scipy" or m.startswith("scipy.")) == []
+
+
+def test_import_does_not_load_the_pool_or_the_csv_writer():
+    # a serial run uses no thread pool, and fit, predict and the lab loop
+    # write no CSV: the functions that do import concurrent.futures (which
+    # loads logging and queue) and csv themselves
+    loaded = cold_start_modules() & {"concurrent.futures", "logging", "queue", "csv"}
+    assert sorted(loaded) == []
 
 
 # The test-only dependencies (see pyproject.toml's test extra); an install

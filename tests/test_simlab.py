@@ -1,3 +1,4 @@
+import concurrent.futures
 import functools
 import os
 import re
@@ -1114,7 +1115,7 @@ class TestRunThreads:
     @pytest.fixture
     def pool(self, monkeypatch):
         RecordingPool.created = []
-        monkeypatch.setattr(simlab, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
         return RecordingPool.created
 
     @pytest.mark.parametrize("threads,replicates,cores,workers", [
@@ -1178,6 +1179,20 @@ class TestNormDivergence:
         for row in rep.rows:
             assert row["mean_norm_error"] < 1e-8
         assert not rep.diverging
+
+    @pytest.mark.parametrize("seed, diverging", [(1, True), (5, False)])
+    def test_two_point_grid_reads_its_one_ratio(self, seed, diverging):
+        # the last two ratios decide the verdict, but a two-point grid has
+        # one: 0.992 -> 1.167 at seed 1, 1.144 -> 1.125 at seed 5
+        m = SpectralModel(
+            make_trapezoid_grid(0, 1, 41), EigenDecay.geometric(0.5),
+            CoeffRule.finite([1.0, 0.4, 0.2]), noise_sd=0.5, L=3,
+        )
+        rep = norm_divergence_demo(m, [30, 60], lambda n: 0.05, TRUNC,
+                                   replicates=10, seed=seed)
+        first, last = (row["mean_normalized"] for row in rep.rows)
+        assert (last / first > 1) == diverging
+        assert rep.diverging is diverging
 
     def test_shrinking_threshold_inflates_norm_error(self):
         m = smooth_model(noise=0.5)
