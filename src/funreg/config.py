@@ -32,11 +32,15 @@ _REQUIRED = object()
 _NOUNS = {int: "an integer", float: "a finite number", bool: "a boolean", str: "a string", list: "a list"}
 
 
+def _check_object(cfg, where: str) -> None:
+    if not isinstance(cfg, dict):
+        raise ValidationError(f"{where} config must be an object")
+
+
 def section(cfg, where: str, required=(), optional=()) -> dict:
     """Check that ``cfg`` is an object with every required key and no
     key outside ``required`` and ``optional``; return it."""
-    if not isinstance(cfg, dict):
-        raise ValidationError(f"{where} config must be an object")
+    _check_object(cfg, where)
     missing = set(required) - set(cfg)
     if missing:
         raise ValidationError(f"{where}: missing config keys {sorted(missing)}")
@@ -53,8 +57,7 @@ def kind(cfg, where: str, kinds: dict) -> str:
     besides ``kind``; the object is checked against that kind's keys and
     the kind is returned.
     """
-    if not isinstance(cfg, dict):
-        raise ValidationError(f"{where} config must be an object")
+    _check_object(cfg, where)
     name = value(cfg, "kind", where, str)
     if name not in kinds:
         raise ValidationError(f"unknown {where} kind {name!r}")

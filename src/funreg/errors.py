@@ -25,7 +25,7 @@ class ValidationError(FunregError):
 class DegenerateFitError(FunregError):
     """The requested computation is mathematically degenerate.
 
-    Raised when the threshold removes every eigenvalue, when degrees of
-    freedom are exhausted (n <= d_n), or when a fixed predictor is
-    orthogonal to the retained eigenspace (zero normalizer).
+    Raised when the threshold removes every eigenvalue, when degrees of freedom
+    are exhausted (d_n >= n, or n - 1 in a centered fit), or when a fixed
+    predictor is orthogonal to the retained eigenspace (zero normalizer).
     """

@@ -12,7 +12,8 @@ kept on the fit. The residual scale is
 
     sigma_hat = sqrt(sum_i (Y_i - Y_mean - <X_c,i, rho_hat>)^2 / (n - d_n)),
 
-with every <X_c,i, rho_hat> from one ``CurveMatrix.inner_products``.
+with every <X_c,i, rho_hat> from one ``CurveMatrix.inner_products``; it is
+NaN when d_n >= n, or n - 1 in a centered fit, whose mean takes one more.
 Both CLT pivots are sums over that retained spectrum, computed by the
 one kernel ``normalizers``:
 
@@ -139,6 +140,17 @@ def check_sample_size(n: int) -> None:
         raise ValidationError("need at least 2 observations to fit")
 
 
+def check_level(level: float) -> None:
+    """Refuse a confidence level outside (0, 1)."""
+    if not 0 < level < 1:
+        raise ValidationError(f"confidence level must be in (0, 1), got {level}")
+
+
+def _saturated(n: int, d: int, centered: bool) -> bool:
+    """No residual degrees of freedom: d_n >= n, or n - 1 in a centered fit."""
+    return n - centered <= d
+
+
 def fit(
     sample: CurveMatrix | list[Curve],
     responses,
@@ -186,7 +198,7 @@ def fit(
         norms = normalizers(lam[:d], filt)
         rho = Curve(grid, (norms.filtered * vectors.inner_products(delta)) @ vectors.values)
 
-        if n > d:
+        if not _saturated(n, d, center):
             resid = yc - sample.inner_products(rho)
             sigma = float(np.sqrt(np.sum(resid**2) / (n - d)))
             if not np.isfinite(sigma):
@@ -244,13 +256,13 @@ def prediction_interval(
     interval, and an x too large for t_hat or its floor to be finite is
     refused, as is a half width that overflows.
     """
-    if not 0 < level < 1:
-        raise ValidationError(f"confidence level must be in (0, 1), got {level}")
+    check_level(level)
     if normalizer not in NORMALIZERS:
         raise ValidationError(f"unknown normalizer {normalizer!r}")
     if not np.isfinite(fit.sigma_hat):
         raise DegenerateFitError(
-            "noise scale undefined: no residual degrees of freedom (n == d_n)"
+            "noise scale undefined: no residual degrees of freedom "
+            "(d_n >= n, or n - 1 in a centered fit)"
         )
     center = predict(fit, x)
     if normalizer == "s_hat":
@@ -365,9 +377,10 @@ def fit_from_dict(payload: dict) -> EstimatorFit:
             raise ValidationError(f"{where}.{key} must be zero in an uncentered fit")
     if sigma is not None and sigma < 0:
         raise ValidationError(f"{where}.sigma_hat must be null or nonnegative, got {sigma!r}")
-    if (sigma is None) != (n <= d):
+    if (sigma is None) != _saturated(n, d, centered):
         raise ValidationError(
-            f"{where}.sigma_hat must be null exactly when n <= d_n (n={n}, d_n={d})"
+            f"{where}.sigma_hat must be null exactly when d_n >= n, or n - 1 in a "
+            f"centered fit (n={n}, d_n={d}, centered={'true' if centered else 'false'})"
         )
     if vectors.shape != (d, len(grid)):
         raise ValidationError(

@@ -33,15 +33,25 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return arr
 
 
+def _check_finite_grid(values: np.ndarray) -> None:
+    """Refuse a grid's points or weights unless every entry is finite."""
+    if not np.all(np.isfinite(values)):
+        raise ValidationError("grid points and weights must be finite")
+
+
+def _check_span(lo: float, hi: float) -> None:
+    """Refuse abscissae from ``lo`` to ``hi`` whose span overflows, before any numpy
+    difference of them: a Python float span overflows to inf without a warning."""
+    if not math.isfinite(float(hi) - float(lo)):
+        raise ValidationError("grid points must span a finite range")
+
+
 def _check_abscissae(points: np.ndarray) -> None:
-    """Refuse points that are not a grid's abscissae, before any numpy difference of
-    them: a Python float span overflows to inf without numpy's warning."""
+    """Refuse points that are not a grid's abscissae."""
     if points.size < 2:
         raise ValidationError("a grid needs at least 2 points")
-    if not np.all(np.isfinite(points)):
-        raise ValidationError("grid points and weights must be finite")
-    if not math.isfinite(float(points.max()) - float(points.min())):
-        raise ValidationError("grid points must span a finite range")
+    _check_finite_grid(points)
+    _check_span(points.min(), points.max())
     if not np.all(np.diff(points) > 0):
         raise ValidationError("grid points must be strictly increasing")
 
@@ -65,8 +75,7 @@ class Grid:
         if points.size != weights.size:
             raise ValidationError("grid points and weights must have equal length")
         _check_abscissae(points)
-        if not np.all(np.isfinite(weights)):
-            raise ValidationError("grid points and weights must be finite")
+        _check_finite_grid(weights)
         if not np.all(weights > 0):
             raise ValidationError("quadrature weights must be strictly positive")
         object.__setattr__(self, "points", points)
@@ -81,6 +90,16 @@ class Grid:
         return np.array_equal(self.points, other.points) and np.array_equal(
             self.weights, other.weights
         )
+
+
+def _check_finite_values(values: np.ndarray, weights: np.ndarray) -> None:
+    """Refuse a curve's values (p,) or a matrix's rows (m, p) unless all are finite.
+    A finite weighted row sum proves its row finite with no mask; only values with a
+    sum that is not finite (a refusal, or finite values that overflow) are checked."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = values @ weights
+    if not (np.isfinite(sums).all() or np.isfinite(values).all()):
+        raise ValidationError("curve values must be finite")
 
 
 @dataclass(frozen=True)
@@ -98,22 +117,12 @@ class Curve:
             raise ValidationError(
                 f"curve has {values.size} values but grid has {len(self.grid)} points"
             )
-        if not np.all(np.isfinite(values)):
-            raise ValidationError("curve values must be finite")
+        _check_finite_values(values, self.grid.weights)
         object.__setattr__(self, "values", values)
-
-    def __add__(self, other: "Curve") -> "Curve":
-        ensure_same_grid(self, other)
-        return Curve(self.grid, self.values + other.values)
 
     def __sub__(self, other: "Curve") -> "Curve":
         ensure_same_grid(self, other)
         return Curve(self.grid, self.values - other.values)
-
-    def __mul__(self, scalar: float) -> "Curve":
-        return Curve(self.grid, self.values * float(scalar))
-
-    __rmul__ = __mul__
 
     @staticmethod
     def zeros(grid: Grid) -> "Curve":
@@ -143,13 +152,7 @@ class CurveMatrix:
                 f"curve matrix rows have {values.shape[1]} values but grid has "
                 f"{len(self.grid)} points"
             )
-        # a finite weighted row sum proves its row finite, with no (m, p)
-        # mask; only a row whose sum is not finite (a refusal, or an
-        # overflow of finite values) is checked entry by entry
-        with np.errstate(over="ignore", invalid="ignore"):
-            sums = values @ self.grid.weights
-        if not np.all(np.isfinite(sums)) and not np.all(np.isfinite(values)):
-            raise ValidationError("curve values must be finite")
+        _check_finite_values(values, self.grid.weights)
         object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:
@@ -210,8 +213,7 @@ def norm(f: Curve) -> float:
 def make_trapezoid_grid(a: float, b: float, p: int) -> Grid:
     """Uniform grid on [a, b] with trapezoid-rule weights; ``Grid`` refuses
     fewer than 2 points and a >= b."""
-    if not math.isfinite(float(b) - float(a)):
-        raise ValidationError("grid points must span a finite range")
+    _check_span(a, b)
     try:
         points = np.linspace(a, b, max(p, 0))
     except (MemoryError, ValueError, IndexError):

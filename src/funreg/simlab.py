@@ -76,7 +76,7 @@ import numpy as np
 
 from . import config
 from .errors import DegenerateFitError, ValidationError
-from .estimator import check_sample_size, fit, normalizers, prediction_interval
+from .estimator import check_level, check_sample_size, fit, normalizers, prediction_interval
 from .filters import FilterSpec, filter_from_config, gain, h3_sup_deviation, select_kn
 from .hilbert import (
     Curve,
@@ -463,8 +463,8 @@ def _check_run(n: int, replicates: int, seed: int, threads: int,
                level: float | None = None) -> None:
     """Refuse a run before its first replicate; ``n`` is its smallest sample."""
     check_sample_size(n)
-    if level is not None and not 0 < level < 1:
-        raise ValidationError(f"confidence level must be in (0, 1), got {level}")
+    if level is not None:
+        check_level(level)
     if replicates < 1:
         raise ValidationError("need at least one replicate")
     if seed < 0:

@@ -285,6 +285,43 @@ class TestPredictCommand:
         assert code == 3
 
 
+class TestCenteredFitWithoutResidualDof:
+    """Three centered curves span two dimensions, so d_n = n - 1 = 2, and the
+    mean takes the one observation left: the fit has no noise scale."""
+
+    @pytest.fixture
+    def fit_path(self, tmp_path, capsys):
+        curves, responses = tmp_path / "c.csv", tmp_path / "y.csv"
+        curves.write_text("0.0,0.5,1.0\n1.0,0.2,-0.3\n-0.4,0.9,0.3\n0.3,-0.5,1.1\n")
+        responses.write_text("1.0\n-0.5\n0.7\n")
+        (tmp_path / "x.csv").write_text("0.0,0.5,1.0\n0.5,0.1,0.2\n")
+        out = tmp_path / "fit.json"
+        assert run(["fit", "--curves", curves, "--responses", responses,
+                    "--filter", "truncation", "--cn", "1e-9", "--out", out]) == 0
+        assert capsys.readouterr() == ("d_n=2 s_hat=1.4142135623730951 sigma_hat=nan\n", "")
+        return out
+
+    @pytest.mark.parametrize("normalizer", ["s_hat", "t_hat"])
+    def test_interval_exits_3(self, fit_path, capsys, normalizer):
+        assert json.loads(fit_path.read_text())["sigma_hat"] is None
+        x_path = fit_path.parent / "x.csv"
+        code = run(["predict", "--fit", fit_path, "--x", x_path, "--level", "0.95",
+                    "--normalizer", normalizer])
+        assert (code, *capsys.readouterr()) == (
+            3, "", "error: degenerate: noise scale undefined: no residual degrees of "
+                   "freedom (d_n >= n, or n - 1 in a centered fit)\n")
+        # a point prediction needs no noise scale
+        assert run(["predict", "--fit", fit_path, "--x", x_path]) == 0
+        assert capsys.readouterr() == ("0.6337950138504155\n", "")
+
+    def test_loader_refuses_a_stored_sigma_hat(self, fit_path, capsys):
+        fit_path.write_text(json.dumps(dict(json.loads(fit_path.read_text()), sigma_hat=0.5)))
+        code = run(["predict", "--fit", fit_path, "--x", fit_path.parent / "x.csv"])
+        assert (code, *capsys.readouterr()) == (
+            2, "", "error: validation: fit payload.sigma_hat must be null exactly when "
+                   "d_n >= n, or n - 1 in a centered fit (n=3, d_n=2, centered=true)\n")
+
+
 class TestFitFileErrors:
     """Unreadable, unwritable and inconsistent fit files exit 2 with one line."""
 

@@ -241,7 +241,7 @@ class TestEigendecompose:
     def test_rank_one_unit_norm_curve(self):
         g = make_trapezoid_grid(0.0, 1.0, 21)
         u = Curve(g, np.sin(2 * np.pi * g.points))
-        u = u * (1.0 / norm(u))
+        u = Curve(g, u.values * (1.0 / norm(u)))
         lam, _ = eigendecompose(CurveMatrix.of([u]), 0.0)
         assert lam[0] == pytest.approx(1.0, rel=1e-10)
         assert np.all(lam[1:] <= 1e-12)
@@ -266,7 +266,7 @@ class TestEigendecompose:
         g, sample = random_sample(9, 5, seed=14)
         rows = centered_rows(sample)
         for lam, e in zip(*eigendecompose(rows, 0.0)):
-            assert norm(operator_action(rows, e) - lam * e) < 1e-8
+            assert norm(operator_action(rows, e) - Curve(g, lam * e.values)) < 1e-8
 
     def test_matches_dense_generalized_solve(self):
         # oracle: eigenvalues of the non-symmetric matrix K W solved densely

@@ -76,7 +76,7 @@ class TestRegularizedInverse:
         g = make_trapezoid_grid(0.0, 1.0, 8)
         rng = np.random.default_rng(1)
         u = Curve(g, rng.standard_normal(8))
-        u = u * (1.0 / norm(u))
+        u = Curve(g, u.values * (1.0 / norm(u)))
         ft = fit([u, u], [1.0, 1.0], FilterSpec("ridge", 0.1, alpha=0.5), center=False)
         assert ft.d_n == 1
         assert ft.filtered_values[0] == pytest.approx(1 / 1.5, rel=1e-10)
@@ -106,7 +106,7 @@ class TestFit:
     def test_noiseless_recovery_on_retained_span(self):
         g, sample, rng = gaussian_sample(40, 10, seed=7)
         lam, vectors = eigendecompose(CurveMatrix.of(sample), 0.0)
-        rho = vectors[0] * 0.8 + vectors[1] * (-0.3)
+        rho = Curve(g, vectors.values[0] * 0.8 + vectors.values[1] * (-0.3))
         y = [inner_product(rho, x) for x in sample]
         ft = fit(sample, y, FilterSpec("truncation", lam[2]), center=False)
         for j in range(ft.d_n):
@@ -236,7 +236,7 @@ class TestPredict:
     def test_linearity_without_centering(self):
         sample, ft = toy_fit()
         x1, x2 = sample
-        lhs = predict(ft, 2.0 * x1 + (-3.0) * x2)
+        lhs = predict(ft, Curve(x1.grid, 2.0 * x1.values + (-3.0) * x2.values))
         rhs = 2.0 * predict(ft, x1) - 3.0 * predict(ft, x2)
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
@@ -327,7 +327,7 @@ class TestNormalizers:
         sample = [Curve(g, [np.sqrt(2), 0.0]), Curve(g, [0.0, np.sqrt(0.5)])]
         lam, vectors = eigendecompose(CurveMatrix.of(sample), 0.0)
         assert np.allclose(lam, [1.0, 0.25])
-        x = vectors[0] + vectors[1]
+        x = Curve(g, vectors.values[0] + vectors.values[1])
         spec = FilterSpec("truncation", 0.01)
         assert pivots(lam, vectors, spec, x).t == pytest.approx(2.2360, abs=1e-4)
 
@@ -389,7 +389,7 @@ class TestSigmaHat:
     def test_noiseless(self):
         g, sample, _ = gaussian_sample(30, 8, seed=13)
         lam, vectors = eigendecompose(CurveMatrix.of(sample), 0.0)
-        rho = vectors[0] * 1.5
+        rho = Curve(g, vectors.values[0] * 1.5)
         y = [inner_product(rho, x) for x in sample]
         ft = fit(sample, y, FilterSpec("truncation", lam[1]), center=False)
         assert ft.sigma_hat < 1e-6
@@ -409,10 +409,11 @@ class TestSigmaHat:
         ]
         y = [1.0, 1.0, 1.0]
         ft = fit(sample, y, FilterSpec("truncation", 1e-9), center=True)
+        # the mean takes the one observation that d_n = n - 1 leaves
         assert ft.d_n == ft.n - 1
-        res = y - np.array([predict(ft, x) for x in sample])
-        expected = np.sqrt(np.sum(res**2))
-        assert ft.sigma_hat == pytest.approx(expected)
+        assert np.isnan(ft.sigma_hat)
+        with pytest.raises(DegenerateFitError, match="no residual degrees of freedom"):
+            prediction_interval(ft, sample[0], 0.9)
 
 
 def per_curve_sigma_hat(sample, y, ft):

@@ -78,6 +78,18 @@ class TestGridAndCurveValidation:
         with pytest.raises(ValidationError):
             Curve(unit_grid(3), [0.0, np.nan, 1.0])
 
+    @pytest.mark.parametrize("make", [Curve, lambda g, v: CurveMatrix(g, v[None])],
+                             ids=["curve", "matrix-row"])
+    def test_curve_and_matrix_row_share_one_finiteness_rule(self, make):
+        # 1e308 at every point of a unit-weight grid sums past the float
+        # range, yet every value is finite, so it is accepted
+        g = Grid(np.arange(3.0), np.ones(3))
+        values = np.full(3, 1e308)
+        assert np.array_equal(make(g, values).values.reshape(-1), values)
+        for bad in ([1e308, np.inf, 1e308], [1e308, np.nan, 0.0], [np.inf, -np.inf, 0.0]):
+            with pytest.raises(ValidationError, match="^curve values must be finite$"):
+                make(g, np.array(bad))
+
     @pytest.mark.parametrize("make, message", [
         (lambda: Grid([[0.0, 1.0]], [[1.0, 1.0]]), "grid points and weights must be 1-d"),
         (lambda: Grid([0.0], [1.0]), "a grid needs at least 2 points"),
@@ -234,8 +246,8 @@ class TestNorm:
         g = unit_grid(31)
         rng = np.random.default_rng(0)
         f = Curve(g, rng.standard_normal(31))
-        u = f * (1.0 / norm(f))
-        assert norm(3.0 * u) == pytest.approx(3.0, rel=1e-10)
+        u = Curve(g, f.values * (1.0 / norm(f)))
+        assert norm(Curve(g, 3.0 * u.values)) == pytest.approx(3.0, rel=1e-10)
 
 
 class TestInnerProductProperties:
@@ -251,7 +263,7 @@ class TestInnerProductProperties:
     def test_parallelogram_law(self, fv, gv):
         g = unit_grid()
         f, h = Curve(g, fv), Curve(g, gv)
-        lhs = norm(f + h) ** 2 + norm(f - h) ** 2
+        lhs = norm(Curve(g, f.values + h.values)) ** 2 + norm(f - h) ** 2
         rhs = 2 * (norm(f) ** 2 + norm(h) ** 2)
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
 
@@ -273,7 +285,7 @@ class TestInnerProductProperties:
         g = unit_grid()
         f, h = Curve(g, fv), Curve(g, gv)
         probe = Curve(g, np.linspace(-1, 1, 11))
-        lhs = inner_product(a * f + b * h, probe)
+        lhs = inner_product(Curve(g, a * f.values + b * h.values), probe)
         rhs = a * inner_product(f, probe) + b * inner_product(h, probe)
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-8)
 

@@ -1,8 +1,9 @@
 """Modules of the package use only each other's public names, only
 ``config`` calls ``open``, the package raises one exception type per kind
-of CLI error line, every source and test file is Python 3.10
-grammar, and the package imports and runs every command without scipy,
-pytest or hypothesis, its test-only dependencies."""
+of CLI error line and each refusal message from one site, every source
+and test file is Python 3.10 grammar, and the package imports and runs
+every command without scipy, pytest or hypothesis, its test-only
+dependencies."""
 
 import ast
 import json
@@ -168,18 +169,23 @@ ERROR_TYPES = ["FunregError", "ValidationError", "DegenerateFitError"]
 RAISED_TYPES = ("ValidationError", "DegenerateFitError")
 
 
-def foreign_raises(source: str) -> list[str]:
-    """``raise`` statements that raise anything but a call of one of
-    RAISED_TYPES; a bare ``raise`` re-raises what was caught and passes."""
+def raises(source: str) -> list[tuple[int, ast.expr, bool]]:
+    """Each ``raise`` statement with an exception, in line order: its line,
+    the exception, and whether that is a call of one of RAISED_TYPES. A bare
+    ``raise`` re-raises what was caught and is left out."""
     found = []
     for node in ast.walk(ast.parse(source)):
-        if not isinstance(node, ast.Raise) or node.exc is None:
-            continue
-        exc = node.exc
-        if not (isinstance(exc, ast.Call) and isinstance(exc.func, ast.Name)
-                and exc.func.id in RAISED_TYPES):
-            found.append((node.lineno, ast.unparse(exc)))
-    return [f"line {line}: {exc}" for line, exc in sorted(found)]
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc
+            own = (isinstance(exc, ast.Call) and isinstance(exc.func, ast.Name)
+                   and exc.func.id in RAISED_TYPES)
+            found.append((node.lineno, exc, own))
+    return sorted(found, key=lambda raised: raised[0])
+
+
+def foreign_raises(source: str) -> list[str]:
+    """``raise`` statements that raise anything but a call of one of RAISED_TYPES."""
+    return [f"line {line}: {ast.unparse(exc)}" for line, exc, own in raises(source) if not own]
 
 
 def test_raise_detector_flags_every_other_type():
@@ -212,6 +218,69 @@ def test_one_exception_type_per_error_kind():
         if (raises := foreign_raises(path.read_text(encoding="utf-8")))
     }
     assert offenders == {}
+
+
+def message_key(call: ast.Call) -> str | None:
+    """The message of a raise of one of RAISED_TYPES, with each f-string field
+    masked as ``{}``; None unless it is one string literal or f-string."""
+    if len(call.args) != 1 or call.keywords:
+        return None
+    msg = call.args[0]
+    if isinstance(msg, ast.Constant) and isinstance(msg.value, str):
+        return msg.value
+    if isinstance(msg, ast.JoinedStr):
+        return "".join(part.value if isinstance(part, ast.Constant) else "{}"
+                       for part in msg.values)
+    return None
+
+
+def shared_refusals(sources: dict[str, str]) -> dict[str, list[str]]:
+    """The refusals of ``sources`` (file name to source) that break the rule
+    of one raise site per message, each with its ``file:line`` sites: a
+    message raised from two sites or more, and a message that is not a
+    string literal or an f-string, keyed by its raise."""
+    sites = {}
+    for name, source in sources.items():
+        for line, exc, own in raises(source):
+            if own:
+                key = message_key(exc)
+                if key is None:
+                    key = f"not a literal message: {ast.unparse(exc)}"
+                sites.setdefault(key, []).append(f"{name}:{line}")
+    return {key: where for key, where in sites.items()
+            if len(where) > 1 or key.startswith("not a literal message: ")}
+
+
+def test_shared_refusal_detector():
+    first = (
+        "raise ValidationError('empty sample')\n"
+        "raise ValidationError(f'{where} config must be an object')\n"
+        "raise DegenerateFitError(message)\n"
+        "raise ValidationError(f'got {level}')\n"
+    )
+    second = (
+        "raise DegenerateFitError('empty sample')\n"
+        "raise ValidationError(f'{section} config must be an object')\n"
+        "raise ValueError('empty sample')\n"
+        "raise\n"
+    )
+    assert shared_refusals({"a.py": first, "b.py": second}) == {
+        "empty sample": ["a.py:1", "b.py:1"],
+        "{} config must be an object": ["a.py:2", "b.py:2"],
+        "not a literal message: DegenerateFitError(message)": ["a.py:3"],
+    }
+    # one site per message passes; joined literals are one message
+    assert shared_refusals({"a.py": (
+        "raise ValidationError('got a')\n"
+        "raise ValidationError(f'got {n}' f' of {m}')\n"
+        "raise DegenerateFitError('got ' 'b')\n"
+    )}) == {}
+
+
+def test_one_raise_site_per_refusal():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert shared_refusals(sources) == {}
 
 
 def cold_start_modules() -> set[str]:

@@ -255,7 +255,7 @@ class TestKlSample:
             x = kl_sample(m, rng)
             c = inner_product(x, e1)
             assert abs(abs(c) - 1.0) < 1e-10
-            assert norm(x - c * e1) < 1e-10
+            assert norm(x - Curve(e1.grid, c * e1.values)) < 1e-10
             signs.add(np.sign(c))
         assert signs == {1.0, -1.0}
 
