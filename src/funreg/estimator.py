@@ -369,9 +369,11 @@ def fit_from_dict(payload: dict) -> EstimatorFit:
     x_mean = curve("x_mean")
     centered = config.value(payload, "centered", where, bool)
     y_mean = config.value(payload, "y_mean", where, float)
+    with config.naming(f"{where}.n"):
+        check_sample_size(n)
     # an interval divides by sqrt(n), which needs a machine integer
-    if not 2 <= n <= np.iinfo(np.int64).max:
-        raise ValidationError(f"{where}.n must be between 2 and 2**63 - 1, got {n}")
+    if n > np.iinfo(np.int64).max:
+        raise ValidationError(f"{where}.n must be at most 2**63 - 1, got {n}")
     for key, mean in (("x_mean", x_mean.values), ("y_mean", y_mean)):
         if not centered and np.any(mean != 0):
             raise ValidationError(f"{where}.{key} must be zero in an uncentered fit")

@@ -16,7 +16,8 @@ The gain g(x) = x f(x) is what a filter keeps of a mode; s_hat, H3's
 ``gain``, which is exactly 1.0 on truncation's support (not x * (1/x)).
 
 The empirical rank d_n a threshold keeps is counted on the sample
-spectrum by ``covariance.retained_rank``.
+spectrum by ``covariance.retained_rank``; a model spectrum is checked by
+``check_true_spectrum``, for ``select_kn`` and ``SpectralModel.lambdas``.
 """
 
 from __future__ import annotations
@@ -131,6 +132,18 @@ def spectral_gaps(lam: np.ndarray) -> np.ndarray:
     return gaps
 
 
+def check_true_spectrum(values) -> np.ndarray:
+    """``values`` as a model spectrum: 1-d, nonempty, positive, finite, strictly decreasing."""
+    lam = np.asarray(values, dtype=float)
+    if lam.ndim != 1 or lam.size < 1:
+        raise ValidationError("need a 1-d eigenvalue sequence")
+    if not np.all(lam > 0) or not np.all(np.isfinite(lam)):
+        raise ValidationError("eigenvalues must be positive and finite")
+    if lam.size > 1 and not np.all(np.diff(lam) < 0):
+        raise ValidationError("eigenvalues must be strictly decreasing")
+    return lam
+
+
 def select_kn(true_eigenvalues, cn: float) -> int:
     """Nonrandom rank: the largest p with lambda_p + delta_p/2 >= cn.
 
@@ -139,13 +152,7 @@ def select_kn(true_eigenvalues, cn: float) -> int:
     the sup. delta_1 = lambda_1 - lambda_2 and delta_p is the min of the
     two neighboring differences.
     """
-    lam = np.asarray(true_eigenvalues, dtype=float)
-    if lam.ndim != 1 or lam.size < 1:
-        raise ValidationError("need a 1-d eigenvalue sequence")
-    if not np.all(lam > 0) or not np.all(np.isfinite(lam)):
-        raise ValidationError("eigenvalues must be positive and finite")
-    if lam.size > 1 and not np.all(np.diff(lam) < 0):
-        raise ValidationError("eigenvalues must be strictly decreasing")
+    lam = check_true_spectrum(true_eigenvalues)
     if not 0 < cn < lam[0]:
         raise ValidationError(f"threshold must satisfy 0 < cn < lambda_1, got {cn}")
     m = lam.size

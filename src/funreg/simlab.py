@@ -77,7 +77,9 @@ import numpy as np
 from . import config
 from .errors import DegenerateFitError, ValidationError
 from .estimator import check_level, check_sample_size, fit, normalizers, prediction_interval
-from .filters import FilterSpec, filter_from_config, gain, h3_sup_deviation, select_kn
+from .filters import (
+    FilterSpec, check_true_spectrum, filter_from_config, gain, h3_sup_deviation, select_kn,
+)
 from .hilbert import (
     Curve,
     CurveMatrix,
@@ -159,10 +161,8 @@ class CoeffRule:
                 j = np.arange(1, count + 1, dtype=float)
                 out = j ** -float(self.exponent)
             else:
-                if len(self.coeffs) > count:
-                    raise ValidationError(
-                        f"rho: at most L={count} coefficients supported, got {len(self.coeffs)}"
-                    )
+                with config.naming("rho"):
+                    _check_coeff_count(len(self.coeffs), count)
                 out = np.zeros(count)
                 out[:len(self.coeffs)] = self.coeffs
             total = np.sqrt(np.sum(out**2))
@@ -181,6 +181,12 @@ class CoeffRule:
     @staticmethod
     def finite(coeffs, normalize: bool = False) -> "CoeffRule":
         return CoeffRule("finite", coeffs=tuple(coeffs), normalize=normalize)
+
+
+def _check_coeff_count(count: int, L: int) -> None:
+    """Refuse more expansion coefficients than a model's L basis curves."""
+    if count > L:
+        raise ValidationError(f"at most L={L} coefficients supported, got {count}")
 
 
 def power_squared_coeffs(beta: float, count: int) -> np.ndarray:
@@ -221,9 +227,7 @@ class SpectralModel:
 
     @cached_property
     def lambdas(self) -> np.ndarray:
-        lam = self.decay.values(self.L)
-        if not np.all(lam > 0) or not np.all(np.diff(lam) < 0):
-            raise ValidationError("eigenvalue rule must be strictly decreasing, positive")
+        lam = check_true_spectrum(self.decay.values(self.L))
         lam.flags.writeable = False
         return lam
 
@@ -273,8 +277,7 @@ class SpectralModel:
     def curve_from_coeffs(self, coeffs) -> Curve:
         """Curve sum_l c_l e_l from leading basis coefficients: the one such map."""
         c = np.asarray(coeffs, dtype=float)
-        if c.size > self.L:
-            raise ValidationError(f"at most L={self.L} coefficients supported")
+        _check_coeff_count(c.size, self.L)
         with np.errstate(over="ignore", invalid="ignore"):
             values = c @ self.basis[: c.size]
         return Curve(self.grid, values)
@@ -305,12 +308,17 @@ def kl_sample(model: SpectralModel, rng: np.random.Generator) -> Curve:
     return model.curve_from_coeffs(np.sqrt(model.lambdas) * xi)
 
 
+def _check_draw_size(n: int) -> None:
+    """Refuse a sample of no curves, the lab's rule for a draw of size n."""
+    if n < 1:
+        raise ValidationError(f"sample size must be >= 1, got {n}")
+
+
 def generate_dataset(
     model: SpectralModel, n: int, rng: np.random.Generator
 ) -> tuple[CurveMatrix, np.ndarray]:
     """n i.i.d. pairs (X_i, Y_i) with Y = <rho, X> + Normal(0, noise_sd^2)."""
-    if n < 1:
-        raise ValidationError("need n >= 1")
+    _check_draw_size(n)
     try:
         xi = _draw_xi(rng, model.xi_law, (n, model.L))
     except (MemoryError, ValueError):
@@ -674,8 +682,7 @@ def rank_power_cn_rule(model: SpectralModel, exponent: float):
     """Threshold rule targeting an effective rank of about n**exponent."""
 
     def rule(n: int) -> float:
-        if n < 1:
-            raise ValidationError(f"sample size must be >= 1, got {n}")
+        _check_draw_size(n)
         # the rank is capped at L - 1; n**exponent may overflow, a float product only to inf
         if exponent * float(np.log(n)) >= np.log(model.L):
             k = model.L - 1

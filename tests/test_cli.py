@@ -418,6 +418,16 @@ class TestFitFileErrors:
         code = run(["predict", "--fit", path, "--x", x_path, "--level", "0.9"])
         assert_validation_exit(code, capsys)
 
+    @pytest.mark.parametrize("n, line", [
+        (1, "fit payload.n: need at least 2 observations to fit"),
+        (2**63, "fit payload.n must be at most 2**63 - 1, got 9223372036854775808"),
+    ], ids=["n=1", "n=2**63"])
+    def test_sample_size_out_of_range_is_named(self, toy_fit, tmp_path, capsys, n, line):
+        payload, x_path = toy_fit
+        capsys.readouterr()
+        code = self.predict_with(dict(payload, n=n), x_path, tmp_path)
+        assert (code, *capsys.readouterr()) == (2, "", f"error: validation: {line}\n")
+
     @pytest.mark.parametrize("normalizer", ["s_hat", "t_hat"])
     def test_sigma_hat_too_large_for_a_finite_interval(self, dof_fit, tmp_path, capsys,
                                                        normalizer):
@@ -476,7 +486,7 @@ class TestFitFileErrors:
         ({"filter": {"kind": "generalized", "cn": 0.1, "alpha": 0.1, "p": HUGE_P,
                      "variant": "A"}},
          "fit payload.filter: generalized filter requires integer p in [1, 1.8e308]"),
-        ({"n": HUGE_P}, "payload.n must be between 2 and 2**63 - 1"),
+        ({"n": HUGE_P}, "payload.n must be at most 2**63 - 1"),
         # a refusal of Grid, Curve or CurveMatrix names the key it was built from
         ({"rho_hat": [1.0]}, "fit payload.rho_hat: curve has 1 values but grid has 2 points"),
         ({"x_mean": [0.0]}, "fit payload.x_mean: curve has 1 values but grid has 2 points"),

@@ -3,7 +3,11 @@
 of CLI error line and each refusal message from one site, every source
 and test file is Python 3.10 grammar, and the package imports and runs
 every command without scipy, pytest or hypothesis, its test-only
-dependencies."""
+dependencies.
+
+The one-raise-site guard keys each raise by its text, so one rule raised
+in two wordings passes it; ``test_simlab.py::test_one_wording_per_refusal_rule``
+is the check for that case, running each shared rule through every caller."""
 
 import ast
 import json
@@ -278,6 +282,9 @@ def test_shared_refusal_detector():
 
 
 def test_one_raise_site_per_refusal():
+    """Each refusal message has one raise site. A raise is keyed by its text,
+    so this cannot see one rule in two wordings:
+    ``test_simlab.py::test_one_wording_per_refusal_rule`` checks that."""
     sources = {path.name: path.read_text(encoding="utf-8")
                for path in sorted(PACKAGE.glob("*.py"))}
     assert shared_refusals(sources) == {}

@@ -1,5 +1,6 @@
 import concurrent.futures
 import functools
+import json
 import os
 import re
 import tracemalloc
@@ -13,7 +14,7 @@ from funreg.covariance import eigendecompose
 from funreg.errors import DegenerateFitError, ValidationError
 from funreg import estimator, simlab
 from funreg.estimator import fit, predict
-from funreg.filters import FilterSpec
+from funreg.filters import FilterSpec, select_kn
 from funreg.hilbert import (
     Curve,
     CurveMatrix,
@@ -154,15 +155,17 @@ LAB_REFUSALS = [
     (lambda: model_with(L=0), "need at least one expansion term"),
     # 3^-2001 underflows to zero
     (lambda: model_with(decay=EigenDecay.power(2000.0)).lambdas,
-     "eigenvalue rule must be strictly decreasing, positive"),
+     "eigenvalues must be positive and finite"),
     (lambda: model_with(grid=clustered_grid()).basis,
      "basis degenerated; reduce L or refine the grid"),
-    (lambda: model_with().curve_from_coeffs([1.0] * 4), "at most L=3 coefficients supported"),
+    (lambda: model_with().curve_from_coeffs([1.0] * 4),
+     "at most L=3 coefficients supported, got 4"),
     (lambda: model_with().curve_from_coeffs([np.inf]), "curve values must be finite"),
     # x_j^2 = j^(1e308) overflows
     (lambda: x_from_config(model_with(), {"kind": "power", "beta": -1e308}),
      "curve values must be finite"),
-    (lambda: generate_dataset(model_with(), 0, replicate_rng(1)), "need n >= 1"),
+    (lambda: generate_dataset(model_with(), 0, replicate_rng(1)),
+     "sample size must be >= 1, got 0"),
     (lambda: generate_dataset(model_with(noise_sd=1e308), 50, replicate_rng(1)),
      "responses overflow: noise_sd is too large to simulate"),
     (lambda: experiment_from_config("variance-bound", {}), "unknown experiment 'variance-bound'"),
@@ -197,6 +200,50 @@ def test_lab_refusal_names_its_cause(call, message):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$") as exc:
         call()
     assert exc.type is ValidationError
+
+
+def fit_file_with_n(tmp_path, n):
+    """The file of a 5-curve lab fit, with its ``n`` edited to ``n``."""
+    ft = fit(*generate_dataset(model_with(), 5, replicate_rng(1)), FilterSpec("truncation", 0.01))
+    path = tmp_path / "fit.json"
+    path.write_text(json.dumps(dict(estimator.fit_to_dict(ft), n=n)))
+    return path
+
+
+# (message, callers): each refusal rule that two callers run, with the prefix
+# each caller names it by. test_imports.py's one-raise-site guard keys a raise
+# by its text, so one rule raised in two wordings passes it; this table does not.
+ONE_WORDING = [
+    ("eigenvalues must be positive and finite", [
+        ("", lambda _: model_with(decay=EigenDecay.power(2000.0)).lambdas),
+        ("", lambda _: select_kn(EigenDecay.power(2000.0).values(3), 0.1)),
+    ]),
+    ("at most L=2 coefficients supported, got 4", [
+        ("rho: ", lambda _: CoeffRule.finite([1.0, 0.5, 0.25, 7.0]).values(2)),
+        ("", lambda _: model_with(L=2).curve_from_coeffs([1.0] * 4)),
+    ]),
+    ("sample size must be >= 1, got 0", [
+        ("", lambda _: generate_dataset(model_with(), 0, replicate_rng(1))),
+        ("", lambda _: rank_power_cn_rule(model_with(), 1 / 3)(0)),
+    ]),
+    ("sample size must be >= 1, got -3", [
+        ("", lambda _: generate_dataset(model_with(), -3, replicate_rng(1))),
+        ("", lambda _: rank_power_cn_rule(model_with(), 1 / 3)(-3)),
+    ]),
+    ("need at least 2 observations to fit", [
+        ("", lambda _: fit(*generate_dataset(model_with(), 1, replicate_rng(1)), TRUNC)),
+        ("fit payload.n: ", lambda tmp: estimator.load_fit(fit_file_with_n(tmp, 1))),
+    ]),
+]
+
+
+@pytest.mark.parametrize("message, callers", ONE_WORDING, ids=[
+    "model-spectrum", "coefficient-count", "sample-size-0", "sample-size-minus-3", "fit-size"])
+def test_one_wording_per_refusal_rule(tmp_path, message, callers):
+    for prefix, call in callers:
+        with pytest.raises(ValidationError) as exc:
+            call(tmp_path)
+        assert str(exc.value) == prefix + message
 
 
 class TestModelCoordinates:
