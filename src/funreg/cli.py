@@ -116,6 +116,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    if args.level is None and args.normalizer is not None:
+        raise ValidationError("--normalizer needs --level: a point prediction has no normalizer")
     ft = load_fit(args.fit)
     curves = load_curves_csv(args.x)
     if len(curves) != 1:
@@ -124,7 +126,7 @@ def cmd_predict(args) -> int:
     if args.level is None:
         print(repr(predict(ft, x)))
         return EXIT_OK
-    interval = prediction_interval(ft, x, args.level, args.normalizer)
+    interval = prediction_interval(ft, x, args.level, args.normalizer or "s_hat")
     print(f"{interval.center!r},{interval.lo!r},{interval.hi!r}")
     return EXIT_OK
 
@@ -190,7 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_pred.add_argument("--fit", required=True, help="fit JSON from `funreg fit`")
     p_pred.add_argument("--x", required=True, help="curve matrix CSV with one curve")
     p_pred.add_argument("--level", type=float, default=None)
-    p_pred.add_argument("--normalizer", choices=NORMALIZERS, default="s_hat")
+    p_pred.add_argument("--normalizer", choices=NORMALIZERS,
+                        help="interval pivot (default s_hat); needs --level")
     p_pred.set_defaults(func=cmd_predict)
 
     p_sim = sub.add_parser("simulate", help="run a simulation experiment")

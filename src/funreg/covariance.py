@@ -8,11 +8,12 @@ same rows it reads for the cross-covariance and the residuals. The
 eigenproblem is solved in the symmetric coordinates Z = X W^{1/2}, on the
 matrix chosen by shape alone:
 
-* n >= p: the p x p matrix S = W^{1/2} K W^{1/2} = Z'Z / n, every eigenvalue;
+* n >= p: the p x p matrix S = W^{1/2} K W^{1/2} = Z'Z / n;
 * n < p: the n x n Gram matrix Z Z' / n, whose eigenvectors v map back
-  as Z' v / sqrt(n lam). Only the pairs with a positive eigenvalue after
-  the clamp are kept (at most n, the sample rank): the null space of K
-  is never computed, and the p x p kernel is never built.
+  as Z' v / sqrt(n lam), so the p x p kernel is never built.
+
+Both routes keep only the positive eigenvalues at or above the clamp, at
+most the sample rank, since nothing reads the null space of K.
 
 Only the p x p route symmetrizes, as (S + S') / 2: X'X of one buffer is
 exactly symmetric, but scaling it by W^{1/2} on both sides rounds its two
@@ -20,9 +21,9 @@ triangles differently. The Gram route scales the rows first, and Z Z' of
 one buffer is exactly symmetric as computed (the same products summed in
 the same order for entries (i, j) and (j, i)), so it is solved as it is.
 
-Every eigenvalue of the solve is kept, but the eigenvectors are mapped
-back, renormalized and sign-fixed only for the d_n leading pairs at or
-above the threshold cn, the pairs a fit reads.
+Every kept eigenvalue is returned, but the eigenvectors are mapped back,
+renormalized and sign-fixed only for the d_n leading pairs at or above
+the threshold cn, the pairs a fit reads.
 
 The one rule for how many pairs a threshold keeps, d_n, is
 ``retained_rank``: the positive eigenvalues at or above cn of a
@@ -57,7 +58,7 @@ import numpy as np
 from .errors import DegenerateFitError, ValidationError
 from .hilbert import CurveMatrix
 
-# Relative cutoff below which empirical eigenvalues are treated as exact zeros.
+# Relative cutoff below which empirical eigenvalues are dropped as exact zeros.
 EIGENVALUE_CLAMP = 1e-12
 # Multiple of p * eps * lambda_1 within which two eigenvalues are one
 # cluster that a threshold must not split (see the module docstring).
@@ -97,15 +98,11 @@ def eigendecompose(sample: CurveMatrix, cn: float) -> tuple[np.ndarray, CurveMat
     product, with K = X'X / n for the rows X of ``sample`` as given.
 
     Returns ``(eigenvalues, eigenvectors)``, both read-only. The
-    eigenvalues are descending. Solved on the p x p matrix when n >= p,
-    there are p of them, with the finite-rank tail clamped to exact
-    zeros; solved on the n x n Gram matrix when n < p (see the module
-    docstring), only the positive ones are held (the sample rank, at most
-    n) and the null space is omitted. Every caller reads only positive
-    pairs, so the two forms agree. ``eigenvectors`` holds the vectors of
-    the d_n pairs that ``retained_rank`` keeps at ``cn`` (cn = 0 keeps
-    every positive pair) as the rows of one matrix, orthonormal under the
-    quadrature product with a deterministic sign convention;
+    eigenvalues are the positive ones at or above the clamp, descending,
+    on either route (see the module docstring). ``eigenvectors`` holds
+    the vectors of the d_n pairs that ``retained_rank`` keeps at ``cn``
+    (cn = 0 keeps every pair) as the rows of one matrix, orthonormal
+    under the quadrature product with a deterministic sign convention;
     ``retained_rank`` raises DegenerateFitError when there is none, on
     either route, or when cn splits a tie.
     """
@@ -136,11 +133,8 @@ def eigendecompose(sample: CurveMatrix, cn: float) -> tuple[np.ndarray, CurveMat
         raise ValidationError(f"eigensolver failed: {exc}") from None
     order = np.argsort(lam)[::-1]
     lam = lam[order]
-    lam = np.where(lam < EIGENVALUE_CLAMP * max(lam[0], 0.0), 0.0, lam)
-
-    if gram_route:
-        # descending and clamped, so the positive values are a prefix
-        lam = lam[:np.count_nonzero(lam > 0)]
+    # descending, so the positive values at or above the clamp are a prefix
+    lam = lam[:np.count_nonzero((lam > 0) & (lam >= EIGENVALUE_CLAMP * lam[0]))]
     held = retained_rank(lam, cn, len(w))
     vec = vec[:, order[:held]]
     if gram_route:

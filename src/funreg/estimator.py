@@ -96,8 +96,8 @@ def normalizers(lam, filt: FilterSpec, coeffs=None, filtered=None) -> Normalizer
 @dataclass(frozen=True)
 class EstimatorFit:
     """Fitted coefficient curve, f(lam_j) of its d_n retained eigenvalues,
-    normalizers, the spectrum that ``eigendecompose`` returns (every
-    eigenvalue, and the vectors of the d_n retained pairs) and provenance."""
+    normalizers, the spectrum that ``eigendecompose`` returns (its positive
+    eigenvalues, and the vectors of the d_n retained pairs) and provenance."""
 
     rho_hat: Curve
     filtered_values: np.ndarray
@@ -332,18 +332,19 @@ def fit_to_dict(fit: EstimatorFit) -> dict:
 def fit_from_dict(payload: dict) -> EstimatorFit:
     """Rebuild a fit from fit_to_dict output.
 
-    The fit holds every stored eigenvalue and the d_n stored eigenvectors,
-    the same form as a fresh fit's. The eigenvectors must
-    form a (d_n, p) matrix, and the eigenvalues must be finite, nonnegative
-    and nonincreasing and retain exactly d_n pairs at the filter's
-    threshold by ``retained_rank`` (which raises DegenerateFitError when
-    the threshold splits a tie). The eigenvectors must be orthonormal
-    under the grid weights, to ORTHONORMALITY_TOL. f(lam_j) and s_hat come
-    from ``normalizers`` as in ``fit``, and the stored s_hat must agree. An
-    uncentered fit must store zero means. Every field is read with the
-    config module's exact JSON types, and the payload and its grid must
-    hold exactly the keys that ``fit_to_dict`` writes. A refusal of the
-    grid, a curve or the eigenvector matrix by its type names its key.
+    The fit holds the positive stored eigenvalues, dropping any zero tail,
+    and the d_n stored eigenvectors: a fresh fit's form. The eigenvectors
+    must form a (d_n, p) matrix, and the eigenvalues must be finite,
+    nonnegative and nonincreasing and retain exactly d_n pairs at the
+    filter's threshold by ``retained_rank`` (which raises
+    DegenerateFitError when the threshold splits a tie). The eigenvectors
+    must be orthonormal under the grid weights, to ORTHONORMALITY_TOL.
+    f(lam_j) and s_hat come from ``normalizers`` as in ``fit``, and the
+    stored s_hat must agree. An uncentered fit must store zero means.
+    Every field is read with the config module's exact JSON types, and
+    the payload and its grid must hold exactly the keys that
+    ``fit_to_dict`` writes. A refusal of the grid, a curve or the
+    eigenvector matrix by its type names its key.
     """
     where = "fit payload"
     config.section(payload, where, _FIT_KEYS)
@@ -389,13 +390,14 @@ def fit_from_dict(payload: dict) -> EstimatorFit:
             f"stored eigenvectors have shape {vectors.shape}, expected "
             f"(d_n, p) = ({d}, {len(grid)})"
         )
-    # a fit writes its spectrum descending with the tail clamped to zeros,
-    # the form that retained_rank reads
     if not (np.all(np.isfinite(lam_all)) and np.all(lam_all >= 0)
             and np.all(np.diff(lam_all) <= 0)):
         raise ValidationError(
             f"{where}.eigenvalues must be finite, nonnegative and nonincreasing"
         )
+    # a fit writes its positive spectrum, descending; a file that pads it
+    # with a zero tail loads to the same fit
+    lam_all = lam_all[:np.count_nonzero(lam_all > 0)]
     with config.naming(f"{where}.eigenvectors"):
         eigenvectors = CurveMatrix(grid, vectors)
     retained = retained_rank(lam_all, filt.cn, len(grid))

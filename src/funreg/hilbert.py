@@ -129,6 +129,12 @@ class Curve:
         return Curve(grid, np.zeros(len(grid)))
 
 
+def _check_rows(count: int) -> None:
+    """Refuse a curve matrix, or a sequence of curves to stack, of no rows."""
+    if count < 1:
+        raise ValidationError("a curve matrix needs at least one row")
+
+
 @dataclass(frozen=True)
 class CurveMatrix:
     """Rows of curves on one grid: ``values[i]`` is curve i, shape (m, p).
@@ -145,8 +151,7 @@ class CurveMatrix:
         values = _frozen_array(self.values)
         if values.ndim != 2:
             raise ValidationError("curve matrix values must be 2-d")
-        if values.shape[0] < 1:
-            raise ValidationError("a curve matrix needs at least one row")
+        _check_rows(values.shape[0])
         if values.shape[1] != len(self.grid):
             raise ValidationError(
                 f"curve matrix rows have {values.shape[1]} values but grid has "
@@ -177,8 +182,7 @@ class CurveMatrix:
         if isinstance(curves, CurveMatrix):
             return curves
         curves = list(curves)
-        if not curves:
-            raise ValidationError("empty sample")
+        _check_rows(len(curves))
         for c in curves[1:]:
             ensure_same_grid(curves[0], c)
         return CurveMatrix(curves[0].grid, np.stack([c.values for c in curves]))

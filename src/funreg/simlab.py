@@ -152,7 +152,7 @@ class CoeffRule:
                 raise ValidationError("finite coefficients need explicit values")
             object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
         else:
-            raise ValidationError(f"unknown coefficient kind {self.kind!r}")
+            raise ValidationError(f"unknown rho kind {self.kind!r}")
 
     def values(self, count: int) -> np.ndarray:
         # the squared norm of the coefficients must be finite

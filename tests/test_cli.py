@@ -202,6 +202,35 @@ class TestPredictCommand:
         assert code == 0
         assert capsys.readouterr().out.strip() == "2.0"
 
+    @pytest.mark.parametrize("normalizer", ["s_hat", "t_hat"])
+    def test_normalizer_without_level_exits_2(self, toy_fit_path, capsys, normalizer):
+        fit_path, x_path = toy_fit_path
+        capsys.readouterr()
+        code = run(["predict", "--fit", fit_path, "--x", x_path, "--normalizer", normalizer])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            "error: validation: --normalizer needs --level: a point prediction has no normalizer"]
+
+    def test_level_alone_is_the_s_hat_pivot(self, tmp_path, capsys):
+        from funreg.estimator import fit as fit_fn, save_fit
+        from funreg.filters import FilterSpec
+        from funreg.hilbert import CurveMatrix, make_trapezoid_grid, save_curves_csv
+
+        rng = np.random.default_rng(5)
+        sample = CurveMatrix(make_trapezoid_grid(0.0, 1.0, 5), rng.standard_normal((10, 5)))
+        fit_path, x_path = tmp_path / "fit.json", tmp_path / "x.csv"
+        save_fit(fit_path, fit_fn(sample, rng.standard_normal(10), FilterSpec("truncation", 0.1)))
+        save_curves_csv(x_path, [sample[0]])
+        outputs = []
+        for pivot in ([], ["--normalizer", "s_hat"]):
+            capsys.readouterr()
+            assert run(["predict", "--fit", fit_path, "--x", x_path, "--level", "0.9",
+                        *pivot]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] != ""
+
     def test_interval_output_and_degenerate_sigma(self, tmp_path, capsys):
         from funreg.estimator import fit as fit_fn, save_fit
         from funreg.filters import FilterSpec

@@ -72,11 +72,13 @@ def held_kernel(lam, vectors):
 
 
 def sorted_clamped_eigh(sym):
-    """eigh of the symmetrized matrix, descending, tail clamped to zeros."""
+    """eigh of the symmetrized matrix, descending, cut to the pairs whose
+    eigenvalue is positive and at or above the clamp."""
     lam, vec = np.linalg.eigh((sym + sym.T) / 2)
     order = np.argsort(lam)[::-1]
     lam, vec = lam[order], vec[:, order]
-    return np.where(lam < EIGENVALUE_CLAMP * max(lam[0], 0.0), 0.0, lam), vec
+    rank = int(np.count_nonzero((lam > 0) & (lam >= EIGENVALUE_CLAMP * lam[0])))
+    return lam[:rank], vec[:, :rank]
 
 
 def dense_solve(sample):
@@ -93,9 +95,7 @@ def gram_solve(sample):
     n = len(sample)
     z = sample.values * np.sqrt(sample.grid.weights)
     lam, vec = sorted_clamped_eigh(z @ z.T / n)
-    rank = int(np.count_nonzero(lam > 0))
-    lam = lam[:rank]
-    return lam, z.T @ vec[:, :rank] / np.sqrt(n * lam)
+    return lam, z.T @ vec / np.sqrt(n * lam)
 
 
 def per_column_vectors(lam, vec, w):
@@ -138,7 +138,7 @@ class TestEmpiricalCovariance:
             assert inner_product(action, h) >= -1e-12
 
     def test_empty_sample_rejected(self):
-        with pytest.raises(ValidationError, match="empty sample"):
+        with pytest.raises(ValidationError, match="^a curve matrix needs at least one row$"):
             fit([], [], FilterSpec("truncation", 0.1))
 
     def test_grid_mismatch_rejected(self):
@@ -353,13 +353,12 @@ class TestEigendecompose:
         assert 1 <= lam.size <= 2
         assert np.all(lam > 0)
         # n >= p: six curves in a two-dimensional span leave four noise
-        # eigenvalues, clamped to exact zeros
+        # eigenvalues below the clamp, and they are dropped too
         rng = np.random.default_rng(31)
         values = rng.standard_normal((6, 2)) @ np.stack([c.values for c in sample])
         lam, _ = eigendecompose(CurveMatrix(g, values), 0.0)
-        assert lam.size == 6
-        assert np.all(lam[:2] > 0)
-        assert np.all(lam[2:] == 0.0)
+        assert lam.size == 2
+        assert np.all(lam > 0)
 
 
 # eigenvalue pool for the cross-route property test: repeated draws give
@@ -499,13 +498,14 @@ class TestGramRoute:
         assert not (tmp_path / "fit.json").exists()
 
     def test_route_is_chosen_by_shape(self):
-        # n = p solves the p x p matrix and keeps every pair
+        # n = p solves the p x p matrix and keeps the positive pairs: the
+        # centered sample's rank, n - 1
         g, sample = random_sample(6, 6, seed=4)
         with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
             lam, _ = eigendecompose(centered_rows(sample), 0.0)
         assert eigh.call_args.args[0].shape == (6, 6)
-        assert lam.size == 6
-        assert lam[-1] == 0.0
+        assert lam.size == 5
+        assert np.all(lam > 0)
 
 
 # (n, p) on each side of the route choice: p x p when n >= p, Gram when n < p
@@ -531,6 +531,33 @@ class TestHeldPrefix:
         assert len(ft.eigenvectors) == ft.d_n
         assert np.array_equal(ft.eigenvalues, lam)
         assert_rel(ft.eigenvectors.values, vectors.values[:4])
+
+    # both routes, and a p x p solve of a sample whose rank is below p
+    @pytest.mark.parametrize("center", [False, True])
+    @pytest.mark.parametrize("n, p, span", [(40, 9, None), (40, 9, 4), (6, 21, None)])
+    def test_one_spectrum_fresh_and_loaded_from_a_zero_padded_file(self, n, p, span, center):
+        sample, y = self.problem(n, p)
+        rng = np.random.default_rng(5)
+        if span:
+            sample = CurveMatrix(sample.grid, rng.standard_normal((n, span)) @ sample.values[:span])
+        rows = centered_rows(sample) if center else sample
+        lam, _ = eigendecompose(rows, 0.0)
+        filt = FilterSpec("truncation", float(np.sqrt(lam[2] * lam[3])))
+        ft = fit(sample, y, filt, center=center)
+        # the positive eigenvalues, descending, as many as the solved rows' rank
+        assert ft.eigenvalues.size == min(n - center, span or p)
+        assert np.all(ft.eigenvalues > 0) and np.all(np.diff(ft.eigenvalues) < 0)
+        # a file that pads the spectrum with zeros to p values loads to the same fit
+        payload = estimator.fit_to_dict(ft)
+        payload["eigenvalues"] += [0.0] * (p - ft.eigenvalues.size)
+        back = estimator.fit_from_dict(json.loads(json.dumps(payload)))
+        assert np.array_equal(back.eigenvalues, ft.eigenvalues)
+        assert estimator.fit_to_dict(back) == estimator.fit_to_dict(ft)
+        x = Curve(sample.grid, rng.standard_normal(p))
+        assert estimator.predict(back, x) == estimator.predict(ft, x)
+        for pivot in estimator.NORMALIZERS:
+            assert (estimator.prediction_interval(back, x, 0.9, pivot)
+                    == estimator.prediction_interval(ft, x, 0.9, pivot))
 
     @pytest.mark.parametrize("n, p", ROUTES)
     def test_the_spectrum_is_read_only_fresh_and_loaded(self, n, p):

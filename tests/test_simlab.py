@@ -145,7 +145,7 @@ LAB_REFUSALS = [
     (lambda: EigenDecay("linear", 1.0), "unknown decay kind 'linear'"),
     (lambda: CoeffRule("power"), "power coefficients need an exponent"),
     (lambda: CoeffRule("finite"), "finite coefficients need explicit values"),
-    (lambda: CoeffRule("spline"), "unknown coefficient kind 'spline'"),
+    (lambda: CoeffRule("spline"), "unknown rho kind 'spline'"),
     (lambda: CoeffRule.finite([0.0, 0.0], normalize=True).values(2),
      "cannot normalize all-zero coefficients"),
     (lambda: CoeffRule.finite([1e308, 1e308]).values(2),
@@ -234,11 +234,21 @@ ONE_WORDING = [
         ("", lambda _: fit(*generate_dataset(model_with(), 1, replicate_rng(1)), TRUNC)),
         ("fit payload.n: ", lambda tmp: estimator.load_fit(fit_file_with_n(tmp, 1))),
     ]),
+    ("unknown rho kind 'spline'", [
+        ("", lambda _: CoeffRule("spline")),
+        ("", lambda _: simlab.rho_from_config({"kind": "spline"})),
+    ]),
+    ("a curve matrix needs at least one row", [
+        ("", lambda _: CurveMatrix.of([])),
+        ("", lambda _: fit([], [], TRUNC)),
+        ("", lambda _: CurveMatrix(make_trapezoid_grid(0.0, 1.0, 3), np.zeros((0, 3)))),
+    ]),
 ]
 
 
 @pytest.mark.parametrize("message, callers", ONE_WORDING, ids=[
-    "model-spectrum", "coefficient-count", "sample-size-0", "sample-size-minus-3", "fit-size"])
+    "model-spectrum", "coefficient-count", "sample-size-0", "sample-size-minus-3", "fit-size",
+    "rho-kind", "empty-curve-matrix"])
 def test_one_wording_per_refusal_rule(tmp_path, message, callers):
     for prefix, call in callers:
         with pytest.raises(ValidationError) as exc:
