@@ -13,7 +13,8 @@ Objects are read by ``section`` (no missing and no unknown keys) and
 
 ``open_text`` holds the package's one call of ``open``: every file read or
 written goes through it, so a path that fails reads ``cannot read|write
-{path}: <reason>``.
+{path}: <reason>``, as does a file read that is not UTF-8; ``read_json``
+reads JSON nested too deeply to decode as ``invalid JSON``.
 """
 
 from __future__ import annotations
@@ -132,12 +133,13 @@ def naming(where):
 @contextmanager
 def open_text(path, mode: str = "r"):
     """``path`` as UTF-8 text to read ("r") or write ("w", with no newline
-    translation, as csv needs); an OSError in the block is a ValidationError."""
+    translation, as csv needs); an OSError in the block, or a
+    UnicodeDecodeError as the block reads the file, is a ValidationError."""
     verb = "read" if mode == "r" else "write"
     try:
         with open(path, mode, encoding="utf-8", newline=None if mode == "r" else "") as fh:
             yield fh
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot {verb} {path}: {exc}") from None
 
 
@@ -146,7 +148,7 @@ def read_json(path) -> dict:
     try:
         with open_text(path) as fh:
             payload = json.load(fh)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValidationError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(payload, dict):
         raise ValidationError(f"{path}: top-level JSON object expected")

@@ -1,11 +1,14 @@
 import concurrent.futures
+import contextlib
 import csv
+import io
 import json
 import os
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from funreg import cli, simlab
 from funreg.cli import main
@@ -1329,3 +1332,121 @@ class TestOneParserPerProcess:
             assert code == 0
             widths.append(max(len(line) for line in out.splitlines()))
         assert widths[1] < widths[0]
+
+
+# ---------------------------------------------------------------------------
+# malformed input files
+
+# Every input file the CLI reads, named by its option; a --config file is
+# named by its experiment.
+INPUT_FILES = ["curves", "responses", "x", "fit",
+               *(f"config-{kind}" for kind in simlab.EXPERIMENTS)]
+
+# Every byte but an ASCII digit. Inserted or put in place of a byte, it
+# cannot lengthen a run of digits, and a deletion that would join two runs
+# deletes nothing; so no count in a file (n, replicates, grid_points, a
+# row's length) can grow, and no mutated run takes longer than the valid one.
+DIGITS = b"0123456789"
+NON_DIGITS = [b for b in range(256) if b not in DIGITS]
+
+EDITS = st.lists(
+    st.tuples(st.sampled_from(["delete", "insert", "replace"]), st.integers(0, 2**16),
+              st.sampled_from(NON_DIGITS)),
+    min_size=1, max_size=4,
+)
+
+
+def mutate(data: bytes, edits) -> bytes:
+    """``data`` after each (operation, position, byte) edit in turn; the
+    position is taken modulo the length of the data at that edit."""
+    buf = bytearray(data)
+    for op, pos, byte in edits:
+        if op == "insert":
+            buf.insert(pos % (len(buf) + 1), byte)
+            continue
+        i = pos % len(buf)
+        if op == "replace":
+            buf[i] = byte
+        elif not (buf[i] not in DIGITS and 0 < i < len(buf) - 1
+                  and buf[i - 1] in DIGITS and buf[i + 1] in DIGITS):
+            del buf[i]
+    return bytes(buf)
+
+
+def test_mutate_never_lengthens_a_run_of_digits():
+    assert mutate(b"12,34", [("delete", 2, 0)]) == b"12,34"
+    assert mutate(b"12,34", [("delete", 1, 0), ("delete", 1, 0)]) == b"1,34"
+    assert mutate(b"12,34", [("delete", 1, 0), ("delete", 2, 0)]) == b"1,4"
+    assert mutate(b"12", [("insert", 1, ord("e")), ("replace", 7, 0xFF)]) == b"1\xff2"
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    """A small valid file of each kind in INPUT_FILES, by name."""
+    from funreg.estimator import fit, save_fit
+    from funreg.filters import FilterSpec
+    from funreg.hilbert import CurveMatrix, load_curves_csv, make_trapezoid_grid, save_curves_csv
+
+    root = tmp_path_factory.mktemp("valid_inputs")
+    files = {name: root / f"{name}.{'csv' if name in ('curves', 'responses', 'x') else 'json'}"
+             for name in INPUT_FILES}
+    g = make_trapezoid_grid(0.0, 1.0, 7)
+    rng = np.random.default_rng(23)
+    values = rng.standard_normal((12, 7))
+    save_curves_csv(files["curves"], CurveMatrix(g, values))
+    y = values @ np.linspace(1.0, -1.0, 7) / 7 + 0.3 * rng.standard_normal(12)
+    files["responses"].write_text("\n".join(repr(float(v)) for v in y) + "\n")
+    save_curves_csv(files["x"], CurveMatrix(g, rng.standard_normal((1, 7))))
+    save_fit(files["fit"], fit(load_curves_csv(files["curves"]), y, FilterSpec("truncation", 0.05)))
+    coverage = base_coverage_config(noise_sd=0.5, n=15, replicates=2)
+    model = {key: coverage[key] for key in ("decay", "rho", "noise_sd", "xi", "L", "grid_points")}
+    configs = {
+        "coverage": coverage,
+        "fixed-x": dict(coverage, x={"kind": "basis", "index": 1}),
+        "norm-divergence": dict(model, L=6, filter={"kind": "truncation"}, n_grid=[10, 20],
+                                cn_rule={"kind": "rank-power", "exponent": 0.3},
+                                replicates=2, seed=3),
+        "population": dict(model, L=6, filter={"kind": "ridge", "alpha": 0.01}, k_grid=[1, 3],
+                           x={"kind": "basis", "index": 2}),
+    }
+    for kind, cfg in configs.items():
+        files[f"config-{kind}"].write_text(json.dumps(cfg, indent=2))
+    return files
+
+
+def reading_argv(files, name, out):
+    """The command that reads the file ``name`` of ``files``; a fit or a
+    report is written to ``out``."""
+    if name in ("curves", "responses"):
+        return ["fit", "--curves", files["curves"], "--responses", files["responses"],
+                "--filter", "truncation", "--cn", "0.05", "--out", out]
+    if name in ("x", "fit"):
+        return ["predict", "--fit", files["fit"], "--x", files["x"],
+                "--level", "0.9", "--normalizer", "t_hat"]
+    return ["simulate", name.removeprefix("config-"), "--config", files[name], "--out", out]
+
+
+@pytest.mark.parametrize("name", INPUT_FILES)
+@settings(max_examples=50, deadline=None, derandomize=True)
+@example(edits=[("insert", 0, 0xFF)])  # not UTF-8
+@given(edits=EDITS)
+def test_malformed_input_file_ends_in_one_error_line(valid_inputs, name, edits):
+    """Whatever its bytes, an input file gives a result, or one error line
+    and no output; never a traceback."""
+    files = dict(valid_inputs)
+    mutated = files[name].with_name(f"mutated-{files[name].name}")
+    mutated.write_bytes(mutate(files[name].read_bytes(), edits))
+    files[name] = mutated
+    out, err = io.StringIO(), io.StringIO()
+    # a numpy warning would reach stderr beside the error line; make it fail here
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = run(reading_argv(files, name, mutated.with_name("out.json")))
+    err = err.getvalue()
+    assert code in (0, 2, 3, 4)
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+        assert out.getvalue() == ""

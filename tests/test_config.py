@@ -104,11 +104,20 @@ class TestJsonFiles:
         assert path.read_text() == json.dumps({"x": [1, 2.5], "y": None}, indent=2) + "\n"
         assert config.read_json(path) == {"x": [1, 2.5], "y": None}
 
-    @pytest.mark.parametrize("content", [b"{not json", b"[1, 2]", b"\xff\xfe{}"])
-    def test_bad_files_rejected(self, tmp_path, content):
+    # each case keeps the id that pytest gave its content alone
+    @pytest.mark.parametrize("content,match", [
+        pytest.param(b"{not json", "invalid JSON", id="{not json"),
+        pytest.param(b"[1, 2]", "top-level JSON object expected", id="[1, 2]"),
+        # not UTF-8: the file cannot be read, whatever its syntax
+        pytest.param(b"\xff\xfe{}", "cannot read", id="\xff\xfe{}"),
+        # deeper than the decoder's recursion limit
+        pytest.param(b'{"a": ' + b"[" * 1100, r"invalid JSON \(maximum recursion depth",
+                     id="too-deep"),
+    ])
+    def test_bad_files_rejected(self, tmp_path, content, match):
         path = tmp_path / "bad.json"
         path.write_bytes(content)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=match):
             config.read_json(path)
 
     def test_missing_and_unwritable(self, tmp_path):

@@ -1,9 +1,9 @@
 """Modules of the package use only each other's public names, only
-``config`` calls ``open``, the package raises one exception type per kind
-of CLI error line and each refusal message from one site, every source
-and test file is Python 3.10 grammar, and the package imports and runs
-every command without scipy, pytest or hypothesis, its test-only
-dependencies.
+``config`` calls ``open`` or names a fault of decoding an input file, the
+package raises one exception type per kind of CLI error line and each
+refusal message from one site, every source and test file is Python 3.10
+grammar, and the package imports and runs every command without scipy,
+pytest or hypothesis, its test-only dependencies.
 
 The one-raise-site guard keys each raise by its text, so one rule raised
 in two wordings passes it; ``test_simlab.py::test_one_wording_per_refusal_rule``
@@ -165,6 +165,50 @@ def test_only_config_opens_files():
     }
     assert offenders == {}
     assert open_calls((PACKAGE / "config.py").read_text(encoding="utf-8"))
+
+
+# The faults of reading an input file that ``config`` turns into a refusal:
+# a file that is not UTF-8, and JSON nested deeper than the decoder recurses.
+READ_FAULTS = ("UnicodeDecodeError", "RecursionError")
+
+
+def read_fault_names(source: str) -> list[str]:
+    """Each mention of one of READ_FAULTS, bare or as an attribute."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        name = node.id if isinstance(node, ast.Name) else (
+            node.attr if isinstance(node, ast.Attribute) else None)
+        if name in READ_FAULTS:
+            found.append((node.lineno, ast.unparse(node)))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_read_fault_detector_flags_every_form():
+    source = (
+        "try:\n"
+        "    pass\n"
+        "except (ValueError, UnicodeDecodeError):\n"
+        "    pass\n"
+        "except builtins.RecursionError as exc:\n"
+        "    raise ValidationError(f'{exc}')\n"
+        "UnicodeError, RecursionErrors, 'RecursionError'\n"
+    )
+    assert read_fault_names(source) == [
+        "line 3: UnicodeDecodeError", "line 5: builtins.RecursionError"]
+
+
+def test_only_config_names_a_read_fault():
+    """A file that cannot be decoded or is nested too deeply reads one way
+    for every input file: ``config`` alone names those faults."""
+    offenders = {
+        path.name: names
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "config.py"
+        and (names := read_fault_names(path.read_text(encoding="utf-8")))
+    }
+    assert offenders == {}
+    named = read_fault_names((PACKAGE / "config.py").read_text(encoding="utf-8"))
+    assert {name.split(": ")[1] for name in named} == set(READ_FAULTS)
 
 
 # The exception types of errors.py, and those of them the package raises:
@@ -354,15 +398,17 @@ print(json.dumps({"runs": runs, "loaded": loaded}))
 
 def scipy_free_inputs(root: Path) -> list[tuple[list[str], int]]:
     """Inputs under ``root`` for fit, predict (point, s_hat, t_hat), each
-    simulate kind, and one refusal per exit code, with the argv of each
-    command and the exit code it must give; the commands write their
-    outputs to the working directory."""
+    simulate kind, one refusal per exit code and the two input files that
+    cannot be read (a responses file that is not UTF-8 and a config nested
+    too deeply), with the argv of each command and the exit code it must
+    give; the commands write their outputs to the working directory."""
     rng = np.random.default_rng(11)
     g = make_trapezoid_grid(0.0, 1.0, 9)
     values = rng.standard_normal((40, 9))
     save_curves_csv(root / "curves.csv", CurveMatrix(g, values))
     responses = values @ np.linspace(1.0, -1.0, 9) / 9 + 0.3 * rng.standard_normal(40)
     (root / "responses.csv").write_text("\n".join(repr(float(y)) for y in responses) + "\n")
+    (root / "undecodable.csv").write_bytes(b"0.5\n\xff\n1.5\n")
     save_curves_csv(root / "x.csv", CurveMatrix(g, rng.standard_normal((1, 9))))
     model = {
         "decay": {"kind": "geometric", "r": 0.5},
@@ -399,11 +445,17 @@ def scipy_free_inputs(root: Path) -> list[tuple[list[str], int]]:
         (predict + ["--level", "0.9", "--normalizer", "s_hat"], 0),
         (predict + ["--level", "0.9", "--normalizer", "t_hat"], 0),
         (predict + ["--level", "2.0"], 2),
+        # fit with --responses holding a byte that is not UTF-8
+        ([*fit[:4], str(root / "undecodable.csv"), *fit[5:]], 2),
     ]
     for name, (kind, cfg, code) in configs.items():
         (root / f"{name}_config.json").write_text(json.dumps(cfg))
         commands.append((["simulate", kind, "--config", str(root / f"{name}_config.json"),
                           "--out", f"{name}.json"], code))
+    # nested deeper than the JSON decoder recurses
+    (root / "deep_config.json").write_text("[" * 1100 + "]" * 1100)
+    commands.append((["simulate", "population", "--config", str(root / "deep_config.json"),
+                      "--out", "deep.json"], 2))
     return commands
 
 
