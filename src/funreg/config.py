@@ -11,7 +11,7 @@ Objects are read by ``section`` (no missing and no unknown keys) and
 ``kind`` (the same, per value of the ``kind`` key). Every failure is a
 ``ValidationError`` that names the offending field.
 
-``open_text`` holds the package's one call of ``open``: every file read or
+``open_text`` holds the package's calls of ``open``: every file read or
 written goes through it, so a path that fails reads ``cannot read|write
 {path}: <reason>``, as does a file read that is not UTF-8; ``read_json``
 reads JSON nested too deeply to decode as ``invalid JSON``.
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from itertools import chain
 
 import numpy as np
@@ -134,11 +134,18 @@ def naming(where):
 def open_text(path, mode: str = "r"):
     """``path`` as UTF-8 text to read ("r") or write ("w", with no newline
     translation, as csv needs); an OSError in the block, or a
-    UnicodeDecodeError as the block reads the file, is a ValidationError."""
+    UnicodeDecodeError as the block reads the file, is a ValidationError.
+    The latter names the fault of decoding the whole file once more, at a
+    byte offset in the file, not in the chunk of a reader that reads in chunks."""
     verb = "read" if mode == "r" else "write"
     try:
-        with open(path, mode, encoding="utf-8", newline=None if mode == "r" else "") as fh:
-            yield fh
+        try:
+            with open(path, mode, encoding="utf-8", newline=None if mode == "r" else "") as fh:
+                yield fh
+        except UnicodeDecodeError:
+            with suppress(OSError), open(path, "rb") as fh:
+                fh.read().decode("utf-8")
+            raise
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot {verb} {path}: {exc}") from None
 

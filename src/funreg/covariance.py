@@ -12,8 +12,9 @@ matrix chosen by shape alone:
 * n < p: the n x n Gram matrix Z Z' / n, whose eigenvectors v map back
   as Z' v / sqrt(n lam), so the p x p kernel is never built.
 
-Both routes keep only the positive eigenvalues at or above the clamp, at
-most the sample rank, since nothing reads the null space of K.
+Both routes keep only ``kept_eigenvalues``, the one cut for which
+eigenvalues count (the positive ones at or above the clamp, at most the
+sample rank), since nothing reads the null space of K.
 
 Only the p x p route symmetrizes, as (S + S') / 2: X'X of one buffer is
 exactly symmetric, but scaling it by W^{1/2} on both sides rounds its two
@@ -26,9 +27,9 @@ renormalized and sign-fixed only for the d_n leading pairs at or above
 the threshold cn, the pairs a fit reads.
 
 The one rule for how many pairs a threshold keeps, d_n, is
-``retained_rank``: the positive eigenvalues at or above cn of a
-descending spectrum. ``eigendecompose`` and a loaded fit count d_n with
-it, and it alone refuses an empty spectrum, on both routes, or a split tie.
+``retained_rank``: the kept eigenvalues at or above cn of a descending
+spectrum. ``eigendecompose`` and a loaded fit count d_n with it, and it
+alone refuses an empty spectrum, on both routes, or a split tie.
 
 A threshold must not split a cluster of eigenvalues that the solve cannot
 tell apart. ``eigh`` is backward stable: its spectrum is exact for S + E
@@ -71,20 +72,25 @@ def cluster_tolerance(lambda_1: float, p: int) -> float:
     return CLUSTER_FACTOR * p * np.finfo(float).eps * lambda_1
 
 
-def retained_rank(lam: np.ndarray, cn: float, p: int) -> int:
-    """d_n: the number of positive eigenvalues at or above cn (boundary
-    inclusive) of a descending spectrum of a p-point operator.
+def kept_eigenvalues(lam: np.ndarray) -> np.ndarray:
+    """The prefix of a descending spectrum that counts, as a view: its positive
+    values at or above EIGENVALUE_CLAMP * lam[0]; empty if there are none."""
+    return lam[:np.count_nonzero((lam > 0) & (lam >= EIGENVALUE_CLAMP * lam[:1]))]
 
-    The positive values are read as a prefix. DegenerateFitError is
-    raised when none is retained, or when cn separates two positive
-    eigenvalues closer than ``cluster_tolerance``.
+
+def retained_rank(lam: np.ndarray, cn: float, p: int) -> int:
+    """d_n: the number of ``kept_eigenvalues`` of a descending spectrum of
+    a p-point operator at or above cn (boundary inclusive).
+
+    DegenerateFitError is raised when none is retained, or when cn
+    separates two kept eigenvalues closer than ``cluster_tolerance``.
     """
-    rank = int(np.count_nonzero(lam > 0))
-    d = int(np.count_nonzero(lam[:rank] >= cn))
+    lam = kept_eigenvalues(lam)
+    d = int(np.count_nonzero(lam >= cn))
     if d == 0:
         raise DegenerateFitError("threshold exceeds spectrum: no eigenvalue retained")
     tol = cluster_tolerance(lam[0], p)
-    if d < rank and lam[d - 1] - lam[d] <= tol:
+    if d < len(lam) and lam[d - 1] - lam[d] <= tol:
         raise DegenerateFitError(
             f"threshold splits tied eigenvalues lambda_{d} = {float(lam[d - 1])!r} and "
             f"lambda_{d + 1} = {float(lam[d])!r}: gap {lam[d - 1] - lam[d]:.3g} <= "
@@ -98,11 +104,11 @@ def eigendecompose(sample: CurveMatrix, cn: float) -> tuple[np.ndarray, CurveMat
     product, with K = X'X / n for the rows X of ``sample`` as given.
 
     Returns ``(eigenvalues, eigenvectors)``, both read-only. The
-    eigenvalues are the positive ones at or above the clamp, descending,
-    on either route (see the module docstring). ``eigenvectors`` holds
-    the vectors of the d_n pairs that ``retained_rank`` keeps at ``cn``
-    (cn = 0 keeps every pair) as the rows of one matrix, orthonormal
-    under the quadrature product with a deterministic sign convention;
+    eigenvalues are the ``kept_eigenvalues``, descending, on either route
+    (see the module docstring). ``eigenvectors`` holds the vectors of
+    the d_n pairs that ``retained_rank`` keeps at ``cn`` (cn = 0 keeps
+    every pair) as the rows of one matrix, orthonormal under the
+    quadrature product with a deterministic sign convention;
     ``retained_rank`` raises DegenerateFitError when there is none, on
     either route, or when cn splits a tie.
     """
@@ -132,9 +138,7 @@ def eigendecompose(sample: CurveMatrix, cn: float) -> tuple[np.ndarray, CurveMat
     except np.linalg.LinAlgError as exc:
         raise ValidationError(f"eigensolver failed: {exc}") from None
     order = np.argsort(lam)[::-1]
-    lam = lam[order]
-    # descending, so the positive values at or above the clamp are a prefix
-    lam = lam[:np.count_nonzero((lam > 0) & (lam >= EIGENVALUE_CLAMP * lam[0]))]
+    lam = kept_eigenvalues(lam[order])
     held = retained_rank(lam, cn, len(w))
     vec = vec[:, order[:held]]
     if gram_route:

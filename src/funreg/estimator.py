@@ -39,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import config
-from .covariance import eigendecompose, retained_rank
+from .covariance import eigendecompose, kept_eigenvalues, retained_rank
 from .errors import DegenerateFitError, ValidationError
 from .filters import FilterSpec, filter_from_config, filter_to_config, filter_values, gain
 from .hilbert import Curve, CurveMatrix, Grid, ensure_same_grid
@@ -96,7 +96,7 @@ def normalizers(lam, filt: FilterSpec, coeffs=None, filtered=None) -> Normalizer
 @dataclass(frozen=True)
 class EstimatorFit:
     """Fitted coefficient curve, f(lam_j) of its d_n retained eigenvalues,
-    normalizers, the spectrum that ``eigendecompose`` returns (its positive
+    normalizers, the spectrum that ``eigendecompose`` returns (its kept
     eigenvalues, and the vectors of the d_n retained pairs) and provenance."""
 
     rho_hat: Curve
@@ -332,11 +332,11 @@ def fit_to_dict(fit: EstimatorFit) -> dict:
 def fit_from_dict(payload: dict) -> EstimatorFit:
     """Rebuild a fit from fit_to_dict output.
 
-    The fit holds the positive stored eigenvalues, dropping any zero tail,
-    and the d_n stored eigenvectors: a fresh fit's form. The eigenvectors
-    must form a (d_n, p) matrix, and the eigenvalues must be finite,
-    nonnegative and nonincreasing and retain exactly d_n pairs at the
-    filter's threshold by ``retained_rank`` (which raises
+    The fit holds the stored eigenvalues that ``kept_eigenvalues`` keeps,
+    the one cut of a fresh fit, and the d_n stored eigenvectors. The
+    eigenvectors must form a (d_n, p) matrix, and the eigenvalues must be
+    finite, nonnegative and nonincreasing and retain exactly d_n pairs at
+    the filter's threshold by ``retained_rank`` (which raises
     DegenerateFitError when the threshold splits a tie). The eigenvectors
     must be orthonormal under the grid weights, to ORTHONORMALITY_TOL.
     f(lam_j) and s_hat come from ``normalizers`` as in ``fit``, and the
@@ -395,9 +395,8 @@ def fit_from_dict(payload: dict) -> EstimatorFit:
         raise ValidationError(
             f"{where}.eigenvalues must be finite, nonnegative and nonincreasing"
         )
-    # a fit writes its positive spectrum, descending; a file that pads it
-    # with a zero tail loads to the same fit
-    lam_all = lam_all[:np.count_nonzero(lam_all > 0)]
+    # the cut of a fresh fit: a zero or sub-clamp tail loads to the same fit
+    lam_all = kept_eigenvalues(lam_all)
     with config.naming(f"{where}.eigenvectors"):
         eigenvectors = CurveMatrix(grid, vectors)
     retained = retained_rank(lam_all, filt.cn, len(grid))

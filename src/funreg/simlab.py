@@ -102,6 +102,13 @@ COVERAGE_SLACK = 1e-9
 # decay and coefficient rules
 
 
+def power_law(exponent: float, count: int) -> np.ndarray:
+    """j^-exponent for j = 1..count; inf where it overflows."""
+    j = np.arange(1, count + 1, dtype=float)
+    with np.errstate(over="ignore"):
+        return j ** -exponent
+
+
 @dataclass(frozen=True)
 class EigenDecay:
     """Eigenvalue rule: power lam_j = j^-(1+a) or geometric lam_j = r^j."""
@@ -120,10 +127,9 @@ class EigenDecay:
             raise ValidationError(f"unknown decay kind {self.kind!r}")
 
     def values(self, count: int) -> np.ndarray:
-        j = np.arange(1, count + 1, dtype=float)
         if self.kind == "power":
-            return j ** -(1.0 + self.param)
-        return self.param**j
+            return power_law(1.0 + self.param, count)
+        return self.param ** np.arange(1, count + 1, dtype=float)
 
     @staticmethod
     def power(a: float) -> "EigenDecay":
@@ -158,8 +164,7 @@ class CoeffRule:
         # the squared norm of the coefficients must be finite
         with np.errstate(over="ignore"):
             if self.kind == "power":
-                j = np.arange(1, count + 1, dtype=float)
-                out = j ** -float(self.exponent)
+                out = power_law(float(self.exponent), count)
             else:
                 with config.naming("rho"):
                     _check_coeff_count(len(self.coeffs), count)
@@ -187,13 +192,6 @@ def _check_coeff_count(count: int, L: int) -> None:
     """Refuse more expansion coefficients than a model's L basis curves."""
     if count > L:
         raise ValidationError(f"at most L={L} coefficients supported, got {count}")
-
-
-def power_squared_coeffs(beta: float, count: int) -> np.ndarray:
-    """Squared coordinates x_j^2 = j^-(1+beta); inf where they overflow."""
-    j = np.arange(1, count + 1, dtype=float)
-    with np.errstate(over="ignore"):
-        return j ** -(1.0 + beta)
 
 
 # ---------------------------------------------------------------------------
@@ -719,7 +717,7 @@ def norm_divergence_demo(
 
     def read(ft, rng, row) -> None:
         row["norm_error"] = norm(ft.rho_hat - rho)
-        row["normalized"] = np.sqrt(ft.n) * row["norm_error"] / ft.s_hat
+        row["normalized"] = _standardized(ft.n, row["norm_error"], ft.s_hat)
 
     blank = dict.fromkeys(["norm_error", "normalized", "d_n"])
     rows = []
@@ -879,12 +877,13 @@ def x_from_config(model: SpectralModel, cfg: dict) -> Curve:
             raise ValidationError(f"x basis index must be in [1, {model.L}]")
         return model.basis_curves[index - 1]
     if kind == "coeffs":
-        values = config.numbers(cfg, "values", "x", float)
-        if not values:
+        coeffs = config.numbers(cfg, "values", "x", float)
+        if not coeffs:
             raise ValidationError("x.values must be a nonempty list")
-        return model.curve_from_coeffs(values)
-    beta = config.value(cfg, "beta", "x", float)
-    return model.curve_from_coeffs(np.sqrt(power_squared_coeffs(beta, model.L)))
+    else:
+        coeffs = np.sqrt(power_law(1.0 + config.value(cfg, "beta", "x", float), model.L))
+    with config.naming("x"):
+        return model.curve_from_coeffs(coeffs)
 
 
 def cn_rule_from_config(model: SpectralModel, cfg: dict):

@@ -1450,3 +1450,28 @@ def test_malformed_input_file_ends_in_one_error_line(valid_inputs, name, edits):
     else:
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
         assert out.getvalue() == ""
+
+
+# (file, a file of more than one 8 KB decode chunk): the curves file has a
+# grid row and 3,000 curves, the responses file 10,000 lines
+LONG_FILES = {"curves": b"0.0,0.5,1.0\n" * 3001, "responses": b"1.0\n" * 10000}
+
+
+@pytest.mark.parametrize("name", LONG_FILES)
+def test_an_undecodable_byte_is_named_by_its_offset_in_the_file(toy_inputs, tmp_path, capsys,
+                                                                name):
+    """A reader that decodes in chunks meets the fault at a position in its
+    chunk; the refusal names the offset in the file, as decoding it whole does."""
+    files = dict(zip(("curves", "responses"), toy_inputs))
+    data = bytearray(LONG_FILES[name])
+    data[30_001] = 0xFF
+    files[name] = tmp_path / f"long-{name}.csv"
+    files[name].write_bytes(data)
+    with pytest.raises(UnicodeDecodeError) as whole:
+        bytes(data).decode("utf-8")
+    assert "in position 30001:" in str(whole.value)
+    code = run(["fit", "--curves", files["curves"], "--responses", files["responses"],
+                "--filter", "truncation", "--cn", "0.1", "--out", tmp_path / "fit.json"])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: validation: cannot read {files[name]}: {whole.value}"]

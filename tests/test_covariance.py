@@ -13,6 +13,7 @@ from funreg.covariance import (
     EIGENVALUE_CLAMP,
     cluster_tolerance,
     eigendecompose,
+    kept_eigenvalues,
     retained_rank,
 )
 from funreg.errors import DegenerateFitError, ValidationError
@@ -558,6 +559,47 @@ class TestHeldPrefix:
         for pivot in estimator.NORMALIZERS:
             assert (estimator.prediction_interval(back, x, 0.9, pivot)
                     == estimator.prediction_interval(ft, x, 0.9, pivot))
+
+    # a p x p fit and a centered Gram fit (rank n - 1 = 11), each under
+    # truncation and under ridge at cn = 0, which retains every kept pair
+    @pytest.mark.parametrize("filt", [FilterSpec("truncation", 0.05),
+                                      FilterSpec("ridge", 0.0, alpha=0.1)],
+                             ids=["truncation", "ridge-cn-0"])
+    @pytest.mark.parametrize("n, p", [(40, 21), (12, 31)], ids=["p-x-p", "gram"])
+    def test_a_sub_clamp_tail_loads_to_the_fresh_fit(self, n, p, filt):
+        sample, y = self.problem(n, p)
+        ft = fit(sample, y, filt)
+        payload = estimator.fit_to_dict(ft)
+        # one more positive value, below EIGENVALUE_CLAMP * lambda_1: the
+        # fresh fit's cut drops it, so loading the file drops it too
+        payload["eigenvalues"].append(1e-20 * payload["eigenvalues"][0])
+        back = estimator.fit_from_dict(json.loads(json.dumps(payload)))
+        assert np.array_equal(back.eigenvalues, ft.eigenvalues)
+        assert estimator.fit_to_dict(back) == estimator.fit_to_dict(ft)
+        x = Curve(sample.grid, np.random.default_rng(5).standard_normal(p))
+        assert estimator.predict(back, x) == estimator.predict(ft, x)
+        t_hats = [normalizers(held.eigenvalues[:held.d_n], filt,
+                              held.eigenvectors.inner_products(x)).t for held in (back, ft)]
+        assert t_hats[0] == t_hats[1]
+
+        def interval(held, pivot):
+            # the centered Gram ridge fit keeps n - 1 pairs: no sigma_hat
+            try:
+                return estimator.prediction_interval(held, x, 0.9, pivot)
+            except DegenerateFitError as exc:
+                return str(exc)
+
+        for pivot in estimator.NORMALIZERS:
+            assert interval(back, pivot) == interval(ft, pivot)
+
+    def test_the_kept_prefix_is_a_view_cut_by_the_clamp(self):
+        lam = np.array([1.0, 0.5, 2e-12, 1e-12, 0.9e-12, 0.0])
+        kept = kept_eigenvalues(lam)
+        assert np.shares_memory(kept, lam) and kept.tolist() == [1.0, 0.5, 2e-12, 1e-12]
+        for empty in ([], [0.0], [0.0, 0.0]):
+            assert kept_eigenvalues(np.array(empty)).size == 0
+        # retained_rank counts on the kept prefix: 1e-13 is below the clamp
+        assert retained_rank(np.array([1.0, 0.5, 1e-13]), 0.0, 3) == 2
 
     @pytest.mark.parametrize("n, p", ROUTES)
     def test_the_spectrum_is_read_only_fresh_and_loaded(self, n, p):

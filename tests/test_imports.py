@@ -1,9 +1,10 @@
 """Modules of the package use only each other's public names, only
 ``config`` calls ``open`` or names a fault of decoding an input file, the
 package raises one exception type per kind of CLI error line and each
-refusal message from one site, every source and test file is Python 3.10
-grammar, and the package imports and runs every command without scipy,
-pytest or hypothesis, its test-only dependencies.
+refusal message from one site, ``covariance.kept_eigenvalues`` alone reads
+the eigenvalue clamp, every source, test and ``perfbench`` file is Python
+3.10 grammar, and the package imports and runs every command without
+scipy, pytest or hypothesis, its test-only dependencies.
 
 The one-raise-site guard keys each raise by its text, so one rule raised
 in two wordings passes it; ``test_simlab.py::test_one_wording_per_refusal_rule``
@@ -114,12 +115,15 @@ def test_every_file_parses_as_python_3_10():
     """pyproject.toml supports Python 3.10, which the tests here do not run
     on. Parsing with ``feature_version=(3, 10)`` catches grammar that only
     3.11 accepts, such as ``except*``; it does not catch a call of a library
-    function or module that only 3.11 has."""
+    function or module that only 3.11 has. The files under ``src/`` and
+    ``tests/`` are parsed, and those of ``perfbench/``, whose smoke run CI
+    makes under 3.10 too."""
     with pytest.raises(SyntaxError):
         ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
     root = Path(__file__).resolve().parent.parent
-    paths = sorted([*(root / "src").rglob("*.py"), *(root / "tests").rglob("*.py")])
-    assert len(paths) > 10
+    paths = sorted([*(root / "src").rglob("*.py"), *(root / "tests").rglob("*.py"),
+                    *(root / "perfbench").glob("*.py")])
+    assert len(paths) > 10 and any(path.parent.name == "perfbench" for path in paths)
     for path in paths:
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
 
@@ -332,6 +336,33 @@ def test_one_raise_site_per_refusal():
     sources = {path.name: path.read_text(encoding="utf-8")
                for path in sorted(PACKAGE.glob("*.py"))}
     assert shared_refusals(sources) == {}
+
+
+def clamp_readers(source: str) -> list[str]:
+    """The top-level definition around each use of the name EIGENVALUE_CLAMP,
+    bare or as an attribute; ``<module>`` for a statement outside any."""
+    found = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", "<module>")
+        found += [owner for node in ast.walk(top)
+                  if "EIGENVALUE_CLAMP" in (getattr(node, "id", None), getattr(node, "attr", None))]
+    return found
+
+
+def test_the_clamp_has_one_reader():
+    """Which eigenvalues count is one cut, ``covariance.kept_eigenvalues``:
+    beside its definition, the clamp is named by that function alone."""
+    source = (
+        "EIGENVALUE_CLAMP = 1e-12\n"
+        "def f(lam):\n"
+        "    return lam >= covariance.EIGENVALUE_CLAMP * lam[0]\n"
+        "class C:\n"
+        "    clamp = EIGENVALUE_CLAMP\n"
+    )
+    assert clamp_readers(source) == ["<module>", "f", "C"]
+    readers = {path.name: names for path in sorted(PACKAGE.glob("*.py"))
+               if (names := clamp_readers(path.read_text(encoding="utf-8")))}
+    assert readers == {"covariance.py": ["<module>", "kept_eigenvalues"]}
 
 
 def cold_start_modules() -> set[str]:

@@ -41,7 +41,7 @@ from funreg.simlab import (
     norm_divergence_demo,
     population,
     population_report,
-    power_squared_coeffs,
+    power_law,
     rank_power_cn_rule,
     rank_threshold,
     replicate_rng,
@@ -163,7 +163,7 @@ LAB_REFUSALS = [
     (lambda: model_with().curve_from_coeffs([np.inf]), "curve values must be finite"),
     # x_j^2 = j^(1e308) overflows
     (lambda: x_from_config(model_with(), {"kind": "power", "beta": -1e308}),
-     "curve values must be finite"),
+     "x: curve values must be finite"),
     (lambda: generate_dataset(model_with(), 0, replicate_rng(1)),
      "sample size must be >= 1, got 0"),
     (lambda: generate_dataset(model_with(noise_sd=1e308), 50, replicate_rng(1)),
@@ -221,6 +221,8 @@ ONE_WORDING = [
     ("at most L=2 coefficients supported, got 4", [
         ("rho: ", lambda _: CoeffRule.finite([1.0, 0.5, 0.25, 7.0]).values(2)),
         ("", lambda _: model_with(L=2).curve_from_coeffs([1.0] * 4)),
+        ("x: ", lambda _: x_from_config(model_with(L=2),
+                                        {"kind": "coeffs", "values": [1.0] * 4})),
     ]),
     ("sample size must be >= 1, got 0", [
         ("", lambda _: generate_dataset(model_with(), 0, replicate_rng(1))),
@@ -405,7 +407,7 @@ class TestPopulationNormalizers:
             make_trapezoid_grid(0, 1, 101), EigenDecay.power(1.0),
             CoeffRule.power(3.0), noise_sd=0.0, L=60,
         )
-        x = m.curve_from_coeffs(np.sqrt(power_squared_coeffs(3.0, 50)))
+        x = m.curve_from_coeffs(np.sqrt(power_law(1 + 3.0, 50)))
         res = population(m, FilterSpec("truncation", rank_threshold(m.lambdas, 40)), x)
         assert res.k_n == 40
         partial = np.sqrt(np.sum(np.arange(1.0, 41.0) ** -2))
@@ -498,7 +500,7 @@ class TestTRegimeProfile:
         return np.array([truncated_at(m, k, x).t_n_x for k in ranks])
 
     def test_bounded_branch_stabilizes(self):
-        t = self.profile(power_squared_coeffs(3.0, 501), [50, 500])
+        t = self.profile(power_law(1 + 3.0, 501), [50, 500])
         rel_inc = (t[-1] - t[0]) / t[-1]
         assert rel_inc < 0.01
 
@@ -838,7 +840,7 @@ class TestFixedXExperiment:
             make_trapezoid_grid(0, 1, 101), EigenDecay.power(1.0),
             CoeffRule.power(3.0, normalize=True), noise_sd=0.3, L=50,
         )
-        x = m.curve_from_coeffs(np.sqrt(power_squared_coeffs(3.0, m.L)))
+        x = m.curve_from_coeffs(np.sqrt(power_law(1 + 3.0, m.L)))
         rule = rank_power_cn_rule(m, 1 / 3)
         means = []
         for n in (200, 400, 800, 1600):
@@ -939,7 +941,7 @@ class TestOneBiasFormula:
             x = None
             rep = coverage_experiment(m, n, cn, filt, 0.9, 8, cls.SEED)
         else:
-            x = m.curve_from_coeffs(np.sqrt(power_squared_coeffs(1.0, m.L)))
+            x = m.curve_from_coeffs(np.sqrt(power_law(1 + 1.0, m.L)))
             rep = fixed_x_experiment(m, x, n, cn, filt, 0.9, 8, cls.SEED)
         assert rep.n_failed == 0
         for row in rep.rows:
