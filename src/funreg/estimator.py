@@ -14,18 +14,19 @@ kept on the fit. The residual scale is
 
 with every <X_c,i, rho_hat> from one ``CurveMatrix.inner_products``; it is
 NaN when d_n >= n, or n - 1 in a centered fit, whose mean takes one more.
-Both CLT pivots are sums over that retained spectrum, computed by the
-one kernel ``normalizers``:
+Both CLT pivots are one quadratic form, with the weights w_j = lam_j
+f(lam_j)^2 of ``normalizers`` and its one evaluator ``t_pivot``:
 
-    s_hat    = sqrt(sum_j g(lam_j)^2)                     (random x)
-    t_hat(x) = sqrt(sum_j lam_j f(lam_j)^2 <x, e_j>^2)    (fixed x)
+    t_hat(x) = sqrt(sum_j w_j <x, e_j>^2)                            (fixed x)
+    s_hat    = sqrt(sum_j g(lam_j)^2) = sqrt(mean_i t_hat(X_c,i)^2)   (random x)
 
-for the filter's gain g(lam) = lam f(lam) of ``filters.gain``.
+for the filter's gain g(lam) = lam f(lam) of ``filters.gain``, as
+mean_i <X_c,i, e_j>^2 = lam_j on the fit's own rows.
 
-``fit`` keeps s_hat and the residual scale sigma_hat, and
+``fit`` keeps f(lam_j), w, s_hat and the residual scale sigma_hat, and
 ``prediction_interval`` computes t_hat(x), with its zero floor, and
 reports the pivot it used as ``normalizer``. A fit file stores no
-f(lam_j): ``fit_from_dict`` derives them and s_hat by the same
+f(lam_j): ``fit_from_dict`` derives them, w and s_hat by the same
 ``normalizers`` call as ``fit``, so a loaded fit equals the fresh one.
 The interval's quantile is ``normal.ndtri``, a port of Cephes ``ndtri``
 that the tests check bit-equal to ``scipy.special.ndtri``.
@@ -65,42 +66,48 @@ NORMALIZERS = ("s_hat", "t_hat")
 
 
 class Normalizers(NamedTuple):
-    """The pivot sums over one spectrum; see ``normalizers``."""
+    """The pivot form over one spectrum; see ``normalizers``."""
 
     filtered: np.ndarray
+    weights: np.ndarray
     s: float
-    t: float | None
-    peak: float
 
 
-def normalizers(lam, filt: FilterSpec, coeffs=None, filtered=None) -> Normalizers:
-    """The CLT pivot sums over the eigenvalues ``lam`` under ``filt``.
+def normalizers(lam, filt: FilterSpec) -> Normalizers:
+    """The CLT pivot form over the eigenvalues ``lam`` under ``filt``.
 
-    Returns f(lam) (evaluated once, unless the caller passes the values
-    it holds as ``filtered``); s = sqrt(sum g(lam)^2) for the gain g of
-    ``filters.gain``, exactly sqrt(d) for truncation; t = sqrt(sum lam
-    f(lam)^2 c_j^2) for the coordinates c_j = <x, e_j> in ``coeffs``, else
-    None; and peak = max sqrt(lam) f(lam), the largest per-mode weight of t.
-    An s that underflows to zero, as every retained gain is below about
-    1.5e-154, is refused: it would give zero-width intervals.
+    Returns f(lam), evaluated once; the read-only weights w = lam f(lam)^2
+    of t(c) = sqrt(sum w c^2) (``t_pivot``); and s = sqrt(sum g(lam)^2) =
+    sqrt(sum lam w) for the gain g of ``filters.gain``, exactly sqrt(d)
+    for truncation. An s that underflows to zero, as every retained gain
+    is below about 1.5e-154, is refused: it would give zero-width intervals.
     """
     lam = np.asarray(lam, dtype=float)
-    f = filter_values(filt, lam) if filtered is None else filtered
-    t = None if coeffs is None else float(np.sqrt(np.sum(lam * f**2 * coeffs**2)))
+    f = filter_values(filt, lam)
+    weights = lam * f**2
+    weights.flags.writeable = False
     s = float(np.sqrt(np.sum(gain(filt, lam, f) ** 2)))
     if s == 0:
         raise ValidationError("s_hat underflows to zero: rescale the curves")
-    return Normalizers(f, s, t, float(np.max(np.sqrt(lam) * f)))
+    return Normalizers(f, weights, s)
+
+
+def t_pivot(weights: np.ndarray, coords):
+    """sqrt(sum_j w_j c_j^2) of (d,) ``coords`` as a float, or of each of (m, d)
+    rows, reduced C-contiguous to equal its one-row call bit for bit."""
+    t = np.sqrt(np.sum(weights * np.ascontiguousarray(coords) ** 2, axis=-1))
+    return float(t) if t.ndim == 0 else t
 
 
 @dataclass(frozen=True)
 class EstimatorFit:
-    """Fitted coefficient curve, f(lam_j) of its d_n retained eigenvalues,
-    normalizers, the spectrum that ``eigendecompose`` returns (its kept
-    eigenvalues, and the vectors of the d_n retained pairs) and provenance."""
+    """Fitted coefficient curve, f(lam_j) and pivot weights w_j of its d_n
+    retained eigenvalues, normalizers, the kept eigenvalues and d_n retained
+    eigenvectors that ``eigendecompose`` returns, and provenance."""
 
     rho_hat: Curve
     filtered_values: np.ndarray
+    weights: np.ndarray
     s_hat: float
     sigma_hat: float
     n: int
@@ -209,8 +216,7 @@ def fit(
             sigma = float("nan")
     return EstimatorFit(
         rho_hat=rho,
-        filtered_values=norms.filtered,
-        s_hat=norms.s,
+        filtered_values=norms.filtered, weights=norms.weights, s_hat=norms.s,
         sigma_hat=sigma,
         n=n,
         eigenvalues=lam,
@@ -253,8 +259,9 @@ def prediction_interval(
     N is s_hat for the random-predictor pivot or t_hat(x) for the
     fixed-point pivot; a zero t_hat means x carries no information from
     the retained eigenspace and is an error rather than an infinite
-    interval, and an x too large for t_hat or its floor to be finite is
-    refused, as is a half width that overflows.
+    interval, and a t_hat or half width that overflows is refused. t_hat and
+    its floor are formed on x times the power of two that puts max|x| in
+    [1/2, 1): exact, as t_hat(c x) = |c| t_hat(x), and no square over- or underflows.
     """
     check_level(level)
     if normalizer not in NORMALIZERS:
@@ -268,20 +275,22 @@ def prediction_interval(
     if normalizer == "s_hat":
         scale = fit.s_hat
     else:
+        e = np.frexp(np.max(np.abs(x.values)))[1]
+        unit = Curve(x.grid, np.ldexp(x.values, -e))
         with np.errstate(over="ignore", invalid="ignore"):
-            norms = normalizers(fit.eigenvalues[:fit.d_n], fit.filter,
-                                fit.eigenvectors.inner_products(x), fit.filtered_values)
+            t = t_pivot(fit.weights, fit.eigenvectors.inner_products(unit))
             # relative floor: roundoff-sized projections of x onto the
             # retained eigenspace must not masquerade as information
-            floor = 1e-12 * norm_of(x) * norms.peak
-        scale = norms.t
+            floor = 1e-12 * norm_of(unit) * np.sqrt(np.max(fit.weights))
+            scale = float(np.ldexp(t, e))
         if not (np.isfinite(scale) and np.isfinite(floor)):
             raise ValidationError("t_hat normalizer overflows: the predictor x is too large")
-        if scale <= floor:
+        if t <= floor:
             raise DegenerateFitError(
                 "t_hat normalizer is zero: x is orthogonal to the retained eigenspace"
             )
-    q = ndtri((1 + level) / 2)
+    # the largest levels below 1 round (1 + level) / 2 to 1: their q is the lower tail's
+    q = ndtri((1 + level) / 2) if (1 + level) / 2 < 1 else -ndtri((1 - level) / 2)
     half = q * fit.sigma_hat * scale / np.sqrt(fit.n)
     if not np.isfinite(half):
         # the product overflowed before the division: dividing sigma_hat
@@ -417,8 +426,7 @@ def fit_from_dict(payload: dict) -> EstimatorFit:
         raise ValidationError("stored s_hat disagrees with eigenvalues and filter")
     return EstimatorFit(
         rho_hat=rho_hat,
-        filtered_values=norms.filtered,
-        s_hat=norms.s,
+        filtered_values=norms.filtered, weights=norms.weights, s_hat=norms.s,
         sigma_hat=float("nan") if sigma is None else sigma,
         n=n,
         eigenvalues=lam_all,

@@ -23,7 +23,8 @@ block at each rank of a grid, with no sample drawn. Its fields:
 * ``s_n`` = sqrt(sum_{j<=k_n} [lam_j f(lam_j)]^2): the random-x
   normalizer that s_hat estimates (sqrt(k_n) for truncation).
 * ``t_n_x`` = sqrt(sum_{j<=k_n} lam_j f(lam_j)^2 <x, e_j>^2), fixed x
-  only: the normalizer that t_hat(x) estimates. It stays bounded as k_n
+  only: the normalizer that t_hat(x) estimates, the same form
+  (``estimator.t_pivot``) over the true pairs. It stays bounded as k_n
   grows iff x is in the range of Gamma^{1/2}: the rate depends on x.
 * ``tail_bias``: what the rank-k_n projection leaves of rho,
   sqrt(sum_{l>k_n} lam_l rho_l^2) for a random x, or the signed
@@ -76,7 +77,8 @@ import numpy as np
 
 from . import config
 from .errors import DegenerateFitError, ValidationError
-from .estimator import check_level, check_sample_size, fit, normalizers, prediction_interval
+from .estimator import (check_level, check_sample_size, fit, normalizers, prediction_interval,
+                        t_pivot)
 from .filters import (
     FilterSpec, check_true_spectrum, filter_from_config, gain, h3_sup_deviation, select_kn,
 )
@@ -382,16 +384,16 @@ def population(model: SpectralModel, filt: FilterSpec, x: Curve | None = None) -
     k_n = select_kn(lam, filt.cn)
     # a fixed x too large for its sums is refused, not reported as Infinity
     with np.errstate(over="ignore", invalid="ignore"):
+        norms = normalizers(lam[:k_n], filt)
         if x is None:
-            coeffs = rkhs_sup = None
+            t_n_x = rkhs_sup = None
             tail = float(np.sqrt(np.sum(lam[k_n:] * rho[k_n:] ** 2)))
         else:
             x_coeff = model.basis_curves.inner_products(x)
-            coeffs = x_coeff[:k_n]
+            t_n_x = t_pivot(norms.weights, x_coeff[:k_n])
             rkhs_sup = float(np.max(x_coeff**2 / lam))
             tail = float(np.sum(rho[k_n:] * x_coeff[k_n:]))
-        norms = normalizers(lam[:k_n], filt, coeffs)
-    if x is not None and not np.all(np.isfinite([rkhs_sup, norms.t, tail])):
+    if x is not None and not np.all(np.isfinite([rkhs_sup, t_n_x, tail])):
         raise ValidationError("fixed x is too large: x_rkhs_sup, t_n_x or tail_bias overflows")
 
     slack = 1.0 + 1e-9
@@ -407,7 +409,7 @@ def population(model: SpectralModel, filt: FilterSpec, x: Curve | None = None) -
     return Population(
         k_n=k_n,
         s_n=norms.s,
-        t_n_x=norms.t,
+        t_n_x=t_n_x,
         tail_bias=tail,
         h3_sup=h3_sup_deviation(filt),
         first_pairwise_violation=pairwise,

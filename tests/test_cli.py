@@ -12,11 +12,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from funreg import cli, simlab
 from funreg.cli import main
+from funreg.normal import ndtri
 
 # grid points (0, 2) give trapezoid weights (1, 1), matching the
 # unit-weight arithmetic of the worked fit example
 TOY_CURVES = "0.0,2.0\n2.0,0.0\n0.0,1.0\n"
 TOY_RESPONSES = "2.0\n1.0\n"
+# README's example curves
+README_CURVES = ("0.0,0.25,0.5,0.75,1.0\n1.0,0.2,-0.3,0.5,0.1\n-0.4,0.9,0.3,-0.2,0.6\n"
+                 "0.3,-0.5,1.1,0.4,-0.7\n0.8,0.6,0.1,-0.9,0.2\n")
 # four curves on three points
 THREE_POINT_CURVES = "0.0,0.5,1.0\n1.0,0.2,-0.3\n-0.4,0.9,0.3\n0.3,-0.5,1.1\n0.8,0.6,0.1\n"
 # a generalized filter exponent beyond the float range
@@ -1013,6 +1017,12 @@ def _scaled_curves(scale):
 # finite but whose squares are not
 HUGE_X = {"kind": "coeffs", "values": [1e200, 0.0]}
 HUGE_X_CSV = "0.0,0.5,1.0\n1e200,1e200,1e200\n"
+# truncation at cn 1e-12 of THREE_POINT_CURVES times 1e-3 weights its modes by
+# 1 / lam_j, up to about 1e6, so t_hat at 1e306 is too large for a float,
+# although the point prediction, about 7.8e300, is not
+MILLI_FIT = ["fit", "--curves", "milli_c.csv", "--responses", "nano_y.csv", "--filter",
+             "truncation", "--cn", "1e-12", "--no-center", "--out", "milli.json"]
+FAR_X_CSV = "0.0,0.5,1.0\n1e306,1e306,1e306\n"
 RIDGE_FIT = ["fit", "--curves", "c.csv", "--responses", "y.csv", "--filter", "ridge",
              "--cn", "0.01", "--alpha", "0.1", "--out", "fit.json"]
 # RIDGE_FIT's rho_hat values lie below 1 in size, so no finite predictor
@@ -1050,8 +1060,11 @@ OVERFLOW_CASES = [
     (["simulate", "fixed-x", "--config",
       base_coverage_config(noise_sd=0.1, x={"kind": "power", "beta": -1e308}),
       "--out", "out.json"], 2),
-    # a finite predictor whose squared coordinates overflow
+    # a finite predictor whose squared coordinates overflow, but not its t_hat
     (["predict", "--fit", "fit.json", "--x", "big_x.csv", "--level", "0.9",
+      "--normalizer", "t_hat"], 0),
+    # a predictor whose t_hat overflows, and not its point prediction
+    (["predict", "--fit", "milli.json", "--x", "far_x.csv", "--level", "0.9",
       "--normalizer", "t_hat"], 2),
     # a predictor whose point prediction overflows, with no interval and on either pivot
     (["predict", "--fit", "steep.json", "--x", "steep_x.csv"], 2),
@@ -1074,7 +1087,7 @@ OVERFLOW_CASES = [
     "fit-huge-responses", "fit-huge-curves", "fit-ridge-tiny-curves", "fit-tikhonov-tiny-curves",
     "fit-huge-grid-span", "population-huge-rho",
     "norm-divergence-huge-cn-exponent", "coverage-huge-noise", "fixed-x-huge-power-x",
-    "predict-t_hat-huge-x", "predict-point-overflows", "predict-s_hat-point-overflows",
+    "predict-t_hat-huge-x", "predict-t_hat-overflows", "predict-point-overflows", "predict-s_hat-point-overflows",
     "predict-t_hat-point-overflows", "fixed-x-huge-x", "population-huge-x"])
 def test_overflow_ends_in_one_error_line_or_a_finite_report(tmp_path, capsys, monkeypatch,
                                                             argv, code):
@@ -1088,9 +1101,13 @@ def test_overflow_ends_in_one_error_line_or_a_finite_report(tmp_path, capsys, mo
     (tmp_path / "big_y.csv").write_text("1e300 2e300 -3e300 4e300\n")
     (tmp_path / "steep_y.csv").write_text("1e3 2e3 3e3 4e3\n")
     (tmp_path / "steep_x.csv").write_text(STEEP_X_CSV)
+    (tmp_path / "milli_c.csv").write_text(_scaled_curves(1e-3))
+    (tmp_path / "nano_y.csv").write_text("1e-9 2e-9 3e-9 4e-9\n")
+    (tmp_path / "far_x.csv").write_text(FAR_X_CSV)
     if argv[0] == "predict":
         assert run(RIDGE_FIT) == 0
         assert run(STEEP_FIT) == 0
+        assert run(MILLI_FIT) == 0
         capsys.readouterr()
     argv = list(argv)
     if "--config" in argv:
@@ -1101,7 +1118,8 @@ def test_overflow_ends_in_one_error_line_or_a_finite_report(tmp_path, capsys, mo
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run(argv) == code
-    err = capsys.readouterr().err.splitlines()
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
     out = tmp_path / "out.json"
     if code:
         assert len(err) == 1 and err[0].startswith("error: validation: ")
@@ -1109,15 +1127,22 @@ def test_overflow_ends_in_one_error_line_or_a_finite_report(tmp_path, capsys, mo
         if "steep.json" in argv:
             assert err[0] == ("error: validation: point prediction overflows: "
                               "the predictor x is too large")
+        if "milli.json" in argv:
+            assert err[0] == ("error: validation: t_hat normalizer overflows: "
+                              "the predictor x is too large")
+    elif argv[0] == "predict":
+        assert err == []
+        assert np.all(np.isfinite([float(v) for v in captured.out.split(",")]))
     else:
         assert err == []
         json.loads(out.read_text(), parse_constant=_refuse_constant)
 
 
-@pytest.mark.parametrize("interval", [[], ["--level", "0.9"]], ids=["point", "s_hat"])
+@pytest.mark.parametrize("interval", [[], ["--level", "0.9"],
+                                      ["--level", "0.9", "--normalizer", "t_hat"]],
+                         ids=["point", "s_hat", "t_hat"])
 def test_huge_predictor_keeps_a_finite_point_and_s_hat_output(tmp_path, capsys, monkeypatch,
                                                               interval):
-    # only t_hat squares the coordinates of x, so only it refuses a 1e200 curve
     monkeypatch.chdir(tmp_path)
     (tmp_path / "c.csv").write_text(THREE_POINT_CURVES)
     (tmp_path / "y.csv").write_text("1 2 3 4\n")
@@ -1131,6 +1156,29 @@ def test_huge_predictor_keeps_a_finite_point_and_s_hat_output(tmp_path, capsys, 
     assert captured.err == ""
     values = [float(v) for v in captured.out.strip().split(",")]
     assert len(values) == 1 + 2 * bool(interval) and np.all(np.isfinite(values))
+
+
+@pytest.mark.parametrize("normalizer", ["s_hat", "t_hat"])
+def test_the_largest_level_below_one_gets_a_finite_interval(tmp_path, capsys, monkeypatch,
+                                                            normalizer):
+    # (1 + level) / 2 rounds to 1 there: the quantile comes from the lower tail
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.csv").write_text(README_CURVES)
+    (tmp_path / "y.csv").write_text("1.0\n-0.5\n0.7\n0.2\n")
+    (tmp_path / "x.csv").write_text("0.0,0.25,0.5,0.75,1.0\n0.5,0.1,0.2,-0.1,0.3\n")
+    assert run(["fit", "--curves", "c.csv", "--responses", "y.csv", "--filter", "truncation",
+                "--cn", "0.05", "--out", "fit.json"]) == 0
+    capsys.readouterr()
+    half = {}
+    for level in ("0.9", "0.9999999999999999"):
+        assert run(["predict", "--fit", "fit.json", "--x", "x.csv", "--level", level,
+                    "--normalizer", normalizer]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        center, lo, hi = map(float, captured.out.split(","))
+        half[level] = hi - center
+    assert half["0.9999999999999999"] / half["0.9"] == pytest.approx(
+        8.292361075813597 / ndtri(0.95), rel=1e-12)
 
 
 # (argv, input files beside c.csv and y.csv, the message of the one error line):

@@ -17,7 +17,7 @@ from funreg.covariance import (
     retained_rank,
 )
 from funreg.errors import DegenerateFitError, ValidationError
-from funreg.estimator import fit, normalizers
+from funreg.estimator import fit, normalizers, t_pivot
 from funreg.filters import FilterSpec, spectral_gaps
 from funreg.hilbert import (
     Curve,
@@ -470,10 +470,11 @@ class TestGramRoute:
             assert len(ft.eigenvectors) == ft.d_n == d
             assert np.array_equal(ft.eigenvalues, gram_lam)
             assert np.array_equal(ft.rho_hat.values, rho_held)
-        pivots = [normalizers(spectrum[:d], filt, vectors.inner_products(x)[:d])
-                  for spectrum, vectors in (gram, dense)]
-        assert_rel(pivots[0].s, pivots[1].s)
-        assert_rel(pivots[0].t, pivots[1].t)
+        norms = [normalizers(spectrum[:d], filt) for spectrum, _ in (gram, dense)]
+        t_hats = [t_pivot(norm.weights, vectors.inner_products(x)[:d])
+                  for norm, (_, vectors) in zip(norms, (gram, dense))]
+        assert_rel(norms[0].s, norms[1].s)
+        assert_rel(t_hats[0], t_hats[1])
 
     def test_zero_sample_keeps_the_degenerate_error(self):
         g = make_trapezoid_grid(0.0, 1.0, 11)
@@ -578,8 +579,8 @@ class TestHeldPrefix:
         assert estimator.fit_to_dict(back) == estimator.fit_to_dict(ft)
         x = Curve(sample.grid, np.random.default_rng(5).standard_normal(p))
         assert estimator.predict(back, x) == estimator.predict(ft, x)
-        t_hats = [normalizers(held.eigenvalues[:held.d_n], filt,
-                              held.eigenvectors.inner_products(x)).t for held in (back, ft)]
+        assert np.array_equal(back.weights, ft.weights)
+        t_hats = [t_pivot(held.weights, held.eigenvectors.inner_products(x)) for held in (back, ft)]
         assert t_hats[0] == t_hats[1]
 
         def interval(held, pivot):

@@ -22,6 +22,7 @@ from funreg.estimator import (
     predict,
     prediction_interval,
     save_fit,
+    t_pivot,
 )
 from funreg.filters import FilterSpec, filter_values
 from funreg.hilbert import (
@@ -276,9 +277,11 @@ class TestPredict:
 
 
 def pivots(lam, vectors, spec, x=None):
-    """``normalizers`` over the pairs of a spectrum that ``spec`` retains."""
+    """(s_hat, t_hat(x)) over the pairs of a spectrum that ``spec`` retains,
+    with t_hat None when no x is given."""
     d = retained_rank(lam, spec.cn, len(vectors.grid))
-    return normalizers(lam[:d], spec, None if x is None else vectors.inner_products(x)[:d])
+    norms = normalizers(lam[:d], spec)
+    return norms.s, None if x is None else t_pivot(norms.weights, vectors.inner_products(x)[:d])
 
 
 class TestNormalizers:
@@ -313,14 +316,14 @@ class TestNormalizers:
         lam, vectors = eigendecompose(CurveMatrix.of([u]), 0.0)
         assert lam[0] == pytest.approx(0.25)
         spec = FilterSpec("truncation", 0.01)
-        assert pivots(lam, vectors, spec, vectors[0]).t == pytest.approx(2.0, rel=1e-10)
+        assert pivots(lam, vectors, spec, vectors[0])[1] == pytest.approx(2.0, rel=1e-10)
 
     def test_t_hat_orthogonal_xestimate_zero(self):
         g, sample, _ = gaussian_sample(20, 6, seed=12)
         lam, vectors = eigendecompose(centered_rows(sample), 0.0)
         spec = FilterSpec("truncation", lam[2])
         x = vectors[4]
-        assert pivots(lam, vectors, spec, x).t < 1e-10
+        assert pivots(lam, vectors, spec, x)[1] < 1e-10
 
     def test_t_hat_two_mode_example(self):
         g = Grid(np.arange(2.0), np.ones(2))
@@ -329,7 +332,7 @@ class TestNormalizers:
         assert np.allclose(lam, [1.0, 0.25])
         x = Curve(g, vectors.values[0] + vectors.values[1])
         spec = FilterSpec("truncation", 0.01)
-        assert pivots(lam, vectors, spec, x).t == pytest.approx(2.2360, abs=1e-4)
+        assert pivots(lam, vectors, spec, x)[1] == pytest.approx(2.2360, abs=1e-4)
 
 
 class TestNormalizerKernel:
@@ -344,13 +347,13 @@ class TestNormalizerKernel:
     def test_sums_match_their_formulas(self, spec):
         lam = np.array([1.0, 0.4, 0.3, 0.05])
         c = np.array([0.5, -1.0, 2.0, 0.25])
-        out = normalizers(lam, spec, c)
+        out = normalizers(lam, spec)
         f = filter_values(spec, lam)
         assert np.array_equal(out.filtered, f)
+        assert np.array_equal(out.weights, lam * f**2) and not out.weights.flags.writeable
         assert out.s == pytest.approx(np.sqrt(np.sum((lam * f) ** 2)), rel=1e-14)
-        assert out.t == pytest.approx(np.sqrt(np.sum(lam * f**2 * c**2)), rel=1e-14)
-        assert out.peak == np.max(np.sqrt(lam) * f)
-        assert normalizers(lam, spec).t is None
+        # the weights are the leading factor of the one-vector sum, bit for bit
+        assert t_pivot(out.weights, c) == np.sqrt(np.sum(lam * f**2 * c**2))
 
     def test_truncation_s_is_exactly_sqrt_rank(self):
         lam = np.array([0.9, 0.7, 0.3, 0.3, 0.11])
@@ -358,19 +361,20 @@ class TestNormalizerKernel:
         # an eigenvalue below cn contributes nothing
         assert normalizers(lam, FilterSpec("truncation", 0.2)).s == 2.0
 
-    def test_held_values_skip_the_filter(self, monkeypatch):
-        lam = np.array([1.0, 0.5, 0.2])
-        c = np.array([1.0, 2.0, 3.0])
-        spec = FilterSpec("ridge", 0.1, alpha=0.05)
-        fresh = normalizers(lam, spec, c)
-
-        def unexpected(*args):
-            raise AssertionError("filter_values called with the values in hand")
-
-        monkeypatch.setattr(estimator, "filter_values", unexpected)
-        held = normalizers(lam, spec, c, fresh.filtered)
-        assert held.filtered is fresh.filtered
-        assert (held.s, held.t, held.peak) == (fresh.s, fresh.t, fresh.peak)
+    def test_rows_equal_their_one_row_calls(self):
+        rng = np.random.default_rng(3)
+        spec = FilterSpec("ridge", 0.001, alpha=0.1)
+        for d in (1, 2, 7, 33, 128, 513):
+            weights = normalizers(np.sort(rng.uniform(0.01, 1.0, d))[::-1], spec).weights
+            rows = rng.standard_normal((40, d)) * rng.uniform(0.5, 2.0, d)
+            # the transpose of a (d, m) product is an (m, d) array in Fortran order
+            transposed = (rows.T @ np.diag(rng.uniform(0.5, 2.0, 40))).T
+            assert transposed.flags.f_contiguous and (d == 1 or not transposed.flags.c_contiguous)
+            for coords in (rows, transposed):
+                t = t_pivot(weights, coords)
+                assert t.shape == (40,)
+                assert t.tolist() == [t_pivot(weights, row) for row in coords]
+            assert type(t_pivot(weights, rows[0])) is float
 
     def test_interval_reuses_the_fit_values(self, monkeypatch):
         g, sample, rng = gaussian_sample(40, 8, seed=9)
@@ -507,7 +511,40 @@ class TestPredictionInterval:
         x = sample[2]
         assert prediction_interval(ft, x, 0.9, "s_hat").normalizer == ft.s_hat
         iv = prediction_interval(ft, x, 0.9, "t_hat")
-        assert iv.normalizer == pivots(ft.eigenvalues, ft.eigenvectors, ft.filter, x).t
+        assert iv.normalizer == pivots(ft.eigenvalues, ft.eigenvectors, ft.filter, x)[1]
+
+    @pytest.mark.parametrize("c", [1e-300, 1e-200, 1e-161, 1e-158, 1e-3, 7.0, 1e200, 1e300])
+    def test_t_hat_is_homogeneous_in_x(self, c):
+        # t_hat(c x) = |c| t_hat(x), also where the squares of c x's
+        # coordinates underflow or overflow a float
+        g, sample, ft = self.make_noisy_fit()
+        x = sample[2].values
+        t = prediction_interval(ft, sample[2], 0.9, "t_hat").normalizer
+        for sign in (1.0, -1.0):
+            iv = prediction_interval(ft, Curve(g, sign * c * x), 0.9, "t_hat")
+            assert iv.normalizer / c == pytest.approx(t, rel=4 * np.finfo(float).eps)
+        # a power of two scales x exactly, and so t_hat
+        for power in (2.0**-900, 2.0**-500, 2.0**600, 2.0**1000):
+            assert prediction_interval(ft, Curve(g, power * x), 0.9, "t_hat").normalizer == power * t
+
+    def test_the_largest_level_below_one_has_a_finite_quantile(self):
+        _, sample, ft = self.make_noisy_fit()
+        level = np.nextafter(1.0, 0.0)
+        # (1 + level) / 2 rounds to 1, whose quantile is infinite
+        assert (1 + level) / 2 == 1.0 and -ndtri((1 - level) / 2) == 8.292361075813597
+        for pivot in NORMALIZERS:
+            iv = prediction_interval(ft, sample[0], level, pivot)
+            assert iv.half_width == (8.292361075813597 * ft.sigma_hat * iv.normalizer
+                                     / np.sqrt(ft.n))
+
+    def test_every_other_level_keeps_its_quantile(self):
+        _, sample, ft = self.make_noisy_fit()
+        top = np.nextafter(1.0, 0.0)
+        levels = [*np.random.default_rng(4).uniform(0.0, 1.0, 300), 1e-300, 0.5,
+                  np.nextafter(top, 0.0), 1 - 1e-15]
+        for level in map(float, levels):
+            iv = prediction_interval(ft, sample[0], level)
+            assert iv.half_width == ndtri((1 + level) / 2) * ft.sigma_hat * ft.s_hat / np.sqrt(ft.n)
 
     def test_width_vanishes_as_level_drops(self):
         g, sample, ft = self.make_noisy_fit()
@@ -546,9 +583,11 @@ class TestPredictionInterval:
         spec = FilterSpec("truncation", lam[2])
         y = np.linspace(0, 1, 20)
         ft = fit(sample, y, spec, center=False)
-        x = vectors[5]
-        with pytest.raises(DegenerateFitError):
-            prediction_interval(ft, x, 0.95, "t_hat")
+        # at every scale of x, however small or large its squares are
+        for c in (1.0, 1e-300, 1e-200, 1e200, 1e300):
+            x = Curve(g, c * vectors.values[5])
+            with pytest.raises(DegenerateFitError, match="x is orthogonal to the retained"):
+                prediction_interval(ft, x, 0.95, "t_hat")
 
     def test_interval_duality(self):
         g, sample, ft = self.make_noisy_fit(seed=27)
@@ -612,7 +651,7 @@ class TestStructuralProperties:
         g, sample, _ = gaussian_sample(40, 10, seed=37)
         lam, vectors = eigendecompose(centered_rows(sample), 0.0)
         values = [
-            pivots(lam, vectors, FilterSpec("ridge", lam[d] * 0.9999, alpha=0.01)).s
+            pivots(lam, vectors, FilterSpec("ridge", lam[d] * 0.9999, alpha=0.01))[0]
             for d in range(6)
         ]
         assert all(b >= a for a, b in zip(values, values[1:]))

@@ -365,6 +365,48 @@ def test_the_clamp_has_one_reader():
     assert readers == {"covariance.py": ["<module>", "kept_eigenvalues"]}
 
 
+def filter_squarers(source: str) -> list[str]:
+    """The innermost function around each ``** 2`` whose base reads a filter
+    value: the name f or filtered, or an attribute .filtered or
+    .filtered_values; ``<module>`` for one outside any function."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                and isinstance(node.right, ast.Constant) and node.right.value == 2
+                and any(getattr(sub, "id", None) in ("f", "filtered")
+                        or getattr(sub, "attr", None) in ("filtered", "filtered_values")
+                        for sub in ast.walk(node.left))):
+            found.append(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_the_pivot_weights_have_one_owner():
+    """The weights w = lam f(lam)^2 of both pivots are built once, by
+    ``estimator.normalizers``: no other code squares a filter value, and
+    every new use of the pivot form reads the weights a fit holds."""
+    source = (
+        "def normalizers(lam, filt):\n"
+        "    return lam * f**2\n"
+        "def g(fit):\n"
+        "    return np.sum(fit.filtered_values ** 2), (lam * norms.filtered) ** 2\n"
+        "class C:\n"
+        "    def h(self):\n"
+        "        return gain(s, lam, filtered) ** 2 + lam**2 + f**3 + f * f\n"
+        "w = f ** 2\n"
+    )
+    assert filter_squarers(source) == ["normalizers", "g", "g", "h", "<module>"]
+    squarers = {path.name: sorted(set(names)) for path in sorted(PACKAGE.glob("*.py"))
+                if (names := filter_squarers(path.read_text(encoding="utf-8")))}
+    assert squarers == {"estimator.py": ["normalizers"]}
+
+
 def cold_start_modules() -> set[str]:
     """The modules a fresh interpreter holds after ``import funreg, funreg.cli``."""
     code = "import sys, funreg, funreg.cli; print(*sys.modules)"

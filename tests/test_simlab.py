@@ -24,7 +24,7 @@ from funreg.hilbert import (
     norm,
     trapezoid_weights,
 )
-from funreg.normal import ndtr
+from funreg.normal import ndtr, ndtri
 from funreg.simlab import (
     CoeffRule,
     EigenDecay,
@@ -687,6 +687,21 @@ class TestCoverageExperiment:
         assert a.to_dict() == b.to_dict() == c.to_dict()
         assert a.rows == b.rows == c.rows
 
+    @pytest.mark.parametrize("experiment", ["coverage", "fixed-x"])
+    def test_the_largest_level_below_one_gets_finite_intervals(self, experiment):
+        # (1 + level) / 2 rounds to 1 there, so its quantile comes from the
+        # lower tail; every row failed on an infinite quantile before
+        m = smooth_model()
+        kwargs = dict(n=40, cn=rank_threshold(m.lambdas, 3), filt=TRUNC, replicates=4, seed=2)
+        if experiment == "coverage":
+            run = functools.partial(coverage_experiment, m, **kwargs)
+        else:
+            run = functools.partial(fixed_x_experiment, m, m.basis_curves[1], **kwargs)
+        top, base = run(level=np.nextafter(1.0, 0.0)), run(level=0.9)
+        assert top.n_failed == base.n_failed == 0 and top.empirical_coverage == 1.0
+        ratios = [a["half_width"] / b["half_width"] for a, b in zip(top.rows, base.rows)]
+        assert ratios == pytest.approx([8.292361075813597 / ndtri(0.95)] * 4, rel=1e-12)
+
     def test_bias_dominance_switch(self):
         # rough coefficients: too aggressive a cutoff degrades coverage
         rough = SpectralModel(
@@ -1036,17 +1051,16 @@ def test_a_sample_too_small_to_fit_is_refused_before_any_replicate(monkeypatch, 
 
 class TestFixedXNormalizer:
     def test_t_hat_computed_once_per_replicate(self, monkeypatch):
-        # t_hat is the normalizer kernel's sum over the coordinates of x
+        # t_hat is the pivot form's sum over the coordinates of x
         calls = []
-        original = estimator.normalizers
+        original = estimator.t_pivot
 
-        def counted(lam, filt, coeffs=None, filtered=None):
-            if coeffs is not None:
-                calls.append(1)
-            return original(lam, filt, coeffs, filtered)
+        def counted(weights, coords):
+            calls.append(1)
+            return original(weights, coords)
 
-        monkeypatch.setattr(estimator, "normalizers", counted)
-        monkeypatch.setattr(simlab, "normalizers", counted)
+        monkeypatch.setattr(estimator, "t_pivot", counted)
+        monkeypatch.setattr(simlab, "t_pivot", counted)
         m = smooth_model(L=10, p=31)
         rep = fixed_x_experiment(m, m.basis_curves[1], n=60, cn=rank_threshold(m.lambdas, 3),
                                  filt=TRUNC, level=0.9, replicates=4, seed=5)

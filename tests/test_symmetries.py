@@ -10,7 +10,10 @@ Every filter variant, centered and uncentered, on both solver routes
 * response map: y -> a + b y (centered) or y -> b y (uncentered) moves the
   center to a + b center and scales both half widths by |b|;
 * row order: permuting the sample keeps d_n, rho_hat, the center and both
-  half widths to 1e-12 relative.
+  half widths to 1e-12 relative;
+* pivot identity: s_hat^2 = mean_i t_hat(X_c,i)^2 over the fit's own rows
+  X_c (centered or not, as the fit), to 8 d_n eps relative, since
+  mean_i <X_c,i, e_j>^2 = lam_j; so s_hat is the root mean square of t_hat.
 
 Centers are compared on the scale max(|center|, half width), as a center
 near zero carries the roundoff of the terms that cancel in it. A shift of
@@ -25,7 +28,7 @@ import numpy as np
 import pytest
 
 from funreg.covariance import eigendecompose
-from funreg.estimator import fit, prediction_interval
+from funreg.estimator import fit, prediction_interval, t_pivot
 from funreg.filters import FilterSpec
 from funreg.hilbert import Curve, CurveMatrix, make_trapezoid_grid
 from funreg.simlab import CoeffRule, EigenDecay, SpectralModel, generate_dataset
@@ -146,3 +149,15 @@ def test_row_order(data, p, n, variant, center):
     assert ft.d_n == base.d_n
     assert relative_gap(ft.rho_hat.values, base.rho_hat.values) <= RTOL
     assert_close_intervals(got, want)
+
+
+@pytest.mark.parametrize("p, n, variant, center", CASES)
+def test_s_hat_is_the_root_mean_square_of_t_hat(data, p, n, variant, center):
+    grid, rows, y, _, cn = data[p, n, center]
+    ft = fit(CurveMatrix(grid, rows), y, make_filter(variant, cn), center=center)
+    own = rows - rows.mean(axis=0) if center else rows
+    # one (n, d_n) call: the coordinates <X_c,i, e_j> of every row
+    t = t_pivot(ft.weights, own @ (grid.weights * ft.eigenvectors.values).T)
+    assert t.shape == (n,)
+    gap = abs(np.mean(t**2) - ft.s_hat**2) / ft.s_hat**2
+    assert gap <= 8 * ft.d_n * np.finfo(float).eps
